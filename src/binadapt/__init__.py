@@ -8,6 +8,7 @@ that decides per target domain whether adaptation is worth applying.
 __version__ = "0.1.0"
 
 from .autodiff import (
+    CheckpointError,
     Graph,
     GraphError,
     Tensor,

@@ -10,6 +10,7 @@ fixed seed.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -17,6 +18,7 @@ import numpy as np
 
 __all__ = [
     "GraphError",
+    "CheckpointError",
     "Tensor",
     "Node",
     "Graph",
@@ -40,21 +42,18 @@ class GraphError(ValueError):
     """A graph was built or executed against its contracts."""
 
 
+class CheckpointError(GraphError):
+    """Checkpoint bytes that do not decode to the model they claim to hold."""
+
+
 class Tensor:
-    """Dense n-dimensional float64 array with an optional gradient buffer."""
+    """Dense n-dimensional float64 array; ``backward`` fills a parameter's ``grad``."""
 
     __slots__ = ("data", "grad")
 
-    def __init__(self, data, grad=None):
+    def __init__(self, data):
         self.data = np.ascontiguousarray(data, dtype=np.float64)
         self.grad = None
-        if grad is not None:
-            grad = np.ascontiguousarray(grad, dtype=np.float64)
-            if grad.shape != self.data.shape:
-                raise GraphError(
-                    f"grad shape {grad.shape} does not match data shape {self.data.shape}"
-                )
-            self.grad = grad
 
     @property
     def shape(self):
@@ -63,9 +62,6 @@ class Tensor:
     @property
     def size(self):
         return self.data.size
-
-    def copy(self):
-        return Tensor(self.data.copy(), None if self.grad is None else self.grad.copy())
 
     def __repr__(self):
         return f"Tensor(shape={self.shape})"
@@ -106,6 +102,8 @@ class _Run:
     masks: dict
     order: list
     training: bool
+    rng: np.random.Generator | None = None  # dropout mask source when training
+    nid: int = -1  # id of the node being evaluated or differentiated
 
 
 class Graph:
@@ -210,11 +208,10 @@ def forward(
     targets = [_resolve_loss(graph, w) for w in wanted]
     order = graph.ancestors(targets)
 
-    run = _Run(values={}, masks=dict(frozen_masks or {}), order=order, training=training)
-    run._rng = rng
+    run = _Run(values={}, masks=dict(frozen_masks or {}), order=order, training=training, rng=rng)
     for nid in order:
         node = graph.nodes[nid]
-        run._nid = nid
+        run.nid = nid
         if node.kind == "input":
             name = node.attrs["input_name"]
             if name not in bindings:
@@ -268,7 +265,7 @@ def backward(graph: Graph, loss) -> dict:
         if g is None:
             continue
         node = graph.nodes[nid]
-        run._nid = nid
+        run.nid = nid
         if node.kind in ("input", "param"):
             continue
         _, bwd = _OPS[node.kind]
@@ -434,6 +431,7 @@ def optimizer_step(state: OptimizerState, params: dict, grads: dict) -> dict:
 #   prod(dims) x little-endian float64 values.
 
 CHECKPOINT_MAGIC = b"BINADAPT1"
+_MAX_RANK = 32  # the smallest ndarray rank limit across numpy 1.x and 2.x
 
 
 def write_checkpoint(params: dict) -> bytes:
@@ -452,25 +450,31 @@ def write_checkpoint(params: dict) -> bytes:
 def read_checkpoint(data: bytes) -> dict:
     """Parse checkpoint bytes into an ordered name -> ndarray map (bit-exact)."""
     if data[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise GraphError("bad checkpoint magic")
+        raise CheckpointError("bad checkpoint magic")
     pos = len(CHECKPOINT_MAGIC)
     out = {}
 
     def take(n, what):
         nonlocal pos
         if pos + n > len(data):
-            raise GraphError(f"truncated checkpoint while reading {what} at byte {pos}")
+            raise CheckpointError(f"truncated checkpoint while reading {what} at byte {pos}")
         piece = data[pos : pos + n]
         pos += n
         return piece
 
     while pos < len(data):
         (nlen,) = struct.unpack("<I", take(4, "name length"))
-        name = take(nlen, "name").decode("utf-8")
+        start = pos
+        try:
+            name = take(nlen, "name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"parameter name at byte {start} is not UTF-8") from None
         (rank,) = struct.unpack("<I", take(4, "rank"))
+        if rank > _MAX_RANK:
+            raise CheckpointError(f"rank {rank} of {name!r} at byte {pos - 4} exceeds {_MAX_RANK}")
         dims = struct.unpack(f"<{rank}I", take(4 * rank, "dims"))
-        count = int(np.prod(dims)) if rank else 1
-        raw = take(8 * count, f"values of {name!r}")
+        # Python ints: a product of u32 dims must not wrap around
+        raw = take(8 * math.prod(dims), f"values of {name!r}")
         out[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(dims)
     return out
 

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .autodiff import CheckpointError
 from .data import (
     PgmError,
     load_dataset,
@@ -342,7 +343,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2
-    except (PgmError, OSError) as exc:
+    except (PgmError, CheckpointError, OSError) as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

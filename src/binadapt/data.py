@@ -32,7 +32,6 @@ __all__ = [
     "Dataset",
     "read_pgm",
     "write_pgm",
-    "to_grayscale",
     "split_patches",
     "assemble",
     "load_dataset",
@@ -56,26 +55,12 @@ class PgmError(ValueError):
 class Page:
     """One document page, pixels scaled to [0, 1] floats."""
 
-    pixels: np.ndarray  # (h, w) grayscale or (h, w, 3) color
+    pixels: np.ndarray  # (h, w) grayscale, the only kind the PGM reader yields
 
     def __post_init__(self):
         self.pixels = np.asarray(self.pixels, dtype=np.float64)
-        if self.pixels.ndim not in (2, 3) or (
-            self.pixels.ndim == 3 and self.pixels.shape[2] != 3
-        ):
-            raise PgmError(f"page pixels must be (h,w) or (h,w,3), got {self.pixels.shape}")
-
-    @property
-    def height(self):
-        return self.pixels.shape[0]
-
-    @property
-    def width(self):
-        return self.pixels.shape[1]
-
-    @property
-    def channels(self):
-        return 1 if self.pixels.ndim == 2 else 3
+        if self.pixels.ndim != 2:
+            raise PgmError(f"page pixels must be (h,w), got {self.pixels.shape}")
 
 
 @dataclass
@@ -210,14 +195,6 @@ def write_pgm(page) -> bytes:
     return header + raw.tobytes()
 
 
-def to_grayscale(page: Page) -> Page:
-    """BT.601 luma conversion; grayscale pages pass through unchanged."""
-    if page.channels == 1:
-        return page
-    weights = np.array([0.299, 0.587, 0.114])
-    return Page(page.pixels @ weights)
-
-
 # ---------------------------------------------------------------------------
 # tiling
 
@@ -272,6 +249,10 @@ def _assign_splits(stems, validation_fraction, seed):
     return {stem: ("validation" if stem in val else "train") for stem in stems}
 
 
+def _read_gt(path) -> GroundTruth:
+    return GroundTruth(read_pgm(path.read_bytes()).pixels >= GT_INK_THRESHOLD / 255.0)
+
+
 def load_dataset(directory, role, validation_fraction=0.2, seed=0) -> Dataset:
     """Load ``<root>/images/*.pgm`` (+ ``gt/`` for sources) with a seeded split.
 
@@ -288,20 +269,19 @@ def load_dataset(directory, role, validation_fraction=0.2, seed=0) -> Dataset:
     records = []
     missing = []
     for path in image_paths:
-        page = to_grayscale(read_pgm(path.read_bytes()))
+        page = read_pgm(path.read_bytes())
         gt = None
         if role == "source":
             gt_path = root / "gt" / path.name
             if not gt_path.exists():
                 missing.append(path.stem)
                 continue
-            gt_page = read_pgm(gt_path.read_bytes())
-            if gt_page.pixels.shape != page.pixels.shape:
+            gt = _read_gt(gt_path)
+            if gt.mask.shape != page.pixels.shape:
                 raise ValueError(
-                    f"page {path.stem!r}: gt size {gt_page.pixels.shape} "
+                    f"page {path.stem!r}: gt size {gt.mask.shape} "
                     f"!= image size {page.pixels.shape}"
                 )
-            gt = GroundTruth(gt_page.pixels >= GT_INK_THRESHOLD / 255.0)
         records.append(PageRecord(path.stem, page, gt, splits[path.stem]))
     if missing:
         raise FileNotFoundError(f"source pages without ground truth: {', '.join(missing)}")
@@ -310,11 +290,7 @@ def load_dataset(directory, role, validation_fraction=0.2, seed=0) -> Dataset:
 
 def load_eval_masks(directory) -> dict:
     """Ground-truth masks from a dataset directory, keyed by stem (may be empty)."""
-    out = {}
-    for path in sorted(Path(directory, "gt").glob("*.pgm")):
-        gt_page = read_pgm(path.read_bytes())
-        out[path.stem] = GroundTruth(gt_page.pixels >= GT_INK_THRESHOLD / 255.0)
-    return out
+    return {path.stem: _read_gt(path) for path in sorted(Path(directory, "gt").glob("*.pgm"))}
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Layer vocabulary: strided conv, transposed conv, ReLU, sigmoid, dropout,
 gradient reversal, and binary cross-entropy.
 
-Each op exists twice: as a pure function over arrays/Tensors (the reference
-surface) and as a registered graph op kind (``conv2d``, ``tconv2d``, ``relu``,
-``sigmoid``, ``dropout``, ``grl``, ``bce``) used by the model builders.
+Each op has one array kernel with two call surfaces: a pure function over
+arrays/Tensors (``conv2d``, ``relu``, ...) and a registered graph op kind
+(``conv2d``, ``tconv2d``, ``relu``, ``sigmoid``, ``dropout``, ``grl``, ``bce``)
+used by the model builders; both call the kernel, so they agree bitwise.
 Convolution follows cross-correlation semantics (no kernel flip); the
 transposed convolution is implemented as the exact adjoint of the convolution
 with the same spec, so <conv(x), y> == <x, tconv(y)> holds for shared weights
@@ -166,40 +167,20 @@ def _check_conv_args(x, w, b, spec, transposed):
         raise GraphError(f"input has {x.shape[1]} channels, spec expects {spec.in_channels}")
 
 
-def _maybe_batched(fn):
-    """Run a [n,c,h,w] kernel on [c,h,w] input by adding/stripping a batch axis."""
-
-    def run(x, *args):
-        arr = as_array(x)
-        if arr.ndim == 3:
-            return Tensor(fn(arr[None], *args)[0])
-        return Tensor(fn(arr, *args))
-
-    return run
-
-
-# ---------------------------------------------------------------------------
-# functional ops
-
-@_maybe_batched
-def conv2d(x, spec: ConvSpec, weights, bias):
-    w, b = as_array(weights), as_array(bias)
+def _conv(x, w, b, spec):
     _check_conv_args(x, w, b, spec, transposed=False)
     spec.out_hw(*x.shape[2:])
     return _conv_fwd(x, w, spec.stride, spec.padding) + b[None, :, None, None]
 
 
-@_maybe_batched
-def conv2d_transpose(x, spec: ConvSpec, weights, bias):
-    w, b = as_array(weights), as_array(bias)
+def _tconv(x, w, b, spec):
     _check_conv_args(x, w, b, spec, transposed=True)
     out_hw = spec.transpose_out_hw(*x.shape[2:])
-    out = _conv_grad_input(x, w, spec.stride, spec.padding, out_hw)
-    return out + b[None, :, None, None]
+    return _conv_grad_input(x, w, spec.stride, spec.padding, out_hw) + b[None, :, None, None]
 
 
-def relu(x) -> Tensor:
-    return Tensor(np.maximum(as_array(x), 0.0))
+def _relu(x):
+    return np.maximum(x, 0.0)
 
 
 _SIGMOID_LO = np.nextafter(0.0, 1.0)
@@ -216,6 +197,41 @@ def _sigmoid(x):
     return np.clip(out, _SIGMOID_LO, _SIGMOID_HI)
 
 
+def _dropout_mask(rng, shape, rate):
+    """Inverted-dropout multiplier: 0 with probability ``rate``, else 1/(1-rate)."""
+    return (rng.random(shape) >= rate) / (1.0 - rate)
+
+
+def _bce(p, t):
+    if p.shape != t.shape:
+        raise GraphError(f"prediction shape {p.shape} != target shape {t.shape}")
+    pc = np.clip(p, BCE_CLAMP, 1.0 - BCE_CLAMP)
+    return np.array([-np.mean(t * np.log(pc) + (1.0 - t) * np.log(1.0 - pc))])
+
+
+# ---------------------------------------------------------------------------
+# functional ops
+
+def _batched(kernel, x, weights, bias, spec):
+    """Run a [n,c,h,w] conv kernel on [c,h,w] input by adding/stripping a batch axis."""
+    arr, w, b = as_array(x), as_array(weights), as_array(bias)
+    if arr.ndim == 3:
+        return Tensor(kernel(arr[None], w, b, spec)[0])
+    return Tensor(kernel(arr, w, b, spec))
+
+
+def conv2d(x, spec: ConvSpec, weights, bias) -> Tensor:
+    return _batched(_conv, x, weights, bias, spec)
+
+
+def conv2d_transpose(x, spec: ConvSpec, weights, bias) -> Tensor:
+    return _batched(_tconv, x, weights, bias, spec)
+
+
+def relu(x) -> Tensor:
+    return Tensor(_relu(as_array(x)))
+
+
 def sigmoid(x) -> Tensor:
     return Tensor(_sigmoid(as_array(x)))
 
@@ -230,8 +246,7 @@ def dropout(x, rate, training, rng=None) -> Tensor:
         return Tensor(arr.copy())
     if rng is None:
         raise GraphError("dropout in training mode requires an rng")
-    mask = (rng.random(arr.shape) >= rate) / (1.0 - rate)
-    return Tensor(arr * mask)
+    return Tensor(arr * _dropout_mask(rng, arr.shape, rate))
 
 
 def gradient_reversal(x, spec: GrlSpec) -> Tensor:
@@ -241,22 +256,14 @@ def gradient_reversal(x, spec: GrlSpec) -> Tensor:
 
 def bce_loss(pred, target) -> Tensor:
     """Mean binary cross-entropy with predictions clamped at 1e-7."""
-    p, t = as_array(pred), as_array(target)
-    if p.shape != t.shape:
-        raise GraphError(f"prediction shape {p.shape} != target shape {t.shape}")
-    pc = np.clip(p, BCE_CLAMP, 1.0 - BCE_CLAMP)
-    return Tensor([-np.mean(t * np.log(pc) + (1.0 - t) * np.log(1.0 - pc))])
+    return Tensor(_bce(as_array(pred), as_array(target)))
 
 
 # ---------------------------------------------------------------------------
 # graph op registration
 
 def _fwd_conv(node, xs, run):
-    x, w, b = xs
-    spec = node.attrs["spec"]
-    _check_conv_args(x, w, b, spec, transposed=False)
-    spec.out_hw(*x.shape[2:])
-    return _conv_fwd(x, w, spec.stride, spec.padding) + b[None, :, None, None]
+    return _conv(*xs, node.attrs["spec"])
 
 
 def _bwd_conv(node, g, xs, y, run):
@@ -268,11 +275,7 @@ def _bwd_conv(node, g, xs, y, run):
 
 
 def _fwd_tconv(node, xs, run):
-    x, w, b = xs
-    spec = node.attrs["spec"]
-    _check_conv_args(x, w, b, spec, transposed=True)
-    out_hw = spec.transpose_out_hw(*x.shape[2:])
-    return _conv_grad_input(x, w, spec.stride, spec.padding, out_hw) + b[None, :, None, None]
+    return _tconv(*xs, node.attrs["spec"])
 
 
 def _bwd_tconv(node, g, xs, y, run):
@@ -284,7 +287,7 @@ def _bwd_tconv(node, g, xs, y, run):
 
 
 def _fwd_relu(node, xs, run):
-    return np.maximum(xs[0], 0.0)
+    return _relu(xs[0])
 
 
 def _bwd_relu(node, g, xs, y, run):
@@ -304,19 +307,19 @@ def _fwd_dropout(node, xs, run):
     rate = node.attrs["rate"]
     if not run.training or rate == 0.0:
         return x
-    mask = run.masks.get(run._nid)
+    mask = run.masks.get(run.nid)
     if mask is None:
-        if run._rng is None:
+        if run.rng is None:
             raise GraphError(f"dropout node ({node.name}) needs an rng in training mode")
-        mask = (run._rng.random(x.shape) >= rate) / (1.0 - rate)
-        run.masks[run._nid] = mask
+        mask = _dropout_mask(run.rng, x.shape, rate)
+        run.masks[run.nid] = mask
     elif mask.shape != x.shape:
         raise GraphError(f"frozen dropout mask shape {mask.shape} != input {x.shape}")
     return x * mask
 
 
 def _bwd_dropout(node, g, xs, y, run):
-    mask = run.masks.get(run._nid)
+    mask = run.masks.get(run.nid)
     if mask is None or not run.training or node.attrs["rate"] == 0.0:
         return [g]
     return [g * mask]
@@ -331,11 +334,7 @@ def _bwd_grl(node, g, xs, y, run):
 
 
 def _fwd_bce(node, xs, run):
-    p, t = xs
-    if p.shape != t.shape:
-        raise GraphError(f"prediction shape {p.shape} != target shape {t.shape}")
-    pc = np.clip(p, BCE_CLAMP, 1.0 - BCE_CLAMP)
-    return np.array([-np.mean(t * np.log(pc) + (1.0 - t) * np.log(1.0 - pc))])
+    return _bce(*xs)
 
 
 def _bwd_bce(node, g, xs, y, run):

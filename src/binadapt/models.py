@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import autodiff
-from .autodiff import Graph, GraphError, Tensor
-from .data import Page, PatchGrid, assemble, split_patches
+from .autodiff import CheckpointError, Graph, GraphError, Tensor
+from .data import PatchGrid, assemble, split_patches
 from .layers import (
     ConvSpec,
     bce_node,
@@ -58,13 +58,12 @@ class SaeConfig:
     stride: tuple = (2, 2)
     dropout_rate: float = 0.2
     patch: tuple = (32, 32)
-    channels: int = 1
 
     def __post_init__(self):
         if self.depth < 1:
             raise GraphError("depth must be >= 1")
-        if self.filters < 1 or self.channels < 1:
-            raise GraphError("filters and channels must be positive")
+        if self.filters < 1:
+            raise GraphError("filters must be positive")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise GraphError(f"dropout rate {self.dropout_rate} outside [0, 1)")
         for k, s in zip(self.kernel, self.stride):
@@ -155,12 +154,12 @@ def _output_head(g, cfg, x, name, rng):
 
 
 def _build_trunk(g: Graph, cfg: SaeConfig, rng):
-    """Shared SAE node sequence; returns ids needed by callers."""
-    x = g.input("x")
+    """Shared SAE node sequence with its ``prob_map`` and ``bin_loss`` outputs;
+    returns the loss id and the activation entering the last decoder block."""
     enc_out = []
-    prev = x
+    prev = g.input("x")
     for i in range(1, cfg.depth + 1):
-        c_in = cfg.channels if i == 1 else cfg.filters
+        c_in = 1 if i == 1 else cfg.filters  # grayscale pages
         prev = _block(g, cfg, prev, f"enc{i}", c_in, cfg.filters, transposed=False, rng=rng)
         enc_out.append(prev)
 
@@ -171,18 +170,16 @@ def _build_trunk(g: Graph, cfg: SaeConfig, rng):
             prev = g.add(prev, enc_out[cfg.depth - j - 1], name=f"dec{j}.res")
 
     prob_map = _output_head(g, cfg, prev, "out", rng)
-    gt = g.input("gt")
-    bin_loss = bce_node(g, prob_map, gt, name="bin_bce")
-    return x, prob_map, bin_loss, tap
+    bin_loss = bce_node(g, prob_map, g.input("gt"), name="bin_bce")
+    g.set_output("prob_map", prob_map)
+    g.set_output("bin_loss", bin_loss)
+    return bin_loss, tap
 
 
 def build_sae(config: SaeConfig, rng) -> Model:
     """Plain binarizer; outputs ``prob_map`` and ``loss`` (== ``bin_loss``)."""
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     g = Graph()
-    _, prob_map, bin_loss, _ = _build_trunk(g, config, rng)
-    g.set_output("prob_map", prob_map)
-    g.set_output("bin_loss", bin_loss)
+    bin_loss, _ = _build_trunk(g, config, np.random.default_rng(rng))
     g.set_output("loss", bin_loss)
     return Model(kind="sae", config=config, graph=g)
 
@@ -191,33 +188,21 @@ def build_bindann(config: BinDannConfig, rng) -> Model:
     """Adversarial variant: trunk outputs plus ``domain_map``, ``domain_loss``
     and a combined ``loss``; the domain branch reads the trunk through a
     gradient-reversal node."""
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)  # a Generator passes through unchanged
     cfg = config.sae
     g = Graph()
-    _, prob_map, bin_loss, tap = _build_trunk(g, cfg, rng)
+    bin_loss, tap = _build_trunk(g, cfg, rng)
 
     rev = grl_node(g, tap, config.lambda0, name="grl")
     dom = _block(g, cfg, rev, f"dom_dec{cfg.depth}", cfg.filters, cfg.filters, transposed=True, rng=rng)
     domain_map = _output_head(g, cfg, dom, "dom_out", rng)
-    domain_gt = g.input("domain_gt")
-    domain_loss = bce_node(g, domain_map, domain_gt, name="domain_bce")
+    domain_loss = bce_node(g, domain_map, g.input("domain_gt"), name="domain_bce")
     total = g.add(bin_loss, domain_loss, name="total_loss")
 
-    g.set_output("prob_map", prob_map)
-    g.set_output("bin_loss", bin_loss)
     g.set_output("domain_map", domain_map)
     g.set_output("domain_loss", domain_loss)
     g.set_output("loss", total)
     return Model(kind="bindann", config=config, graph=g)
-
-
-def _page_planes(model, page):
-    cfg = model.config if model.kind == "sae" else model.config.sae
-    arr = page.pixels if isinstance(page, Page) else np.asarray(page, dtype=np.float64)
-    channels = 1 if arr.ndim == 2 else arr.shape[2]
-    if channels != cfg.channels:
-        raise GraphError(f"page has {channels} channels, model expects {cfg.channels}")
-    return cfg, [arr] if arr.ndim == 2 else [arr[:, :, k] for k in range(arr.shape[2])]
 
 
 def predict_prob_map(model: Model, page, batch=16) -> np.ndarray:
@@ -227,10 +212,9 @@ def predict_prob_map(model: Model, page, batch=16) -> np.ndarray:
     mode (dropout off), and the per-patch maps are reassembled and cropped
     back to page size.
     """
-    cfg, planes = _page_planes(model, page)
-    h, w = cfg.patch
-    grids = [split_patches(plane, h, w) for plane in planes]
-    x = np.stack([np.stack(g.patches) for g in grids], axis=1)  # [k, c, h, w]
+    cfg = model.config if model.kind == "sae" else model.config.sae
+    grid = split_patches(page, *cfg.patch)
+    x = np.stack([p[None] for p in grid.patches])  # [k, 1, h, w]
 
     maps = []
     for start in range(0, x.shape[0], batch):
@@ -238,8 +222,7 @@ def predict_prob_map(model: Model, page, batch=16) -> np.ndarray:
             model.graph, {"x": x[start : start + batch]}, wanted=("prob_map",)
         )
         maps.extend(out["prob_map"].data[:, 0])
-    meta = grids[0]
-    return assemble(PatchGrid(patch=meta.patch, grid=meta.grid, pad=meta.pad, patches=maps))
+    return assemble(PatchGrid(patch=grid.patch, grid=grid.grid, pad=grid.pad, patches=maps))
 
 
 # ---------------------------------------------------------------------------
@@ -250,27 +233,16 @@ _HEADER_KEY = "__config__"
 
 
 def _config_dict(model: Model):
-    if model.kind == "sae":
-        c = model.config
-    else:
-        c = model.config.sae
-    d = {
-        "depth": c.depth,
-        "filters": c.filters,
-        "kernel": list(c.kernel),
-        "stride": list(c.stride),
-        "dropout_rate": c.dropout_rate,
-        "patch": list(c.patch),
-        "channels": c.channels,
-    }
-    if model.kind == "bindann":
-        return {"sae": d, "lambda0": model.config.lambda0,
-                "lambda_increment": model.config.lambda_increment}
+    d = asdict(model.config)  # tuples serialize as JSON lists
+    sae = d if model.kind == "sae" else d["sae"]
+    sae["channels"] = 1  # fixed header field: pages are grayscale
     return d
 
 
 def _config_from_dict(kind, d):
     def sae_cfg(sd):
+        if sd["channels"] != 1:
+            raise ValueError(f"{sd['channels']!r} channels, expected 1")
         return SaeConfig(
             depth=sd["depth"],
             filters=sd["filters"],
@@ -278,7 +250,6 @@ def _config_from_dict(kind, d):
             stride=tuple(sd["stride"]),
             dropout_rate=sd["dropout_rate"],
             patch=tuple(sd["patch"]),
-            channels=sd["channels"],
         )
 
     if kind == "sae":
@@ -302,23 +273,42 @@ def save_model(path, model: Model, extra=None):
 
 
 def load_model(path):
-    """Rebuild a model from a checkpoint; returns (model, extra header fields)."""
+    """Rebuild a model from a checkpoint; returns (model, extra header fields).
+
+    A file that does not describe a buildable model holding exactly the stored
+    parameters raises ``CheckpointError``.
+    """
     records = autodiff.load_checkpoint(path)
     if _HEADER_KEY not in records:
-        raise GraphError(f"checkpoint {path} has no config header")
-    header = json.loads(bytes(records.pop(_HEADER_KEY).astype(np.uint8)).decode("utf-8"))
+        raise CheckpointError(f"checkpoint {path} has no config header")
+    codes = records.pop(_HEADER_KEY)
+    if not np.all((codes >= 0) & (codes <= 255) & (codes == np.floor(codes))):
+        raise CheckpointError(f"checkpoint {path}: config header is not a byte string")
+    try:
+        header = json.loads(bytes(codes.astype(np.uint8)).decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        raise CheckpointError(f"checkpoint {path}: undecodable config header: {exc}") from None
+    if not isinstance(header, dict) or header.get("kind") not in ("sae", "bindann"):
+        raise CheckpointError(f"checkpoint {path}: config header names no known model kind")
     kind = header.pop("kind")
-    config = _config_from_dict(kind, header.pop("config"))
-    builder = build_sae if kind == "sae" else build_bindann
-    model = builder(config, np.random.default_rng(0))
+    try:
+        config = _config_from_dict(kind, header.pop("config"))
+        builder = build_sae if kind == "sae" else build_bindann
+        model = builder(config, np.random.default_rng(0))
+    except KeyError as exc:
+        raise CheckpointError(f"checkpoint {path}: config header lacks field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint {path}: bad config header: {exc}") from None
 
     if set(records) != set(model.params):
-        raise GraphError("checkpoint parameters do not match the rebuilt model")
+        raise CheckpointError("checkpoint parameters do not match the rebuilt model")
     for name, arr in records.items():
         if arr.shape != model.params[name].data.shape:
-            raise GraphError(
+            raise CheckpointError(
                 f"parameter {name!r}: checkpoint shape {arr.shape} "
                 f"!= model shape {model.params[name].data.shape}"
             )
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(f"parameter {name!r} has non-finite values")
         model.params[name] = Tensor(arr)
     return model, header

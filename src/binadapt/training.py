@@ -1,11 +1,14 @@
-"""Training loops, per-epoch threshold sweeps, and final binarization.
+"""Training loop, per-epoch threshold sweeps, and final binarization.
 
-Both trainers are bit-reproducible for a fixed (config, seed, dataset): batch
+There is one training loop: the plain binarizer (SAE) is fitted on the labeled
+source alone, and Bin-DANN is the same loop with an unlabeled target stream
+added, which feeds the domain branch behind the gradient-reversal layer.
+Training is bit-reproducible for a fixed (config, seed, dataset): batch
 sampling, weight init, and dropout all draw from dedicated seed streams, and
-dropout streams are derived per (epoch, step, pass) so the adversarial
-trainer's extra passes never perturb the draws seen by the shared trunk. With
-the reversal coefficient pinned to zero the adversarial trainer therefore
-reproduces the plain trainer's trunk parameter trajectory bitwise.
+dropout streams are derived per (epoch, step, pass) so the target pass never
+perturbs the draws seen by the shared trunk. With the reversal coefficient
+pinned to zero, Bin-DANN therefore reproduces the SAE's trunk parameter
+trajectory bitwise.
 """
 
 from __future__ import annotations
@@ -15,8 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import GraphError, Tensor, adam, backward, forward, optimizer_step, sgd
+from .autodiff import CheckpointError, Tensor, adam, backward, forward, optimizer_step, sgd
 from .data import Dataset, split_patches
+from .layers import grl_lambda_at
 from .metrics import Confusion, confusion, f1
 from .models import (
     BinDannConfig,
@@ -135,149 +139,104 @@ def sweep_threshold(model, validation, sweep_step=0.05):
     return best_th, best_f1
 
 
-def _patch_pool(records, patch, with_gt):
-    xs, ys = [], []
-    h, w = patch
-    for rec in records:
-        for p in split_patches(rec.page, h, w).patches:
-            xs.append(p[None])
-        if with_gt:
-            for p in split_patches(rec.gt.mask.astype(np.float64), h, w).patches:
-                ys.append(p[None])
-    x = np.stack(xs)
-    return (x, np.stack(ys)) if with_gt else (x, None)
+def _patch_pool(pages, patch):
+    """Every patch of the given pages, stacked as one [k, 1, h, w] array."""
+    return np.stack([p[None] for page in pages for p in split_patches(page, *patch).patches])
 
 
-def _make_optimizer(cfg):
-    return adam(cfg.lr) if cfg.optimizer == "adam" else sgd(cfg.lr)
+def _stream(*key):
+    return np.random.default_rng(np.random.SeedSequence(key))
 
 
-def _snapshot(params):
-    return {name: t.data.copy() for name, t in params.items()}
+def _fit(source: Dataset, target: Dataset | None, cfg: TrainConfig) -> TrainedBinarizer:
+    """Fit on the labeled source, plus an unlabeled target stream when given,
+    and keep the epoch with the best source validation F1 at its swept
+    threshold.
 
+    Without a target this trains the plain binarizer. With one, the model
+    gains the domain branch and every step adds a target forward/backward pass
+    on ``domain_loss``, whose gradients are summed with the source pass's
+    before the one optimizer step. The domain BCE targets all-zero maps for
+    source and all-one maps for target patches.
+    """
+    train, val = source.train(), source.validation()
+    if not train or not val:
+        raise ValueError("source needs at least one train and one validation page")
+    if target is not None and not target.records:
+        raise ValueError("target dataset is empty")
 
-def _restore(model, snap):
-    for name, arr in snap.items():
+    patch = cfg.model.patch
+    init = _stream(_SEED_INIT, cfg.seed)
+    if target is None:
+        model = build_sae(cfg.model, init)
+        wanted = ("loss", "bin_loss")
+    else:
+        config = BinDannConfig(sae=cfg.model, lambda0=cfg.lambda0, lambda_increment=cfg.lambda_increment)
+        model = build_bindann(config, init)
+        wanted = ("loss", "bin_loss", "domain_loss")
+        t_pool = _patch_pool([r.page for r in target.records], patch)
+        t_sampler = _stream(_SEED_TGT, cfg.seed)
+        src_domain = np.zeros((cfg.batch, 1, *patch))
+        tgt_domain = np.ones_like(src_domain)
+    opt = adam(cfg.lr) if cfg.optimizer == "adam" else sgd(cfg.lr)
+    x_pool = _patch_pool([r.page for r in train], patch)
+    y_pool = _patch_pool([r.gt.mask.astype(np.float64) for r in train], patch)
+    sampler = _stream(_SEED_SRC, cfg.seed)
+    steps = math.ceil(len(x_pool) / cfg.batch)
+
+    history, best = [], None
+    for epoch in range(cfg.epochs):
+        lam = None
+        if target is not None:
+            lam = grl_lambda_at(epoch, cfg.lambda0, cfg.lambda_increment)
+            model.set_grl(lam)
+        bin_losses, dom_losses = [], []
+        for step in range(steps):
+            # dropout draws per (epoch, step, pass): the target pass never
+            # shifts the source pass's masks
+            idx = sampler.integers(0, len(x_pool), size=cfg.batch)
+            bindings = {"x": x_pool[idx], "gt": y_pool[idx]}
+            if target is not None:
+                bindings["domain_gt"] = src_domain
+            out = forward(model.graph, bindings, wanted=wanted, training=True,
+                          rng=_stream(_SEED_DROP, cfg.seed, epoch, step, 0))
+            grads = backward(model.graph, "loss")
+            bin_losses.append(float(out["bin_loss"].data[0]))
+
+            if target is not None:
+                idx_t = t_sampler.integers(0, len(t_pool), size=cfg.batch)
+                out_t = forward(model.graph, {"x": t_pool[idx_t], "domain_gt": tgt_domain},
+                                wanted=("domain_loss",), training=True,
+                                rng=_stream(_SEED_DROP, cfg.seed, epoch, step, 1))
+                for name, g in backward(model.graph, "domain_loss").items():
+                    grads[name] = Tensor(grads[name].data + g.data) if name in grads else g
+                dom_losses.append(
+                    0.5 * (float(out["domain_loss"].data[0]) + float(out_t["domain_loss"].data[0]))
+                )
+            optimizer_step(opt, model.params, grads)
+        th, score = sweep_threshold(model, val, cfg.sweep_step)
+        dom_loss = float(np.mean(dom_losses)) if target is not None else None
+        history.append(EpochStats(epoch, float(np.mean(bin_losses)), dom_loss, lam, score, th))
+        if best is None or score > best[0]:
+            best = (score, th, {name: t.data.copy() for name, t in model.params.items()})
+
+    for name, arr in best[2].items():
         model.params[name] = Tensor(arr)
-
-
-def _drop_rng(seed, epoch, step, pass_idx):
-    return np.random.default_rng(np.random.SeedSequence([_SEED_DROP, seed, epoch, step, pass_idx]))
+    return TrainedBinarizer(model=model, th_s=best[1], history=history)
 
 
 def train_sae(source: Dataset, cfg: TrainConfig) -> TrainedBinarizer:
     """Fit the plain binarizer on the labeled source and keep the epoch
     checkpoint with the best validation F1 (at its swept threshold)."""
-    train, val = source.train(), source.validation()
-    if not train or not val:
-        raise ValueError("source needs at least one train and one validation page")
-    model = build_sae(cfg.model, np.random.default_rng(np.random.SeedSequence([_SEED_INIT, cfg.seed])))
-    opt = _make_optimizer(cfg)
-    x_pool, y_pool = _patch_pool(train, cfg.model.patch, with_gt=True)
-    sampler = np.random.default_rng(np.random.SeedSequence([_SEED_SRC, cfg.seed]))
-    steps = math.ceil(len(x_pool) / cfg.batch)
-
-    history, best = [], None
-    for epoch in range(cfg.epochs):
-        losses = []
-        for step in range(steps):
-            idx = sampler.integers(0, len(x_pool), size=cfg.batch)
-            out = forward(
-                model.graph,
-                {"x": x_pool[idx], "gt": y_pool[idx]},
-                wanted=("loss",),
-                training=True,
-                rng=_drop_rng(cfg.seed, epoch, step, 0),
-            )
-            grads = backward(model.graph, "loss")
-            optimizer_step(opt, model.params, grads)
-            losses.append(float(out["loss"].data[0]))
-        th, score = sweep_threshold(model, val, cfg.sweep_step)
-        history.append(EpochStats(epoch, float(np.mean(losses)), None, None, score, th))
-        if best is None or score > best[0]:
-            best = (score, epoch, th, _snapshot(model.params))
-
-    _restore(model, best[3])
-    return TrainedBinarizer(model=model, th_s=best[2], history=history)
+    return _fit(source, None, cfg)
 
 
 def train_bindann(source: Dataset, target: Dataset, cfg: TrainConfig) -> TrainedBinarizer:
-    """Adversarial fit: each step draws a labeled source batch and an
-    unlabeled target batch. Binarization BCE is computed on the source only;
-    domain BCE targets constant all-zero maps for source and all-one maps for
-    target patches. The reversal coefficient follows the per-epoch schedule
-    and the returned threshold comes from the source validation sweep, as in
-    the plain trainer."""
-    train, val = source.train(), source.validation()
-    if not train or not val:
-        raise ValueError("source needs at least one train and one validation page")
-    if not target.records:
-        raise ValueError("target dataset is empty")
-
-    config = BinDannConfig(sae=cfg.model, lambda0=cfg.lambda0, lambda_increment=cfg.lambda_increment)
-    model = build_bindann(config, np.random.default_rng(np.random.SeedSequence([_SEED_INIT, cfg.seed])))
-    opt = _make_optimizer(cfg)
-    x_pool, y_pool = _patch_pool(train, cfg.model.patch, with_gt=True)
-    t_pool, _ = _patch_pool(target.records, cfg.model.patch, with_gt=False)
-    sampler = np.random.default_rng(np.random.SeedSequence([_SEED_SRC, cfg.seed]))
-    t_sampler = np.random.default_rng(np.random.SeedSequence([_SEED_TGT, cfg.seed]))
-    steps = math.ceil(len(x_pool) / cfg.batch)
-
-    batch_hw = (cfg.batch, 1, *cfg.model.patch)
-    src_domain = np.zeros(batch_hw)
-    tgt_domain = np.ones(batch_hw)
-
-    history, best = [], None
-    for epoch in range(cfg.epochs):
-        model.set_grl(cfg.lambda0 + cfg.lambda_increment * epoch)
-        bin_losses, dom_losses = [], []
-        for step in range(steps):
-            idx_s = sampler.integers(0, len(x_pool), size=cfg.batch)
-            idx_t = t_sampler.integers(0, len(t_pool), size=cfg.batch)
-
-            out_s = forward(
-                model.graph,
-                {"x": x_pool[idx_s], "gt": y_pool[idx_s], "domain_gt": src_domain},
-                wanted=("loss", "bin_loss", "domain_loss"),
-                training=True,
-                rng=_drop_rng(cfg.seed, epoch, step, 0),
-            )
-            grads = backward(model.graph, "loss")
-
-            out_t = forward(
-                model.graph,
-                {"x": t_pool[idx_t], "domain_gt": tgt_domain},
-                wanted=("domain_loss",),
-                training=True,
-                rng=_drop_rng(cfg.seed, epoch, step, 1),
-            )
-            for name, g in backward(model.graph, "domain_loss").items():
-                if name in grads:
-                    grads[name] = Tensor(grads[name].data + g.data)
-                else:
-                    grads[name] = g
-
-            optimizer_step(opt, model.params, grads)
-            bin_losses.append(float(out_s["bin_loss"].data[0]))
-            dom_losses.append(
-                0.5 * (float(out_s["domain_loss"].data[0]) + float(out_t["domain_loss"].data[0]))
-            )
-        th, score = sweep_threshold(model, val, cfg.sweep_step)
-        history.append(
-            EpochStats(
-                epoch,
-                float(np.mean(bin_losses)),
-                float(np.mean(dom_losses)),
-                cfg.lambda0 + cfg.lambda_increment * epoch,
-                score,
-                th,
-            )
-        )
-        if best is None or score > best[0]:
-            best = (score, epoch, th, _snapshot(model.params))
-
-    _restore(model, best[3])
-    return TrainedBinarizer(model=model, th_s=best[2], history=history)
+    """Adversarial fit: the plain trainer plus an unlabeled target batch per
+    step feeding the gradient-reversal domain branch. Binarization BCE is
+    computed on the source only, and the returned threshold comes from the
+    source validation sweep."""
+    return _fit(source, target, cfg)
 
 
 def history_csv(history) -> str:
@@ -301,6 +260,7 @@ def save_binarizer(path, tb: TrainedBinarizer):
 
 def load_binarizer(path) -> TrainedBinarizer:
     model, extra = load_model(path)
-    if "th_s" not in extra:
-        raise GraphError(f"checkpoint {path} has no stored threshold")
-    return TrainedBinarizer(model=model, th_s=extra["th_s"], history=[])
+    th = extra.get("th_s")
+    if not isinstance(th, float) or not 0.0 < th < 1.0:
+        raise CheckpointError(f"checkpoint {path} stores no threshold in (0, 1)")
+    return TrainedBinarizer(model=model, th_s=th, history=[])

@@ -89,6 +89,60 @@ def test_exit_3_on_missing_data(tmp_path, capsys):
     assert "error: io:" in capsys.readouterr().err
 
 
+_SMALL_SAE = {"depth": 1, "filters": 2, "kernel": [3, 3], "stride": [2, 2],
+              "dropout_rate": 0.2, "patch": [4, 4], "channels": 1}
+
+
+def _checkpoint(header_bytes):
+    """A checkpoint of a small SAE's parameters under the given raw header."""
+    model = ba.build_sae(ba.SaeConfig(depth=1, filters=2, patch=(4, 4)), np.random.default_rng(0))
+    records = {"__config__": np.frombuffer(header_bytes, dtype=np.uint8).astype(np.float64)}
+    records.update({name: t.data for name, t in model.params.items()})
+    return ba.write_checkpoint(records)
+
+
+def _header(**fields):
+    header = {"kind": "sae", "config": dict(_SMALL_SAE), "th_s": 0.5}
+    header.update(fields)
+    return json.dumps({k: v for k, v in header.items() if v is not None}).encode()
+
+
+def _truncated_real_checkpoint(tmp_path):
+    model = ba.build_sae(ba.SaeConfig(), np.random.default_rng(0))
+    ba.save_model(tmp_path / "full.ckpt", model, extra={"th_s": 0.5})
+    return (tmp_path / "full.ckpt").read_bytes()[:200]
+
+
+_MALFORMED = {
+    "truncated": _truncated_real_checkpoint,
+    "undecodable_header": lambda tmp: _checkpoint(b"\xff{not json"),
+    "missing_kind": lambda tmp: _checkpoint(_header(kind=None)),
+    "unknown_kind": lambda tmp: _checkpoint(_header(kind="gan")),
+    "missing_config_field": lambda tmp: _checkpoint(
+        _header(config={k: v for k, v in _SMALL_SAE.items() if k != "depth"})),
+    "colour_channels": lambda tmp: _checkpoint(_header(config=dict(_SMALL_SAE, channels=3))),
+}
+
+
+def test_valid_small_checkpoint_predicts(tmp_path):
+    # the malformed cases below differ from this one only where they name
+    (tmp_path / "ok.ckpt").write_bytes(_checkpoint(_header()))
+    (tmp_path / "page.pgm").write_bytes(ba.write_pgm(np.full((6, 5), 0.5)))
+    assert main(["predict", "--checkpoint", str(tmp_path / "ok.ckpt"),
+                 "--input", str(tmp_path / "page.pgm"), "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_exit_3_on_malformed_checkpoint(case, tmp_path, capsys):
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_bytes(_MALFORMED[case](tmp_path))
+    (tmp_path / "page.pgm").write_bytes(ba.write_pgm(np.full((6, 5), 0.5)))
+    code = main(["predict", "--checkpoint", str(ckpt), "--input", str(tmp_path / "page.pgm"),
+                 "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "error: io:" in capsys.readouterr().err
+
+
 def test_exit_2_on_bad_thread_cap(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("BINADAPT_THREADS", "many")
     code = main(["synth", "--seed", "0", "--out", str(tmp_path / "out")])

@@ -10,7 +10,6 @@ from binadapt.data import (
     load_dataset,
     load_eval_masks,
     synthetic_domain_pairs,
-    to_grayscale,
     write_synthetic_dirs,
 )
 
@@ -54,14 +53,7 @@ def test_pgm_errors_carry_byte_offsets():
 
 def test_write_pgm_rejects_color():
     with pytest.raises(PgmError, match="grayscale"):
-        ba.write_pgm(ba.Page(np.zeros((2, 2, 3))))
-
-
-def test_to_grayscale_bt601():
-    page = ba.Page(np.tile([[[1.0, 0.0, 0.0]]], (2, 2, 1)))
-    gray = to_grayscale(page)
-    assert gray.channels == 1
-    np.testing.assert_allclose(gray.pixels, 0.299)
+        ba.write_pgm(np.zeros((2, 2, 3)))
 
 
 # ---------------------------------------------------------------------------

@@ -330,3 +330,44 @@ def test_reversal_gradient_against_scaled_finite_differences():
 
     numeric = -lam * fd_loss_gradient(eval_loss, g.params["p"].data)
     assert max_rel_err(analytic, numeric) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# one kernel per op: the functional form equals a one-node graph of its kind
+
+def _one_node_case(kind, rng):
+    """(functional result, graph forward result) for the same inputs."""
+    g = ba.Graph()
+    x = rng.normal(size=(2, 2, 4, 4))
+    ins = {"x": x}
+    if kind in ("conv2d", "tconv2d"):
+        spec = ba.ConvSpec(2, 3, (3, 3), (2, 2), (1, 0, 1, 0))
+        w = rng.normal(size=(3, 2, 3, 3) if kind == "conv2d" else (2, 3, 3, 3))
+        b = rng.normal(size=3)
+        ins.update(w=w, b=b)
+        node = conv_node if kind == "conv2d" else tconv_node
+        fn = ba.conv2d if kind == "conv2d" else ba.conv2d_transpose
+        y = node(g, g.input("x"), g.input("w"), g.input("b"), spec)
+        expected = fn(x, spec, w, b)
+    elif kind == "bce":
+        p, t = rng.random(size=(2, 1, 4, 4)), (rng.random(size=(2, 1, 4, 4)) > 0.5) * 1.0
+        ins = {"p": p, "t": t}
+        y = bce_node(g, g.input("p"), g.input("t"))
+        expected = ba.bce_loss(p, t)
+    elif kind == "dropout":
+        y = dropout_node(g, g.input("x"), 0.3)
+        expected = ba.dropout(x, 0.3, training=True, rng=np.random.default_rng(5))
+    else:
+        node, fn = {"relu": (relu_node, ba.relu), "sigmoid": (sigmoid_node, ba.sigmoid)}[kind]
+        y = node(g, g.input("x"))
+        expected = fn(x)
+    g.set_output("y", y)
+    got = ba.forward(g, ins, training=True, rng=np.random.default_rng(5))["y"]
+    return expected.data, got.data
+
+
+@pytest.mark.parametrize("kind", ["conv2d", "tconv2d", "relu", "sigmoid", "dropout", "bce"])
+def test_functional_op_equals_graph_op_bitwise(kind):
+    expected, got = _one_node_case(kind, np.random.default_rng(61))
+    assert expected.shape == got.shape
+    assert expected.tobytes() == got.tobytes()

@@ -1,5 +1,7 @@
 """Model assembly: shape restoration, branch balance, tap wiring, checkpoints."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -116,7 +118,7 @@ def test_constant_multi_patch_page_is_periodic():
 
 def test_channel_mismatch_rejected():
     model = ba.build_sae(ba.SaeConfig(), np.random.default_rng(0))
-    with pytest.raises(GraphError, match="channels"):
+    with pytest.raises(ValueError, match="2-D page"):
         ba.predict_prob_map(model, np.zeros((32, 32, 3)))
 
 
@@ -156,3 +158,35 @@ def test_model_checkpoint_starts_with_core_magic(tmp_path):
     # plain core reader sees the header as a leading "__config__" record
     records = ba.load_checkpoint(path)
     assert next(iter(records)) == "__config__"
+
+
+def test_checkpoint_reader_fuzz_prefixes_and_byte_flips(tmp_path):
+    # every failure of a damaged file must surface as CheckpointError; any
+    # other exception (struct.error, KeyError, reshape ValueError, ...) escapes
+    model = ba.build_sae(ba.SaeConfig(depth=1, filters=2, patch=(4, 4)), np.random.default_rng(0))
+    ba.save_model(tmp_path / "ok.ckpt", model, extra={"th_s": 0.45})
+    blob = (tmp_path / "ok.ckpt").read_bytes()
+    probe = tmp_path / "probe.ckpt"
+    for n in range(len(blob)):
+        with pytest.raises(ba.CheckpointError):
+            probe.write_bytes(blob[:n])
+            ba.load_binarizer(probe)
+    rng = np.random.default_rng(2024)
+    for pos, delta in zip(rng.integers(0, len(blob), 600), rng.integers(1, 256, 600)):
+        damaged = bytearray(blob)
+        damaged[pos] = (damaged[pos] + delta) % 256
+        probe.write_bytes(bytes(damaged))
+        try:
+            ba.load_binarizer(probe)  # a damaged value byte may still load
+        except ba.CheckpointError:
+            pass
+
+
+def test_checkpoint_huge_dims_do_not_wrap():
+    # dims whose int64 product wraps to 0 or a negative count must read as
+    # truncated, not as an empty or misplaced array
+    for dims in ((2**32 - 1,) * 3, (2**16, 2**16, 2**16, 2**16)):
+        blob = (b"BINADAPT1" + struct.pack("<I", 1) + b"p" + struct.pack("<I", len(dims))
+                + struct.pack(f"<{len(dims)}I", *dims))
+        with pytest.raises(ba.CheckpointError, match="truncated"):
+            ba.read_checkpoint(blob)
