@@ -4,9 +4,7 @@ Subcommands: ``train-sae``, ``predict``, ``similarity``, ``run``, ``synth``.
 Every command writes its artifacts under the output directory together with a
 ``manifest.json`` recording the resolved config, its hash, the seed, and
 library versions; nothing carries timestamps, so identical config + seed
-reproduce byte-identical outputs. The ``BINADAPT_THREADS`` environment
-variable (0 = auto) caps internal parallelism; all current kernels are
-single-threaded, so it is validated and recorded only.
+reproduce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -139,17 +136,6 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("BINADAPT_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"BINADAPT_THREADS must be an integer, got {raw!r}") from None
-    if cap < 0:
-        raise ConfigError(f"BINADAPT_THREADS must be >= 0, got {cap}")
-    return cap
-
-
 def _out_dir(cfg) -> Path:
     if not cfg.out_dir:
         raise ConfigError("no output directory (set out_dir or pass --out)")
@@ -164,7 +150,6 @@ def _write_manifest(out: Path, command, cfg, extra=None):
         "config": cfg.as_dict(),
         "config_hash": hashlib.sha256(cfg.canonical_text().encode()).hexdigest(),
         "seed": cfg.seed,
-        "threads": _thread_cap(),
         "versions": {"binadapt": __version__, "numpy": np.__version__},
     }
     manifest.update(extra or {})

@@ -176,6 +176,9 @@ def read_pgm(data: bytes) -> Page:
             )
         values = np.frombuffer(data[pos : pos + count], dtype=np.uint8)
     else:
+        if len(data) - pos < 2 * count - 1:  # a digit and a separator per pixel
+            raise PgmError(f"truncated P2 payload at byte {len(data)}: "
+                           f"{count} pixels need {2 * count - 1} bytes from byte {pos}")
         values = np.empty(count, dtype=np.uint8)
         for i in range(count):
             v, pos = _int_token(data, pos, f"pixel {i}", minimum=0)

@@ -8,7 +8,9 @@ used by the model builders; both call the kernel, so they agree bitwise.
 Convolution follows cross-correlation semantics (no kernel flip); the
 transposed convolution is implemented as the exact adjoint of the convolution
 with the same spec, so <conv(x), y> == <x, tconv(y)> holds for shared weights
-and zero bias.
+and zero bias. The convolution, its weight gradient and its input gradient
+(hence the transposed convolution too) run as one BLAS matrix product per
+kernel tap.
 """
 
 from __future__ import annotations
@@ -107,47 +109,56 @@ def grl_lambda_at(epoch, start=0.1, increment=0.01):
 
 # ---------------------------------------------------------------------------
 # array kernels (batched [n, c, h, w])
+#
+# Each kernel tap is one small GEMM (Chellapilla, Puri & Simard 2006) on the
+# channel-major [c, n*oh*ow] copy of the strided slice the tap meets; only one
+# tap's slice exists at a time, never the whole window matrix.
 
 def _pad(x, padding):
+    """Zero-padded channel-major copy [c, n, h + pt + pb, w + pl + pr] of x."""
     pt, pb, pl, pr = padding
-    if pt == pb == pl == pr == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
+    n, c, h, w = x.shape
+    xp = np.zeros((c, n, h + pt + pb, w + pl + pr))
+    xp[:, :, pt : pt + h, pl : pl + w] = x.transpose(1, 0, 2, 3)
+    return xp
 
 
-def _windows(xp, kernel, stride):
-    kh, kw = kernel
-    sh, sw = stride
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    return win[:, :, ::sh, ::sw, :, :]
+def _taps(xp, kernel, stride, out_hw):
+    """Yield (ki, kj, the [c, n, oh, ow] slice of padded xp that tap (ki, kj) meets)."""
+    (kh, kw), (sh, sw), (oh, ow) = kernel, stride, out_hw
+    for ki in range(kh):
+        for kj in range(kw):
+            yield ki, kj, xp[:, :, ki : ki + sh * oh : sh, kj : kj + sw * ow : sw]
 
 
 def _conv_fwd(x, w, stride, padding):
     xp = _pad(x, padding)
-    win = _windows(xp, w.shape[2:], stride)
-    return np.einsum("nchwij,ocij->nohw", win, w)
+    o, c, kh, kw = w.shape
+    out_hw = ((xp.shape[2] - kh) // stride[0] + 1, (xp.shape[3] - kw) // stride[1] + 1)
+    y = np.zeros((o, x.shape[0] * out_hw[0] * out_hw[1]))
+    for ki, kj, tap in _taps(xp, (kh, kw), stride, out_hw):
+        y += w[:, :, ki, kj] @ tap.reshape(c, -1)
+    return y.reshape(o, x.shape[0], *out_hw).transpose(1, 0, 2, 3)
 
 
 def _conv_grad_weight(x, g, stride, padding, kernel):
-    xp = _pad(x, padding)
-    win = _windows(xp, kernel, stride)
-    return np.einsum("nchwij,nohw->ocij", win, g)
+    gm = g.transpose(1, 0, 2, 3).reshape(g.shape[1], -1)
+    gw = np.empty((g.shape[1], x.shape[1], *kernel))
+    for ki, kj, tap in _taps(_pad(x, padding), kernel, stride, g.shape[2:]):
+        gw[:, :, ki, kj] = gm @ tap.reshape(x.shape[1], -1).T
+    return gw
 
 
 def _conv_grad_input(g, w, stride, padding, in_hw):
-    n = g.shape[0]
-    kh, kw = w.shape[2:]
-    sh, sw = stride
+    n, o, oh, ow = g.shape
+    c = w.shape[1]
     pt, pb, pl, pr = padding
     h, w_in = in_hw
-    oh, ow = g.shape[2:]
-    gx = np.zeros((n, w.shape[1], h + pt + pb, w_in + pl + pr))
-    for ki in range(kh):
-        for kj in range(kw):
-            gx[:, :, ki : ki + sh * oh : sh, kj : kj + sw * ow : sw] += np.einsum(
-                "nohw,oc->nchw", g, w[:, :, ki, kj]
-            )
-    return gx[:, :, pt : pt + h, pl : pl + w_in]
+    gm = g.transpose(1, 0, 2, 3).reshape(o, -1)
+    gx = np.zeros((c, n, h + pt + pb, w_in + pl + pr))
+    for ki, kj, tap in _taps(gx, w.shape[2:], stride, (oh, ow)):
+        tap += (w[:, :, ki, kj].T @ gm).reshape(c, n, oh, ow)
+    return gx[:, :, pt : pt + h, pl : pl + w_in].transpose(1, 0, 2, 3)
 
 
 def _check_conv_args(x, w, b, spec, transposed):

@@ -1,6 +1,10 @@
 """Config parsing, exit codes, and command round trips on small fixtures."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,11 +147,14 @@ def test_exit_3_on_malformed_checkpoint(case, tmp_path, capsys):
     assert "error: io:" in capsys.readouterr().err
 
 
-def test_exit_2_on_bad_thread_cap(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("BINADAPT_THREADS", "many")
-    code = main(["synth", "--seed", "0", "--out", str(tmp_path / "out")])
-    assert code == 2
-    assert "BINADAPT_THREADS" in capsys.readouterr().err
+def test_exit_3_on_oversized_p2_header(tmp_path, capsys):
+    # a 30-byte page declaring 10^12 pixels must fail as I/O, not allocate
+    (tmp_path / "ok.ckpt").write_bytes(_checkpoint(_header()))
+    (tmp_path / "page.pgm").write_bytes(b"P2\n1000000 1000000\n255\n0 0 0\n")
+    code = main(["predict", "--checkpoint", str(tmp_path / "ok.ckpt"),
+                 "--input", str(tmp_path / "page.pgm"), "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "error: io:" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -250,3 +257,24 @@ def test_run_without_target_gt_skips_evaluation(tiny_dirs, tmp_path):
     assert (out / "report.json").exists()
     assert len(list((out / "binarized").glob("*.pgm"))) == 3
     assert not (out / "summary.csv").exists()
+
+
+def test_run_artifacts_do_not_depend_on_blas_threads(tmp_path):
+    # the thread count is read when numpy loads, so each run is its own process;
+    # training batches of 64 give GEMMs (8x8 by 8x16384 and up) that OpenBLAS
+    # splits across threads; rho_th = 1 forces the Bin-DANN path
+    write_synthetic_dirs(0, tmp_path / "data", n_pages=4, page_size=(128, 128))
+    cfg = _cfg_file(tmp_path, tmp_path / "data", batch=64, lr=0.01, rho_th=1.0,
+                    validation_fraction=0.25)
+    src = str(Path(ba.__file__).resolve().parents[1])
+    outs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "binadapt.cli", "run", "--config", str(cfg),
+                               "--out", str(out)], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outs[threads] = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert json.loads(outs["1"][Path("report.json")])["decision"] == "UseDA"
+    assert (Path("bindann.ckpt") in outs["1"]) and outs["1"] == outs["2"]

@@ -51,6 +51,35 @@ def test_pgm_errors_carry_byte_offsets():
         ba.read_pgm(b"P5\n4")
 
 
+@pytest.mark.parametrize("binary", [True, False], ids=["P5", "P2"])
+def test_pgm_reader_fuzz_prefixes_and_byte_changes(binary):
+    # every damaged file must decode or raise PgmError; any other exception
+    # (ValueError, IndexError, MemoryError, ...) escapes
+    rng = np.random.default_rng(7)
+    pixels = rng.integers(0, 256, size=(3, 4))
+    if binary:
+        blob = ba.write_pgm(pixels / 255.0)
+    else:
+        rows = "\n".join(" ".join(str(v) for v in row) for row in pixels)
+        blob = f"P2\n# fuzz\n4 3\n255\n{rows}\n".encode()
+    np.testing.assert_array_equal(ba.read_pgm(blob).pixels, pixels / 255.0)
+    samples = [blob[:n] for n in range(len(blob))]
+    for pos, delta in zip(rng.integers(0, len(blob), 600), rng.integers(1, 256, 600)):
+        damaged = bytearray(blob)
+        damaged[pos] = (damaged[pos] + delta) % 256
+        samples.append(bytes(damaged))
+    for data in samples:
+        try:
+            ba.read_pgm(data)  # a damaged pixel byte may still decode
+        except PgmError:
+            pass
+
+
+def test_p2_header_larger_than_payload_rejected_before_allocation():
+    with pytest.raises(PgmError, match="truncated P2 payload .* from byte 22"):
+        ba.read_pgm(b"P2\n1000000 1000000\n255\n0\n")
+
+
 def test_write_pgm_rejects_color():
     with pytest.raises(PgmError, match="grayscale"):
         ba.write_pgm(np.zeros((2, 2, 3)))

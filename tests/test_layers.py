@@ -137,6 +137,85 @@ def test_tconv_matches_scatter_add_oracle():
 
 
 # ---------------------------------------------------------------------------
+# conv and tconv at the shapes of the default model (batch 2)
+
+_STRIDED = dict(kernel=(3, 3), stride=(2, 2), padding=(0, 1, 0, 1))
+_REAL_SHAPES = {
+    # name: (kind, spec, input side)
+    "enc1_1to8_32": ("conv2d", ba.ConvSpec(1, 8, **_STRIDED), 32),
+    "enc2_8to8_16": ("conv2d", ba.ConvSpec(8, 8, **_STRIDED), 16),
+    "enc3_8to8_8": ("conv2d", ba.ConvSpec(8, 8, **_STRIDED), 8),
+    "dec1_8to8_4": ("tconv2d", ba.ConvSpec(8, 8, **_STRIDED), 4),
+    "dec3_8to8_16": ("tconv2d", ba.ConvSpec(8, 8, **_STRIDED), 16),
+    "head_8to1_32": ("conv2d", ba.ConvSpec(8, 1, (3, 3), (1, 1), (1, 1, 1, 1)), 32),
+}
+
+
+def _real_shape_arrays(name):
+    kind, spec, side = _REAL_SHAPES[name]
+    rng = np.random.default_rng(sorted(_REAL_SHAPES).index(name))
+    kh, kw = spec.kernel
+    wshape = (spec.in_channels, spec.out_channels, kh, kw) if kind == "tconv2d" else (
+        spec.out_channels, spec.in_channels, kh, kw)
+    x = rng.normal(size=(2, spec.in_channels, side, side))
+    return kind, spec, x, 0.3 * rng.normal(size=wshape), rng.normal(size=spec.out_channels), rng
+
+
+def test_real_shape_cases_cover_the_default_model():
+    model = ba.build_bindann(ba.BinDannConfig(), np.random.default_rng(0))
+    used = {(n.kind, n.attrs["spec"]) for n in model.graph.nodes if n.kind in ("conv2d", "tconv2d")}
+    assert used == {(kind, spec) for kind, spec, _ in _REAL_SHAPES.values()}
+
+
+@pytest.mark.parametrize("name", sorted(_REAL_SHAPES))
+def test_real_shape_forward_matches_oracle(name):
+    kind, spec, x, w, b, _ = _real_shape_arrays(name)
+    fn, oracle = (ba.conv2d, direct_conv2d) if kind == "conv2d" else (
+        ba.conv2d_transpose, direct_tconv2d)
+    np.testing.assert_allclose(
+        fn(x, spec, w, b).data, oracle(x, w, b, spec.stride, spec.padding), rtol=0, atol=1e-12
+    )
+
+
+@pytest.mark.parametrize("name", sorted(_REAL_SHAPES))
+def test_real_shape_adjoint_identity(name):
+    # <conv(x), y> == <x, tconv(y)> with shared weights, zero bias, swapped channels
+    kind, spec, x, w, _, rng = _real_shape_arrays(name)
+    fn, adjoint = (ba.conv2d, ba.conv2d_transpose) if kind == "conv2d" else (
+        ba.conv2d_transpose, ba.conv2d)
+    swapped = ba.ConvSpec(spec.out_channels, spec.in_channels, spec.kernel, spec.stride,
+                          spec.padding)
+    fx = fn(x, spec, w, np.zeros(spec.out_channels)).data
+    y = rng.normal(size=fx.shape)
+    ay = adjoint(y, swapped, w, np.zeros(spec.in_channels)).data
+    assert ay.shape == x.shape
+    np.testing.assert_allclose(float((fx * y).sum()), float((x * ay).sum()), rtol=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(_REAL_SHAPES))
+def test_real_shape_gradients_match_finite_differences(name):
+    kind, spec, x, w, b, rng = _real_shape_arrays(name)
+    g = ba.Graph()
+    node = conv_node if kind == "conv2d" else tconv_node
+    y = node(g, g.param("x", x), g.param("w", w), g.param("b", b), spec)
+    g.set_output("loss", g.sum(sigmoid_node(g, y)))
+    ba.forward(g)
+    grads = ba.backward(g, "loss")
+    for param in ("x", "w"):
+        flat = g.params[param].data.reshape(-1)
+        idx = rng.choice(flat.size, size=6, replace=False)
+        probe = flat[idx].copy()
+
+        def eval_loss():
+            flat[idx] = probe
+            return float(ba.forward(g)["loss"].data[0])
+
+        numeric = fd_loss_gradient(eval_loss, probe)
+        flat[idx] = probe
+        assert max_rel_err(grads[param].data.reshape(-1)[idx], numeric) < 1e-4
+
+
+# ---------------------------------------------------------------------------
 # activations
 
 def test_relu_definition():
