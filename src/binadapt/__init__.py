@@ -20,7 +20,6 @@ from .autodiff import (
     optimizer_step,
     read_checkpoint,
     save_checkpoint,
-    sgd,
     write_checkpoint,
 )
 from .data import (
@@ -36,7 +35,7 @@ from .data import (
     split_patches,
     write_pgm,
 )
-from .layers import ConvSpec, GrlSpec, bce_loss, conv2d, conv2d_transpose, dropout, gradient_reversal, grl_lambda_at, relu, sigmoid
+from .layers import ConvSpec, grl_lambda_at
 from .metrics import Confusion, confusion, f1, precision, recall
 from .models import (
     BinDannConfig,
@@ -65,7 +64,6 @@ from .similarity import (
     kl_divergence,
     normalize_histogram,
     pearson,
-    run_autobindann,
 )
 from .training import (
     TrainConfig,

@@ -26,7 +26,6 @@ __all__ = [
     "backward",
     "grad_check",
     "OptimizerState",
-    "sgd",
     "adam",
     "optimizer_step",
     "CHECKPOINT_MAGIC",
@@ -47,13 +46,12 @@ class CheckpointError(GraphError):
 
 
 class Tensor:
-    """Dense n-dimensional float64 array; ``backward`` fills a parameter's ``grad``."""
+    """Dense n-dimensional float64 array: a parameter, an output or a gradient."""
 
-    __slots__ = ("data", "grad")
+    __slots__ = ("data",)
 
     def __init__(self, data):
         self.data = np.ascontiguousarray(data, dtype=np.float64)
-        self.grad = None
 
     @property
     def shape(self):
@@ -247,8 +245,7 @@ def backward(graph: Graph, loss) -> dict:
 
     Requires a prior ``forward`` whose computed subgraph contains the loss
     node. Gradients flow in reverse topological order; a parameter feeding
-    several consumers receives the sum of all path gradients. Returned
-    Tensors are also written into each parameter's ``grad`` slot.
+    several consumers receives the sum of all path gradients.
     """
     run = graph._run
     if run is None:
@@ -278,13 +275,7 @@ def backward(graph: Graph, loss) -> dict:
             else:
                 grads[i] = gi
 
-    out = {}
-    for name, nid in graph.param_ids.items():
-        if nid in grads:
-            t = Tensor(grads[nid])
-            graph.params[name].grad = t.data
-            out[name] = t
-    return out
+    return {name: Tensor(grads[nid]) for name, nid in graph.param_ids.items() if nid in grads}
 
 
 def grad_check(
@@ -368,13 +359,12 @@ register_op("sum", _fwd_sum, _bwd_sum)
 
 
 # ---------------------------------------------------------------------------
-# optimizers
+# optimizer
 
 @dataclass
 class OptimizerState:
-    """Per-parameter moment buffers plus step counter and learning rate."""
+    """Adam's per-parameter moment buffers plus step counter and learning rate."""
 
-    kind: str
     lr: float
     beta1: float = 0.9
     beta2: float = 0.999
@@ -383,16 +373,12 @@ class OptimizerState:
     moments: dict = field(default_factory=dict)
 
 
-def sgd(lr) -> OptimizerState:
-    return OptimizerState(kind="sgd", lr=lr)
-
-
 def adam(lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8) -> OptimizerState:
-    return OptimizerState(kind="adam", lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    return OptimizerState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
 
 
 def optimizer_step(state: OptimizerState, params: dict, grads: dict) -> dict:
-    """Apply one deterministic update in place and return the parameter dict."""
+    """Apply one deterministic Adam update in place and return the parameter dict."""
     state.step_count += 1
     t = state.step_count
     for name, g in grads.items():
@@ -406,20 +392,15 @@ def optimizer_step(state: OptimizerState, params: dict, grads: dict) -> dict:
             )
         if not np.all(np.isfinite(ga)):
             raise GraphError(f"parameter {name!r}: non-finite gradient")
-        if state.kind == "sgd":
-            p.data -= state.lr * ga
-        elif state.kind == "adam":
-            if name not in state.moments:
-                state.moments[name] = (np.zeros_like(p.data), np.zeros_like(p.data))
-            m, v = state.moments[name]
-            m = state.beta1 * m + (1.0 - state.beta1) * ga
-            v = state.beta2 * v + (1.0 - state.beta2) * ga * ga
-            state.moments[name] = (m, v)
-            mhat = m / (1.0 - state.beta1 ** t)
-            vhat = v / (1.0 - state.beta2 ** t)
-            p.data -= state.lr * mhat / (np.sqrt(vhat) + state.eps)
-        else:
-            raise GraphError(f"unknown optimizer kind {state.kind!r}")
+        if name not in state.moments:
+            state.moments[name] = (np.zeros_like(p.data), np.zeros_like(p.data))
+        m, v = state.moments[name]
+        m = state.beta1 * m + (1.0 - state.beta1) * ga
+        v = state.beta2 * v + (1.0 - state.beta2) * ga * ga
+        state.moments[name] = (m, v)
+        mhat = m / (1.0 - state.beta1 ** t)
+        vhat = v / (1.0 - state.beta2 ** t)
+        p.data -= state.lr * mhat / (np.sqrt(vhat) + state.eps)
     return params
 
 

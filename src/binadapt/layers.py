@@ -1,10 +1,9 @@
 """Layer vocabulary: strided conv, transposed conv, ReLU, sigmoid, dropout,
 gradient reversal, and binary cross-entropy.
 
-Each op has one array kernel with two call surfaces: a pure function over
-arrays/Tensors (``conv2d``, ``relu``, ...) and a registered graph op kind
-(``conv2d``, ``tconv2d``, ``relu``, ``sigmoid``, ``dropout``, ``grl``, ``bce``)
-used by the model builders; both call the kernel, so they agree bitwise.
+Each op is a registered graph op kind (``conv2d``, ``tconv2d``, ``relu``,
+``sigmoid``, ``dropout``, ``grl``, ``bce``) added to a graph by its node
+builder (``conv_node``, ...) and evaluated by one array kernel.
 Convolution follows cross-correlation semantics (no kernel flip); the
 transposed convolution is implemented as the exact adjoint of the convolution
 with the same spec, so <conv(x), y> == <x, tconv(y)> holds for shared weights
@@ -19,18 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Graph, GraphError, Tensor, as_array, register_op
+from .autodiff import Graph, GraphError, register_op
 
 __all__ = [
     "ConvSpec",
-    "GrlSpec",
-    "conv2d",
-    "conv2d_transpose",
-    "relu",
-    "sigmoid",
-    "dropout",
-    "gradient_reversal",
-    "bce_loss",
     "grl_lambda_at",
     "BCE_CLAMP",
     "conv_node",
@@ -87,17 +78,6 @@ class ConvSpec:
         if oh < 1 or ow < 1:
             raise GraphError(f"transposed conv input {h}x{w} admits no output position")
         return oh, ow
-
-
-@dataclass(frozen=True)
-class GrlSpec:
-    """Gradient-reversal coefficient; forward identity, backward times -lam."""
-
-    lam: float = 0.1
-
-    def __post_init__(self):
-        if self.lam < 0:
-            raise GraphError("gradient-reversal coefficient must be non-negative")
 
 
 def grl_lambda_at(epoch, start=0.1, increment=0.01):
@@ -218,56 +198,6 @@ def _bce(p, t):
         raise GraphError(f"prediction shape {p.shape} != target shape {t.shape}")
     pc = np.clip(p, BCE_CLAMP, 1.0 - BCE_CLAMP)
     return np.array([-np.mean(t * np.log(pc) + (1.0 - t) * np.log(1.0 - pc))])
-
-
-# ---------------------------------------------------------------------------
-# functional ops
-
-def _batched(kernel, x, weights, bias, spec):
-    """Run a [n,c,h,w] conv kernel on [c,h,w] input by adding/stripping a batch axis."""
-    arr, w, b = as_array(x), as_array(weights), as_array(bias)
-    if arr.ndim == 3:
-        return Tensor(kernel(arr[None], w, b, spec)[0])
-    return Tensor(kernel(arr, w, b, spec))
-
-
-def conv2d(x, spec: ConvSpec, weights, bias) -> Tensor:
-    return _batched(_conv, x, weights, bias, spec)
-
-
-def conv2d_transpose(x, spec: ConvSpec, weights, bias) -> Tensor:
-    return _batched(_tconv, x, weights, bias, spec)
-
-
-def relu(x) -> Tensor:
-    return Tensor(_relu(as_array(x)))
-
-
-def sigmoid(x) -> Tensor:
-    return Tensor(_sigmoid(as_array(x)))
-
-
-def dropout(x, rate, training, rng=None) -> Tensor:
-    """Inverted dropout: zero with probability ``rate`` and scale survivors
-    by 1/(1-rate) while training; bitwise identity at inference."""
-    if not 0.0 <= rate < 1.0:
-        raise GraphError(f"dropout rate {rate} outside [0, 1)")
-    arr = as_array(x)
-    if not training or rate == 0.0:
-        return Tensor(arr.copy())
-    if rng is None:
-        raise GraphError("dropout in training mode requires an rng")
-    return Tensor(arr * _dropout_mask(rng, arr.shape, rate))
-
-
-def gradient_reversal(x, spec: GrlSpec) -> Tensor:
-    """Forward identity; the -lam flip only exists on the backward path."""
-    return Tensor(as_array(x).copy())
-
-
-def bce_loss(pred, target) -> Tensor:
-    """Mean binary cross-entropy with predictions clamped at 1e-7."""
-    return Tensor(_bce(as_array(pred), as_array(target)))
 
 
 # ---------------------------------------------------------------------------

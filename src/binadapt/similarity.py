@@ -40,7 +40,6 @@ __all__ = [
     "intra_domain_rho",
     "AutoRunResult",
     "autobindann",
-    "run_autobindann",
     "histogram_csv",
 ]
 
@@ -123,12 +122,17 @@ def _mass(h, require_normalized):
     return arr
 
 
-def pearson(hs, ht) -> float:
-    """Pearson correlation over matching bins (population covariance)."""
-    a = _mass(hs, require_normalized=False)
-    b = _mass(ht, require_normalized=False)
+def _masses(p, q, require_normalized):
+    """Both histograms' bin masses, which must cover the same bins."""
+    a, b = _mass(p, require_normalized), _mass(q, require_normalized)
     if a.shape != b.shape:
         raise ValueError(f"histograms have {a.size} vs {b.size} bins")
+    return a, b
+
+
+def pearson(hs, ht) -> float:
+    """Pearson correlation over matching bins (population covariance)."""
+    a, b = _masses(hs, ht, require_normalized=False)
     da = a - a.mean()
     db = b - b.mean()
     sa = math.sqrt(float(da @ da))
@@ -138,24 +142,21 @@ def pearson(hs, ht) -> float:
     return float(np.clip(float(da @ db) / (sa * sb), -1.0, 1.0))
 
 
-def _smoothed(h):
-    p = _mass(h, require_normalized=True) + _KL_SMOOTHING
-    return p / p.sum()
+def _smoothed(p, q):
+    """Both normalized histograms with every bin lifted off zero, renormalized."""
+    ps, qs = (m + _KL_SMOOTHING for m in _masses(p, q, require_normalized=True))
+    return ps / ps.sum(), qs / qs.sum()
 
 
 def kl_divergence(p, q) -> float:
     """Kullback-Leibler divergence with zero bins smoothed away; asymmetric."""
-    ps, qs = _smoothed(p), _smoothed(q)
-    if ps.shape != qs.shape:
-        raise ValueError(f"histograms have {ps.size} vs {qs.size} bins")
+    ps, qs = _smoothed(p, q)
     return max(float(np.sum(ps * np.log(ps / qs))), 0.0)
 
 
 def js_divergence(p, q) -> float:
     """Jensen-Shannon divergence, bounded by ln 2; symmetric."""
-    ps, qs = _smoothed(p), _smoothed(q)
-    if ps.shape != qs.shape:
-        raise ValueError(f"histograms have {ps.size} vs {qs.size} bins")
+    ps, qs = _smoothed(p, q)
     m = 0.5 * (ps + qs)
     js = 0.5 * float(np.sum(ps * np.log(ps / m))) + 0.5 * float(np.sum(qs * np.log(qs / m)))
     return min(max(js, 0.0), math.log(2.0))
@@ -163,10 +164,7 @@ def js_divergence(p, q) -> float:
 
 def hist_intersection(p, q) -> float:
     """Shared mass between two normalized histograms, in [0, 1]; symmetric."""
-    ps = _mass(p, require_normalized=True)
-    qs = _mass(q, require_normalized=True)
-    if ps.shape != qs.shape:
-        raise ValueError(f"histograms have {ps.size} vs {qs.size} bins")
+    ps, qs = _masses(p, q, require_normalized=True)
     return float(np.minimum(ps, qs).sum())
 
 
@@ -229,30 +227,23 @@ def compare_histograms(hs, ht, rho_th=0.25) -> SimilarityReport:
     )
 
 
-def _pages_of(items):
-    for item in items:
-        yield item.page if hasattr(item, "page") else item
-
-
-def domain_histogram(binarizer, pages, h_prec=0.1) -> DomainHistogram:
-    """Pool the model's probability maps for all given pages into one
-    normalized histogram."""
-    model = getattr(binarizer, "model", binarizer)
+def domain_histogram(binarizer: TrainedBinarizer, records, h_prec=0.1) -> DomainHistogram:
+    """Pool the binarizer's probability maps for the pages of all given
+    records into one normalized histogram."""
     acc = new_histogram(h_prec)
-    for page in _pages_of(pages):
-        accumulate_histogram(predict_prob_map(model, page), h_prec, acc)
+    for rec in records:
+        accumulate_histogram(predict_prob_map(binarizer.model, rec.page), h_prec, acc)
     return normalize_histogram(acc)
 
 
-def intra_domain_rho(binarizer, pages, h_prec=0.1) -> float:
-    """Correlation between the histograms of two disjoint halves of a page set."""
-    pages = list(pages)
-    if len(pages) < 2:
+def intra_domain_rho(binarizer: TrainedBinarizer, records, h_prec=0.1) -> float:
+    """Correlation between the histograms of two disjoint halves of a record list."""
+    if len(records) < 2:
         raise ValueError("need at least two pages to split into halves")
-    half = len(pages) // 2
+    half = len(records) // 2
     return pearson(
-        domain_histogram(binarizer, pages[:half], h_prec),
-        domain_histogram(binarizer, pages[half:], h_prec),
+        domain_histogram(binarizer, records[:half], h_prec),
+        domain_histogram(binarizer, records[half:], h_prec),
     )
 
 
@@ -284,30 +275,32 @@ def autobindann(
     The source histogram is built from the validation partition (the same
     pages that picked the threshold); the target histogram pools every target
     page. When the gate fires, the adversarial model is trained and its own
-    swept threshold binarizes the target; otherwise the plain model does.
+    swept threshold binarizes the target; otherwise the plain model's masks,
+    taken in the same pass over the target as its histogram, are kept.
     Target ground truth is never touched: the target dataset carries none.
+    The gate settings are checked before any training.
     """
+    _bin_count(h_prec)
+    if not -1.0 <= rho_th <= 1.0:
+        raise ValueError(f"gate threshold {rho_th} outside [-1, 1]")
     sae_tb = train_sae(source, cfg)
     hist_source = domain_histogram(sae_tb, source.validation(), h_prec)
-    hist_target = domain_histogram(sae_tb, target.records, h_prec)
+    acc, masks = new_histogram(h_prec), {}
+    for rec in target.records:
+        prob = predict_prob_map(sae_tb.model, rec.page)
+        accumulate_histogram(prob, h_prec, acc)
+        masks[rec.stem] = binarize(prob, sae_tb.th_s)
+    hist_target = normalize_histogram(acc)
     report = compare_histograms(hist_source, hist_target, rho_th)
 
     da_tb = None
     if report.decision == USE_DA:
         da_tb = train_bindann(source, target, cfg)
-    used = da_tb if da_tb is not None else sae_tb
-
-    masks = {
-        rec.stem: binarize(predict_prob_map(used.model, rec.page), used.th_s)
-        for rec in target.records
-    }
+        masks = {
+            rec.stem: binarize(predict_prob_map(da_tb.model, rec.page), da_tb.th_s)
+            for rec in target.records
+        }
     return AutoRunResult(report, sae_tb, da_tb, masks, hist_source, hist_target)
-
-
-def run_autobindann(source, target, cfg, h_prec=0.1, rho_th=0.25):
-    """Gated pipeline; returns (binarized target pages, report, used binarizer)."""
-    result = autobindann(source, target, cfg, h_prec, rho_th)
-    return result.masks, result.report, result.used
 
 
 def histogram_csv(h: DomainHistogram) -> str:

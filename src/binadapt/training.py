@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import CheckpointError, Tensor, adam, backward, forward, optimizer_step, sgd
+from .autodiff import CheckpointError, Tensor, adam, backward, forward, optimizer_step
 from .data import Dataset, split_patches
 from .layers import grl_lambda_at
 from .metrics import Confusion, confusion, f1
@@ -58,7 +58,6 @@ class TrainConfig:
     batch: int = 16
     seed: int = 0
     lr: float = 1e-3
-    optimizer: str = "adam"
     sweep_step: float = 0.05
     lambda0: float = 0.1
     lambda_increment: float = 0.01
@@ -69,8 +68,8 @@ class TrainConfig:
             raise ValueError("epochs and batch size must be >= 1")
         if not 0.0 < self.sweep_step < 1.0:
             raise ValueError(f"sweep step {self.sweep_step} outside (0, 1)")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if self.lambda0 < 0 or self.lambda_increment < 0:
+            raise ValueError("reversal coefficient schedule must be non-negative")
 
 
 @dataclass
@@ -106,28 +105,18 @@ def _sweep_grid(step):
     return [i * step for i in range(1, n)]
 
 
-def _validation_pairs(validation):
-    pairs = []
-    for item in validation:
-        if hasattr(item, "page"):
-            if item.gt is None:
-                raise ValueError(f"validation page {item.stem!r} has no ground truth")
-            pairs.append((item.page, item.gt.mask))
-        else:
-            pairs.append(item)
-    return pairs
-
-
 def sweep_threshold(model, validation, sweep_step=0.05):
-    """Best equidistant threshold over validation pages.
+    """Best equidistant threshold over a list of labeled validation records.
 
     Confusions are aggregated across all pages per candidate threshold; ties
     resolve to the lowest threshold. Returns (threshold, F1 at it).
     """
-    pairs = _validation_pairs(validation)
-    if not pairs:
+    if not validation:
         raise ValueError("validation set is empty")
-    maps = [(predict_prob_map(model, page), mask) for page, mask in pairs]
+    for rec in validation:
+        if rec.gt is None:
+            raise ValueError(f"validation page {rec.stem!r} has no ground truth")
+    maps = [(predict_prob_map(model, rec.page), rec.gt.mask) for rec in validation]
     best_th, best_f1 = None, -1.0
     for th in _sweep_grid(sweep_step):
         total = Confusion()
@@ -178,7 +167,7 @@ def _fit(source: Dataset, target: Dataset | None, cfg: TrainConfig) -> TrainedBi
         t_sampler = _stream(_SEED_TGT, cfg.seed)
         src_domain = np.zeros((cfg.batch, 1, *patch))
         tgt_domain = np.ones_like(src_domain)
-    opt = adam(cfg.lr) if cfg.optimizer == "adam" else sgd(cfg.lr)
+    opt = adam(cfg.lr)
     x_pool = _patch_pool([r.page for r in train], patch)
     y_pool = _patch_pool([r.gt.mask.astype(np.float64) for r in train], patch)
     sampler = _stream(_SEED_SRC, cfg.seed)

@@ -49,8 +49,8 @@ def test_backward_sum_gives_ones():
     g.set_output("loss", g.sum(p))
     ba.forward(g)
     grads = ba.backward(g, "loss")
+    assert list(grads) == ["p"]
     assert np.array_equal(grads["p"].data, [1.0, 1.0, 1.0])
-    assert np.array_equal(g.params["p"].grad, [1.0, 1.0, 1.0])
 
 
 def test_backward_through_reversal_flips_and_scales():
@@ -155,16 +155,10 @@ def test_backward_errors():
 # ---------------------------------------------------------------------------
 # optimizer
 
-def test_sgd_single_step():
-    state = ba.sgd(lr=0.1)
-    params = {"p": ba.Tensor([1.0])}
-    ba.optimizer_step(state, params, {"p": np.array([1.0])})
-    assert params["p"].data[0] == pytest.approx(0.9, abs=0)
-
-
 def test_zero_gradient_is_fixed_point():
-    for state in (ba.sgd(0.1), ba.adam(1e-3)):
-        params = {"p": ba.Tensor([2.5, -1.0])}
+    state = ba.adam(1e-3)
+    params = {"p": ba.Tensor([2.5, -1.0])}
+    for _ in range(3):
         ba.optimizer_step(state, params, {"p": np.zeros(2)})
         assert np.array_equal(params["p"].data, [2.5, -1.0])
 
@@ -181,7 +175,7 @@ def test_adam_single_step_matches_hand_evaluation():
 
 
 def test_optimizer_shape_mismatch_errors():
-    state = ba.sgd(0.1)
+    state = ba.adam(0.1)
     with pytest.raises(GraphError, match="shape"):
         ba.optimizer_step(state, {"p": ba.Tensor([1.0])}, {"p": np.zeros(2)})
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import binadapt as ba
+from binadapt import similarity
 from binadapt.cli import ConfigError, ExperimentConfig, main, parse_config
 from binadapt.data import write_synthetic_dirs
 
@@ -257,6 +258,18 @@ def test_run_without_target_gt_skips_evaluation(tiny_dirs, tmp_path):
     assert (out / "report.json").exists()
     assert len(list((out / "binarized").glob("*.pgm"))) == 3
     assert not (out / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("key, value", [("h_prec", 0.3), ("rho_th", 7), ("lambda0", -1)])
+def test_run_rejects_bad_gate_settings_before_training(key, value, tiny_dirs, tmp_path,
+                                                       monkeypatch, capsys):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before the settings were checked")
+
+    monkeypatch.setattr(similarity, "train_sae", no_training)
+    cfg = _cfg_file(tmp_path, tiny_dirs, **{key: value})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert "error: config:" in capsys.readouterr().err
 
 
 def test_run_artifacts_do_not_depend_on_blas_threads(tmp_path):

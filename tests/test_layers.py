@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import binadapt as ba
+from binadapt import layers
 from binadapt.autodiff import GraphError
 from binadapt.layers import (
     BCE_CLAMP,
@@ -23,20 +24,36 @@ from binadapt.layers import (
 from reference import direct_bce, direct_conv2d, direct_tconv2d, fd_loss_gradient, max_rel_err
 
 
+def _op(node, *arrays, training=False, rng=None, **attrs):
+    """Forward value of a one-node graph: ``node`` over the arrays bound as inputs."""
+    g = ba.Graph()
+    g.set_output("y", node(g, *(g.input(f"in{i}") for i in range(len(arrays))), **attrs))
+    bindings = {f"in{i}": a for i, a in enumerate(arrays)}
+    return ba.forward(g, bindings, training=training, rng=rng)["y"].data
+
+
+def _conv(x, spec, w, b):
+    return _op(conv_node, x, w, b, spec=spec)
+
+
+def _tconv(x, spec, w, b):
+    return _op(tconv_node, x, w, b, spec=spec)
+
+
 # ---------------------------------------------------------------------------
 # conv2d
 
 def test_conv_identity_kernel():
     spec = ba.ConvSpec(1, 1, (1, 1), (1, 1), (0, 0, 0, 0))
-    out = ba.conv2d(np.array([[[5.0]]]), spec, np.ones((1, 1, 1, 1)), np.zeros(1))
-    assert out.data.tolist() == [[[5.0]]]
+    out = _conv(np.array([[[[5.0]]]]), spec, np.ones((1, 1, 1, 1)), np.zeros(1))
+    assert out.tolist() == [[[[5.0]]]]
 
 
 def test_conv_zero_kernel_annihilates():
     rng = np.random.default_rng(0)
     spec = ba.ConvSpec(1, 2, (3, 3), (1, 1), (1, 1, 1, 1))
-    out = ba.conv2d(rng.normal(size=(1, 5, 5)), spec, np.zeros((2, 1, 3, 3)), np.zeros(2))
-    assert np.all(out.data == 0.0)
+    out = _conv(rng.normal(size=(1, 1, 5, 5)), spec, np.zeros((2, 1, 3, 3)), np.zeros(2))
+    assert np.all(out == 0.0)
 
 
 def test_conv_ramp_case_frozen_values():
@@ -46,10 +63,10 @@ def test_conv_ramp_case_frozen_values():
     w = np.ones((1, 1, 3, 3))
     b = np.zeros(1)
     spec = ba.ConvSpec(1, 1, (3, 3), (2, 2), (1, 1, 1, 1))
-    got = ba.conv2d(x[0], spec, w, b).data
-    frozen = np.array([[[10.0, 24.0], [51.0, 90.0]]])
+    got = _conv(x, spec, w, b)
+    frozen = np.array([[[[10.0, 24.0], [51.0, 90.0]]]])
     np.testing.assert_array_equal(got, frozen)
-    np.testing.assert_array_equal(direct_conv2d(x, w, b, (2, 2), (1, 1, 1, 1))[0], frozen)
+    np.testing.assert_array_equal(direct_conv2d(x, w, b, (2, 2), (1, 1, 1, 1)), frozen)
 
 
 def test_conv_matches_oracle_on_random_instances():
@@ -66,7 +83,7 @@ def test_conv_matches_oracle_on_random_instances():
         b = rng.normal(size=(co,))
         spec = ba.ConvSpec(ci, co, (kh, kw), (sh, sw), pad)
         np.testing.assert_allclose(
-            ba.conv2d(x, spec, w, b).data,
+            _conv(x, spec, w, b),
             direct_conv2d(x, w, b, (sh, sw), pad),
             rtol=0,
             atol=1e-12,
@@ -76,7 +93,7 @@ def test_conv_matches_oracle_on_random_instances():
 def test_conv_channel_mismatch_errors():
     spec = ba.ConvSpec(2, 1, (3, 3), (1, 1), (1, 1, 1, 1))
     with pytest.raises(GraphError, match="channels"):
-        ba.conv2d(np.zeros((1, 4, 4)), spec, np.zeros((1, 2, 3, 3)), np.zeros(1))
+        _conv(np.zeros((1, 4, 4, 4)), spec, np.zeros((1, 2, 3, 3)), np.zeros(1))
 
 
 # ---------------------------------------------------------------------------
@@ -84,8 +101,8 @@ def test_conv_channel_mismatch_errors():
 
 def test_tconv_single_tap_spread():
     spec = ba.ConvSpec(1, 1, (2, 2), (2, 2), (0, 0, 0, 0))
-    out = ba.conv2d_transpose(np.array([[[1.0]]]), spec, np.ones((1, 1, 2, 2)), np.zeros(1))
-    np.testing.assert_array_equal(out.data, np.ones((1, 2, 2)))
+    out = _tconv(np.array([[[[1.0]]]]), spec, np.ones((1, 1, 2, 2)), np.zeros(1))
+    np.testing.assert_array_equal(out, np.ones((1, 1, 2, 2)))
 
 
 def test_tconv_adjoint_identity_small():
@@ -93,9 +110,9 @@ def test_tconv_adjoint_identity_small():
     x = rng.normal(size=(1, 1, 4, 4))
     w = rng.normal(size=(1, 1, 2, 2))
     spec = ba.ConvSpec(1, 1, (2, 2), (2, 2), (0, 0, 0, 0))
-    cx = ba.conv2d(x, spec, w, np.zeros(1)).data
+    cx = _conv(x, spec, w, np.zeros(1))
     y = rng.normal(size=cx.shape)
-    ty = ba.conv2d_transpose(y, spec, w, np.zeros(1)).data
+    ty = _tconv(y, spec, w, np.zeros(1))
     assert abs(float((cx * y).sum()) - float((x * ty).sum())) < 1e-10
 
 
@@ -113,12 +130,12 @@ def test_tconv_adjoint_identity_random_shapes():
         t_spec = ba.ConvSpec(co, ci, (kh, kw), (sh, sw), pad)
         x = rng.normal(size=(1, ci, h, wd))
         w = rng.normal(size=(co, ci, kh, kw))
-        cx = ba.conv2d(x, conv_spec, w, np.zeros(co)).data
+        cx = _conv(x, conv_spec, w, np.zeros(co))
         # pick the canonical input size so the adjoint output matches x exactly
         if t_spec.transpose_out_hw(*cx.shape[2:]) != x.shape[2:]:
             continue
         y = rng.normal(size=cx.shape)
-        ty = ba.conv2d_transpose(y, t_spec, w, np.zeros(ci)).data
+        ty = _tconv(y, t_spec, w, np.zeros(ci))
         assert abs(float((cx * y).sum()) - float((x * ty).sum())) < 1e-10
 
 
@@ -129,7 +146,7 @@ def test_tconv_matches_scatter_add_oracle():
     b = rng.normal(size=(3,))
     spec = ba.ConvSpec(2, 3, (3, 3), (2, 2), (0, 1, 0, 1))
     np.testing.assert_allclose(
-        ba.conv2d_transpose(x, spec, w, b).data,
+        _tconv(x, spec, w, b),
         direct_tconv2d(x, w, b, (2, 2), (0, 1, 0, 1)),
         rtol=0,
         atol=1e-12,
@@ -170,10 +187,9 @@ def test_real_shape_cases_cover_the_default_model():
 @pytest.mark.parametrize("name", sorted(_REAL_SHAPES))
 def test_real_shape_forward_matches_oracle(name):
     kind, spec, x, w, b, _ = _real_shape_arrays(name)
-    fn, oracle = (ba.conv2d, direct_conv2d) if kind == "conv2d" else (
-        ba.conv2d_transpose, direct_tconv2d)
+    fn, oracle = (_conv, direct_conv2d) if kind == "conv2d" else (_tconv, direct_tconv2d)
     np.testing.assert_allclose(
-        fn(x, spec, w, b).data, oracle(x, w, b, spec.stride, spec.padding), rtol=0, atol=1e-12
+        fn(x, spec, w, b), oracle(x, w, b, spec.stride, spec.padding), rtol=0, atol=1e-12
     )
 
 
@@ -181,13 +197,12 @@ def test_real_shape_forward_matches_oracle(name):
 def test_real_shape_adjoint_identity(name):
     # <conv(x), y> == <x, tconv(y)> with shared weights, zero bias, swapped channels
     kind, spec, x, w, _, rng = _real_shape_arrays(name)
-    fn, adjoint = (ba.conv2d, ba.conv2d_transpose) if kind == "conv2d" else (
-        ba.conv2d_transpose, ba.conv2d)
+    fn, adjoint = (_conv, _tconv) if kind == "conv2d" else (_tconv, _conv)
     swapped = ba.ConvSpec(spec.out_channels, spec.in_channels, spec.kernel, spec.stride,
                           spec.padding)
-    fx = fn(x, spec, w, np.zeros(spec.out_channels)).data
+    fx = fn(x, spec, w, np.zeros(spec.out_channels))
     y = rng.normal(size=fx.shape)
-    ay = adjoint(y, swapped, w, np.zeros(spec.in_channels)).data
+    ay = adjoint(y, swapped, w, np.zeros(spec.in_channels))
     assert ay.shape == x.shape
     np.testing.assert_allclose(float((fx * y).sum()), float((x * ay).sum()), rtol=1e-12)
 
@@ -219,11 +234,11 @@ def test_real_shape_gradients_match_finite_differences(name):
 # activations
 
 def test_relu_definition():
-    assert ba.relu([-1.0, 0.0, 2.0]).data.tolist() == [0.0, 0.0, 2.0]
+    assert _op(relu_node, [-1.0, 0.0, 2.0]).tolist() == [0.0, 0.0, 2.0]
 
 
 def test_sigmoid_symmetry_point():
-    assert ba.sigmoid([0.0]).data[0] == 0.5
+    assert _op(sigmoid_node, [0.0])[0] == 0.5
 
 
 def test_sigmoid_gradient_at_zero_via_backward():
@@ -237,9 +252,9 @@ def test_sigmoid_gradient_at_zero_via_backward():
 def test_activation_ranges():
     rng = np.random.default_rng(1)
     x = rng.normal(scale=10, size=1000)
-    s = ba.sigmoid(x).data
+    s = _op(sigmoid_node, x)
     assert np.all((s > 0.0) & (s < 1.0))
-    assert np.all(ba.relu(x).data >= 0.0)
+    assert np.all(_op(relu_node, x) >= 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -248,33 +263,33 @@ def test_activation_ranges():
 def test_dropout_inference_is_bitwise_identity():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(7, 5))
-    out = ba.dropout(x, 0.2, training=False)
-    assert out.data.tobytes() == x.tobytes()
+    out = _op(dropout_node, x, rate=0.2)
+    assert out.tobytes() == x.tobytes()
 
 
 def test_dropout_zero_rate_identity():
     x = np.arange(6.0)
-    out = ba.dropout(x, 0.0, training=True, rng=np.random.default_rng(0))
-    assert out.data.tobytes() == x.tobytes()
+    out = _op(dropout_node, x, rate=0.0, training=True, rng=np.random.default_rng(0))
+    assert out.tobytes() == x.tobytes()
 
 
 def test_dropout_inverted_scaling_mean():
     # mean of inverted dropout over ones: 3 sigma of the binomial estimate
     n, rate = 100_000, 0.2
-    out = ba.dropout(np.ones(n), rate, training=True, rng=np.random.default_rng(123))
+    out = _op(dropout_node, np.ones(n), rate=rate, training=True, rng=np.random.default_rng(123))
     sigma = math.sqrt(rate / (1 - rate) / n)
-    assert abs(out.data.mean() - 1.0) < 3 * sigma
+    assert abs(out.mean() - 1.0) < 3 * sigma
 
 
 def test_dropout_rate_one_rejected():
     with pytest.raises(GraphError):
-        ba.dropout(np.ones(3), 1.0, training=True, rng=np.random.default_rng(0))
+        _op(dropout_node, np.ones(3), rate=1.0, training=True, rng=np.random.default_rng(0))
 
 
 def test_dropout_masks_reproducible():
     x = np.ones((4, 4))
-    a = ba.dropout(x, 0.5, training=True, rng=np.random.default_rng(6)).data
-    b = ba.dropout(x, 0.5, training=True, rng=np.random.default_rng(6)).data
+    a = _op(dropout_node, x, rate=0.5, training=True, rng=np.random.default_rng(6))
+    b = _op(dropout_node, x, rate=0.5, training=True, rng=np.random.default_rng(6))
     assert a.tobytes() == b.tobytes()
 
 
@@ -283,8 +298,8 @@ def test_dropout_masks_reproducible():
 
 def test_reversal_forward_is_bitwise_identity():
     x = np.array([3.0, -1.0])
-    out = ba.gradient_reversal(x, ba.GrlSpec(0.5))
-    assert out.data.tobytes() == x.tobytes()
+    out = _op(grl_node, x, lam=0.5)
+    assert out.tobytes() == x.tobytes()
 
 
 def test_reversal_backward_definition():
@@ -322,18 +337,18 @@ def test_reversal_schedule_paper_values():
 
 def test_bce_maximal_entropy_prediction():
     target = np.array([1.0, 0.0, 1.0, 1.0])
-    out = ba.bce_loss(np.full(4, 0.5), target)
-    assert out.data[0] == pytest.approx(math.log(2), abs=1e-12)
+    out = _op(bce_node, np.full(4, 0.5), target)
+    assert out[0] == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_bce_perfect_prediction_near_zero():
     t = np.array([1.0, 0.0, 0.0, 1.0])
-    out = ba.bce_loss(t, t)
-    assert out.data[0] < 1e-6 * abs(math.log(BCE_CLAMP))
+    out = _op(bce_node, t, t)
+    assert out[0] < 1e-6 * abs(math.log(BCE_CLAMP))
 
 
 def test_bce_hand_evaluated_case():
-    got = ba.bce_loss(np.array([0.9, 0.2]), np.array([1.0, 0.0])).data[0]
+    got = _op(bce_node, np.array([0.9, 0.2]), np.array([1.0, 0.0]))[0]
     want = -(math.log(0.9) + math.log(0.8)) / 2.0
     assert got == pytest.approx(want, abs=1e-12)
     assert got == pytest.approx(direct_bce([0.9, 0.2], [1.0, 0.0]), abs=1e-15)
@@ -341,7 +356,7 @@ def test_bce_hand_evaluated_case():
 
 def test_bce_shape_mismatch_errors():
     with pytest.raises(GraphError, match="shape"):
-        ba.bce_loss(np.zeros(3), np.zeros(4))
+        _op(bce_node, np.zeros(3), np.zeros(4))
 
 
 # ---------------------------------------------------------------------------
@@ -412,37 +427,26 @@ def test_reversal_gradient_against_scaled_finite_differences():
 
 
 # ---------------------------------------------------------------------------
-# one kernel per op: the functional form equals a one-node graph of its kind
+# one kernel per op: the array kernel (the op's functional form) equals a
+# one-node graph of its kind
 
 def _one_node_case(kind, rng):
-    """(functional result, graph forward result) for the same inputs."""
-    g = ba.Graph()
+    """(array kernel result, graph forward result) for the same inputs."""
     x = rng.normal(size=(2, 2, 4, 4))
-    ins = {"x": x}
     if kind in ("conv2d", "tconv2d"):
         spec = ba.ConvSpec(2, 3, (3, 3), (2, 2), (1, 0, 1, 0))
         w = rng.normal(size=(3, 2, 3, 3) if kind == "conv2d" else (2, 3, 3, 3))
         b = rng.normal(size=3)
-        ins.update(w=w, b=b)
-        node = conv_node if kind == "conv2d" else tconv_node
-        fn = ba.conv2d if kind == "conv2d" else ba.conv2d_transpose
-        y = node(g, g.input("x"), g.input("w"), g.input("b"), spec)
-        expected = fn(x, spec, w, b)
-    elif kind == "bce":
+        kernel, build = (layers._conv, _conv) if kind == "conv2d" else (layers._tconv, _tconv)
+        return kernel(x, w, b, spec), build(x, spec, w, b)
+    if kind == "bce":
         p, t = rng.random(size=(2, 1, 4, 4)), (rng.random(size=(2, 1, 4, 4)) > 0.5) * 1.0
-        ins = {"p": p, "t": t}
-        y = bce_node(g, g.input("p"), g.input("t"))
-        expected = ba.bce_loss(p, t)
-    elif kind == "dropout":
-        y = dropout_node(g, g.input("x"), 0.3)
-        expected = ba.dropout(x, 0.3, training=True, rng=np.random.default_rng(5))
-    else:
-        node, fn = {"relu": (relu_node, ba.relu), "sigmoid": (sigmoid_node, ba.sigmoid)}[kind]
-        y = node(g, g.input("x"))
-        expected = fn(x)
-    g.set_output("y", y)
-    got = ba.forward(g, ins, training=True, rng=np.random.default_rng(5))["y"]
-    return expected.data, got.data
+        return layers._bce(p, t), _op(bce_node, p, t)
+    if kind == "dropout":
+        mask = layers._dropout_mask(np.random.default_rng(5), x.shape, 0.3)
+        return x * mask, _op(dropout_node, x, rate=0.3, training=True, rng=np.random.default_rng(5))
+    kernel, node = {"relu": (layers._relu, relu_node), "sigmoid": (layers._sigmoid, sigmoid_node)}[kind]
+    return kernel(x), _op(node, x)
 
 
 @pytest.mark.parametrize("kind", ["conv2d", "tconv2d", "relu", "sigmoid", "dropout", "bce"])

@@ -225,13 +225,10 @@ def test_autobindann_mini_run_contracts():
     assert result.report.decision in (USE_SAE, USE_DA)
     assert (result.da is not None) == (result.report.decision == USE_DA)
     assert result.used is (result.da if result.da is not None else result.sae)
-    masks, report, used = ba.run_autobindann(src, far, cfg)
-    assert report.decision == result.report.decision
-    assert set(masks) == set(result.masks)
 
 
 def test_intra_domain_rho_needs_two_pages():
     src, _, _ = ba.make_synthetic_domains(1, n_pages=4, page_size=(64, 64))
     model = ba.build_sae(ba.SaeConfig(), np.random.default_rng(0))
     with pytest.raises(ValueError, match="two pages"):
-        ba.intra_domain_rho(model, src.records[:1])
+        ba.intra_domain_rho(ba.TrainedBinarizer(model, 0.5, []), src.records[:1])

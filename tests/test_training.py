@@ -5,6 +5,7 @@ import pytest
 
 import binadapt as ba
 from binadapt import training
+from binadapt.data import GroundTruth, PageRecord
 from binadapt.training import history_csv
 
 
@@ -52,6 +53,10 @@ class _FixedMapModel:
         self.maps = maps
 
 
+def _record(page, gt):
+    return PageRecord("p", page, GroundTruth(gt), "validation")
+
+
 def _stub_predict(monkeypatch):
     monkeypatch.setattr(
         training, "predict_prob_map", lambda model, page, batch=16: model.maps[id(page)]
@@ -63,7 +68,7 @@ def test_sweep_perfect_map_returns_lowest_threshold(monkeypatch):
     gt = (np.arange(16).reshape(4, 4) % 3 == 0).astype(np.uint8)
     page = object()
     model = _FixedMapModel({id(page): gt.astype(float)})
-    th, score = ba.sweep_threshold(model, [(page, gt)], sweep_step=0.05)
+    th, score = ba.sweep_threshold(model, [_record(page, gt)], sweep_step=0.05)
     assert th == pytest.approx(0.05)
     assert score == 1.0
 
@@ -74,7 +79,7 @@ def test_sweep_two_level_map(monkeypatch):
     prob = np.where(gt == 1, 0.6, 0.1)
     page = object()
     model = _FixedMapModel({id(page): prob})
-    th, score = ba.sweep_threshold(model, [(page, gt)], sweep_step=0.05)
+    th, score = ba.sweep_threshold(model, [_record(page, gt)], sweep_step=0.05)
     assert th == pytest.approx(0.15)
     assert score == 1.0
 
@@ -84,7 +89,7 @@ def test_sweep_empty_foreground_convention(monkeypatch):
     gt = np.zeros((3, 3), dtype=np.uint8)
     page = object()
     model = _FixedMapModel({id(page): np.zeros((3, 3))})
-    th, score = ba.sweep_threshold(model, [(page, gt)], sweep_step=0.05)
+    th, score = ba.sweep_threshold(model, [_record(page, gt)], sweep_step=0.05)
     assert th == pytest.approx(0.05)
     assert score == 1.0
 
@@ -96,7 +101,7 @@ def test_sweep_result_achieves_curve_maximum(monkeypatch):
     prob = np.clip(gt * 0.55 + rng.random((8, 8)) * 0.4, 0, 1)
     page = object()
     model = _FixedMapModel({id(page): prob})
-    th, score = ba.sweep_threshold(model, [(page, gt)], sweep_step=0.05)
+    th, score = ba.sweep_threshold(model, [_record(page, gt)], sweep_step=0.05)
     grid = [i * 0.05 for i in range(1, 20)]
     assert any(abs(th - g) < 1e-12 for g in grid)
     curve = [ba.f1(ba.confusion(prob >= g, gt)) for g in grid]
@@ -163,6 +168,12 @@ def test_trainer_precondition_errors():
         ba.train_sae(no_val, _tiny_cfg())
     with pytest.raises(ValueError, match="target"):
         ba.train_bindann(src, ba.Dataset("target", []), _tiny_cfg())
+
+
+def test_negative_reversal_schedule_rejected():
+    for bad in ({"lambda0": -1.0}, {"lambda_increment": -0.01}):
+        with pytest.raises(ValueError, match="reversal"):
+            ba.TrainConfig(**bad)
 
 
 def test_history_csv_layout():
