@@ -25,10 +25,10 @@ bindings = {
 }
 
 out = ba.forward(g, bindings)
-print(f"initial loss: {out['loss'].data[0]:.4f}")
+print(f"initial loss: {out['loss'][0]:.4f}")
 
 grads = ba.backward(g, "loss")
-print("gradient shapes:", {name: t.shape for name, t in grads.items()})
+print("gradient shapes:", {name: grad.shape for name, grad in grads.items()})
 
 # grad_check perturbs every weight element by +-1e-5 and compares the
 # analytic gradient with the central difference
@@ -39,7 +39,7 @@ for name in ("w", "b"):
 # a few Adam steps drive the toy loss down
 opt = ba.adam(lr=0.05)
 for step in range(20):
-    loss = ba.forward(g, bindings, wanted=("loss",))["loss"].data[0]
+    loss = ba.forward(g, bindings, wanted=("loss",))["loss"][0]
     ba.optimizer_step(opt, g.params, ba.backward(g, "loss"))
 print(f"loss after 20 Adam steps: {loss:.4f}")
 
@@ -49,4 +49,4 @@ g2 = ba.Graph()
 p = g2.param("p", np.array([1.0, 2.0, 3.0]))
 g2.set_output("loss", g2.sum(grl_node(g2, p, lam=0.5)))
 ba.forward(g2)
-print("reversal-layer gradient of sum(x):", ba.backward(g2, "loss")["p"].data, "(plain sum would give +1)")
+print("reversal-layer gradient of sum(x):", ba.backward(g2, "loss")["p"], "(plain sum would give +1)")

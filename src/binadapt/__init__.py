@@ -11,7 +11,6 @@ from .autodiff import (
     CheckpointError,
     Graph,
     GraphError,
-    Tensor,
     adam,
     backward,
     forward,

@@ -4,8 +4,12 @@ Graphs are built explicitly, node by node, and stored in topological order.
 ``forward`` evaluates the subgraph needed for the requested outputs and caches
 the per-node values; ``backward`` walks that cache in reverse and accumulates
 gradients by the chain rule, including the sign-flipped path used by the
-gradient-reversal layer. Everything is 64-bit and bit-deterministic for a
-fixed seed.
+gradient-reversal layer. Parameters, outputs and gradients are plain float64
+``np.ndarray``s: ``Graph.params`` maps names to C-contiguous arrays that
+``optimizer_step`` updates in place, while ``forward`` returns copies and
+``backward`` fresh arrays, so neither aliases a parameter. Outputs are
+addressed by the names given to ``Graph.set_output``. Everything is
+bit-deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import numpy as np
 __all__ = [
     "GraphError",
     "CheckpointError",
-    "Tensor",
     "Node",
     "Graph",
     "forward",
@@ -45,30 +48,7 @@ class CheckpointError(GraphError):
     """Checkpoint bytes that do not decode to the model they claim to hold."""
 
 
-class Tensor:
-    """Dense n-dimensional float64 array: a parameter, an output or a gradient."""
-
-    __slots__ = ("data",)
-
-    def __init__(self, data):
-        self.data = np.ascontiguousarray(data, dtype=np.float64)
-
-    @property
-    def shape(self):
-        return tuple(self.data.shape)
-
-    @property
-    def size(self):
-        return self.data.size
-
-    def __repr__(self):
-        return f"Tensor(shape={self.shape})"
-
-
-def as_array(x) -> np.ndarray:
-    """Accept a Tensor or anything array-like and return float64 ndarray."""
-    if isinstance(x, Tensor):
-        return x.data
+def _f64(x) -> np.ndarray:
     return np.ascontiguousarray(x, dtype=np.float64)
 
 
@@ -109,7 +89,7 @@ class Graph:
 
     def __init__(self):
         self.nodes: list[Node] = []
-        self.params: dict[str, Tensor] = {}
+        self.params: dict[str, np.ndarray] = {}
         self.input_ids: dict[str, int] = {}
         self.param_ids: dict[str, int] = {}
         self.outputs: dict[str, int] = {}
@@ -135,7 +115,7 @@ class Graph:
     def param(self, name, value) -> int:
         if name in self.params:
             raise GraphError(f"duplicate parameter {name!r}")
-        self.params[name] = value if isinstance(value, Tensor) else Tensor(value)
+        self.params[name] = _f64(value)
         nid = self.add_node("param", (), name=name, param_name=name)
         self.param_ids[name] = nid
         return nid
@@ -173,12 +153,10 @@ class Graph:
         return sorted(needed)
 
 
-def _resolve_loss(graph: Graph, loss) -> int:
-    if isinstance(loss, str):
-        if loss not in graph.outputs:
-            raise GraphError(f"unknown output {loss!r}")
-        return graph.outputs[loss]
-    return int(loss)
+def _output_id(graph: Graph, name) -> int:
+    if name not in graph.outputs:
+        raise GraphError(f"unknown output {name!r}")
+    return graph.outputs[name]
 
 
 def forward(
@@ -190,7 +168,7 @@ def forward(
     rng: np.random.Generator | None = None,
     frozen_masks: dict | None = None,
 ) -> dict:
-    """Evaluate the graph and return the requested named outputs as Tensors.
+    """Evaluate the graph and return copies of the requested named outputs.
 
     Only the ancestor subgraph of ``wanted`` (default: all registered outputs)
     is computed, so inputs outside that subgraph need not be bound. Dropout
@@ -203,7 +181,7 @@ def forward(
         wanted = tuple(graph.outputs)
     if not wanted:
         raise GraphError("graph has no registered outputs")
-    targets = [_resolve_loss(graph, w) for w in wanted]
+    targets = [_output_id(graph, w) for w in wanted]
     order = graph.ancestors(targets)
 
     run = _Run(values={}, masks=dict(frozen_masks or {}), order=order, training=training, rng=rng)
@@ -214,12 +192,12 @@ def forward(
             name = node.attrs["input_name"]
             if name not in bindings:
                 raise GraphError(f"input {name!r} is not bound")
-            val = as_array(bindings[name])
+            val = _f64(bindings[name])
             if not np.all(np.isfinite(val)):
                 raise GraphError(f"input {name!r} contains non-finite values")
             run.values[nid] = val
         elif node.kind == "param":
-            run.values[nid] = graph.params[node.attrs["param_name"]].data
+            run.values[nid] = graph.params[node.attrs["param_name"]]
         else:
             fwd, _ = _OPS[node.kind]
             xs = [run.values[i] for i in node.inputs]
@@ -236,7 +214,7 @@ def forward(
         val = run.values[nid]
         if not np.all(np.isfinite(val)):
             raise GraphError(f"output {w!r} (node {nid}) contains non-finite values")
-        out[w if isinstance(w, str) else graph.nodes[nid].name] = Tensor(val.copy())
+        out[w] = val.copy()
     return out
 
 
@@ -250,7 +228,7 @@ def backward(graph: Graph, loss) -> dict:
     run = graph._run
     if run is None:
         raise GraphError("backward called before forward")
-    lid = _resolve_loss(graph, loss)
+    lid = _output_id(graph, loss)
     if lid not in run.values:
         raise GraphError(f"loss node {lid} was not computed by the last forward")
     if run.values[lid].shape != (1,):
@@ -275,7 +253,7 @@ def backward(graph: Graph, loss) -> dict:
             else:
                 grads[i] = gi
 
-    return {name: Tensor(grads[nid]) for name, nid in graph.param_ids.items() if nid in grads}
+    return {name: grads[nid] for name, nid in graph.param_ids.items() if nid in grads}
 
 
 def grad_check(
@@ -301,14 +279,13 @@ def grad_check(
 
     forward(graph, bindings, wanted=(loss,), training=training, rng=rng)
     masks = dict(graph._run.masks)
-    analytic = backward(graph, loss)[parameter].data.ravel().copy()
+    analytic = backward(graph, loss)[parameter].ravel().copy()
 
     def eval_loss():
         out = forward(graph, bindings, wanted=(loss,), training=training, frozen_masks=masks)
-        return float(next(iter(out.values())).data[0])
+        return float(out[loss][0])
 
-    p = graph.params[parameter].data
-    flat = p.reshape(-1)
+    flat = graph.params[parameter].reshape(-1)
     worst = 0.0
     for i in range(flat.size):
         orig = flat[i]
@@ -385,22 +362,20 @@ def optimizer_step(state: OptimizerState, params: dict, grads: dict) -> dict:
         if name not in params:
             raise GraphError(f"gradient for unknown parameter {name!r}")
         p = params[name]
-        ga = as_array(g)
-        if ga.shape != p.data.shape:
-            raise GraphError(
-                f"parameter {name!r}: gradient shape {ga.shape} != {p.data.shape}"
-            )
+        ga = _f64(g)
+        if ga.shape != p.shape:
+            raise GraphError(f"parameter {name!r}: gradient shape {ga.shape} != {p.shape}")
         if not np.all(np.isfinite(ga)):
             raise GraphError(f"parameter {name!r}: non-finite gradient")
         if name not in state.moments:
-            state.moments[name] = (np.zeros_like(p.data), np.zeros_like(p.data))
+            state.moments[name] = (np.zeros_like(p), np.zeros_like(p))
         m, v = state.moments[name]
         m = state.beta1 * m + (1.0 - state.beta1) * ga
         v = state.beta2 * v + (1.0 - state.beta2) * ga * ga
         state.moments[name] = (m, v)
         mhat = m / (1.0 - state.beta1 ** t)
         vhat = v / (1.0 - state.beta2 ** t)
-        p.data -= state.lr * mhat / (np.sqrt(vhat) + state.eps)
+        p -= state.lr * mhat / (np.sqrt(vhat) + state.eps)
     return params
 
 
@@ -417,8 +392,8 @@ _MAX_RANK = 32  # the smallest ndarray rank limit across numpy 1.x and 2.x
 
 def write_checkpoint(params: dict) -> bytes:
     chunks = [CHECKPOINT_MAGIC]
-    for name, tensor in params.items():
-        arr = as_array(tensor)
+    for name, value in params.items():
+        arr = _f64(value)
         nb = name.encode("utf-8")
         chunks.append(struct.pack("<I", len(nb)))
         chunks.append(nb)

@@ -30,7 +30,13 @@ from .data import (
 )
 from .metrics import confusion, f1, precision, recall
 from .models import SaeConfig, predict_prob_map
-from .similarity import autobindann, compare_histograms, domain_histogram, histogram_csv
+from .similarity import (
+    autobindann,
+    check_gate_settings,
+    compare_histograms,
+    domain_histogram,
+    histogram_csv,
+)
 from .training import (
     TrainConfig,
     binarize,
@@ -189,9 +195,10 @@ def _summary_csv(rows) -> str:
 def cmd_train_sae(args) -> int:
     cfg = _load_config(args)
     _require(cfg, "source_dir")
-    out = _out_dir(cfg)
+    train_cfg = cfg.train_config()
     source = load_dataset(cfg.source_dir, "source", cfg.validation_fraction, cfg.seed)
-    tb = train_sae(source, cfg.train_config())
+    out = _out_dir(cfg)
+    tb = train_sae(source, train_cfg)
     save_binarizer(out / "sae.ckpt", tb)
     (out / "history_sae.csv").write_text(history_csv(tb.history))
     best_f1 = max(h.val_f1 for h in tb.history)
@@ -203,9 +210,9 @@ def cmd_train_sae(args) -> int:
 
 def cmd_predict(args) -> int:
     cfg = _load_config(args)
-    out = _out_dir(cfg)
     tb = load_binarizer(args.checkpoint)
     page = read_pgm(Path(args.input).read_bytes())
+    out = _out_dir(cfg)
     prob = predict_prob_map(tb.model, page)
     stem = Path(args.input).stem
     (out / f"{stem}.prob.pgm").write_bytes(write_pgm(prob))
@@ -222,10 +229,11 @@ def cmd_similarity(args) -> int:
     if args.target_dir:
         cfg.target_dir = args.target_dir
     _require(cfg, "source_dir", "target_dir")
-    out = _out_dir(cfg)
+    check_gate_settings(cfg.h_prec, cfg.rho_th)
     tb = load_binarizer(args.checkpoint)
     source = load_dataset(cfg.source_dir, "source", cfg.validation_fraction, cfg.seed)
     target = load_dataset(cfg.target_dir, "target", cfg.validation_fraction, cfg.seed)
+    out = _out_dir(cfg)
     hist_source = domain_histogram(tb, source.validation(), cfg.h_prec)
     hist_target = domain_histogram(tb, target.records, cfg.h_prec)
     report = compare_histograms(hist_source, hist_target, cfg.rho_th)
@@ -240,11 +248,13 @@ def cmd_similarity(args) -> int:
 def cmd_run(args) -> int:
     cfg = _load_config(args)
     _require(cfg, "source_dir", "target_dir")
-    out = _out_dir(cfg)
+    train_cfg = cfg.train_config()
+    check_gate_settings(cfg.h_prec, cfg.rho_th)
     source = load_dataset(cfg.source_dir, "source", cfg.validation_fraction, cfg.seed)
     target = load_dataset(cfg.target_dir, "target", cfg.validation_fraction, cfg.seed)
+    out = _out_dir(cfg)
 
-    result = autobindann(source, target, cfg.train_config(), cfg.h_prec, cfg.rho_th)
+    result = autobindann(source, target, train_cfg, cfg.h_prec, cfg.rho_th)
 
     mask_dir = out / "binarized"
     mask_dir.mkdir(exist_ok=True)

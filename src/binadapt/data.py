@@ -7,9 +7,11 @@ float64 in [0, 1] on load. Dataset directories look like::
     <root>/gt/*.pgm              ground truth, matching stems (source role only;
                                  pixel >= 128 marks foreground ink)
 
-Patch tiling pads pages by edge replication up to multiples of the patch size
-and records the pad amounts, so ``assemble(split_patches(page))`` is a
-bit-exact inverse. The synthetic generator builds three small domains: a
+Page pixels and patches are plain float64 ``np.ndarray``s (ground-truth
+masks are uint8). Patch tiling pads pages by edge replication up to multiples
+of the patch size, cuts the padded page into one ``[rows * cols, h, w]`` array
+by a reshape, and records the pad amounts, so ``assemble(split_patches(page))``
+is a bit-exact inverse. The synthetic generator builds three small domains: a
 source domain of dark strokes on light background with exact masks, a nearby
 target that only shifts the noise statistics, and a far target with inverted
 contrast plus faint bleed-through ghosts.
@@ -83,7 +85,7 @@ class PatchGrid:
     patch: tuple  # (h, w)
     grid: tuple  # (rows, cols)
     pad: tuple  # (right, bottom) replication padding applied before tiling
-    patches: list  # row-major list of (h, w) arrays
+    patches: np.ndarray  # [rows * cols, h, w], patches in row-major grid order
 
 
 @dataclass
@@ -213,11 +215,7 @@ def split_patches(page, h, w) -> PatchGrid:
     pad_bottom = rows * h - arr.shape[0]
     pad_right = cols * w - arr.shape[1]
     padded = np.pad(arr, ((0, pad_bottom), (0, pad_right)), mode="edge")
-    patches = [
-        padded[i * h : (i + 1) * h, j * w : (j + 1) * w].copy()
-        for i in range(rows)
-        for j in range(cols)
-    ]
+    patches = padded.reshape(rows, h, cols, w).transpose(0, 2, 1, 3).reshape(rows * cols, h, w)
     return PatchGrid(patch=(h, w), grid=(rows, cols), pad=(pad_right, pad_bottom), patches=patches)
 
 
@@ -225,17 +223,11 @@ def assemble(grid: PatchGrid) -> np.ndarray:
     """Place patches back row-major and crop the recorded padding."""
     h, w = grid.patch
     rows, cols = grid.grid
-    if len(grid.patches) != rows * cols:
-        raise ValueError(f"grid needs {rows * cols} patches, has {len(grid.patches)}")
-    canvas = np.empty((rows * h, cols * w))
-    for idx, patch in enumerate(grid.patches):
-        if patch is None:
-            raise ValueError(f"missing patch at index {idx}")
-        patch = np.asarray(patch)
-        if patch.shape != (h, w):
-            raise ValueError(f"patch {idx} has shape {patch.shape}, expected {(h, w)}")
-        i, j = divmod(idx, cols)
-        canvas[i * h : (i + 1) * h, j * w : (j + 1) * w] = patch
+    if grid.patches.shape != (rows * cols, h, w):
+        raise ValueError(f"grid needs patches of shape {(rows * cols, h, w)}, "
+                         f"has {grid.patches.shape}")
+    canvas = grid.patches.reshape(rows, cols, h, w).transpose(0, 2, 1, 3)
+    canvas = canvas.reshape(rows * h, cols * w)
     pad_right, pad_bottom = grid.pad
     return canvas[: rows * h - pad_bottom, : cols * w - pad_right]
 

@@ -3,7 +3,8 @@ gradient reversal, and binary cross-entropy.
 
 Each op is a registered graph op kind (``conv2d``, ``tconv2d``, ``relu``,
 ``sigmoid``, ``dropout``, ``grl``, ``bce``) added to a graph by its node
-builder (``conv_node``, ...) and evaluated by one array kernel.
+builder (``conv_node``, ...) and evaluated by its registered forward and
+backward functions on plain float64 arrays.
 Convolution follows cross-correlation semantics (no kernel flip); the
 transposed convolution is implemented as the exact adjoint of the convolution
 with the same spec, so <conv(x), y> == <x, tconv(y)> holds for shared weights
@@ -158,53 +159,15 @@ def _check_conv_args(x, w, b, spec, transposed):
         raise GraphError(f"input has {x.shape[1]} channels, spec expects {spec.in_channels}")
 
 
-def _conv(x, w, b, spec):
-    _check_conv_args(x, w, b, spec, transposed=False)
-    spec.out_hw(*x.shape[2:])
-    return _conv_fwd(x, w, spec.stride, spec.padding) + b[None, :, None, None]
-
-
-def _tconv(x, w, b, spec):
-    _check_conv_args(x, w, b, spec, transposed=True)
-    out_hw = spec.transpose_out_hw(*x.shape[2:])
-    return _conv_grad_input(x, w, spec.stride, spec.padding, out_hw) + b[None, :, None, None]
-
-
-def _relu(x):
-    return np.maximum(x, 0.0)
-
-
-_SIGMOID_LO = np.nextafter(0.0, 1.0)
-_SIGMOID_HI = np.nextafter(1.0, 0.0)
-
-
-def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    # saturated float64 would round to exactly 0/1; keep the open interval
-    return np.clip(out, _SIGMOID_LO, _SIGMOID_HI)
-
-
-def _dropout_mask(rng, shape, rate):
-    """Inverted-dropout multiplier: 0 with probability ``rate``, else 1/(1-rate)."""
-    return (rng.random(shape) >= rate) / (1.0 - rate)
-
-
-def _bce(p, t):
-    if p.shape != t.shape:
-        raise GraphError(f"prediction shape {p.shape} != target shape {t.shape}")
-    pc = np.clip(p, BCE_CLAMP, 1.0 - BCE_CLAMP)
-    return np.array([-np.mean(t * np.log(pc) + (1.0 - t) * np.log(1.0 - pc))])
-
-
 # ---------------------------------------------------------------------------
 # graph op registration
 
 def _fwd_conv(node, xs, run):
-    return _conv(*xs, node.attrs["spec"])
+    x, w, b = xs
+    spec = node.attrs["spec"]
+    _check_conv_args(x, w, b, spec, transposed=False)
+    spec.out_hw(*x.shape[2:])
+    return _conv_fwd(x, w, spec.stride, spec.padding) + b[None, :, None, None]
 
 
 def _bwd_conv(node, g, xs, y, run):
@@ -216,7 +179,11 @@ def _bwd_conv(node, g, xs, y, run):
 
 
 def _fwd_tconv(node, xs, run):
-    return _tconv(*xs, node.attrs["spec"])
+    x, w, b = xs
+    spec = node.attrs["spec"]
+    _check_conv_args(x, w, b, spec, transposed=True)
+    out_hw = spec.transpose_out_hw(*x.shape[2:])
+    return _conv_grad_input(x, w, spec.stride, spec.padding, out_hw) + b[None, :, None, None]
 
 
 def _bwd_tconv(node, g, xs, y, run):
@@ -228,15 +195,26 @@ def _bwd_tconv(node, g, xs, y, run):
 
 
 def _fwd_relu(node, xs, run):
-    return _relu(xs[0])
+    return np.maximum(xs[0], 0.0)
 
 
 def _bwd_relu(node, g, xs, y, run):
     return [g * (xs[0] > 0)]
 
 
+_SIGMOID_LO = np.nextafter(0.0, 1.0)
+_SIGMOID_HI = np.nextafter(1.0, 0.0)
+
+
 def _fwd_sigmoid(node, xs, run):
-    return _sigmoid(xs[0])
+    x = xs[0]
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    # saturated float64 would round to exactly 0/1; keep the open interval
+    return np.clip(out, _SIGMOID_LO, _SIGMOID_HI)
 
 
 def _bwd_sigmoid(node, g, xs, y, run):
@@ -252,7 +230,8 @@ def _fwd_dropout(node, xs, run):
     if mask is None:
         if run.rng is None:
             raise GraphError(f"dropout node ({node.name}) needs an rng in training mode")
-        mask = _dropout_mask(run.rng, x.shape, rate)
+        # inverted dropout: 0 with probability ``rate``, else 1/(1-rate)
+        mask = (run.rng.random(x.shape) >= rate) / (1.0 - rate)
         run.masks[run.nid] = mask
     elif mask.shape != x.shape:
         raise GraphError(f"frozen dropout mask shape {mask.shape} != input {x.shape}")
@@ -275,7 +254,11 @@ def _bwd_grl(node, g, xs, y, run):
 
 
 def _fwd_bce(node, xs, run):
-    return _bce(*xs)
+    p, t = xs
+    if p.shape != t.shape:
+        raise GraphError(f"prediction shape {p.shape} != target shape {t.shape}")
+    pc = np.clip(p, BCE_CLAMP, 1.0 - BCE_CLAMP)
+    return np.array([-np.mean(t * np.log(pc) + (1.0 - t) * np.log(1.0 - pc))])
 
 
 def _bwd_bce(node, g, xs, y, run):

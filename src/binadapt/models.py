@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import autodiff
-from .autodiff import CheckpointError, Graph, GraphError, Tensor
-from .data import PatchGrid, assemble, split_patches
+from .autodiff import CheckpointError, Graph, GraphError
+from .data import assemble, split_patches
 from .layers import (
     ConvSpec,
     bce_node,
@@ -100,7 +100,7 @@ class Model:
         return self.graph.params
 
     def param_count(self, prefix=""):
-        return sum(t.size for name, t in self.params.items() if name.startswith(prefix))
+        return sum(p.size for name, p in self.params.items() if name.startswith(prefix))
 
     def set_grl(self, lam):
         if self.kind != "bindann":
@@ -214,15 +214,12 @@ def predict_prob_map(model: Model, page, batch=16) -> np.ndarray:
     """
     cfg = model.config if model.kind == "sae" else model.config.sae
     grid = split_patches(page, *cfg.patch)
-    x = np.stack([p[None] for p in grid.patches])  # [k, 1, h, w]
-
+    x = grid.patches[:, None]  # [k, 1, h, w]
     maps = []
-    for start in range(0, x.shape[0], batch):
-        out = autodiff.forward(
-            model.graph, {"x": x[start : start + batch]}, wanted=("prob_map",)
-        )
-        maps.extend(out["prob_map"].data[:, 0])
-    return assemble(PatchGrid(patch=grid.patch, grid=grid.grid, pad=grid.pad, patches=maps))
+    for start in range(0, len(x), batch):
+        out = autodiff.forward(model.graph, {"x": x[start : start + batch]}, wanted=("prob_map",))
+        maps.append(out["prob_map"][:, 0])
+    return assemble(replace(grid, patches=np.concatenate(maps)))
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +265,7 @@ def save_model(path, model: Model, extra=None):
     header.update(extra or {})
     raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     records = {_HEADER_KEY: np.frombuffer(raw, dtype=np.uint8).astype(np.float64)}
-    records.update({name: t.data for name, t in model.params.items()})
+    records.update(model.params)
     autodiff.save_checkpoint(path, records)
 
 
@@ -303,12 +300,12 @@ def load_model(path):
     if set(records) != set(model.params):
         raise CheckpointError("checkpoint parameters do not match the rebuilt model")
     for name, arr in records.items():
-        if arr.shape != model.params[name].data.shape:
+        if arr.shape != model.params[name].shape:
             raise CheckpointError(
                 f"parameter {name!r}: checkpoint shape {arr.shape} "
-                f"!= model shape {model.params[name].data.shape}"
+                f"!= model shape {model.params[name].shape}"
             )
         if not np.all(np.isfinite(arr)):
             raise CheckpointError(f"parameter {name!r} has non-finite values")
-        model.params[name] = Tensor(arr)
+        model.params[name] = arr
     return model, header

@@ -33,6 +33,7 @@ __all__ = [
     "kl_divergence",
     "js_divergence",
     "hist_intersection",
+    "check_gate_settings",
     "gate_decision",
     "SimilarityReport",
     "compare_histograms",
@@ -168,6 +169,13 @@ def hist_intersection(p, q) -> float:
     return float(np.minimum(ps, qs).sum())
 
 
+def check_gate_settings(h_prec, rho_th):
+    """Reject a histogram bin width or gate threshold the gate cannot use."""
+    _bin_count(h_prec)
+    if not -1.0 <= rho_th <= 1.0:
+        raise ValueError(f"gate threshold {rho_th} outside [-1, 1]")
+
+
 def gate_decision(rho, rho_th=0.25) -> str:
     """Adaptation is warranted exactly when correlation <= threshold (inclusive)."""
     if not -1.0 <= rho <= 1.0:
@@ -280,9 +288,7 @@ def autobindann(
     Target ground truth is never touched: the target dataset carries none.
     The gate settings are checked before any training.
     """
-    _bin_count(h_prec)
-    if not -1.0 <= rho_th <= 1.0:
-        raise ValueError(f"gate threshold {rho_th} outside [-1, 1]")
+    check_gate_settings(h_prec, rho_th)
     sae_tb = train_sae(source, cfg)
     hist_source = domain_histogram(sae_tb, source.validation(), h_prec)
     acc, masks = new_histogram(h_prec), {}

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import CheckpointError, Tensor, adam, backward, forward, optimizer_step
+from .autodiff import CheckpointError, adam, backward, forward, optimizer_step
 from .data import Dataset, split_patches
 from .layers import grl_lambda_at
 from .metrics import Confusion, confusion, f1
@@ -130,7 +130,7 @@ def sweep_threshold(model, validation, sweep_step=0.05):
 
 def _patch_pool(pages, patch):
     """Every patch of the given pages, stacked as one [k, 1, h, w] array."""
-    return np.stack([p[None] for page in pages for p in split_patches(page, *patch).patches])
+    return np.concatenate([split_patches(page, *patch).patches for page in pages])[:, None]
 
 
 def _stream(*key):
@@ -190,7 +190,7 @@ def _fit(source: Dataset, target: Dataset | None, cfg: TrainConfig) -> TrainedBi
             out = forward(model.graph, bindings, wanted=wanted, training=True,
                           rng=_stream(_SEED_DROP, cfg.seed, epoch, step, 0))
             grads = backward(model.graph, "loss")
-            bin_losses.append(float(out["bin_loss"].data[0]))
+            bin_losses.append(float(out["bin_loss"][0]))
 
             if target is not None:
                 idx_t = t_sampler.integers(0, len(t_pool), size=cfg.batch)
@@ -198,19 +198,16 @@ def _fit(source: Dataset, target: Dataset | None, cfg: TrainConfig) -> TrainedBi
                                 wanted=("domain_loss",), training=True,
                                 rng=_stream(_SEED_DROP, cfg.seed, epoch, step, 1))
                 for name, g in backward(model.graph, "domain_loss").items():
-                    grads[name] = Tensor(grads[name].data + g.data) if name in grads else g
-                dom_losses.append(
-                    0.5 * (float(out["domain_loss"].data[0]) + float(out_t["domain_loss"].data[0]))
-                )
+                    grads[name] = grads[name] + g if name in grads else g
+                dom_losses.append(0.5 * float(out["domain_loss"][0] + out_t["domain_loss"][0]))
             optimizer_step(opt, model.params, grads)
         th, score = sweep_threshold(model, val, cfg.sweep_step)
         dom_loss = float(np.mean(dom_losses)) if target is not None else None
         history.append(EpochStats(epoch, float(np.mean(bin_losses)), dom_loss, lam, score, th))
         if best is None or score > best[0]:
-            best = (score, th, {name: t.data.copy() for name, t in model.params.items()})
+            best = (score, th, {name: p.copy() for name, p in model.params.items()})
 
-    for name, arr in best[2].items():
-        model.params[name] = Tensor(arr)
+    model.params.update(best[2])
     return TrainedBinarizer(model=model, th_s=best[1], history=history)
 
 

@@ -121,9 +121,9 @@ def _layer_checks():
     p = g.param("p", rng.normal(size=(4, 4)))
     g.set_output("loss", g.sum(sigmoid_node(g, grl_node(g, p, lam))))
     ba.forward(g)
-    analytic = ba.backward(g, "loss")["p"].data
+    analytic = ba.backward(g, "loss")["p"]
     numeric = -lam * fd_loss_gradient(
-        lambda: float(ba.forward(g, {})["loss"].data[0]), g.params["p"].data
+        lambda: float(ba.forward(g, {})["loss"][0]), g.params["p"]
     )
     worst = max(worst, max_rel_err(analytic, numeric))
     return worst
@@ -165,12 +165,12 @@ def _full_bindann_check(lam=0.1):
         def eval_surrogate():
             out = ba.forward(model.graph, bind, wanted=("bin_loss", "domain_loss"),
                              training=True, frozen_masks=masks)
-            bl = float(out["bin_loss"].data[0])
-            dl = float(out["domain_loss"].data[0])
+            bl = float(out["bin_loss"][0])
+            dl = float(out["domain_loss"][0])
             return bl - lam * dl if trunk else bl + dl
 
-        numeric = fd_loss_gradient(eval_surrogate, model.params[name].data)
-        worst = max(worst, max_rel_err(analytic[name].data, numeric))
+        numeric = fd_loss_gradient(eval_surrogate, model.params[name])
+        worst = max(worst, max_rel_err(analytic[name], numeric))
     return worst
 
 
@@ -197,7 +197,7 @@ def test_criterion_2_reversal_contract():
             p = g.param("p", x0)
             g.set_output("loss", g.sum(sigmoid_node(g, mid(g, p))))
             ba.forward(g)
-            return ba.backward(g, "loss")["p"].data
+            return ba.backward(g, "loss")["p"]
 
         rev = trunk_grad(lambda g, p: grl_node(g, p, lam))
         ident = trunk_grad(lambda g, p: g.identity(p))
@@ -221,7 +221,7 @@ def test_criterion_3_lambda_zero_equivalence():
     sae = ba.train_sae(src, cfg)
     dann = ba.train_bindann(src, far, cfg)
     same = all(
-        dann.model.params[name].data.tobytes() == sae.model.params[name].data.tobytes()
+        dann.model.params[name].tobytes() == sae.model.params[name].tobytes()
         for name in sae.model.params
     )
     elapsed = time.perf_counter() - t0

@@ -15,14 +15,14 @@ def test_forward_identity_graph():
     x = g.input("x")
     g.set_output("y", g.identity(x))
     out = ba.forward(g, {"x": [1.0, 2.0, 3.0]})
-    assert np.array_equal(out["y"].data, [1.0, 2.0, 3.0])
+    assert np.array_equal(out["y"], [1.0, 2.0, 3.0])
 
 
 def test_forward_sigmoid_zero():
     g = ba.Graph()
     x = g.input("x")
     g.set_output("y", g.add_node("sigmoid", (x,)))
-    assert ba.forward(g, {"x": [0.0]})["y"].data[0] == 0.5
+    assert ba.forward(g, {"x": [0.0]})["y"][0] == 0.5
 
 
 def test_forward_relu_conv_matches_direct_oracle():
@@ -37,7 +37,7 @@ def test_forward_relu_conv_matches_direct_oracle():
     wn = g.param("w", w)
     bn = g.param("b", b)
     g.set_output("y", relu_node(g, conv_node(g, xn, wn, bn, spec)))
-    got = ba.forward(g, {"x": x})["y"].data
+    got = ba.forward(g, {"x": x})["y"]
 
     want = np.maximum(direct_conv2d(x, w, b, (1, 1), (1, 1, 1, 1)), 0.0)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
@@ -50,7 +50,7 @@ def test_backward_sum_gives_ones():
     ba.forward(g)
     grads = ba.backward(g, "loss")
     assert list(grads) == ["p"]
-    assert np.array_equal(grads["p"].data, [1.0, 1.0, 1.0])
+    assert np.array_equal(grads["p"], [1.0, 1.0, 1.0])
 
 
 def test_backward_through_reversal_flips_and_scales():
@@ -58,7 +58,7 @@ def test_backward_through_reversal_flips_and_scales():
     p = g.param("p", [3.0, 7.0])
     g.set_output("loss", g.sum(grl_node(g, p, 0.1)))
     ba.forward(g)
-    assert np.array_equal(ba.backward(g, "loss")["p"].data, [-0.1, -0.1])
+    assert np.array_equal(ba.backward(g, "loss")["p"], [-0.1, -0.1])
 
 
 def test_backward_bce_sigmoid_conv_matches_finite_differences():
@@ -74,12 +74,12 @@ def test_backward_bce_sigmoid_conv_matches_finite_differences():
 
     bind = {"x": rng.normal(size=(1, 1, 4, 4)), "t": (rng.random((1, 1, 4, 4)) > 0.5).astype(float)}
     ba.forward(g, bind)
-    analytic = ba.backward(g, "loss")["w"].data
+    analytic = ba.backward(g, "loss")["w"]
 
     def eval_loss():
-        return float(ba.forward(g, bind)["loss"].data[0])
+        return float(ba.forward(g, bind)["loss"][0])
 
-    numeric = fd_loss_gradient(eval_loss, g.params["w"].data)
+    numeric = fd_loss_gradient(eval_loss, g.params["w"])
     assert max_rel_err(analytic, numeric) < 1e-4
 
 
@@ -112,7 +112,7 @@ def test_gradient_accumulation_sums_both_paths():
     two_path = g.add(sigmoid_node(g, p), relu_node(g, p))
     g.set_output("loss", g.sum(two_path))
     ba.forward(g)
-    got = ba.backward(g, "loss")["p"].data
+    got = ba.backward(g, "loss")["p"]
     sig = 1.0 / (1.0 + np.exp(-p0))
     want = sig * (1.0 - sig) + (p0 > 0)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
@@ -123,8 +123,8 @@ def test_forward_is_pure_given_seed():
     x = g.input("x")
     g.set_output("y", g.add_node("dropout", (x,), rate=0.5))
     bind = {"x": np.arange(12.0).reshape(3, 4)}
-    a = ba.forward(g, bind, training=True, rng=np.random.default_rng(9))["y"].data
-    b = ba.forward(g, bind, training=True, rng=np.random.default_rng(9))["y"].data
+    a = ba.forward(g, bind, training=True, rng=np.random.default_rng(9))["y"]
+    b = ba.forward(g, bind, training=True, rng=np.random.default_rng(9))["y"]
     assert a.tobytes() == b.tobytes()
 
 
@@ -139,6 +139,9 @@ def test_forward_errors():
         ba.forward(g, {"x": [1.0], "y": [1.0, 2.0]})
     with pytest.raises(GraphError, match="non-finite"):
         ba.forward(g, {"x": [np.nan], "y": [1.0]})
+    # outputs are named; a node id is not a name
+    with pytest.raises(GraphError, match="unknown output"):
+        ba.forward(g, {"x": [1.0], "y": [1.0]}, wanted=(g.outputs["s"],))
 
 
 def test_backward_errors():
@@ -150,6 +153,24 @@ def test_backward_errors():
     ba.forward(g)
     with pytest.raises(GraphError, match="not scalar"):
         ba.backward(g, "v")
+    with pytest.raises(GraphError, match="unknown output"):
+        ba.backward(g, g.outputs["v"])
+
+
+def test_outputs_and_gradients_do_not_alias_params():
+    g = ba.Graph()
+    p = g.param("p", [1.0, -2.0])
+    g.set_output("y", g.identity(p))
+    g.set_output("loss", g.sum(g.identity(p)))
+    param = g.params["p"]
+    out = ba.forward(g)
+    grads = ba.backward(g, "loss")
+    assert not np.shares_memory(out["y"], param)
+    assert not np.shares_memory(grads["p"], param)
+    before = out["y"].copy()
+    ba.optimizer_step(ba.adam(0.1), g.params, grads)
+    assert g.params["p"] is param and not np.array_equal(param, before)  # updated in place
+    assert out["y"].tobytes() == before.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +178,10 @@ def test_backward_errors():
 
 def test_zero_gradient_is_fixed_point():
     state = ba.adam(1e-3)
-    params = {"p": ba.Tensor([2.5, -1.0])}
+    params = {"p": np.array([2.5, -1.0])}
     for _ in range(3):
         ba.optimizer_step(state, params, {"p": np.zeros(2)})
-        assert np.array_equal(params["p"].data, [2.5, -1.0])
+        assert np.array_equal(params["p"], [2.5, -1.0])
 
 
 def test_adam_single_step_matches_hand_evaluation():
@@ -168,16 +189,16 @@ def test_adam_single_step_matches_hand_evaluation():
     # update = lr * g / (|g| + eps)
     lr, g_val = 1e-3, 0.7
     state = ba.adam(lr=lr)
-    params = {"p": ba.Tensor([1.0])}
+    params = {"p": np.array([1.0])}
     ba.optimizer_step(state, params, {"p": np.array([g_val])})
     expected = 1.0 - lr * g_val / (np.sqrt(g_val**2) + 1e-8)
-    assert params["p"].data[0] == pytest.approx(expected, abs=1e-15)
+    assert params["p"][0] == pytest.approx(expected, abs=1e-15)
 
 
 def test_optimizer_shape_mismatch_errors():
     state = ba.adam(0.1)
     with pytest.raises(GraphError, match="shape"):
-        ba.optimizer_step(state, {"p": ba.Tensor([1.0])}, {"p": np.zeros(2)})
+        ba.optimizer_step(state, {"p": np.array([1.0])}, {"p": np.zeros(2)})
 
 
 # ---------------------------------------------------------------------------

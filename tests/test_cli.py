@@ -92,6 +92,7 @@ def test_exit_3_on_missing_data(tmp_path, capsys):
     code = main(["train-sae", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == 3
     assert "error: io:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 _SMALL_SAE = {"depth": 1, "filters": 2, "kernel": [3, 3], "stride": [2, 2],
@@ -102,7 +103,7 @@ def _checkpoint(header_bytes):
     """A checkpoint of a small SAE's parameters under the given raw header."""
     model = ba.build_sae(ba.SaeConfig(depth=1, filters=2, patch=(4, 4)), np.random.default_rng(0))
     records = {"__config__": np.frombuffer(header_bytes, dtype=np.uint8).astype(np.float64)}
-    records.update({name: t.data for name, t in model.params.items()})
+    records.update(model.params)
     return ba.write_checkpoint(records)
 
 
@@ -146,6 +147,7 @@ def test_exit_3_on_malformed_checkpoint(case, tmp_path, capsys):
                  "--out", str(tmp_path / "out")])
     assert code == 3
     assert "error: io:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_exit_3_on_oversized_p2_header(tmp_path, capsys):
@@ -270,6 +272,19 @@ def test_run_rejects_bad_gate_settings_before_training(key, value, tiny_dirs, tm
     cfg = _cfg_file(tmp_path, tiny_dirs, **{key: value})
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
     assert "error: config:" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command, key, value", [("similarity", "rho_th", 7),
+                                                 ("train-sae", "lambda0", -1)])
+def test_commands_reject_bad_settings_before_writing(command, key, value, tiny_dirs, tmp_path,
+                                                     capsys):
+    (tmp_path / "ok.ckpt").write_bytes(_checkpoint(_header()))
+    cfg = _cfg_file(tmp_path, tiny_dirs, **{key: value})
+    extra = ["--checkpoint", str(tmp_path / "ok.ckpt")] if command == "similarity" else []
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), *extra]) == 2
+    assert "error: config:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_artifacts_do_not_depend_on_blas_threads(tmp_path):

@@ -89,10 +89,12 @@ def test_write_pgm_rejects_color():
 # tiling
 
 def test_split_exact_tiling():
-    page = np.zeros((512, 512))
+    page = np.random.default_rng(4).random((512, 512))
     grid = ba.split_patches(page, 256, 256)
-    assert grid.grid == (2, 2) and len(grid.patches) == 4
+    assert grid.grid == (2, 2) and grid.patches.shape == (4, 256, 256)
     assert grid.pad == (0, 0)
+    # row-major: the second patch is the top-right quarter
+    assert grid.patches[1].tobytes() == page[:256, 256:].tobytes()
 
 
 def test_split_with_padding():
@@ -126,16 +128,17 @@ def test_assemble_single_patch_grid():
 
 def test_assemble_places_patches_row_major():
     grid = ba.split_patches(np.zeros((4, 4)), 2, 2)
-    grid.patches = [np.full((2, 2), v) for v in (1.0, 2.0, 3.0, 4.0)]
+    grid.patches = np.stack([np.full((2, 2), v) for v in (1.0, 2.0, 3.0, 4.0)])
     out = ba.assemble(grid)
     assert out[0, 0] == 1.0 and out[0, 3] == 2.0 and out[3, 0] == 3.0 and out[3, 3] == 4.0
 
 
-def test_assemble_missing_patch_errors():
+def test_assemble_wrong_patch_count_or_shape_errors():
     grid = ba.split_patches(np.zeros((4, 4)), 2, 2)
-    grid.patches[2] = None
-    with pytest.raises(ValueError, match="missing patch"):
-        ba.assemble(grid)
+    for shape in [(3, 2, 2), (5, 2, 2), (4, 2, 3), (4, 4)]:
+        grid.patches = np.zeros(shape)
+        with pytest.raises(ValueError, match="patches of shape"):
+            ba.assemble(grid)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from binadapt.autodiff import GraphError
 
 
 def _forward_map(model, x):
-    return ba.forward(model.graph, {"x": x}, wanted=("prob_map",))["prob_map"].data
+    return ba.forward(model.graph, {"x": x}, wanted=("prob_map",))["prob_map"]
 
 
 def test_depth1_restores_shape():
@@ -31,7 +31,7 @@ def test_full_scale_shape_and_bottleneck():
     cfg = ba.SaeConfig(depth=6, filters=64, patch=(256, 256))
     model = ba.build_sae(cfg, np.random.default_rng(0))
     out = ba.forward(model.graph, {"x": np.zeros((1, 1, 256, 256))}, wanted=("prob_map",))
-    assert out["prob_map"].data.shape == (1, 1, 256, 256)
+    assert out["prob_map"].shape == (1, 1, 256, 256)
     # bottleneck = output of the last encoder block: 256 / 2^6 = 4
     run = model.graph._run
     enc_last = next(n for n in range(len(model.graph.nodes)) if model.graph.nodes[n].name == "enc6.drop")
@@ -59,15 +59,15 @@ def test_bindann_emits_two_full_size_maps():
         {"x": np.random.default_rng(2).random((2, 1, 32, 32))},
         wanted=("prob_map", "domain_map"),
     )
-    assert out["prob_map"].data.shape == (2, 1, 32, 32)
-    assert out["domain_map"].data.shape == (2, 1, 32, 32)
+    assert out["prob_map"].shape == (2, 1, 32, 32)
+    assert out["domain_map"].shape == (2, 1, 32, 32)
 
 
 def test_shared_trunk_initialization_matches_plain_model():
     sae = ba.build_sae(ba.SaeConfig(), np.random.default_rng(11))
     dann = ba.build_bindann(ba.BinDannConfig(), np.random.default_rng(11))
-    for name, tensor in sae.params.items():
-        assert dann.params[name].data.tobytes() == tensor.data.tobytes()
+    for name, value in sae.params.items():
+        assert dann.params[name].tobytes() == value.tobytes()
 
 
 def test_set_grl_only_on_adversarial_model():
@@ -133,8 +133,8 @@ def test_model_checkpoint_roundtrip(tmp_path):
     assert extra == {"th_s": 0.35}
     assert back.kind == "sae"
     assert back.config == model.config
-    for name, tensor in model.params.items():
-        assert back.params[name].data.tobytes() == tensor.data.tobytes()
+    for name, value in model.params.items():
+        assert back.params[name].tobytes() == value.tobytes()
 
 
 def test_model_checkpoint_roundtrip_adversarial(tmp_path):

@@ -128,7 +128,7 @@ def test_training_is_deterministic():
         (h.epoch, h.bin_loss, h.val_f1, h.th_s) for h in b.history
     ]
     for name in a.model.params:
-        assert a.model.params[name].data.tobytes() == b.model.params[name].data.tobytes()
+        assert a.model.params[name].tobytes() == b.model.params[name].tobytes()
 
 
 def test_best_epoch_checkpoint_selected():
@@ -151,7 +151,7 @@ def test_zero_coupling_reproduces_plain_trainer_bitwise():
     steps = -(-len(src.train()) * 4 // 2)  # ceil(train patches / batch)
     assert steps >= 5
     for name in sae.model.params:
-        assert dann.model.params[name].data.tobytes() == sae.model.params[name].data.tobytes()
+        assert dann.model.params[name].tobytes() == sae.model.params[name].tobytes()
 
 
 def test_adversarial_history_records_schedule():
