@@ -63,6 +63,8 @@ class Node:
 # Op registry. Each entry maps a node kind to a pair of callables:
 #   fwd(node, xs, run) -> ndarray
 #   bwd(node, g, xs, y, run) -> list of per-input gradients (None = constant input)
+# bwd may return None for every input k whose run.needs[k] is False: no
+# parameter feeds that input, so its gradient would be discarded.
 _OPS: dict = {}
 
 
@@ -82,6 +84,7 @@ class _Run:
     training: bool
     rng: np.random.Generator | None = None  # dropout mask source when training
     nid: int = -1  # id of the node being evaluated or differentiated
+    needs: tuple = ()  # per input of that node: does a parameter feed it?
 
 
 class Graph:
@@ -223,7 +226,8 @@ def backward(graph: Graph, loss) -> dict:
 
     Requires a prior ``forward`` whose computed subgraph contains the loss
     node. Gradients flow in reverse topological order; a parameter feeding
-    several consumers receives the sum of all path gradients.
+    several consumers receives the sum of all path gradients. Nodes that no
+    parameter feeds, such as the data inputs, receive no gradient.
     """
     run = graph._run
     if run is None:
@@ -234,6 +238,12 @@ def backward(graph: Graph, loss) -> dict:
     if run.values[lid].shape != (1,):
         raise GraphError(f"loss node {lid} is not scalar (shape {run.values[lid].shape})")
 
+    fed = set()  # ids of the nodes some parameter feeds
+    for nid in run.order:
+        node = graph.nodes[nid]
+        if node.kind == "param" or any(i in fed for i in node.inputs):
+            fed.add(nid)
+
     grads = {lid: np.ones(1)}
     for nid in reversed(run.order):
         g = grads.get(nid)
@@ -243,10 +253,11 @@ def backward(graph: Graph, loss) -> dict:
         run.nid = nid
         if node.kind in ("input", "param"):
             continue
+        run.needs = tuple(i in fed for i in node.inputs)
         _, bwd = _OPS[node.kind]
         xs = [run.values[i] for i in node.inputs]
-        for i, gi in zip(node.inputs, bwd(node, g, xs, run.values[nid], run)):
-            if gi is None:
+        for i, need, gi in zip(node.inputs, run.needs, bwd(node, g, xs, run.values[nid], run)):
+            if gi is None or not need:
                 continue
             if i in grads:
                 grads[i] = grads[i] + gi

@@ -162,6 +162,17 @@ def _write_manifest(out: Path, command, cfg, extra=None):
     (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
+def _collapsed(**binarizers):
+    """Whether any freshly trained binarizer kept a best validation F1 of 0;
+    each such model gets a warning on stderr. ``None`` entries are skipped."""
+    names = [name for name, tb in binarizers.items()
+             if tb is not None and max(h.val_f1 for h in tb.history) == 0.0]
+    for name in names:
+        print(f"warning: the {name} model collapsed: its best validation F1 is 0",
+              file=sys.stderr)
+    return bool(names)
+
+
 def _require(cfg, *keys):
     for key in keys:
         if not getattr(cfg, key):
@@ -202,7 +213,8 @@ def cmd_train_sae(args) -> int:
     save_binarizer(out / "sae.ckpt", tb)
     (out / "history_sae.csv").write_text(history_csv(tb.history))
     best_f1 = max(h.val_f1 for h in tb.history)
-    _write_manifest(out, "train-sae", cfg, {"val_f1": best_f1, "th_s": tb.th_s})
+    _write_manifest(out, "train-sae", cfg,
+                    {"val_f1": best_f1, "th_s": tb.th_s, "collapsed": _collapsed(sae=tb)})
     print(f"trained {cfg.epochs} epochs; best validation F1 {best_f1:.4f}; "
           f"checkpoint {out / 'sae.ckpt'}")
     return 0
@@ -277,7 +289,8 @@ def cmd_run(args) -> int:
     if rows:
         (out / "summary.csv").write_text(_summary_csv(rows))
 
-    _write_manifest(out, "run", cfg, {"decision": result.report.decision, "rho": result.report.rho})
+    _write_manifest(out, "run", cfg, {"decision": result.report.decision, "rho": result.report.rho,
+                                      "collapsed": _collapsed(sae=result.sae, bindann=result.da)})
     print(f"rho={result.report.rho:.4f} decision={result.report.decision}; "
           f"binarized {len(result.masks)} pages into {mask_dir}")
     return 0

@@ -8,9 +8,10 @@ backward functions on plain float64 arrays.
 Convolution follows cross-correlation semantics (no kernel flip); the
 transposed convolution is implemented as the exact adjoint of the convolution
 with the same spec, so <conv(x), y> == <x, tconv(y)> holds for shared weights
-and zero bias. The convolution, its weight gradient and its input gradient
-(hence the transposed convolution too) run as one BLAS matrix product per
-kernel tap.
+and zero bias. The convolution and its weight gradient run as one BLAS
+matrix product per kernel tap, or one product over all taps when the input has
+a single channel. The input gradient, and with it the transposed convolution,
+runs as stride-1 convolutions of the output gradient, one per stride phase.
 """
 
 from __future__ import annotations
@@ -91,16 +92,23 @@ def grl_lambda_at(epoch, start=0.1, increment=0.01):
 # ---------------------------------------------------------------------------
 # array kernels (batched [n, c, h, w])
 #
-# Each kernel tap is one small GEMM (Chellapilla, Puri & Simard 2006) on the
-# channel-major [c, n*oh*ow] copy of the strided slice the tap meets; only one
-# tap's slice exists at a time, never the whole window matrix.
+# Every product runs in _correlate: one small GEMM per kernel tap (Chellapilla,
+# Puri & Simard 2006) on the channel-major [c, n*oh*ow] copy of the strided
+# slice the tap meets, so only one tap's slice exists at a time. When c == 1
+# those GEMMs would be one deep, which BLAS runs slowly, so the taps are
+# stacked into one [o, kh*kw] @ [kh*kw, n*oh*ow] product instead. The input
+# gradient, and with it the transposed convolution, is a gather: one stride-1
+# correlation of the output gradient per stride phase of the input, with the
+# phase's flipped sub-kernel (Shi et al. 2016; Dumoulin & Visin 2016).
 
 def _pad(x, padding):
-    """Zero-padded channel-major copy [c, n, h + pt + pb, w + pl + pr] of x."""
+    """Channel-major copy [c, n, h + pt + pb, w + pl + pr] of x, zero-padded
+    on each side with a positive pad and cropped on each with a negative one."""
     pt, pb, pl, pr = padding
     n, c, h, w = x.shape
     xp = np.zeros((c, n, h + pt + pb, w + pl + pr))
-    xp[:, :, pt : pt + h, pl : pl + w] = x.transpose(1, 0, 2, 3)
+    src = x.transpose(1, 0, 2, 3)[:, :, max(-pt, 0) : h - max(-pb, 0), max(-pl, 0) : w - max(-pr, 0)]
+    xp[:, :, max(pt, 0) : xp.shape[2] - max(pb, 0), max(pl, 0) : xp.shape[3] - max(pr, 0)] = src
     return xp
 
 
@@ -112,14 +120,27 @@ def _taps(xp, kernel, stride, out_hw):
             yield ki, kj, xp[:, :, ki : ki + sh * oh : sh, kj : kj + sw * ow : sw]
 
 
-def _conv_fwd(x, w, stride, padding):
-    xp = _pad(x, padding)
+def _correlate(xp, w, stride):
+    """Channel-major [o, n, oh, ow] cross-correlation of padded xp [c, n, H, W]
+    with w [o, c, kh, kw]."""
     o, c, kh, kw = w.shape
+    n = xp.shape[1]
     out_hw = ((xp.shape[2] - kh) // stride[0] + 1, (xp.shape[3] - kw) // stride[1] + 1)
-    y = np.zeros((o, x.shape[0] * out_hw[0] * out_hw[1]))
-    for ki, kj, tap in _taps(xp, (kh, kw), stride, out_hw):
-        y += w[:, :, ki, kj] @ tap.reshape(c, -1)
-    return y.reshape(o, x.shape[0], *out_hw).transpose(1, 0, 2, 3)
+    taps = _taps(xp, (kh, kw), stride, out_hw)
+    if c == 1:
+        cols = np.empty((kh * kw, n, *out_hw))
+        for ki, kj, tap in taps:
+            cols[ki * kw + kj] = tap[0]
+        y = w.reshape(o, kh * kw) @ cols.reshape(kh * kw, -1)
+    else:
+        y = np.zeros((o, n * out_hw[0] * out_hw[1]))
+        for ki, kj, tap in taps:
+            y += w[:, :, ki, kj] @ tap.reshape(c, -1)
+    return y.reshape(o, n, *out_hw)
+
+
+def _conv_fwd(x, w, stride, padding):
+    return _correlate(_pad(x, padding), w, stride).transpose(1, 0, 2, 3)
 
 
 def _conv_grad_weight(x, g, stride, padding, kernel):
@@ -130,16 +151,43 @@ def _conv_grad_weight(x, g, stride, padding, kernel):
     return gw
 
 
+def _phases(k, s, pad, size, g_size):
+    """Stride phases of one input axis: (first input index, kernel offset,
+    pads before and after g) for each phase some kernel tap reaches.
+
+    Input index first + s*m (m < count) meets kernel tap offset + s*t through
+    output index m + d - t, where d = (first + pad - offset) // s. The phase
+    is thus a stride-1 correlation, with its taps flipped, of g padded by
+    taps - 1 - d before and count - g_size + d after; a negative pad crops g.
+    """
+    out = []
+    for offset in range(s):
+        taps = len(range(offset, k, s))
+        first = (offset - pad) % s
+        count = len(range(first, size, s))
+        if taps and count:
+            d = (first + pad - offset) // s
+            out.append((first, offset, taps - 1 - d, count - g_size + d))
+    return out
+
+
 def _conv_grad_input(g, w, stride, padding, in_hw):
+    """Gradient [n, c, h, w] of a convolution's input from its output gradient
+    g [n, o, oh, ow], i.e. the transposed convolution of g with w [o, c, kh, kw]."""
     n, o, oh, ow = g.shape
-    c = w.shape[1]
-    pt, pb, pl, pr = padding
-    h, w_in = in_hw
-    gm = g.transpose(1, 0, 2, 3).reshape(o, -1)
-    gx = np.zeros((c, n, h + pt + pb, w_in + pl + pr))
-    for ki, kj, tap in _taps(gx, w.shape[2:], stride, (oh, ow)):
-        tap += (w[:, :, ki, kj].T @ gm).reshape(c, n, oh, ow)
-    return gx[:, :, pt : pt + h, pl : pl + w_in].transpose(1, 0, 2, 3)
+    sh, sw = stride
+    rows = _phases(w.shape[2], sh, padding[0], in_hw[0], oh)
+    cols = _phases(w.shape[3], sw, padding[2], in_hw[1], ow)
+    top, bottom = (max((p[i] for p in rows), default=0) for i in (2, 3))
+    left, right = (max((p[i] for p in cols), default=0) for i in (2, 3))
+    gp = _pad(g, (top, bottom, left, right))  # one padded copy serves every phase
+    gx = np.zeros((w.shape[1], n, *in_hw))  # phases no tap reaches stay zero
+    for r0, a, r_lo, r_hi in rows:
+        for c0, b, c_lo, c_hi in cols:
+            sub = w[:, :, a::sh, b::sw][:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            view = gp[:, :, top - r_lo : top + oh + r_hi, left - c_lo : left + ow + c_hi]
+            gx[:, :, r0::sh, c0::sw] = _correlate(view, sub, (1, 1))
+    return gx.transpose(1, 0, 2, 3)
 
 
 def _check_conv_args(x, w, b, spec, transposed):
@@ -173,7 +221,7 @@ def _fwd_conv(node, xs, run):
 def _bwd_conv(node, g, xs, y, run):
     x, w, b = xs
     spec = node.attrs["spec"]
-    gx = _conv_grad_input(g, w, spec.stride, spec.padding, x.shape[2:])
+    gx = _conv_grad_input(g, w, spec.stride, spec.padding, x.shape[2:]) if run.needs[0] else None
     gw = _conv_grad_weight(x, g, spec.stride, spec.padding, spec.kernel)
     return [gx, gw, g.sum(axis=(0, 2, 3))]
 
@@ -189,7 +237,7 @@ def _fwd_tconv(node, xs, run):
 def _bwd_tconv(node, g, xs, y, run):
     x, w, b = xs
     spec = node.attrs["spec"]
-    gx = _conv_fwd(g, w, spec.stride, spec.padding)
+    gx = _conv_fwd(g, w, spec.stride, spec.padding) if run.needs[0] else None
     gw = _conv_grad_weight(g, x, spec.stride, spec.padding, spec.kernel)
     return [gx, gw, g.sum(axis=(0, 2, 3))]
 

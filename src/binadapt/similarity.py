@@ -235,13 +235,17 @@ def compare_histograms(hs, ht, rho_th=0.25) -> SimilarityReport:
     )
 
 
+def _pooled_histogram(prob_maps, h_prec) -> DomainHistogram:
+    acc = new_histogram(h_prec)
+    for prob in prob_maps:
+        accumulate_histogram(prob, h_prec, acc)
+    return normalize_histogram(acc)
+
+
 def domain_histogram(binarizer: TrainedBinarizer, records, h_prec=0.1) -> DomainHistogram:
     """Pool the binarizer's probability maps for the pages of all given
     records into one normalized histogram."""
-    acc = new_histogram(h_prec)
-    for rec in records:
-        accumulate_histogram(predict_prob_map(binarizer.model, rec.page), h_prec, acc)
-    return normalize_histogram(acc)
+    return _pooled_histogram((predict_prob_map(binarizer.model, rec.page) for rec in records), h_prec)
 
 
 def intra_domain_rho(binarizer: TrainedBinarizer, records, h_prec=0.1) -> float:
@@ -280,8 +284,8 @@ def autobindann(
 ) -> AutoRunResult:
     """Train on source, gate on histogram correlation, binarize the target.
 
-    The source histogram is built from the validation partition (the same
-    pages that picked the threshold); the target histogram pools every target
+    The source histogram pools the validation partition's maps from which the
+    kept epoch's threshold was swept; the target histogram pools every target
     page. When the gate fires, the adversarial model is trained and its own
     swept threshold binarizes the target; otherwise the plain model's masks,
     taken in the same pass over the target as its histogram, are kept.
@@ -290,7 +294,7 @@ def autobindann(
     """
     check_gate_settings(h_prec, rho_th)
     sae_tb = train_sae(source, cfg)
-    hist_source = domain_histogram(sae_tb, source.validation(), h_prec)
+    hist_source = _pooled_histogram(sae_tb.val_maps, h_prec)
     acc, masks = new_histogram(h_prec), {}
     for rec in target.records:
         prob = predict_prob_map(sae_tb.model, rec.page)

@@ -84,11 +84,17 @@ class EpochStats:
 
 @dataclass
 class TrainedBinarizer:
-    """Best-epoch model plus its swept threshold and the training history."""
+    """Best-epoch model plus its swept threshold and the training history.
+
+    ``val_maps`` holds the model's probability maps of the source validation
+    pages, in partition order, as the threshold sweep computed them; a
+    binarizer loaded from a checkpoint has none.
+    """
 
     model: Model
     th_s: float
     history: list
+    val_maps: list | None = None
 
 
 def binarize(prob_map, th) -> np.ndarray:
@@ -105,18 +111,22 @@ def _sweep_grid(step):
     return [i * step for i in range(1, n)]
 
 
-def sweep_threshold(model, validation, sweep_step=0.05):
+def sweep_threshold(model, validation, sweep_step=0.05, prob_maps=None):
     """Best equidistant threshold over a list of labeled validation records.
 
     Confusions are aggregated across all pages per candidate threshold; ties
-    resolve to the lowest threshold. Returns (threshold, F1 at it).
+    resolve to the lowest threshold. ``prob_maps`` are the model's maps of the
+    validation pages when the caller already has them. Returns (threshold, F1
+    at it).
     """
     if not validation:
         raise ValueError("validation set is empty")
     for rec in validation:
         if rec.gt is None:
             raise ValueError(f"validation page {rec.stem!r} has no ground truth")
-    maps = [(predict_prob_map(model, rec.page), rec.gt.mask) for rec in validation]
+    if prob_maps is None:
+        prob_maps = [predict_prob_map(model, rec.page) for rec in validation]
+    maps = [(prob, rec.gt.mask) for prob, rec in zip(prob_maps, validation)]
     best_th, best_f1 = None, -1.0
     for th in _sweep_grid(sweep_step):
         total = Confusion()
@@ -201,14 +211,15 @@ def _fit(source: Dataset, target: Dataset | None, cfg: TrainConfig) -> TrainedBi
                     grads[name] = grads[name] + g if name in grads else g
                 dom_losses.append(0.5 * float(out["domain_loss"][0] + out_t["domain_loss"][0]))
             optimizer_step(opt, model.params, grads)
-        th, score = sweep_threshold(model, val, cfg.sweep_step)
+        val_maps = [predict_prob_map(model, rec.page) for rec in val]
+        th, score = sweep_threshold(model, val, cfg.sweep_step, val_maps)
         dom_loss = float(np.mean(dom_losses)) if target is not None else None
         history.append(EpochStats(epoch, float(np.mean(bin_losses)), dom_loss, lam, score, th))
         if best is None or score > best[0]:
-            best = (score, th, {name: p.copy() for name, p in model.params.items()})
+            best = (score, th, {name: p.copy() for name, p in model.params.items()}, val_maps)
 
     model.params.update(best[2])
-    return TrainedBinarizer(model=model, th_s=best[1], history=history)
+    return TrainedBinarizer(model=model, th_s=best[1], history=history, val_maps=best[3])
 
 
 def train_sae(source: Dataset, cfg: TrainConfig) -> TrainedBinarizer:

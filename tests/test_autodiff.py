@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import binadapt as ba
+from binadapt import layers
 from binadapt.autodiff import GraphError
 from binadapt.layers import bce_node, conv_node, grl_node, relu_node, sigmoid_node
 
@@ -116,6 +117,26 @@ def test_gradient_accumulation_sums_both_paths():
     sig = 1.0 / (1.0 + np.exp(-p0))
     want = sig * (1.0 - sig) + (p0 > 0)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+
+def test_backward_skips_the_gradient_of_data_inputs(monkeypatch):
+    # the SAE has three convs (enc2, enc3, output head) whose input a parameter
+    # feeds; enc1 reads the data input x, whose gradient nobody uses
+    model = ba.build_sae(ba.SaeConfig(), np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    bindings = {"x": rng.random((2, 1, 32, 32)), "gt": (rng.random((2, 1, 32, 32)) > 0.5) * 1.0}
+    ba.forward(model.graph, bindings, training=True, rng=np.random.default_rng(2))
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return grad_input(*args)
+
+    grad_input = layers._conv_grad_input
+    monkeypatch.setattr(layers, "_conv_grad_input", counted)
+    grads = ba.backward(model.graph, "loss")
+    assert len(calls) == 3
+    assert set(grads) == set(model.params)
 
 
 def test_forward_is_pure_given_seed():

@@ -248,6 +248,17 @@ def test_run_command_emits_all_artifacts(tiny_dirs, tmp_path):
         assert (out / "history_bindann.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["train-sae", "run"])
+def test_collapsed_model_is_flagged(command, tiny_dirs, tmp_path, capsys):
+    # lr = 1e6 drives every validation map to one class: best F1 is 0
+    for lr, collapsed in ((1e6, True), (0.01, False)):
+        cfg = _cfg_file(tmp_path, tiny_dirs, epochs=1, lr=lr)
+        out = tmp_path / f"{command}-{lr}"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["collapsed"] is collapsed
+        assert ("collapsed" in capsys.readouterr().err) is collapsed
+
+
 def test_run_without_target_gt_skips_evaluation(tiny_dirs, tmp_path):
     import shutil
 

@@ -152,6 +152,56 @@ def test_tconv_matches_scatter_add_oracle():
     )
 
 
+# the input gradient, and so the transposed convolution, runs one stride-1
+# correlation per stride phase; these (stride, kernel, padding, c_in, c_out)
+# cases reach the phase layouts the model never builds
+_PHASE_EDGE_CASES = [
+    ((1, 2), (3, 2), (1, 0, 0, 1), 1, 3),  # non-square stride, one input channel
+    ((3, 3), (2, 1), (0, 1, 0, 0), 2, 1),  # kernel < stride: phases no tap reaches
+    ((2, 3), (3, 3), (2, 0, 1, 2), 1, 1),  # padding >= the sub-kernel: g is cropped
+    ((3, 1), (1, 3), (0, 2, 1, 1), 3, 1),  # kernel < stride on one axis only
+]
+
+
+def _phase_cases(rng, drawn):
+    for _ in range(drawn):
+        yield ((int(rng.integers(1, 4)), int(rng.integers(1, 4))),
+               (int(rng.integers(1, 5)), int(rng.integers(1, 5))),
+               tuple(int(p) for p in rng.integers(0, 3, size=4)),
+               int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+
+
+def test_tconv_matches_scatter_add_oracle_on_random_instances():
+    rng = np.random.default_rng(23)
+    for stride, kernel, pad, ci, co in _PHASE_EDGE_CASES + list(_phase_cases(rng, 24)):
+        # at least pt + pb input rows keep every output size positive
+        h = pad[0] + pad[1] + int(rng.integers(1, 4))
+        wd = pad[2] + pad[3] + int(rng.integers(1, 4))
+        x = rng.normal(size=(2, ci, h, wd))
+        w = rng.normal(size=(ci, co, *kernel))
+        b = rng.normal(size=(co,))
+        spec = ba.ConvSpec(ci, co, kernel, stride, pad)
+        np.testing.assert_allclose(
+            _tconv(x, spec, w, b), direct_tconv2d(x, w, b, stride, pad), rtol=0, atol=1e-12
+        )
+
+
+def test_conv_input_gradient_on_phase_edge_cases():
+    # input rows past the last window and inputs under a padding wider than
+    # the kernel get no gradient; central differences see the same
+    rng = np.random.default_rng(29)
+    for stride, kernel, pad, ci, co in _PHASE_EDGE_CASES + list(_phase_cases(rng, 8)):
+        h = kernel[0] + int(rng.integers(0, 4))
+        wd = kernel[1] + int(rng.integers(0, 4))
+        g = ba.Graph()
+        spec = ba.ConvSpec(ci, co, kernel, stride, pad)
+        y = conv_node(g, g.param("x", rng.normal(size=(1, ci, h, wd))),
+                      g.param("w", rng.normal(size=(co, ci, *kernel))), g.param("b", np.zeros(co)),
+                      spec)
+        g.set_output("loss", g.sum(sigmoid_node(g, y)))
+        assert ba.grad_check(g, "loss", {}, "x") < 1e-4
+
+
 # ---------------------------------------------------------------------------
 # conv and tconv at the shapes of the default model (batch 2)
 

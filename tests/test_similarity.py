@@ -14,6 +14,7 @@ from binadapt.similarity import (
     DomainHistogram,
     autobindann,
     compare_histograms,
+    domain_histogram,
     histogram_csv,
     new_histogram,
 )
@@ -225,6 +226,9 @@ def test_autobindann_mini_run_contracts():
     assert result.report.decision in (USE_SAE, USE_DA)
     assert (result.da is not None) == (result.report.decision == USE_DA)
     assert result.used is (result.da if result.da is not None else result.sae)
+    # the kept epoch's sweep maps give the histogram a fresh prediction would
+    again = domain_histogram(result.sae, src.validation(), 0.1)
+    assert result.hist_source.bins.tobytes() == again.bins.tobytes()
 
 
 def test_intra_domain_rho_needs_two_pages():

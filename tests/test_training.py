@@ -141,6 +141,17 @@ def test_best_epoch_checkpoint_selected():
     assert all(recheck_f1 >= h.val_f1 for h in tb.history)
 
 
+def test_kept_validation_maps_are_the_kept_models_maps():
+    # seed 4 keeps an epoch before the last, so the maps must not be the last sweep's
+    src, _, _ = _tiny_domains()
+    tb = ba.train_sae(src, _tiny_cfg(epochs=4, seed=4))
+    scores = [h.val_f1 for h in tb.history]
+    assert scores.index(max(scores)) < len(scores) - 1
+    assert len(tb.val_maps) == len(src.validation())
+    for prob, rec in zip(tb.val_maps, src.validation()):
+        assert prob.tobytes() == ba.predict_prob_map(tb.model, rec.page).tobytes()
+
+
 def test_zero_coupling_reproduces_plain_trainer_bitwise():
     # lambda pinned to 0 for >= 5 optimizer steps: every trunk parameter of the
     # adversarial model must track the plain trainer exactly
