@@ -11,6 +11,7 @@ from .autodiff import (
     CheckpointError,
     Graph,
     GraphError,
+    NumericError,
     adam,
     backward,
     forward,
@@ -22,6 +23,7 @@ from .autodiff import (
     write_checkpoint,
 )
 from .data import (
+    DataError,
     Dataset,
     GroundTruth,
     Page,

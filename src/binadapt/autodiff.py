@@ -23,6 +23,7 @@ import numpy as np
 __all__ = [
     "GraphError",
     "CheckpointError",
+    "NumericError",
     "Node",
     "Graph",
     "forward",
@@ -46,6 +47,10 @@ class GraphError(ValueError):
 
 class CheckpointError(GraphError):
     """Checkpoint bytes that do not decode to the model they claim to hold."""
+
+
+class NumericError(GraphError):
+    """A forward output or a gradient holds non-finite values."""
 
 
 def _f64(x) -> np.ndarray:
@@ -216,7 +221,7 @@ def forward(
     for w, nid in zip(wanted, targets):
         val = run.values[nid]
         if not np.all(np.isfinite(val)):
-            raise GraphError(f"output {w!r} (node {nid}) contains non-finite values")
+            raise NumericError(f"output {w!r} (node {nid}) contains non-finite values")
         out[w] = val.copy()
     return out
 
@@ -377,7 +382,7 @@ def optimizer_step(state: OptimizerState, params: dict, grads: dict) -> dict:
         if ga.shape != p.shape:
             raise GraphError(f"parameter {name!r}: gradient shape {ga.shape} != {p.shape}")
         if not np.all(np.isfinite(ga)):
-            raise GraphError(f"parameter {name!r}: non-finite gradient")
+            raise NumericError(f"parameter {name!r}: non-finite gradient")
         if name not in state.moments:
             state.moments[name] = (np.zeros_like(p), np.zeros_like(p))
         m, v = state.moments[name]

@@ -19,8 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .autodiff import CheckpointError
+from .autodiff import CheckpointError, NumericError
 from .data import (
+    DataError,
     PgmError,
     load_dataset,
     load_eval_masks,
@@ -143,11 +144,11 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def _out_dir(cfg) -> Path:
+    """The output directory, checked but not created: each command creates it
+    only once its results exist, so a command that fails leaves none behind."""
     if not cfg.out_dir:
         raise ConfigError("no output directory (set out_dir or pass --out)")
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return Path(cfg.out_dir)
 
 
 def _write_manifest(out: Path, command, cfg, extra=None):
@@ -210,6 +211,7 @@ def cmd_train_sae(args) -> int:
     source = load_dataset(cfg.source_dir, "source", cfg.validation_fraction, cfg.seed)
     out = _out_dir(cfg)
     tb = train_sae(source, train_cfg)
+    out.mkdir(parents=True, exist_ok=True)
     save_binarizer(out / "sae.ckpt", tb)
     (out / "history_sae.csv").write_text(history_csv(tb.history))
     best_f1 = max(h.val_f1 for h in tb.history)
@@ -227,6 +229,7 @@ def cmd_predict(args) -> int:
     out = _out_dir(cfg)
     prob = predict_prob_map(tb.model, page)
     stem = Path(args.input).stem
+    out.mkdir(parents=True, exist_ok=True)
     (out / f"{stem}.prob.pgm").write_bytes(write_pgm(prob))
     (out / f"{stem}.mask.pgm").write_bytes(write_pgm(binarize(prob, tb.th_s).astype(np.float64)))
     _write_manifest(out, "predict", cfg, {"input": str(args.input), "th_s": tb.th_s})
@@ -249,6 +252,7 @@ def cmd_similarity(args) -> int:
     hist_source = domain_histogram(tb, source.validation(), cfg.h_prec)
     hist_target = domain_histogram(tb, target.records, cfg.h_prec)
     report = compare_histograms(hist_source, hist_target, cfg.rho_th)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(report.to_json() + "\n")
     (out / "hist_source.csv").write_text(histogram_csv(hist_source))
     (out / "hist_target.csv").write_text(histogram_csv(hist_target))
@@ -269,7 +273,7 @@ def cmd_run(args) -> int:
     result = autobindann(source, target, train_cfg, cfg.h_prec, cfg.rho_th)
 
     mask_dir = out / "binarized"
-    mask_dir.mkdir(exist_ok=True)
+    mask_dir.mkdir(parents=True, exist_ok=True)
     for stem, mask in result.masks.items():
         (mask_dir / f"{stem}.pgm").write_bytes(write_pgm(mask.astype(np.float64)))
 
@@ -354,6 +358,12 @@ def main(argv=None) -> int:
     except (PgmError, CheckpointError, OSError) as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return 3
+    except DataError as exc:
+        print(f"error: data: {exc}", file=sys.stderr)
+        return 4
+    except NumericError as exc:
+        print(f"error: numeric: {exc}", file=sys.stderr)
+        return 5
     except ValueError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2

@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
+    "DataError",
     "PgmError",
     "Page",
     "GroundTruth",
@@ -47,6 +48,10 @@ _SEED_SPLIT = 101
 _SEED_SYNTH = 102
 
 GT_INK_THRESHOLD = 128  # 8-bit level at or above which a gt pixel counts as ink
+
+
+class DataError(ValueError):
+    """Well-formed input files that cannot serve as the dataset asked for."""
 
 
 class PgmError(ValueError):
@@ -273,7 +278,7 @@ def load_dataset(directory, role, validation_fraction=0.2, seed=0) -> Dataset:
                 continue
             gt = _read_gt(gt_path)
             if gt.mask.shape != page.pixels.shape:
-                raise ValueError(
+                raise DataError(
                     f"page {path.stem!r}: gt size {gt.mask.shape} "
                     f"!= image size {page.pixels.shape}"
                 )

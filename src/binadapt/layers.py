@@ -8,10 +8,12 @@ backward functions on plain float64 arrays.
 Convolution follows cross-correlation semantics (no kernel flip); the
 transposed convolution is implemented as the exact adjoint of the convolution
 with the same spec, so <conv(x), y> == <x, tconv(y)> holds for shared weights
-and zero bias. The convolution and its weight gradient run as one BLAS
-matrix product per kernel tap, or one product over all taps when the input has
-a single channel. The input gradient, and with it the transposed convolution,
-runs as stride-1 convolutions of the output gradient, one per stride phase.
+and zero bias. Every convolution product runs on one zero-padded copy of its
+input split into stride phases, on which each kernel tap's operand is a
+contiguous window that BLAS reads in place: one matrix product per tap, or one
+over all taps when the input has a single channel. The input gradient, and
+with it the transposed convolution, runs as stride-1 convolutions of the
+output gradient, one per stride phase of the input, all on one such copy.
 """
 
 from __future__ import annotations
@@ -92,62 +94,95 @@ def grl_lambda_at(epoch, start=0.1, increment=0.01):
 # ---------------------------------------------------------------------------
 # array kernels (batched [n, c, h, w])
 #
-# Every product runs in _correlate: one small GEMM per kernel tap (Chellapilla,
-# Puri & Simard 2006) on the channel-major [c, n*oh*ow] copy of the strided
-# slice the tap meets, so only one tap's slice exists at a time. When c == 1
-# those GEMMs would be one deep, which BLAS runs slowly, so the taps are
-# stacked into one [o, kh*kw] @ [kh*kw, n*oh*ow] product instead. The input
-# gradient, and with it the transposed convolution, is a gather: one stride-1
-# correlation of the output gradient per stride phase of the input, with the
-# phase's flipped sub-kernel (Shi et al. 2016; Dumoulin & Visin 2016).
+# Every product runs in _correlate on the grid _grid builds: the zero-padded
+# input, split into its stride phases and laid out channel-major as one flat
+# row per phase and channel, with each sample's rows of a phase back to back.
+# On that grid a kernel tap moves every output position by the same number of
+# columns, so the operand of tap (ki, kj) is a contiguous window of one phase
+# and BLAS reads it in place: one [o, c] @ [c, n*Hq*Wq] product per tap,
+# accumulated into a contiguous output (Anderson et al. 2017; Vasudevan et al.
+# 2017). Outputs are computed on the whole grid and the valid ones are its
+# top-left corner; slack columns past the last sample keep every window inside
+# the buffer. When c == 1 those products would be one deep, which BLAS runs
+# slowly, so the windows are stacked into one [o, kh*kw] @ [kh*kw, N] product.
+# The input gradient, and with it the transposed convolution, is a gather: one
+# stride-1 correlation of the output gradient per stride phase of the input,
+# with the phase's flipped sub-kernel (Shi et al. 2016; Dumoulin & Visin 2016).
 
-def _pad(x, padding):
-    """Channel-major copy [c, n, h + pt + pb, w + pl + pr] of x, zero-padded
-    on each side with a positive pad and cropped on each with a negative one."""
-    pt, pb, pl, pr = padding
+def _split(size, before, after, s):
+    """Yield, for each stride phase of an axis of `size` samples padded by
+    `before` and `after` (a negative pad crops), (phase, destination slice in
+    the phase's samples, source slice of the axis) where the phase holds input."""
+    lo, hi = max(before, 0), size + before - max(-after, 0)
+    for a in range(s):
+        i0, i1 = -(-(lo - a) // s), -(-(hi - a) // s)
+        if i1 > i0:
+            yield a, slice(i0, i1), slice(a + i0 * s - before, hi - before, s)
+
+
+def _grid(x, padding, stride, kernel):
+    """Padded, phase-split, channel-major grid of x [n, c, h, w]: an array
+    [sh*sw, c, n*Hq*Wq + slack] and (Hq, Wq) = the padded size over the stride,
+    rounded up. Padded row a + sh*i, column b + sw*j of sample m sits in phase
+    a*sw + b at column (m*Hq + i)*Wq + j; slack is the largest tap offset."""
     n, c, h, w = x.shape
-    xp = np.zeros((c, n, h + pt + pb, w + pl + pr))
-    src = x.transpose(1, 0, 2, 3)[:, :, max(-pt, 0) : h - max(-pb, 0), max(-pl, 0) : w - max(-pr, 0)]
-    xp[:, :, max(pt, 0) : xp.shape[2] - max(pb, 0), max(pl, 0) : xp.shape[3] - max(pr, 0)] = src
-    return xp
+    pt, pb, pl, pr = padding
+    (sh, sw), (kh, kw) = stride, kernel
+    hq, wq = -(-(h + pt + pb) // sh), -(-(w + pl + pr) // sw)
+    size = n * hq * wq
+    buf = np.zeros((sh * sw, c, size + (kh - 1) // sh * wq + (kw - 1) // sw))
+    xc = x.transpose(1, 0, 2, 3)
+    for a, rows, src_rows in _split(h, pt, pb, sh):
+        for b, cols, src_cols in _split(w, pl, pr, sw):
+            phase = buf[a * sw + b, :, :size].reshape(c, n, hq, wq)
+            phase[:, :, rows, cols] = xc[:, :, src_rows, src_cols]
+    return buf, (hq, wq)
 
 
-def _taps(xp, kernel, stride, out_hw):
-    """Yield (ki, kj, the [c, n, oh, ow] slice of padded xp that tap (ki, kj) meets)."""
-    (kh, kw), (sh, sw), (oh, ow) = kernel, stride, out_hw
-    for ki in range(kh):
-        for kj in range(kw):
-            yield ki, kj, xp[:, :, ki : ki + sh * oh : sh, kj : kj + sw * ow : sw]
+def _window(buf, size, wq, stride, ki, kj, origin=(0, 0)):
+    """Contiguous [c, size] window of grid buf that tap (ki, kj) meets, the
+    tap shifted by origin whole grid cells."""
+    (sh, sw), (r0, c0) = stride, origin
+    off = (r0 + ki // sh) * wq + c0 + kj // sw
+    return buf[ki % sh * sw + kj % sw, :, off : off + size]
 
 
-def _correlate(xp, w, stride):
-    """Channel-major [o, n, oh, ow] cross-correlation of padded xp [c, n, H, W]
-    with w [o, c, kh, kw]."""
+def _correlate(buf, grid_hw, n, w, stride, origin=(0, 0)):
+    """Channel-major [o, n, Hq, Wq] cross-correlation of w [o, c, kh, kw] over
+    grid buf; output (i, j) of each sample is valid where its windows stay
+    inside that sample's grid."""
     o, c, kh, kw = w.shape
-    n = xp.shape[1]
-    out_hw = ((xp.shape[2] - kh) // stride[0] + 1, (xp.shape[3] - kw) // stride[1] + 1)
-    taps = _taps(xp, (kh, kw), stride, out_hw)
+    size = n * grid_hw[0] * grid_hw[1]
+    taps = [(w[:, :, ki, kj], _window(buf, size, grid_hw[1], stride, ki, kj, origin))
+            for ki in range(kh) for kj in range(kw)]
     if c == 1:
-        cols = np.empty((kh * kw, n, *out_hw))
-        for ki, kj, tap in taps:
-            cols[ki * kw + kj] = tap[0]
-        y = w.reshape(o, kh * kw) @ cols.reshape(kh * kw, -1)
+        y = w.reshape(o, kh * kw) @ np.stack([win[0] for _, win in taps])
     else:
-        y = np.zeros((o, n * out_hw[0] * out_hw[1]))
-        for ki, kj, tap in taps:
-            y += w[:, :, ki, kj] @ tap.reshape(c, -1)
-    return y.reshape(o, n, *out_hw)
+        y = taps[0][0] @ taps[0][1]
+        for wt, win in taps[1:]:
+            y += wt @ win
+    return y.reshape(o, n, *grid_hw)
 
 
 def _conv_fwd(x, w, stride, padding):
-    return _correlate(_pad(x, padding), w, stride).transpose(1, 0, 2, 3)
+    n, _, h, wd = x.shape
+    kh, kw = w.shape[2:]
+    buf, grid_hw = _grid(x, padding, stride, (kh, kw))
+    oh = (h + padding[0] + padding[1] - kh) // stride[0] + 1
+    ow = (wd + padding[2] + padding[3] - kw) // stride[1] + 1
+    return _correlate(buf, grid_hw, n, w, stride)[:, :, :oh, :ow].transpose(1, 0, 2, 3)
 
 
 def _conv_grad_weight(x, g, stride, padding, kernel):
-    gm = g.transpose(1, 0, 2, 3).reshape(g.shape[1], -1)
-    gw = np.empty((g.shape[1], x.shape[1], *kernel))
-    for ki, kj, tap in _taps(_pad(x, padding), kernel, stride, g.shape[2:]):
-        gw[:, :, ki, kj] = gm @ tap.reshape(x.shape[1], -1).T
+    n, o, oh, ow = g.shape
+    buf, (hq, wq) = _grid(x, padding, stride, kernel)
+    size = n * hq * wq
+    gz = np.zeros((o, size))  # g on the grid; zeros drop the invalid positions
+    gz.reshape(o, n, hq, wq)[:, :, :oh, :ow] = g.transpose(1, 0, 2, 3)
+    gw = np.empty((o, x.shape[1], *kernel))
+    for ki in range(kernel[0]):
+        for kj in range(kernel[1]):
+            gw[:, :, ki, kj] = gz @ _window(buf, size, wq, stride, ki, kj).T
     return gw
 
 
@@ -174,19 +209,30 @@ def _phases(k, s, pad, size, g_size):
 def _conv_grad_input(g, w, stride, padding, in_hw):
     """Gradient [n, c, h, w] of a convolution's input from its output gradient
     g [n, o, oh, ow], i.e. the transposed convolution of g with w [o, c, kh, kw]."""
-    n, o, oh, ow = g.shape
-    sh, sw = stride
-    rows = _phases(w.shape[2], sh, padding[0], in_hw[0], oh)
-    cols = _phases(w.shape[3], sw, padding[2], in_hw[1], ow)
+    n, _, oh, ow = g.shape
+    (sh, sw), (kh, kw) = stride, w.shape[2:]
+    rows = _phases(kh, sh, padding[0], in_hw[0], oh)
+    cols = _phases(kw, sw, padding[2], in_hw[1], ow)
     top, bottom = (max((p[i] for p in rows), default=0) for i in (2, 3))
     left, right = (max((p[i] for p in cols), default=0) for i in (2, 3))
-    gp = _pad(g, (top, bottom, left, right))  # one padded copy serves every phase
+    # a phase padded by lo before g starts top - lo rows into the grid, so its
+    # last tap meets row top - lo + taps - 1: the grid's largest tap offset
+    reach = (max((top - lo + len(range(a, kh, sh)) for _, a, lo, _ in rows), default=1),
+             max((left - lo + len(range(b, kw, sw)) for _, b, lo, _ in cols), default=1))
+    buf, grid_hw = _grid(g, (top, bottom, left, right), (1, 1), reach)
+
+    def phase(r0, a, r_lo, c0, b, c_lo):
+        """Channel-major gradient of the inputs r0::sh, c0::sw."""
+        sub = w[:, :, a::sh, b::sw][:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        y = _correlate(buf, grid_hw, n, sub, (1, 1), (top - r_lo, left - c_lo))
+        return y[:, :, : len(range(r0, in_hw[0], sh)), : len(range(c0, in_hw[1], sw))]
+
+    if sh == sw == 1:  # one phase, already in place: no interleaving copy
+        return phase(*rows[0][:3], *cols[0][:3]).transpose(1, 0, 2, 3)
     gx = np.zeros((w.shape[1], n, *in_hw))  # phases no tap reaches stay zero
-    for r0, a, r_lo, r_hi in rows:
-        for c0, b, c_lo, c_hi in cols:
-            sub = w[:, :, a::sh, b::sw][:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            view = gp[:, :, top - r_lo : top + oh + r_hi, left - c_lo : left + ow + c_hi]
-            gx[:, :, r0::sh, c0::sw] = _correlate(view, sub, (1, 1))
+    for r0, a, r_lo, _ in rows:
+        for c0, b, c_lo, _ in cols:
+            gx[:, :, r0::sh, c0::sw] = phase(r0, a, r_lo, c0, b, c_lo)
     return gx.transpose(1, 0, 2, 3)
 
 
@@ -256,11 +302,10 @@ _SIGMOID_HI = np.nextafter(1.0, 0.0)
 
 def _fwd_sigmoid(node, xs, run):
     x = xs[0]
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # exp of -|x| never overflows; 1/(1+e) for x >= 0 and e/(1+e) below
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    out = np.where(x >= 0, 1.0 / d, e / d)
     # saturated float64 would round to exactly 0/1; keep the open interval
     return np.clip(out, _SIGMOID_LO, _SIGMOID_HI)
 

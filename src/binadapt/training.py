@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import CheckpointError, adam, backward, forward, optimizer_step
-from .data import Dataset, split_patches
+from .data import DataError, Dataset, split_patches
 from .layers import grl_lambda_at
 from .metrics import Confusion, confusion, f1
 from .models import (
@@ -160,9 +160,9 @@ def _fit(source: Dataset, target: Dataset | None, cfg: TrainConfig) -> TrainedBi
     """
     train, val = source.train(), source.validation()
     if not train or not val:
-        raise ValueError("source needs at least one train and one validation page")
+        raise DataError("source needs at least one train and one validation page")
     if target is not None and not target.records:
-        raise ValueError("target dataset is empty")
+        raise DataError("target dataset is empty")
 
     patch = cfg.model.patch
     init = _stream(_SEED_INIT, cfg.seed)

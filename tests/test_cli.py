@@ -298,6 +298,36 @@ def test_commands_reject_bad_settings_before_writing(command, key, value, tiny_d
     assert not (tmp_path / "out").exists()
 
 
+
+def test_exit_4_on_ground_truth_of_the_wrong_size(tiny_dirs, tmp_path, capsys):
+    import shutil
+
+    source = tmp_path / "source"
+    shutil.copytree(tiny_dirs / "source", source)
+    gt = sorted((source / "gt").glob("*.pgm"))[0]
+    gt.write_bytes(ba.write_pgm(np.zeros((64, 63))))
+    cfg = _cfg_file(tmp_path, tiny_dirs, source_dir=source)
+    assert main(["train-sae", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+    assert "error: data:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_exit_4_on_a_source_without_a_validation_page(tiny_dirs, tmp_path, capsys):
+    # 3 pages at validation_fraction 0.1 round to no validation page
+    cfg = _cfg_file(tmp_path, tiny_dirs, validation_fraction=0.1)
+    assert main(["train-sae", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+    assert "error: data:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_exit_5_on_non_finite_training(tiny_dirs, tmp_path, capsys):
+    cfg = _cfg_file(tmp_path, tiny_dirs, epochs=1, lr=1e300)
+    with np.errstate(all="ignore"):
+        code = main(["train-sae", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 5
+    assert "error: numeric:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
 def test_run_artifacts_do_not_depend_on_blas_threads(tmp_path):
     # the thread count is read when numpy loads, so each run is its own process;
     # training batches of 64 give GEMMs (8x8 by 8x16384 and up) that OpenBLAS

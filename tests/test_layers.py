@@ -68,25 +68,71 @@ def test_conv_ramp_case_frozen_values():
     np.testing.assert_array_equal(direct_conv2d(x, w, b, (2, 2), (1, 1, 1, 1)), frozen)
 
 
+# convolutions run on a zero-padded grid split into stride phases: these
+# (stride, kernel, padding, input side) cases give a ragged last phase row or
+# column (padded side not divisible by the stride), pads wider than the
+# stride, kernels smaller than it, and non-square strides
+_GRID_EDGE_CASES = {
+    "stride1x3_pad3": ((1, 3), (3, 2), (3, 0, 1, 2), (5, 7)),
+    "stride3x2_row_kernel2": ((3, 2), (2, 3), (0, 3, 2, 0), (7, 6)),
+    "stride3_kernel1x2": ((3, 3), (1, 2), (2, 1, 3, 3), (4, 5)),
+    "stride2x3_ragged": ((2, 3), (3, 3), (1, 2, 0, 1), (8, 9)),
+    "stride2x1_pads3": ((2, 1), (3, 1), (3, 3, 0, 0), (3, 3)),
+}
+
+
+def _grid_cases(rng, drawn):
+    for _ in range(drawn):
+        stride = (int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+        kernel = (int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+        pad = tuple(int(p) for p in rng.integers(0, 4, size=4))
+        # at least one window: the padded side is no smaller than the kernel
+        side = tuple(max(1, k - p0 - p1) + int(rng.integers(0, 5))
+                     for k, p0, p1 in zip(kernel, pad[::2], pad[1::2]))
+        yield stride, kernel, pad, side
+
+
+def _check_conv_against_oracle(stride, kernel, pad, side, rng):
+    for ci, co in ((1, 2), (3, 2)):  # one input channel stacks the taps into one product
+        x = rng.normal(size=(2, ci, *side))
+        w = rng.normal(size=(co, ci, *kernel))
+        b = rng.normal(size=(co,))
+        spec = ba.ConvSpec(ci, co, kernel, stride, pad)
+        np.testing.assert_allclose(
+            _conv(x, spec, w, b), direct_conv2d(x, w, b, stride, pad), rtol=0, atol=1e-12
+        )
+
+
 def test_conv_matches_oracle_on_random_instances():
     rng = np.random.default_rng(17)
-    for _ in range(8):
-        ci, co = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        kh, kw = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        sh, sw = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-        pad = tuple(int(p) for p in rng.integers(0, 2, size=4))
-        h = int(rng.integers(kh, kh + 5))
-        wd = int(rng.integers(kw, kw + 5))
-        x = rng.normal(size=(2, ci, h, wd))
-        w = rng.normal(size=(co, ci, kh, kw))
-        b = rng.normal(size=(co,))
-        spec = ba.ConvSpec(ci, co, (kh, kw), (sh, sw), pad)
-        np.testing.assert_allclose(
-            _conv(x, spec, w, b),
-            direct_conv2d(x, w, b, (sh, sw), pad),
-            rtol=0,
-            atol=1e-12,
-        )
+    for case in _grid_cases(rng, 12):
+        _check_conv_against_oracle(*case, rng)
+
+
+@pytest.mark.parametrize("name", sorted(_GRID_EDGE_CASES))
+def test_conv_matches_oracle_on_grid_edge_cases(name):
+    _check_conv_against_oracle(*_GRID_EDGE_CASES[name], np.random.default_rng(5))
+
+
+def _check_conv_weight_gradient(stride, kernel, pad, side, rng):
+    for ci, co in ((1, 2), (3, 2)):
+        g = ba.Graph()
+        spec = ba.ConvSpec(ci, co, kernel, stride, pad)
+        y = conv_node(g, g.input("x"), g.param("w", rng.normal(size=(co, ci, *kernel))),
+                      g.param("b", np.zeros(co)), spec)
+        g.set_output("loss", g.sum(sigmoid_node(g, y)))
+        assert ba.grad_check(g, "loss", {"x": rng.normal(size=(2, ci, *side))}, "w") < 1e-4
+
+
+def test_conv_weight_gradient_on_random_instances():
+    rng = np.random.default_rng(19)
+    for case in _grid_cases(rng, 6):
+        _check_conv_weight_gradient(*case, rng)
+
+
+@pytest.mark.parametrize("name", sorted(_GRID_EDGE_CASES))
+def test_conv_weight_gradient_on_grid_edge_cases(name):
+    _check_conv_weight_gradient(*_GRID_EDGE_CASES[name], np.random.default_rng(7))
 
 
 def test_conv_channel_mismatch_errors():
@@ -284,6 +330,19 @@ def test_real_shape_gradients_match_finite_differences(name):
 
 def test_relu_definition():
     assert _op(relu_node, [-1.0, 0.0, 2.0]).tolist() == [0.0, 0.0, 2.0]
+
+
+def test_sigmoid_matches_the_two_branch_formula_bitwise():
+    # 1/(1+exp(-x)) at x >= 0 and exp(x)/(1+exp(x)) below, clipped into (0, 1)
+    x = np.concatenate([[0.0, -0.0, 800.0, -800.0, 37.0, -37.0, 709.8, -745.2, 1e-300, -1e-300],
+                        np.random.default_rng(3).normal(scale=30.0, size=200)])
+    pos = x >= 0
+    ref = np.empty_like(x)
+    ref[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    ref[~pos] = ex / (1.0 + ex)
+    ref = np.clip(ref, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+    assert _op(sigmoid_node, x).view(np.int64).tolist() == ref.view(np.int64).tolist()
 
 
 def test_sigmoid_symmetry_point():
