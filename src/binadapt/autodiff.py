@@ -1,8 +1,9 @@
 """Static-graph reverse-mode automatic differentiation over dense float64 arrays.
 
 Graphs are built explicitly, node by node, and stored in topological order.
-``forward`` evaluates the subgraph needed for the requested outputs and caches
-the per-node values; ``backward`` walks that cache in reverse and accumulates
+``forward`` evaluates the subgraph needed for the requested outputs, planned
+once per output set (``Graph.plan``), and caches the per-node values;
+``backward`` walks that cache in reverse and accumulates
 gradients by the chain rule, including the sign-flipped path used by the
 gradient-reversal layer. Parameters, outputs and gradients are plain float64
 ``np.ndarray``s: ``Graph.params`` maps names to C-contiguous arrays that
@@ -85,11 +86,13 @@ class _Run:
 
     values: dict
     masks: dict
-    order: list
+    order: tuple
+    input_needs: dict  # node id -> per input: does a parameter feed it?
     training: bool
     rng: np.random.Generator | None = None  # dropout mask source when training
     nid: int = -1  # id of the node being evaluated or differentiated
-    needs: tuple = ()  # per input of that node: does a parameter feed it?
+    needs: tuple = ()  # input_needs of that node
+    grids: dict = field(default_factory=dict)  # node id -> operand grid kept for backward
 
 
 class Graph:
@@ -102,6 +105,7 @@ class Graph:
         self.param_ids: dict[str, int] = {}
         self.outputs: dict[str, int] = {}
         self._run: _Run | None = None
+        self._plans: dict = {}  # target ids -> plan(); cleared when a node is added
 
     def add_node(self, kind, inputs=(), name=None, **attrs) -> int:
         if kind not in _OPS and kind not in ("input", "param"):
@@ -111,6 +115,7 @@ class Graph:
             if not (0 <= i < nid):
                 raise GraphError(f"node {nid} ({kind}) consumes undefined node id {i}")
         self.nodes.append(Node(kind, tuple(inputs), dict(attrs), name or f"{kind}{nid}"))
+        self._plans.clear()
         return nid
 
     def input(self, name) -> int:
@@ -160,6 +165,23 @@ class Graph:
             stack.extend(self.nodes[i].inputs)
         return sorted(needed)
 
+    def plan(self, ids) -> tuple:
+        """Execution plan of the given ids: their ``ancestors`` as a tuple and a
+        map from each of those nodes to a tuple saying, per input, whether some
+        parameter feeds it. Cached until the graph grows."""
+        key = tuple(ids)
+        plan = self._plans.get(key)
+        if plan is None:
+            order = tuple(self.ancestors(key))
+            fed, needs = set(), {}
+            for nid in order:
+                node = self.nodes[nid]
+                needs[nid] = tuple(i in fed for i in node.inputs)
+                if node.kind == "param" or any(needs[nid]):
+                    fed.add(nid)
+            plan = self._plans[key] = (order, needs)
+        return plan
+
 
 def _output_id(graph: Graph, name) -> int:
     if name not in graph.outputs:
@@ -190,31 +212,34 @@ def forward(
     if not wanted:
         raise GraphError("graph has no registered outputs")
     targets = [_output_id(graph, w) for w in wanted]
-    order = graph.ancestors(targets)
+    order, needs = graph.plan(targets)
 
-    run = _Run(values={}, masks=dict(frozen_masks or {}), order=order, training=training, rng=rng)
-    for nid in order:
-        node = graph.nodes[nid]
-        run.nid = nid
-        if node.kind == "input":
-            name = node.attrs["input_name"]
-            if name not in bindings:
-                raise GraphError(f"input {name!r} is not bound")
-            val = _f64(bindings[name])
-            if not np.all(np.isfinite(val)):
-                raise GraphError(f"input {name!r} contains non-finite values")
-            run.values[nid] = val
-        elif node.kind == "param":
-            run.values[nid] = graph.params[node.attrs["param_name"]]
-        else:
-            fwd, _ = _OPS[node.kind]
-            xs = [run.values[i] for i in node.inputs]
-            try:
-                run.values[nid] = fwd(node, xs, run)
-            except GraphError:
-                raise
-            except Exception as exc:  # re-raise with the node named
-                raise GraphError(f"node {nid} ({node.name}): {exc}") from exc
+    run = _Run(values={}, masks=dict(frozen_masks or {}), order=order, input_needs=needs,
+               training=training, rng=rng)
+    # overflow surfaces as the non-finite output check's NumericError below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for nid in order:
+            node = graph.nodes[nid]
+            run.nid = nid
+            if node.kind == "input":
+                name = node.attrs["input_name"]
+                if name not in bindings:
+                    raise GraphError(f"input {name!r} is not bound")
+                val = _f64(bindings[name])
+                if not np.all(np.isfinite(val)):
+                    raise GraphError(f"input {name!r} contains non-finite values")
+                run.values[nid] = val
+            elif node.kind == "param":
+                run.values[nid] = graph.params[node.attrs["param_name"]]
+            else:
+                fwd, _ = _OPS[node.kind]
+                xs = [run.values[i] for i in node.inputs]
+                try:
+                    run.values[nid] = fwd(node, xs, run)
+                except GraphError:
+                    raise
+                except Exception as exc:  # re-raise with the node named
+                    raise GraphError(f"node {nid} ({node.name}): {exc}") from exc
 
     graph._run = run
     out = {}
@@ -243,31 +268,28 @@ def backward(graph: Graph, loss) -> dict:
     if run.values[lid].shape != (1,):
         raise GraphError(f"loss node {lid} is not scalar (shape {run.values[lid].shape})")
 
-    fed = set()  # ids of the nodes some parameter feeds
-    for nid in run.order:
-        node = graph.nodes[nid]
-        if node.kind == "param" or any(i in fed for i in node.inputs):
-            fed.add(nid)
-
     grads = {lid: np.ones(1)}
-    for nid in reversed(run.order):
-        g = grads.get(nid)
-        if g is None:
-            continue
-        node = graph.nodes[nid]
-        run.nid = nid
-        if node.kind in ("input", "param"):
-            continue
-        run.needs = tuple(i in fed for i in node.inputs)
-        _, bwd = _OPS[node.kind]
-        xs = [run.values[i] for i in node.inputs]
-        for i, need, gi in zip(node.inputs, run.needs, bwd(node, g, xs, run.values[nid], run)):
-            if gi is None or not need:
+    # non-finite gradients surface as optimizer_step's NumericError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for nid in reversed(run.order):
+            g = grads.get(nid)
+            if g is None:
                 continue
-            if i in grads:
-                grads[i] = grads[i] + gi
-            else:
-                grads[i] = gi
+            node = graph.nodes[nid]
+            run.nid = nid
+            if node.kind in ("input", "param"):
+                continue
+            run.needs = run.input_needs[nid]
+            _, bwd = _OPS[node.kind]
+            xs = [run.values[i] for i in node.inputs]
+            for i, need, gi in zip(node.inputs, run.needs, bwd(node, g, xs, run.values[nid], run)):
+                if gi is None or not need:
+                    continue
+                if i in grads:
+                    grads[i] = grads[i] + gi
+                else:
+                    grads[i] = gi
+    run.grids.clear()
 
     return {name: grads[nid] for name, nid in graph.param_ids.items() if nid in grads}
 

@@ -13,12 +13,15 @@ input split into stride phases, on which each kernel tap's operand is a
 contiguous window that BLAS reads in place: one matrix product per tap, or one
 over all taps when the input has a single channel. The input gradient, and
 with it the transposed convolution, runs as stride-1 convolutions of the
-output gradient, one per stride phase of the input, all on one such copy.
+output gradient, one per stride phase of the input, all on one such copy. The
+layout of each copy is planned once per shape, and a training forward keeps
+a convolution's copy of its input for the weight gradient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -100,14 +103,30 @@ def grl_lambda_at(epoch, start=0.1, increment=0.01):
 # On that grid a kernel tap moves every output position by the same number of
 # columns, so the operand of tap (ki, kj) is a contiguous window of one phase
 # and BLAS reads it in place: one [o, c] @ [c, n*Hq*Wq] product per tap,
-# accumulated into a contiguous output (Anderson et al. 2017; Vasudevan et al.
-# 2017). Outputs are computed on the whole grid and the valid ones are its
-# top-left corner; slack columns past the last sample keep every window inside
-# the buffer. When c == 1 those products would be one deep, which BLAS runs
-# slowly, so the windows are stacked into one [o, kh*kw] @ [kh*kw, N] product.
+# accumulated through one scratch into a contiguous output (Anderson et al.
+# 2017; Vasudevan et al. 2017). Outputs are computed on the whole grid and the
+# valid ones are its top-left corner; slack columns past the last sample keep
+# every window inside the buffer. When c == 1 those products would be one
+# deep, which BLAS runs slowly, so the windows are stacked into one
+# [o, kh*kw] @ [kh*kw, N] product.
 # The input gradient, and with it the transposed convolution, is a gather: one
 # stride-1 correlation of the output gradient per stride phase of the input,
 # with the phase's flipped sub-kernel (Shi et al. 2016; Dumoulin & Visin 2016).
+#
+# Plans. All of this geometry depends on shapes alone: a grid's buffer shape
+# and the phase copies that fill it, each tap's phase and column offset, and
+# the input gradient's phases with their pads, origins and crops. Each plan is
+# computed once per distinct shape and memoized, bounded, since a new batch
+# size (a page's ragged last batch) adds entries (cf. Chetlur et al. 2014).
+# Grid lifetime. A convolution's weight gradient reads the same grid of its
+# input as its forward product, so a training forward keeps that grid on the
+# run until backward takes it; after an inference forward backward builds it
+# again, and backward drops any grid still kept when it returns. The
+# transposed convolution's backward grids its output gradient once for both
+# of its products.
+
+_PLANS = 512  # entries per plan memo: a few per conv node and batch size
+
 
 def _split(size, before, after, s):
     """Yield, for each stride phase of an axis of `size` samples padded by
@@ -120,69 +139,85 @@ def _split(size, before, after, s):
             yield a, slice(i0, i1), slice(a + i0 * s - before, hi - before, s)
 
 
-def _grid(x, padding, stride, kernel):
-    """Padded, phase-split, channel-major grid of x [n, c, h, w]: an array
-    [sh*sw, c, n*Hq*Wq + slack] and (Hq, Wq) = the padded size over the stride,
-    rounded up. Padded row a + sh*i, column b + sw*j of sample m sits in phase
-    a*sw + b at column (m*Hq + i)*Wq + j; slack is the largest tap offset."""
-    n, c, h, w = x.shape
+@lru_cache(maxsize=_PLANS)
+def _grid_plan(shape, padding, stride, kernel):
+    """Layout of the grid of an input of `shape` [n, c, h, w]: the buffer
+    shape, (Hq, Wq), and (phase, rows, cols, source rows, source cols) for each
+    phase that holds input."""
+    n, c, h, w = shape
     pt, pb, pl, pr = padding
     (sh, sw), (kh, kw) = stride, kernel
     hq, wq = -(-(h + pt + pb) // sh), -(-(w + pl + pr) // sw)
-    size = n * hq * wq
-    buf = np.zeros((sh * sw, c, size + (kh - 1) // sh * wq + (kw - 1) // sw))
+    slack = (kh - 1) // sh * wq + (kw - 1) // sw
+    copies = tuple((a * sw + b, rows, cols, src_rows, src_cols)
+                   for a, rows, src_rows in _split(h, pt, pb, sh)
+                   for b, cols, src_cols in _split(w, pl, pr, sw))
+    return (sh * sw, c, n * hq * wq + slack), (hq, wq), copies
+
+
+def _grid(x, padding, stride, kernel):
+    """Padded, phase-split, channel-major grid of x [n, c, h, w]: (buf, n, Hq,
+    Wq), buf an array [sh*sw, c, n*Hq*Wq + slack] and (Hq, Wq) the padded size
+    over the stride, rounded up. Padded row a + sh*i, column b + sw*j of sample
+    m sits in phase a*sw + b at column (m*Hq + i)*Wq + j; slack is the largest
+    tap offset."""
+    n, c = x.shape[:2]
+    shape, (hq, wq), copies = _grid_plan(x.shape, padding, stride, kernel)
+    buf = np.zeros(shape)
+    phases = buf[:, :, : n * hq * wq].reshape(shape[0], c, n, hq, wq)
     xc = x.transpose(1, 0, 2, 3)
-    for a, rows, src_rows in _split(h, pt, pb, sh):
-        for b, cols, src_cols in _split(w, pl, pr, sw):
-            phase = buf[a * sw + b, :, :size].reshape(c, n, hq, wq)
-            phase[:, :, rows, cols] = xc[:, :, src_rows, src_cols]
-    return buf, (hq, wq)
+    for p, rows, cols, src_rows, src_cols in copies:
+        phases[p, :, :, rows, cols] = xc[:, :, src_rows, src_cols]
+    return buf, n, hq, wq
 
 
-def _window(buf, size, wq, stride, ki, kj, origin=(0, 0)):
-    """Contiguous [c, size] window of grid buf that tap (ki, kj) meets, the
-    tap shifted by origin whole grid cells."""
-    (sh, sw), (r0, c0) = stride, origin
-    off = (r0 + ki // sh) * wq + c0 + kj // sw
-    return buf[ki % sh * sw + kj % sw, :, off : off + size]
+@lru_cache(maxsize=_PLANS)
+def _tap_plan(kernel, stride, wq, origin):
+    """(ki, kj, phase, offset) per tap: tap (ki, kj), shifted by origin whole
+    grid cells, meets the window buf[phase, :, offset : offset + n*Hq*Wq] of a
+    grid Wq columns wide."""
+    (kh, kw), (sh, sw), (r0, c0) = kernel, stride, origin
+    return tuple((ki, kj, ki % sh * sw + kj % sw, (r0 + ki // sh) * wq + c0 + kj // sw)
+                 for ki in range(kh) for kj in range(kw))
 
 
-def _correlate(buf, grid_hw, n, w, stride, origin=(0, 0)):
+def _correlate(grid, w, stride, origin=(0, 0)):
     """Channel-major [o, n, Hq, Wq] cross-correlation of w [o, c, kh, kw] over
-    grid buf; output (i, j) of each sample is valid where its windows stay
-    inside that sample's grid."""
+    grid; output (i, j) of each sample is valid where its windows stay inside
+    that sample's grid."""
+    buf, n, hq, wq = grid
     o, c, kh, kw = w.shape
-    size = n * grid_hw[0] * grid_hw[1]
-    taps = [(w[:, :, ki, kj], _window(buf, size, grid_hw[1], stride, ki, kj, origin))
-            for ki in range(kh) for kj in range(kw)]
+    size = n * hq * wq
+    taps = _tap_plan((kh, kw), stride, wq, origin)
     if c == 1:
-        y = w.reshape(o, kh * kw) @ np.stack([win[0] for _, win in taps])
+        stack = np.stack([buf[p, 0, off : off + size] for _, _, p, off in taps])
+        y = w.reshape(o, kh * kw) @ stack
     else:
-        y = taps[0][0] @ taps[0][1]
-        for wt, win in taps[1:]:
-            y += wt @ win
-    return y.reshape(o, n, *grid_hw)
+        (ki, kj, p, off), *rest = taps
+        y = w[:, :, ki, kj] @ buf[p, :, off : off + size]
+        tmp = np.empty_like(y)
+        for ki, kj, p, off in rest:
+            y += np.matmul(w[:, :, ki, kj], buf[p, :, off : off + size], out=tmp)
+    return y.reshape(o, n, hq, wq)
 
 
-def _conv_fwd(x, w, stride, padding):
-    n, _, h, wd = x.shape
-    kh, kw = w.shape[2:]
-    buf, grid_hw = _grid(x, padding, stride, (kh, kw))
-    oh = (h + padding[0] + padding[1] - kh) // stride[0] + 1
-    ow = (wd + padding[2] + padding[3] - kw) // stride[1] + 1
-    return _correlate(buf, grid_hw, n, w, stride)[:, :, :oh, :ow].transpose(1, 0, 2, 3)
+def _conv_out(grid, w, stride, out_hw):
+    """Convolution [n, o, oh, ow] with w [o, c, kh, kw] of the input gridded
+    with its padding, stride and kernel."""
+    return _correlate(grid, w, stride)[:, :, : out_hw[0], : out_hw[1]].transpose(1, 0, 2, 3)
 
 
-def _conv_grad_weight(x, g, stride, padding, kernel):
-    n, o, oh, ow = g.shape
-    buf, (hq, wq) = _grid(x, padding, stride, kernel)
+def _conv_grad_weight(grid, g, stride, kernel):
+    """Gradient [o, c, kh, kw] of a convolution's weight from the grid of its
+    input and its output gradient g [n, o, oh, ow]."""
+    buf, n, hq, wq = grid
+    o, oh, ow = g.shape[1:]
     size = n * hq * wq
     gz = np.zeros((o, size))  # g on the grid; zeros drop the invalid positions
     gz.reshape(o, n, hq, wq)[:, :, :oh, :ow] = g.transpose(1, 0, 2, 3)
-    gw = np.empty((o, x.shape[1], *kernel))
-    for ki in range(kernel[0]):
-        for kj in range(kernel[1]):
-            gw[:, :, ki, kj] = gz @ _window(buf, size, wq, stride, ki, kj).T
+    gw = np.empty((o, buf.shape[1], *kernel))
+    for ki, kj, p, off in _tap_plan(kernel, stride, wq, (0, 0)):
+        gw[:, :, ki, kj] = gz @ buf[p, :, off : off + size].T
     return gw
 
 
@@ -206,33 +241,43 @@ def _phases(k, s, pad, size, g_size):
     return out
 
 
-def _conv_grad_input(g, w, stride, padding, in_hw):
-    """Gradient [n, c, h, w] of a convolution's input from its output gradient
-    g [n, o, oh, ow], i.e. the transposed convolution of g with w [o, c, kh, kw]."""
-    n, _, oh, ow = g.shape
-    (sh, sw), (kh, kw) = stride, w.shape[2:]
-    rows = _phases(kh, sh, padding[0], in_hw[0], oh)
-    cols = _phases(kw, sw, padding[2], in_hw[1], ow)
+@lru_cache(maxsize=_PLANS)
+def _gather_plan(kernel, stride, padding, in_hw, g_hw):
+    """Geometry of _conv_grad_input: the pads and reach of the output
+    gradient's stride-1 grid, and per input phase some tap reaches (first row,
+    first column, row and column kernel offsets, origin on the grid, size)."""
+    (kh, kw), (sh, sw) = kernel, stride
+    rows = _phases(kh, sh, padding[0], in_hw[0], g_hw[0])
+    cols = _phases(kw, sw, padding[2], in_hw[1], g_hw[1])
     top, bottom = (max((p[i] for p in rows), default=0) for i in (2, 3))
     left, right = (max((p[i] for p in cols), default=0) for i in (2, 3))
     # a phase padded by lo before g starts top - lo rows into the grid, so its
     # last tap meets row top - lo + taps - 1: the grid's largest tap offset
     reach = (max((top - lo + len(range(a, kh, sh)) for _, a, lo, _ in rows), default=1),
              max((left - lo + len(range(b, kw, sw)) for _, b, lo, _ in cols), default=1))
-    buf, grid_hw = _grid(g, (top, bottom, left, right), (1, 1), reach)
+    phases = tuple((r0, c0, a, b, (top - r_lo, left - c_lo),
+                    (len(range(r0, in_hw[0], sh)), len(range(c0, in_hw[1], sw))))
+                   for r0, a, r_lo, _ in rows for c0, b, c_lo, _ in cols)
+    return (top, bottom, left, right), reach, phases
 
-    def phase(r0, a, r_lo, c0, b, c_lo):
-        """Channel-major gradient of the inputs r0::sh, c0::sw."""
+
+def _conv_grad_input(g, w, stride, padding, in_hw):
+    """Gradient [n, c, h, w] of a convolution's input from its output gradient
+    g [n, o, oh, ow], i.e. the transposed convolution of g with w [o, c, kh, kw]."""
+    sh, sw = stride
+    pads, reach, phases = _gather_plan(w.shape[2:], stride, padding, in_hw, g.shape[2:])
+    grid = _grid(g, pads, (1, 1), reach)
+
+    def phase(a, b, origin, crop):
+        """Channel-major gradient of one input phase."""
         sub = w[:, :, a::sh, b::sw][:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        y = _correlate(buf, grid_hw, n, sub, (1, 1), (top - r_lo, left - c_lo))
-        return y[:, :, : len(range(r0, in_hw[0], sh)), : len(range(c0, in_hw[1], sw))]
+        return _correlate(grid, sub, (1, 1), origin)[:, :, : crop[0], : crop[1]]
 
     if sh == sw == 1:  # one phase, already in place: no interleaving copy
-        return phase(*rows[0][:3], *cols[0][:3]).transpose(1, 0, 2, 3)
-    gx = np.zeros((w.shape[1], n, *in_hw))  # phases no tap reaches stay zero
-    for r0, a, r_lo, _ in rows:
-        for c0, b, c_lo, _ in cols:
-            gx[:, :, r0::sh, c0::sw] = phase(r0, a, r_lo, c0, b, c_lo)
+        return phase(*phases[0][2:]).transpose(1, 0, 2, 3)
+    gx = np.zeros((w.shape[1], g.shape[0], *in_hw))  # phases no tap reaches stay zero
+    for r0, c0, *rest in phases:
+        gx[:, :, r0::sh, c0::sw] = phase(*rest)
     return gx.transpose(1, 0, 2, 3)
 
 
@@ -260,15 +305,21 @@ def _fwd_conv(node, xs, run):
     x, w, b = xs
     spec = node.attrs["spec"]
     _check_conv_args(x, w, b, spec, transposed=False)
-    spec.out_hw(*x.shape[2:])
-    return _conv_fwd(x, w, spec.stride, spec.padding) + b[None, :, None, None]
+    out_hw = spec.out_hw(*x.shape[2:])
+    grid = _grid(x, spec.padding, spec.stride, spec.kernel)
+    if run.training:  # the weight gradient reads the same grid
+        run.grids[run.nid] = grid
+    return _conv_out(grid, w, spec.stride, out_hw) + b[None, :, None, None]
 
 
 def _bwd_conv(node, g, xs, y, run):
     x, w, b = xs
     spec = node.attrs["spec"]
     gx = _conv_grad_input(g, w, spec.stride, spec.padding, x.shape[2:]) if run.needs[0] else None
-    gw = _conv_grad_weight(x, g, spec.stride, spec.padding, spec.kernel)
+    grid = run.grids.pop(run.nid, None)
+    if grid is None:  # the forward pass ran in inference mode
+        grid = _grid(x, spec.padding, spec.stride, spec.kernel)
+    gw = _conv_grad_weight(grid, g, spec.stride, spec.kernel)
     return [gx, gw, g.sum(axis=(0, 2, 3))]
 
 
@@ -283,8 +334,9 @@ def _fwd_tconv(node, xs, run):
 def _bwd_tconv(node, g, xs, y, run):
     x, w, b = xs
     spec = node.attrs["spec"]
-    gx = _conv_fwd(g, w, spec.stride, spec.padding) if run.needs[0] else None
-    gw = _conv_grad_weight(g, x, spec.stride, spec.padding, spec.kernel)
+    grid = _grid(g, spec.padding, spec.stride, spec.kernel)  # serves both products
+    gx = _conv_out(grid, w, spec.stride, x.shape[2:]) if run.needs[0] else None
+    gw = _conv_grad_weight(grid, x, spec.stride, spec.kernel)
     return [gx, gw, g.sum(axis=(0, 2, 3))]
 
 

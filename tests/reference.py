@@ -57,6 +57,30 @@ def direct_tconv2d(x, w, b, stride, padding):
     return y
 
 
+def direct_conv2d_grads(x, w, g, stride, padding):
+    """Input and weight gradients of direct_conv2d for output gradient g: each
+    output's gradient flows back to every input entry and weight tap it read."""
+    n, ci, h, wd = x.shape
+    co, _, kh, kw = w.shape
+    sh, sw = stride
+    pt, pb, pl, pr = padding
+    xp = np.zeros((n, ci, h + pt + pb, wd + pl + pr))
+    xp[:, :, pt : pt + h, pl : pl + wd] = x
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    for nn in range(n):
+        for o in range(co):
+            for i in range(g.shape[2]):
+                for j in range(g.shape[3]):
+                    for c in range(ci):
+                        for a in range(kh):
+                            for bb in range(kw):
+                                r, s = i * sh + a, j * sw + bb
+                                gxp[nn, c, r, s] += g[nn, o, i, j] * w[o, c, a, bb]
+                                gw[o, c, a, bb] += g[nn, o, i, j] * xp[nn, c, r, s]
+    return gxp[:, :, pt : pt + h, pl : pl + wd], gw
+
+
 def direct_pearson(a, b):
     """Correlation straight from the covariance / std-product definition."""
     a = np.asarray(a, dtype=np.float64)

@@ -178,6 +178,31 @@ def test_backward_errors():
         ba.backward(g, g.outputs["v"])
 
 
+def test_execution_plan_follows_the_graph_as_it_grows():
+    bindings = {"x": [3.0, 4.0]}
+
+    def build(run_between):
+        g = ba.Graph()
+        p = g.param("p", [1.0, -2.0])
+        g.set_output("y", g.add(g.input("x"), g.identity(p)))
+        if run_between:  # caches the plan of "y"
+            ba.forward(g, bindings)
+        g.set_output("y", g.add(g.outputs["y"], g.param("q", [0.5, 0.25])))
+        g.set_output("s", g.sum(g.outputs["y"]))
+        return g
+
+    runs = {}
+    for run_between in (True, False):
+        g = build(run_between)
+        out = ba.forward(g, bindings, wanted=("y", "s"))
+        runs[run_between] = (out, g._run.order, g._run.input_needs, ba.backward(g, "s"))
+    (out, order, needs, grads), (out0, order0, needs0, grads0) = runs[True], runs[False]
+    assert out.keys() == out0.keys() and all(np.array_equal(out[k], out0[k]) for k in out)
+    assert order == order0 and needs == needs0
+    assert grads.keys() == grads0.keys() == {"p", "q"}
+    assert all(np.array_equal(grads[k], grads0[k]) for k in grads)
+
+
 def test_outputs_and_gradients_do_not_alias_params():
     g = ba.Graph()
     p = g.param("p", [1.0, -2.0])

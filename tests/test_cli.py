@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -327,6 +328,19 @@ def test_exit_5_on_non_finite_training(tiny_dirs, tmp_path, capsys):
     assert code == 5
     assert "error: numeric:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_exit_5_prints_only_the_error_line(tiny_dirs, tmp_path, capsys):
+    # numpy's overflow warnings would print first, or, turned into errors,
+    # end the run under another exit code
+    cfg = _cfg_file(tmp_path, tiny_dirs, epochs=1, lr=1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["train-sae", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: numeric:") and err.count("\n") == 1, err
+
 
 def test_run_artifacts_do_not_depend_on_blas_threads(tmp_path):
     # the thread count is read when numpy loads, so each run is its own process;

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import binadapt as ba
+from binadapt import autodiff, layers
 from binadapt.autodiff import GraphError
 from binadapt.layers import (
     BCE_CLAMP,
@@ -20,7 +21,14 @@ from binadapt.layers import (
     tconv_node,
 )
 
-from reference import direct_bce, direct_conv2d, direct_tconv2d, fd_loss_gradient, max_rel_err
+from reference import (
+    direct_bce,
+    direct_conv2d,
+    direct_conv2d_grads,
+    direct_tconv2d,
+    fd_loss_gradient,
+    max_rel_err,
+)
 
 
 def _op(node, *arrays, training=False, rng=None, **attrs):
@@ -323,6 +331,153 @@ def test_real_shape_gradients_match_finite_differences(name):
         numeric = fd_loss_gradient(eval_loss, probe)
         flat[idx] = probe
         assert max_rel_err(grads[param].reshape(-1)[idx], numeric) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# shape plans and the grids a training forward keeps for backward
+
+_PLAN_MEMOS = (layers._grid_plan, layers._tap_plan, layers._gather_plan)
+
+
+def _conv_op_results(kind, spec, x, w, b, g):
+    """Value, input gradient and weight gradient of one conv2d or tconv2d
+    node for output gradient g, evaluated as a training step evaluates it."""
+    fwd, bwd = autodiff._OPS[kind]
+    node = autodiff.Node(kind, (0, 1, 2), {"spec": spec}, kind)
+    run = autodiff._Run(values={}, masks={}, order=(), input_needs={}, training=True, nid=3,
+                        needs=(True, True, False))
+    y = fwd(node, [x, w, b], run)
+    gx, gw, _ = bwd(node, g, [x, w, b], y, run)
+    return y, gx, gw
+
+
+def _plan_leak_cases(rng, drawn):
+    """(kind, spec, x, w, b, g) at batch 16, strides 1-3 and pads 0-3."""
+    for _ in range(drawn):
+        for kind in ("conv2d", "tconv2d"):
+            stride = (int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+            kernel = (int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+            pad = tuple(int(p) for p in rng.integers(0, 4, size=4))
+            ci, co = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            spec = ba.ConvSpec(ci, co, kernel, stride, pad)
+            if kind == "conv2d":
+                side = tuple(max(1, k - p0 - p1) + int(rng.integers(0, 4))
+                             for k, p0, p1 in zip(kernel, pad[::2], pad[1::2]))
+                out_hw, wshape = spec.out_hw(*side), (co, ci, *kernel)
+            else:  # enough input rows that the output is at least one row
+                side = tuple(-(-(p0 + p1 - k + 1) // s) + 1 + int(rng.integers(0, 3))
+                             for k, s, p0, p1 in zip(kernel, stride, pad[::2], pad[1::2]))
+                side = tuple(max(1, n) for n in side)
+                out_hw, wshape = spec.transpose_out_hw(*side), (ci, co, *kernel)
+            yield (kind, spec, rng.normal(size=(16, ci, *side)), rng.normal(size=wshape),
+                   rng.normal(size=co), rng.normal(size=(16, co, *out_hw)))
+
+
+def _oracle_results(kind, spec, x, w, b, g):
+    if kind == "conv2d":
+        y = direct_conv2d(x, w, b, spec.stride, spec.padding)
+        return (y, *direct_conv2d_grads(x, w, g, spec.stride, spec.padding))
+    # the transposed convolution is the convolution's adjoint: its input
+    # gradient is that convolution of g, its weight gradient the one with the
+    # roles of g and x swapped
+    y = direct_tconv2d(x, w, b, spec.stride, spec.padding)
+    gx = direct_conv2d(g, w, np.zeros(w.shape[0]), spec.stride, spec.padding)
+    return y, gx, direct_conv2d_grads(g, w, x, spec.stride, spec.padding)[1]
+
+
+def test_shape_plans_do_not_leak_across_shapes():
+    # batches of 1, 8, 16 and a ragged 5 interleaved over 12 specs: every
+    # plan is looked up under shapes it was not built for in between
+    cases = list(_plan_leak_cases(np.random.default_rng(31), 6))
+    batches = (8, 1, 16, 5, 8)
+
+    def sweep():
+        return [_conv_op_results(kind, spec, x[:n], w, b, g[:n])
+                for n in batches for kind, spec, x, w, b, g in cases]
+
+    for memo in _PLAN_MEMOS:
+        memo.cache_clear()
+    cold = sweep()
+    assert all(memo.cache_info().hits for memo in _PLAN_MEMOS)
+    warm = sweep()
+    wanted = [_oracle_results(kind, spec, x[:n], w, b, g[:n])
+              for n in batches for kind, spec, x, w, b, g in cases]
+    for got_cold, got_warm, want in zip(cold, warm, wanted):
+        for a, b, oracle in zip(got_cold, got_warm, want):
+            np.testing.assert_array_equal(a, b)
+            np.testing.assert_allclose(a, oracle, rtol=0, atol=1e-11)
+
+
+def _tiny_bindann():
+    cfg = ba.SaeConfig(depth=2, filters=3, dropout_rate=0.0, patch=(8, 8))
+    model = ba.build_bindann(ba.BinDannConfig(sae=cfg), np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    bindings = {"x": rng.random((3, 1, 8, 8)), "gt": (rng.random((3, 1, 8, 8)) > 0.5) * 1.0,
+                "domain_gt": np.ones((3, 1, 8, 8))}
+    return model, bindings
+
+
+def test_backward_reuses_the_grids_of_a_training_forward():
+    model, bindings = _tiny_bindann()
+    graph = model.graph
+    convs = [nid for nid, node in enumerate(graph.nodes) if node.kind == "conv2d"]
+    grads = {}
+    for training in (True, False):  # with dropout off the two passes compute the same
+        ba.forward(graph, bindings, training=training, rng=np.random.default_rng(2))
+        assert sorted(graph._run.grids) == (convs if training else [])
+        grads[training] = ba.backward(graph, "loss")
+        assert graph._run.grids == {}
+    assert set(grads[True]) == set(graph.params)
+    for name in graph.params:
+        np.testing.assert_array_equal(grads[True][name], grads[False][name])
+
+
+def test_conv_weights_pass_grad_check_through_kept_grids():
+    model, bindings = _tiny_bindann()
+    weights = [model.graph.nodes[node.inputs[1]].name for node in model.graph.nodes
+               if node.kind in ("conv2d", "tconv2d")]
+    assert len(weights) == 7
+    for name in weights:
+        # the reversal flips the domain loss's gradient into the trunk, so each
+        # weight is checked on the one loss it truly descends
+        loss = "domain_loss" if name.startswith("dom_") else "bin_loss"
+        assert ba.grad_check(model.graph, loss, bindings, name, training=True,
+                             rng=np.random.default_rng(3)) < 1e-4
+
+
+def test_one_grid_per_operand_per_training_step(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return grid(*args)
+
+    grid = layers._grid
+    monkeypatch.setattr(layers, "_grid", counted)
+    rng = np.random.default_rng(4)
+    x, gt = rng.random((8, 1, 32, 32)), (rng.random((8, 1, 32, 32)) > 0.5) * 1.0
+
+    def step(model, bindings, wanted, loss):
+        ba.forward(model.graph, bindings, wanted=wanted, training=True,
+                   rng=np.random.default_rng(5))
+        ba.backward(model.graph, loss)
+
+    # SAE: the forward grids the input of its 4 convs and 3 tconvs; the
+    # backward grids g once for 3 conv input gradients (enc1 reads data) and
+    # once per tconv, the convs' weight gradients read the kept grids
+    sae = ba.build_sae(ba.SaeConfig(), np.random.default_rng(0))
+    step(sae, {"x": x, "gt": gt}, ("loss", "bin_loss"), "loss")
+    assert len(calls) == 7 + 3 + 3
+    calls.clear()
+    # Bin-DANN adds a tconv and a conv behind the reversal: the source pass
+    # costs 9 + (4 + 4) grids; the target pass reaches 4 convs and 3 tconvs,
+    # of which 3 convs take an input gradient: 7 + (3 + 3)
+    dann = ba.build_bindann(ba.BinDannConfig(), np.random.default_rng(0))
+    domain = np.zeros_like(x)
+    step(dann, {"x": x, "gt": gt, "domain_gt": domain}, ("loss", "bin_loss", "domain_loss"),
+         "loss")
+    step(dann, {"x": x, "domain_gt": 1.0 - domain}, ("domain_loss",), "domain_loss")
+    assert len(calls) == 17 + 13
 
 
 # ---------------------------------------------------------------------------
