@@ -26,9 +26,8 @@ confident2 = np.clip(np.concatenate([
 
 hists = {}
 for name, values in (("confident", confident), ("confident2", confident2), ("unsure", unsure)):
-    h = ba.accumulate_histogram(values, 0.1)
-    hists[name] = ba.normalize_histogram(h)
-    print(f"{name:10s} bins:", np.round(hists[name].bins, 3))
+    hists[name] = ba.domain_histogram([values], 0.1)
+    print(f"{name:10s} bins:", np.round(hists[name], 3))
 
 print()
 for a, b in (("confident", "confident2"), ("confident", "unsure")):

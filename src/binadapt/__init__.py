@@ -52,9 +52,7 @@ from .similarity import (
     USE_DA,
     USE_SAE,
     DegenerateHistogramError,
-    DomainHistogram,
     SimilarityReport,
-    accumulate_histogram,
     autobindann,
     compare_histograms,
     domain_histogram,
@@ -63,7 +61,6 @@ from .similarity import (
     intra_domain_rho,
     js_divergence,
     kl_divergence,
-    normalize_histogram,
     pearson,
 )
 from .training import (

@@ -163,6 +163,13 @@ def _write_manifest(out: Path, command, cfg, extra=None):
     (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
+def _write_gate(out: Path, report, hist_source, hist_target, h_prec):
+    """The gate's artifacts: its report and the two domain histograms."""
+    (out / "report.json").write_text(report.to_json() + "\n")
+    (out / "hist_source.csv").write_text(histogram_csv(hist_source, h_prec))
+    (out / "hist_target.csv").write_text(histogram_csv(hist_target, h_prec))
+
+
 def _collapsed(**binarizers):
     """Whether any freshly trained binarizer kept a best validation F1 of 0;
     each such model gets a warning on stderr. ``None`` entries are skipped."""
@@ -248,14 +255,16 @@ def cmd_similarity(args) -> int:
     tb = load_binarizer(args.checkpoint)
     source = load_dataset(cfg.source_dir, "source", cfg.validation_fraction, cfg.seed)
     target = load_dataset(cfg.target_dir, "target", cfg.validation_fraction, cfg.seed)
+    if not source.validation():
+        raise DataError("source has no validation page to pool into its histogram")
     out = _out_dir(cfg)
-    hist_source = domain_histogram(tb, source.validation(), cfg.h_prec)
-    hist_target = domain_histogram(tb, target.records, cfg.h_prec)
+    hist_source, hist_target = (
+        domain_histogram((predict_prob_map(tb.model, rec.page) for rec in records), cfg.h_prec)
+        for records in (source.validation(), target.records)
+    )
     report = compare_histograms(hist_source, hist_target, cfg.rho_th)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(report.to_json() + "\n")
-    (out / "hist_source.csv").write_text(histogram_csv(hist_source))
-    (out / "hist_target.csv").write_text(histogram_csv(hist_target))
+    _write_gate(out, report, hist_source, hist_target, cfg.h_prec)
     _write_manifest(out, "similarity", cfg, {"decision": report.decision, "rho": report.rho})
     print(f"rho={report.rho:.4f} decision={report.decision}")
     return 0
@@ -268,6 +277,10 @@ def cmd_run(args) -> int:
     check_gate_settings(cfg.h_prec, cfg.rho_th)
     source = load_dataset(cfg.source_dir, "source", cfg.validation_fraction, cfg.seed)
     target = load_dataset(cfg.target_dir, "target", cfg.validation_fraction, cfg.seed)
+    # post-hoc evaluation only: target labels, when present on disk, never
+    # feed back into training or the gate; they are read up front so a bad
+    # one fails the run before it trains
+    eval_masks = load_eval_masks(cfg.target_dir, target.records)
     out = _out_dir(cfg)
 
     result = autobindann(source, target, train_cfg, cfg.h_prec, cfg.rho_th)
@@ -277,18 +290,13 @@ def cmd_run(args) -> int:
     for stem, mask in result.masks.items():
         (mask_dir / f"{stem}.pgm").write_bytes(write_pgm(mask.astype(np.float64)))
 
-    (out / "report.json").write_text(result.report.to_json() + "\n")
-    (out / "hist_source.csv").write_text(histogram_csv(result.hist_source))
-    (out / "hist_target.csv").write_text(histogram_csv(result.hist_target))
+    _write_gate(out, result.report, result.hist_source, result.hist_target, cfg.h_prec)
     (out / "history_sae.csv").write_text(history_csv(result.sae.history))
     save_binarizer(out / "sae.ckpt", result.sae)
     if result.da is not None:
         (out / "history_bindann.csv").write_text(history_csv(result.da.history))
         save_binarizer(out / "bindann.ckpt", result.da)
 
-    # post-hoc evaluation only: target labels, when present on disk, never
-    # feed back into training or the gate
-    eval_masks = load_eval_masks(cfg.target_dir)
     rows = _evaluation_rows(result.masks, eval_masks)
     if rows:
         (out / "summary.csv").write_text(_summary_csv(rows))

@@ -253,6 +253,11 @@ def _read_gt(path) -> GroundTruth:
     return GroundTruth(read_pgm(path.read_bytes()).pixels >= GT_INK_THRESHOLD / 255.0)
 
 
+def _check_gt_size(stem, gt, page):
+    if gt.mask.shape != page.pixels.shape:
+        raise DataError(f"page {stem!r}: gt size {gt.mask.shape} != image size {page.pixels.shape}")
+
+
 def load_dataset(directory, role, validation_fraction=0.2, seed=0) -> Dataset:
     """Load ``<root>/images/*.pgm`` (+ ``gt/`` for sources) with a seeded split.
 
@@ -277,20 +282,21 @@ def load_dataset(directory, role, validation_fraction=0.2, seed=0) -> Dataset:
                 missing.append(path.stem)
                 continue
             gt = _read_gt(gt_path)
-            if gt.mask.shape != page.pixels.shape:
-                raise DataError(
-                    f"page {path.stem!r}: gt size {gt.mask.shape} "
-                    f"!= image size {page.pixels.shape}"
-                )
+            _check_gt_size(path.stem, gt, page)
         records.append(PageRecord(path.stem, page, gt, splits[path.stem]))
     if missing:
         raise FileNotFoundError(f"source pages without ground truth: {', '.join(missing)}")
     return Dataset(role=role, records=records)
 
 
-def load_eval_masks(directory) -> dict:
-    """Ground-truth masks from a dataset directory, keyed by stem (may be empty)."""
-    return {path.stem: _read_gt(path) for path in sorted(Path(directory, "gt").glob("*.pgm"))}
+def load_eval_masks(directory, records=()) -> dict:
+    """Ground-truth masks from a dataset directory, keyed by stem (may be empty);
+    one whose size differs from the page of the record of its stem is a ``DataError``."""
+    masks = {path.stem: _read_gt(path) for path in sorted(Path(directory, "gt").glob("*.pgm"))}
+    for rec in records:
+        if rec.stem in masks:
+            _check_gt_size(rec.stem, masks[rec.stem], rec.page)
+    return masks
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,20 @@
 """Domain similarity from probability-map histograms, and the gated driver.
 
 The source-trained binarizer predicts foreground-probability maps for both
-domains; each domain's pixel probabilities are pooled into one normalized
-histogram (bin width ``h_prec``). The Pearson correlation between the two
-histograms decides whether the plain model transfers (high correlation) or
-adversarial adaptation should be trained (correlation at or below ``rho_th``).
-KL and Jensen-Shannon divergences plus histogram intersection are computed
-alongside for reporting.
+domains. ``domain_histogram``, the one place a histogram is built, pools a
+domain's pixel probabilities into one normalized histogram: a plain float64
+array of bin masses, bin width ``h_prec``. The Pearson correlation between
+the two histograms decides whether the plain model transfers (high
+correlation) or adversarial adaptation should be trained (correlation at or
+below ``rho_th``). KL and Jensen-Shannon divergences plus histogram
+intersection are computed alongside for reporting.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -25,10 +26,6 @@ __all__ = [
     "USE_SAE",
     "USE_DA",
     "DegenerateHistogramError",
-    "DomainHistogram",
-    "new_histogram",
-    "accumulate_histogram",
-    "normalize_histogram",
     "pearson",
     "kl_divergence",
     "js_divergence",
@@ -54,23 +51,6 @@ class DegenerateHistogramError(ValueError):
     """A histogram with zero variance cannot be correlated."""
 
 
-@dataclass
-class DomainHistogram:
-    """Pixel counts (or masses, once normalized) over probability bins."""
-
-    bins: np.ndarray
-    bin_width: float
-    normalized: bool = False
-
-    def __post_init__(self):
-        self.bins = np.asarray(self.bins, dtype=np.float64)
-        expected = _bin_count(self.bin_width)
-        if self.bins.shape != (expected,):
-            raise ValueError(f"expected {expected} bins for width {self.bin_width}")
-        if np.any(self.bins < 0):
-            raise ValueError("histogram bins must be non-negative")
-
-
 def _bin_count(h_prec):
     if not 0.0 < h_prec <= 1.0:
         raise ValueError(f"bin width {h_prec} outside (0, 1]")
@@ -80,52 +60,33 @@ def _bin_count(h_prec):
     return int(round(n))
 
 
-def new_histogram(h_prec) -> DomainHistogram:
-    return DomainHistogram(np.zeros(_bin_count(h_prec)), h_prec)
-
-
-def accumulate_histogram(prob_map, h_prec, acc=None) -> DomainHistogram:
-    """Add one map's pixels into the running domain histogram.
+def domain_histogram(prob_maps, h_prec=0.1) -> np.ndarray:
+    """Pool the pixels of any iterable of probability maps into one
+    normalized histogram: a float64 array of ``1 / h_prec`` bin masses.
 
     Pixel p lands in bin floor(p / h_prec); p == 1.0 lands in the closed top
-    bin. Values outside [0, 1] are contract violations.
+    bin. Values outside [0, 1] are contract violations. Maps are read one at a
+    time, so a generator of maps keeps one page's map in memory, not a domain's.
     """
-    if acc is None:
-        acc = new_histogram(h_prec)
-    if acc.normalized:
-        raise ValueError("cannot accumulate into a normalized histogram")
-    if acc.bin_width != h_prec:
-        raise ValueError(f"accumulator bin width {acc.bin_width} != {h_prec}")
-    values = np.asarray(prob_map, dtype=np.float64).ravel()
-    if values.size and (values.min() < 0.0 or values.max() > 1.0):
-        raise ValueError("probability map has values outside [0, 1]")
-    n = acc.bins.size
-    idx = np.minimum(np.floor(values / h_prec).astype(np.int64), n - 1)
-    acc.bins += np.bincount(idx, minlength=n)
-    return acc
-
-
-def normalize_histogram(h: DomainHistogram) -> DomainHistogram:
-    total = h.bins.sum()
+    n = _bin_count(h_prec)
+    counts = np.zeros(n)
+    for prob in prob_maps:
+        values = np.asarray(prob, dtype=np.float64).ravel()
+        if values.size and (values.min() < 0.0 or values.max() > 1.0):
+            raise ValueError("probability map has values outside [0, 1]")
+        idx = np.minimum(np.floor(values / h_prec).astype(np.int64), n - 1)
+        counts += np.bincount(idx, minlength=n)
+    total = counts.sum()
     if total <= 0:
         raise ValueError("cannot normalize an empty histogram")
-    return DomainHistogram(h.bins / total, h.bin_width, normalized=True)
-
-
-def _mass(h, require_normalized):
-    if isinstance(h, DomainHistogram):
-        if require_normalized and not h.normalized:
-            raise ValueError("histogram is not normalized")
-        return h.bins
-    arr = np.asarray(h, dtype=np.float64)
-    if require_normalized and abs(arr.sum() - 1.0) > 1e-6:
-        raise ValueError("histogram vector does not sum to 1")
-    return arr
+    return counts / total
 
 
 def _masses(p, q, require_normalized):
     """Both histograms' bin masses, which must cover the same bins."""
-    a, b = _mass(p, require_normalized), _mass(q, require_normalized)
+    a, b = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
+    if require_normalized and (abs(a.sum() - 1.0) > 1e-6 or abs(b.sum() - 1.0) > 1e-6):
+        raise ValueError("histogram vector does not sum to 1")
     if a.shape != b.shape:
         raise ValueError(f"histograms have {a.size} vs {b.size} bins")
     return a, b
@@ -195,19 +156,9 @@ class SimilarityReport:
     degenerate: bool = False
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "rho": self.rho,
-                "kl_st": self.kl_st,
-                "kl_ts": self.kl_ts,
-                "js": self.js,
-                "hist_intersection": self.hist_intersection,
-                "rho_th": self.rho_th,
-                "decision": self.decision,
-                "degenerate_flag": self.degenerate,
-            },
-            sort_keys=True,
-        )
+        payload = asdict(self)
+        payload["degenerate_flag"] = payload.pop("degenerate")
+        return json.dumps(payload, sort_keys=True)
 
 
 def compare_histograms(hs, ht, rho_th=0.25) -> SimilarityReport:
@@ -235,28 +186,16 @@ def compare_histograms(hs, ht, rho_th=0.25) -> SimilarityReport:
     )
 
 
-def _pooled_histogram(prob_maps, h_prec) -> DomainHistogram:
-    acc = new_histogram(h_prec)
-    for prob in prob_maps:
-        accumulate_histogram(prob, h_prec, acc)
-    return normalize_histogram(acc)
-
-
-def domain_histogram(binarizer: TrainedBinarizer, records, h_prec=0.1) -> DomainHistogram:
-    """Pool the binarizer's probability maps for the pages of all given
-    records into one normalized histogram."""
-    return _pooled_histogram((predict_prob_map(binarizer.model, rec.page) for rec in records), h_prec)
-
-
 def intra_domain_rho(binarizer: TrainedBinarizer, records, h_prec=0.1) -> float:
     """Correlation between the histograms of two disjoint halves of a record list."""
     if len(records) < 2:
         raise ValueError("need at least two pages to split into halves")
     half = len(records) // 2
-    return pearson(
-        domain_histogram(binarizer, records[:half], h_prec),
-        domain_histogram(binarizer, records[half:], h_prec),
+    hs, ht = (
+        domain_histogram((predict_prob_map(binarizer.model, rec.page) for rec in part), h_prec)
+        for part in (records[:half], records[half:])
     )
+    return pearson(hs, ht)
 
 
 @dataclass
@@ -267,8 +206,8 @@ class AutoRunResult:
     sae: TrainedBinarizer
     da: TrainedBinarizer | None
     masks: dict
-    hist_source: DomainHistogram
-    hist_target: DomainHistogram
+    hist_source: np.ndarray
+    hist_target: np.ndarray
 
     @property
     def used(self) -> TrainedBinarizer:
@@ -294,13 +233,16 @@ def autobindann(
     """
     check_gate_settings(h_prec, rho_th)
     sae_tb = train_sae(source, cfg)
-    hist_source = _pooled_histogram(sae_tb.val_maps, h_prec)
-    acc, masks = new_histogram(h_prec), {}
-    for rec in target.records:
-        prob = predict_prob_map(sae_tb.model, rec.page)
-        accumulate_histogram(prob, h_prec, acc)
-        masks[rec.stem] = binarize(prob, sae_tb.th_s)
-    hist_target = normalize_histogram(acc)
+    hist_source = domain_histogram(sae_tb.val_maps, h_prec)
+    masks = {}
+
+    def target_maps():
+        for rec in target.records:
+            prob = predict_prob_map(sae_tb.model, rec.page)
+            masks[rec.stem] = binarize(prob, sae_tb.th_s)
+            yield prob
+
+    hist_target = domain_histogram(target_maps(), h_prec)
     report = compare_histograms(hist_source, hist_target, rho_th)
 
     da_tb = None
@@ -313,8 +255,8 @@ def autobindann(
     return AutoRunResult(report, sae_tb, da_tb, masks, hist_source, hist_target)
 
 
-def histogram_csv(h: DomainHistogram) -> str:
+def histogram_csv(h, h_prec) -> str:
     lines = ["bin_low,bin_high,mass"]
-    for i, mass in enumerate(h.bins):
-        lines.append(f"{repr(i * h.bin_width)},{repr((i + 1) * h.bin_width)},{repr(float(mass))}")
+    for i, mass in enumerate(h):
+        lines.append(f"{repr(i * h_prec)},{repr((i + 1) * h_prec)},{repr(float(mass))}")
     return "\n".join(lines) + "\n"

@@ -111,21 +111,18 @@ def _sweep_grid(step):
     return [i * step for i in range(1, n)]
 
 
-def sweep_threshold(model, validation, sweep_step=0.05, prob_maps=None):
-    """Best equidistant threshold over a list of labeled validation records.
+def sweep_threshold(prob_maps, validation, sweep_step=0.05):
+    """Best equidistant threshold for the probability maps of labeled
+    validation records, one map per record in the same order.
 
     Confusions are aggregated across all pages per candidate threshold; ties
-    resolve to the lowest threshold. ``prob_maps`` are the model's maps of the
-    validation pages when the caller already has them. Returns (threshold, F1
-    at it).
+    resolve to the lowest threshold. Returns (threshold, F1 at it).
     """
     if not validation:
         raise ValueError("validation set is empty")
     for rec in validation:
         if rec.gt is None:
             raise ValueError(f"validation page {rec.stem!r} has no ground truth")
-    if prob_maps is None:
-        prob_maps = [predict_prob_map(model, rec.page) for rec in validation]
     maps = [(prob, rec.gt.mask) for prob, rec in zip(prob_maps, validation)]
     best_th, best_f1 = None, -1.0
     for th in _sweep_grid(sweep_step):
@@ -212,7 +209,7 @@ def _fit(source: Dataset, target: Dataset | None, cfg: TrainConfig) -> TrainedBi
                 dom_losses.append(0.5 * float(out["domain_loss"][0] + out_t["domain_loss"][0]))
             optimizer_step(opt, model.params, grads)
         val_maps = [predict_prob_map(model, rec.page) for rec in val]
-        th, score = sweep_threshold(model, val, cfg.sweep_step, val_maps)
+        th, score = sweep_threshold(val_maps, val, cfg.sweep_step)
         dom_loss = float(np.mean(dom_losses)) if target is not None else None
         history.append(EpochStats(epoch, float(np.mean(bin_losses)), dom_loss, lam, score, th))
         if best is None or score > best[0]:

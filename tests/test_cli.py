@@ -313,10 +313,36 @@ def test_exit_4_on_ground_truth_of_the_wrong_size(tiny_dirs, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_exit_4_on_a_source_without_a_validation_page(tiny_dirs, tmp_path, capsys):
+@pytest.mark.parametrize("gt_bytes, code, category", [
+    pytest.param(ba.write_pgm(np.zeros((32, 64))), 4, "data", id="wrong-size"),
+    pytest.param(b"P5\n64 64\n255\n", 3, "io", id="malformed"),
+])
+def test_bad_target_ground_truth_fails_run_before_training(gt_bytes, code, category, tiny_dirs,
+                                                          tmp_path, monkeypatch, capsys):
+    # target labels serve only the post-hoc evaluation, yet a wrong-sized or
+    # malformed one must fail the run before it trains and writes
+    import shutil
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before the target labels were checked")
+
+    target = tmp_path / "target"
+    shutil.copytree(tiny_dirs / "target_far", target)
+    sorted((target / "gt").glob("*.pgm"))[0].write_bytes(gt_bytes)
+    monkeypatch.setattr(similarity, "train_sae", no_training)
+    cfg = _cfg_file(tmp_path, tiny_dirs, target_dir=target)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == code
+    assert f"error: {category}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train-sae", "similarity"])
+def test_exit_4_on_a_source_without_a_validation_page(command, tiny_dirs, tmp_path, capsys):
     # 3 pages at validation_fraction 0.1 round to no validation page
+    (tmp_path / "ok.ckpt").write_bytes(_checkpoint(_header()))
     cfg = _cfg_file(tmp_path, tiny_dirs, validation_fraction=0.1)
-    assert main(["train-sae", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+    extra = ["--checkpoint", str(tmp_path / "ok.ckpt")] if command == "similarity" else []
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), *extra]) == 4
     assert "error: data:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 

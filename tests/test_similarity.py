@@ -1,4 +1,4 @@
-"""Histogram accumulation, the four comparison metrics, the gate, the driver."""
+"""Domain histograms, the four comparison metrics, the gate, the driver."""
 
 import json
 import math
@@ -11,72 +11,72 @@ from binadapt.similarity import (
     USE_DA,
     USE_SAE,
     DegenerateHistogramError,
-    DomainHistogram,
     autobindann,
     compare_histograms,
     domain_histogram,
     histogram_csv,
-    new_histogram,
 )
 
 from reference import direct_pearson
 
 
 # ---------------------------------------------------------------------------
-# histogram accumulation
+# domain histograms
 
 def test_all_zero_map_lands_in_first_bin():
-    h = ba.accumulate_histogram(np.zeros((5, 4)), 0.1)
-    assert h.bins[0] == 20 and h.bins[1:].sum() == 0
+    h = domain_histogram([np.zeros((5, 4))], 0.1)
+    assert h.dtype == np.float64
+    np.testing.assert_array_equal(h, [1.0] + [0.0] * 9)
 
 
 def test_hand_binning_including_closed_top_bin():
-    h = ba.accumulate_histogram(np.array([0.05, 0.15, 0.95, 1.0]), 0.1)
-    np.testing.assert_array_equal(h.bins, [1, 1, 0, 0, 0, 0, 0, 0, 0, 2])
+    h = domain_histogram([np.array([0.05, 0.15, 0.95, 1.0])], 0.1)
+    np.testing.assert_array_equal(h, [0.25, 0.25, 0, 0, 0, 0, 0, 0, 0, 0.5])
 
 
 def test_accumulation_is_additive():
+    # pooling two maps, from a list or a stream, equals pooling their concatenation
     rng = np.random.default_rng(0)
     a, b = rng.random(50), rng.random(70)
-    h1 = ba.accumulate_histogram(b, 0.1, ba.accumulate_histogram(a, 0.1))
-    h2 = ba.accumulate_histogram(np.concatenate([a, b]), 0.1)
-    np.testing.assert_array_equal(h1.bins, h2.bins)
+    pooled = domain_histogram([np.concatenate([a, b])], 0.1).tobytes()
+    assert domain_histogram([a, b], 0.1).tobytes() == pooled
+    assert domain_histogram((m for m in (a, b)), 0.1).tobytes() == pooled
 
 
 def test_out_of_range_values_rejected():
     with pytest.raises(ValueError, match="outside"):
-        ba.accumulate_histogram(np.array([1.2]), 0.1)
+        domain_histogram([np.array([1.2])], 0.1)
     with pytest.raises(ValueError, match="outside"):
-        ba.accumulate_histogram(np.array([-0.1]), 0.1)
+        domain_histogram([np.zeros(3), np.array([-0.1])], 0.1)
 
 
 def test_bin_width_must_divide_one():
     with pytest.raises(ValueError, match="divide"):
-        new_histogram(0.3)
-    assert new_histogram(0.25).bins.size == 4
-    assert new_histogram(0.1).bins.size == 10
+        domain_histogram([np.zeros(3)], 0.3)
+    assert domain_histogram([np.zeros(3)], 0.25).shape == (4,)
+    assert domain_histogram([np.zeros(3)], 0.1).shape == (10,)
 
 
 # ---------------------------------------------------------------------------
 # normalization
 
 def test_normalize_examples():
-    h = DomainHistogram(np.array([2.0, 2.0]), 0.5)
-    np.testing.assert_array_equal(ba.normalize_histogram(h).bins, [0.5, 0.5])
-    h = DomainHistogram(np.array([10.0] + [0.0] * 9), 0.1)
-    np.testing.assert_array_equal(ba.normalize_histogram(h).bins, [1.0] + [0.0] * 9)
+    np.testing.assert_array_equal(domain_histogram([np.array([0.2, 0.7])], 0.5), [0.5, 0.5])
+    np.testing.assert_array_equal(domain_histogram([np.full((2, 5), 0.01)], 0.1), [1.0] + [0.0] * 9)
 
 
 def test_normalize_random_counts_sum_to_one():
     rng = np.random.default_rng(1)
     for _ in range(50):
-        h = DomainHistogram(rng.integers(0, 1000, size=10).astype(float) + 1, 0.1)
-        assert abs(ba.normalize_histogram(h).bins.sum() - 1.0) < 1e-9
+        maps = [rng.random((rng.integers(1, 9), 7)) for _ in range(rng.integers(1, 4))]
+        assert abs(domain_histogram(maps, 0.1).sum() - 1.0) < 1e-9
 
 
 def test_normalize_empty_errors():
     with pytest.raises(ValueError, match="empty"):
-        ba.normalize_histogram(new_histogram(0.1))
+        domain_histogram([], 0.1)
+    with pytest.raises(ValueError, match="empty"):
+        domain_histogram([np.zeros(0), np.zeros((0, 3))], 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +204,8 @@ def test_degenerate_report_keeps_plain_model():
 
 
 def test_histogram_csv_layout():
-    h = ba.normalize_histogram(ba.accumulate_histogram(np.array([0.05, 0.95]), 0.5))
-    lines = histogram_csv(h).strip().split("\n")
+    h = domain_histogram([np.array([0.05, 0.95])], 0.5)
+    lines = histogram_csv(h, 0.5).strip().split("\n")
     assert lines[0] == "bin_low,bin_high,mass"
     assert lines[1].startswith("0.0,0.5,")
     assert len(lines) == 3
@@ -227,8 +227,12 @@ def test_autobindann_mini_run_contracts():
     assert (result.da is not None) == (result.report.decision == USE_DA)
     assert result.used is (result.da if result.da is not None else result.sae)
     # the kept epoch's sweep maps give the histogram a fresh prediction would
-    again = domain_histogram(result.sae, src.validation(), 0.1)
-    assert result.hist_source.bins.tobytes() == again.bins.tobytes()
+    def fresh(records):
+        return domain_histogram((ba.predict_prob_map(result.sae.model, r.page) for r in records), 0.1)
+
+    assert result.hist_source.tobytes() == fresh(src.validation()).tobytes()
+    # the target histogram pools the plain model's maps of every target page
+    assert result.hist_target.tobytes() == fresh(far.records).tobytes()
 
 
 def test_intra_domain_rho_needs_two_pages():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import binadapt as ba
-from binadapt import training
 from binadapt.data import GroundTruth, PageRecord
 from binadapt.training import history_csv
 
@@ -46,62 +45,39 @@ def test_binarize_threshold_range():
 
 
 # ---------------------------------------------------------------------------
-# threshold sweep (model prediction stubbed to craft exact maps)
+# threshold sweep (on crafted maps)
 
-class _FixedMapModel:
-    def __init__(self, maps):
-        self.maps = maps
-
-
-def _record(page, gt):
-    return PageRecord("p", page, GroundTruth(gt), "validation")
+def _record(gt):
+    return PageRecord("p", None, GroundTruth(gt), "validation")
 
 
-def _stub_predict(monkeypatch):
-    monkeypatch.setattr(
-        training, "predict_prob_map", lambda model, page, batch=16: model.maps[id(page)]
-    )
-
-
-def test_sweep_perfect_map_returns_lowest_threshold(monkeypatch):
-    _stub_predict(monkeypatch)
+def test_sweep_perfect_map_returns_lowest_threshold():
     gt = (np.arange(16).reshape(4, 4) % 3 == 0).astype(np.uint8)
-    page = object()
-    model = _FixedMapModel({id(page): gt.astype(float)})
-    th, score = ba.sweep_threshold(model, [_record(page, gt)], sweep_step=0.05)
+    th, score = ba.sweep_threshold([gt.astype(float)], [_record(gt)], sweep_step=0.05)
     assert th == pytest.approx(0.05)
     assert score == 1.0
 
 
-def test_sweep_two_level_map(monkeypatch):
-    _stub_predict(monkeypatch)
+def test_sweep_two_level_map():
     gt = np.array([[1, 0], [0, 1]], dtype=np.uint8)
     prob = np.where(gt == 1, 0.6, 0.1)
-    page = object()
-    model = _FixedMapModel({id(page): prob})
-    th, score = ba.sweep_threshold(model, [_record(page, gt)], sweep_step=0.05)
+    th, score = ba.sweep_threshold([prob], [_record(gt)], sweep_step=0.05)
     assert th == pytest.approx(0.15)
     assert score == 1.0
 
 
-def test_sweep_empty_foreground_convention(monkeypatch):
-    _stub_predict(monkeypatch)
+def test_sweep_empty_foreground_convention():
     gt = np.zeros((3, 3), dtype=np.uint8)
-    page = object()
-    model = _FixedMapModel({id(page): np.zeros((3, 3))})
-    th, score = ba.sweep_threshold(model, [_record(page, gt)], sweep_step=0.05)
+    th, score = ba.sweep_threshold([np.zeros((3, 3))], [_record(gt)], sweep_step=0.05)
     assert th == pytest.approx(0.05)
     assert score == 1.0
 
 
-def test_sweep_result_achieves_curve_maximum(monkeypatch):
-    _stub_predict(monkeypatch)
+def test_sweep_result_achieves_curve_maximum():
     rng = np.random.default_rng(3)
     gt = (rng.random((8, 8)) > 0.6).astype(np.uint8)
     prob = np.clip(gt * 0.55 + rng.random((8, 8)) * 0.4, 0, 1)
-    page = object()
-    model = _FixedMapModel({id(page): prob})
-    th, score = ba.sweep_threshold(model, [_record(page, gt)], sweep_step=0.05)
+    th, score = ba.sweep_threshold([prob], [_record(gt)], sweep_step=0.05)
     grid = [i * 0.05 for i in range(1, 20)]
     assert any(abs(th - g) < 1e-12 for g in grid)
     curve = [ba.f1(ba.confusion(prob >= g, gt)) for g in grid]
@@ -135,7 +111,8 @@ def test_best_epoch_checkpoint_selected():
     src, _, _ = _tiny_domains()
     tb = ba.train_sae(src, _tiny_cfg(epochs=4, seed=1))
     best = max(h.val_f1 for h in tb.history)
-    recheck_th, recheck_f1 = ba.sweep_threshold(tb.model, src.validation())
+    maps = [ba.predict_prob_map(tb.model, rec.page) for rec in src.validation()]
+    recheck_th, recheck_f1 = ba.sweep_threshold(maps, src.validation())
     assert recheck_f1 == pytest.approx(best, abs=0)
     assert recheck_th == pytest.approx(tb.th_s, abs=0)
     assert all(recheck_f1 >= h.val_f1 for h in tb.history)
