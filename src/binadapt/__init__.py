@@ -16,10 +16,8 @@ from .autodiff import (
     backward,
     forward,
     grad_check,
-    load_checkpoint,
     optimizer_step,
     read_checkpoint,
-    save_checkpoint,
     write_checkpoint,
 )
 from .data import (

@@ -36,8 +36,6 @@ __all__ = [
     "CHECKPOINT_MAGIC",
     "write_checkpoint",
     "read_checkpoint",
-    "save_checkpoint",
-    "load_checkpoint",
     "register_op",
 ]
 
@@ -146,12 +144,6 @@ class Graph:
         if not (0 <= nid < len(self.nodes)):
             raise GraphError(f"output {name!r} points at undefined node id {nid}")
         self.outputs[name] = nid
-
-    def set_attr(self, kind, key, value):
-        """Update an attribute on every node of the given kind (e.g. the GRL coefficient)."""
-        for node in self.nodes:
-            if node.kind == kind:
-                node.attrs[key] = value
 
     def ancestors(self, ids) -> list:
         """All node ids the given ids depend on, in storage (topological) order."""
@@ -376,20 +368,21 @@ register_op("sum", _fwd_sum, _bwd_sum)
 # ---------------------------------------------------------------------------
 # optimizer
 
+# Adam's standard moment decay rates and denominator guard (Kingma & Ba 2015)
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class OptimizerState:
     """Adam's per-parameter moment buffers plus step counter and learning rate."""
 
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     moments: dict = field(default_factory=dict)
 
 
-def adam(lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8) -> OptimizerState:
-    return OptimizerState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+def adam(lr=1e-3) -> OptimizerState:
+    return OptimizerState(lr=lr)
 
 
 def optimizer_step(state: OptimizerState, params: dict, grads: dict) -> dict:
@@ -408,12 +401,12 @@ def optimizer_step(state: OptimizerState, params: dict, grads: dict) -> dict:
         if name not in state.moments:
             state.moments[name] = (np.zeros_like(p), np.zeros_like(p))
         m, v = state.moments[name]
-        m = state.beta1 * m + (1.0 - state.beta1) * ga
-        v = state.beta2 * v + (1.0 - state.beta2) * ga * ga
+        m = _BETA1 * m + (1.0 - _BETA1) * ga
+        v = _BETA2 * v + (1.0 - _BETA2) * ga * ga
         state.moments[name] = (m, v)
-        mhat = m / (1.0 - state.beta1 ** t)
-        vhat = v / (1.0 - state.beta2 ** t)
-        p -= state.lr * mhat / (np.sqrt(vhat) + state.eps)
+        mhat = m / (1.0 - _BETA1 ** t)
+        vhat = v / (1.0 - _BETA2 ** t)
+        p -= state.lr * mhat / (np.sqrt(vhat) + _EPS)
     return params
 
 
@@ -471,13 +464,3 @@ def read_checkpoint(data: bytes) -> dict:
         raw = take(8 * math.prod(dims), f"values of {name!r}")
         out[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(dims)
     return out
-
-
-def save_checkpoint(path, params: dict):
-    with open(path, "wb") as fh:
-        fh.write(write_checkpoint(params))
-
-
-def load_checkpoint(path) -> dict:
-    with open(path, "rb") as fh:
-        return read_checkpoint(fh.read())

@@ -125,20 +125,14 @@ def parse_config(text: str) -> ExperimentConfig:
             values[key] = caster(value)
         except ValueError:
             raise ConfigError(f"line {lineno}: bad {known[key]} value {value!r} for {key!r}") from None
-    try:
-        return ExperimentConfig(**values)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ExperimentConfig(**values)
 
 
 def _load_config(args) -> ExperimentConfig:
-    if getattr(args, "config", None):
-        cfg = parse_config(Path(args.config).read_text())
-    else:
-        cfg = ExperimentConfig()
-    if getattr(args, "seed", None) is not None:
+    cfg = parse_config(Path(args.config).read_text()) if args.config else ExperimentConfig()
+    if args.seed is not None:
         cfg.seed = args.seed
-    if getattr(args, "out", None):
+    if args.out:
         cfg.out_dir = args.out
     return cfg
 
@@ -323,9 +317,8 @@ def _build_parser():
     parser = argparse.ArgumentParser(prog="binadapt", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", help="key=value config file")
+    def common(p):
+        p.add_argument("--config", help="key=value config file")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", help="output directory (overrides out_dir)")
 

@@ -241,6 +241,8 @@ def assemble(grid: PatchGrid) -> np.ndarray:
 # dataset ingestion
 
 def _assign_splits(stems, validation_fraction, seed):
+    if not 0.0 <= validation_fraction <= 1.0:
+        raise ValueError(f"validation fraction {validation_fraction} outside [0, 1]")
     order = list(stems)
     rng = np.random.default_rng(np.random.SeedSequence([_SEED_SPLIT, seed]))
     rng.shuffle(order)

@@ -1,11 +1,11 @@
 """Encoder-decoder binarization models.
 
 ``build_sae`` assembles the plain binarizer: ``depth`` encoder blocks
-(strided conv + ReLU + dropout), ``depth`` decoder blocks (strided transposed
-conv + ReLU + dropout) with additive residual connections from each encoder
-block to the same-shaped decoder stage, and a final non-strided conv +
-sigmoid emitting a one-channel foreground-probability map the same size as
-the input patch.
+(3x3 conv at stride 2 + ReLU + dropout), ``depth`` decoder blocks (3x3
+transposed conv at stride 2 + ReLU + dropout) with additive residual
+connections from each encoder block to the same-shaped decoder stage, and a
+final 3x3 conv at stride 1 + sigmoid emitting a one-channel
+foreground-probability map the same size as the input patch.
 
 ``build_bindann`` keeps that trunk bit-identical (same node and parameter
 order) and taps the activation entering the last decoder block through a
@@ -19,11 +19,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
 from . import autodiff
-from .autodiff import CheckpointError, Graph, GraphError
+from .autodiff import CheckpointError, Graph, GraphError, read_checkpoint, write_checkpoint
 from .data import assemble, split_patches
 from .layers import (
     ConvSpec,
@@ -54,8 +55,6 @@ class SaeConfig:
 
     depth: int = 3
     filters: int = 8
-    kernel: tuple = (3, 3)
-    stride: tuple = (2, 2)
     dropout_rate: float = 0.2
     patch: tuple = (32, 32)
 
@@ -66,14 +65,9 @@ class SaeConfig:
             raise GraphError("filters must be positive")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise GraphError(f"dropout rate {self.dropout_rate} outside [0, 1)")
-        for k, s in zip(self.kernel, self.stride):
-            if k < s:
-                raise GraphError("kernel must be at least the stride")
-        for side, s in zip(self.patch, self.stride):
-            if side % (s ** self.depth) != 0:
-                raise GraphError(
-                    f"patch side {side} not divisible by stride^depth = {s ** self.depth}"
-                )
+        for side in self.patch:
+            if side % (2 ** self.depth) != 0:
+                raise GraphError(f"patch side {side} not divisible by stride^depth = {2 ** self.depth}")
 
 
 @dataclass(frozen=True)
@@ -105,22 +99,9 @@ class Model:
     def set_grl(self, lam):
         if self.kind != "bindann":
             raise GraphError("only the adversarial model has a gradient-reversal node")
-        self.graph.set_attr("grl", "lam", float(lam))
-
-
-def _strided_spec(cfg, c_in, c_out):
-    pads = []
-    for k, s in zip(cfg.kernel, cfg.stride):
-        total = k - s  # halving conv / doubling tconv on stride-divisible sides
-        pads.extend((total // 2, total - total // 2))
-    return ConvSpec(c_in, c_out, cfg.kernel, cfg.stride, tuple(pads))
-
-
-def _same_spec(cfg, c_in, c_out):
-    pads = []
-    for k in cfg.kernel:
-        pads.extend(((k - 1) // 2, k - (k - 1) // 2 - 1))
-    return ConvSpec(c_in, c_out, cfg.kernel, (1, 1), tuple(pads))
+        for node in self.graph.nodes:
+            if node.kind == "grl":
+                node.attrs["lam"] = float(lam)
 
 
 def _conv_params(g, name, shape, c_in, c_out, rng):
@@ -135,20 +116,21 @@ def _conv_params(g, name, shape, c_in, c_out, rng):
 
 def _block(g, cfg, x, name, c_in, c_out, transposed, rng):
     """conv/tconv + relu + dropout; returns the post-dropout node id."""
-    spec = _strided_spec(cfg, c_in, c_out)
+    # halving conv / doubling tconv on even sides
+    spec = ConvSpec(c_in, c_out, (3, 3), (2, 2), (0, 1, 0, 1))
     if transposed:
-        w, b = _conv_params(g, name, (c_in, c_out, *cfg.kernel), c_in, c_out, rng)
+        w, b = _conv_params(g, name, (c_in, c_out, 3, 3), c_in, c_out, rng)
         y = tconv_node(g, x, w, b, spec, name=f"{name}.tconv")
     else:
-        w, b = _conv_params(g, name, (c_out, c_in, *cfg.kernel), c_in, c_out, rng)
+        w, b = _conv_params(g, name, (c_out, c_in, 3, 3), c_in, c_out, rng)
         y = conv_node(g, x, w, b, spec, name=f"{name}.conv")
     y = relu_node(g, y, name=f"{name}.relu")
     return dropout_node(g, y, cfg.dropout_rate, name=f"{name}.drop")
 
 
 def _output_head(g, cfg, x, name, rng):
-    spec = _same_spec(cfg, cfg.filters, 1)
-    w, b = _conv_params(g, name, (1, cfg.filters, *cfg.kernel), cfg.filters, 1, rng)
+    spec = ConvSpec(cfg.filters, 1, (3, 3), (1, 1), (1, 1, 1, 1))
+    w, b = _conv_params(g, name, (1, cfg.filters, 3, 3), cfg.filters, 1, rng)
     y = conv_node(g, x, w, b, spec, name=f"{name}.conv")
     return sigmoid_node(g, y, name=f"{name}.sigmoid")
 
@@ -205,7 +187,10 @@ def build_bindann(config: BinDannConfig, rng) -> Model:
     return Model(kind="bindann", config=config, graph=g)
 
 
-def predict_prob_map(model: Model, page, batch=16) -> np.ndarray:
+_PREDICT_BATCH = 16  # patches per inference forward
+
+
+def predict_prob_map(model: Model, page) -> np.ndarray:
     """Foreground-probability map for a whole page.
 
     The page is tiled into model-sized patches, every patch runs in inference
@@ -216,8 +201,9 @@ def predict_prob_map(model: Model, page, batch=16) -> np.ndarray:
     grid = split_patches(page, *cfg.patch)
     x = grid.patches[:, None]  # [k, 1, h, w]
     maps = []
-    for start in range(0, len(x), batch):
-        out = autodiff.forward(model.graph, {"x": x[start : start + batch]}, wanted=("prob_map",))
+    for start in range(0, len(x), _PREDICT_BATCH):
+        out = autodiff.forward(model.graph, {"x": x[start : start + _PREDICT_BATCH]},
+                               wanted=("prob_map",))
         maps.append(out["prob_map"][:, 0])
     return assemble(replace(grid, patches=np.concatenate(maps)))
 
@@ -227,24 +213,30 @@ def predict_prob_map(model: Model, page, batch=16) -> np.ndarray:
 # build header as f64-encoded JSON bytes
 
 _HEADER_KEY = "__config__"
+# header fields every SAE holds: grayscale pages, the blocks' kernel and stride
+_FIXED_FIELDS = {"channels": 1, "kernel": [3, 3], "stride": [2, 2]}
 
 
 def _config_dict(model: Model):
     d = asdict(model.config)  # tuples serialize as JSON lists
-    sae = d if model.kind == "sae" else d["sae"]
-    sae["channels"] = 1  # fixed header field: pages are grayscale
+    (d if model.kind == "sae" else d["sae"]).update(_FIXED_FIELDS)
     return d
 
 
-def _config_from_dict(kind, d):
+def _config_from_dict(kind, d, stored):
+    """The config a header describes; ``stored`` is the number of parameter
+    values in the file, which the model it names must not exceed."""
     def sae_cfg(sd):
-        if sd["channels"] != 1:
-            raise ValueError(f"{sd['channels']!r} channels, expected 1")
+        for key, value in _FIXED_FIELDS.items():
+            if sd[key] != value:
+                raise ValueError(f"{key} {sd[key]!r}, expected {value!r}")
+        # checked before SaeConfig computes 2^depth: 2*depth - 1 convolutions
+        # hold filters x filters x 3 x 3 weights each
+        if (2 * sd["depth"] - 1) * 9 * sd["filters"] * sd["filters"] > stored:
+            raise ValueError(f"it names a model larger than the {stored} values stored")
         return SaeConfig(
             depth=sd["depth"],
             filters=sd["filters"],
-            kernel=tuple(sd["kernel"]),
-            stride=tuple(sd["stride"]),
             dropout_rate=sd["dropout_rate"],
             patch=tuple(sd["patch"]),
         )
@@ -266,7 +258,7 @@ def save_model(path, model: Model, extra=None):
     raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     records = {_HEADER_KEY: np.frombuffer(raw, dtype=np.uint8).astype(np.float64)}
     records.update(model.params)
-    autodiff.save_checkpoint(path, records)
+    Path(path).write_bytes(write_checkpoint(records))
 
 
 def load_model(path):
@@ -275,7 +267,7 @@ def load_model(path):
     A file that does not describe a buildable model holding exactly the stored
     parameters raises ``CheckpointError``.
     """
-    records = autodiff.load_checkpoint(path)
+    records = read_checkpoint(Path(path).read_bytes())
     if _HEADER_KEY not in records:
         raise CheckpointError(f"checkpoint {path} has no config header")
     codes = records.pop(_HEADER_KEY)
@@ -289,7 +281,8 @@ def load_model(path):
         raise CheckpointError(f"checkpoint {path}: config header names no known model kind")
     kind = header.pop("kind")
     try:
-        config = _config_from_dict(kind, header.pop("config"))
+        stored = sum(arr.size for arr in records.values())
+        config = _config_from_dict(kind, header.pop("config"), stored)
         builder = build_sae if kind == "sae" else build_bindann
         model = builder(config, np.random.default_rng(0))
     except KeyError as exc:

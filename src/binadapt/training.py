@@ -68,8 +68,10 @@ class TrainConfig:
             raise ValueError("epochs and batch size must be >= 1")
         if not 0.0 < self.sweep_step < 1.0:
             raise ValueError(f"sweep step {self.sweep_step} outside (0, 1)")
-        if self.lambda0 < 0 or self.lambda_increment < 0:
-            raise ValueError("reversal coefficient schedule must be non-negative")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError(f"learning rate {self.lr} must be finite and positive")
+        if not (0.0 <= self.lambda0 < math.inf and 0.0 <= self.lambda_increment < math.inf):
+            raise ValueError("reversal coefficient schedule must be finite and non-negative")
 
 
 @dataclass

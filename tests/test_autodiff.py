@@ -272,11 +272,3 @@ def test_checkpoint_bad_magic_and_truncation():
     blob = ba.write_checkpoint({"p": np.ones(3)})
     with pytest.raises(GraphError, match="truncated"):
         ba.read_checkpoint(blob[:-4])
-
-
-def test_checkpoint_file_roundtrip(tmp_path):
-    params = {"w": np.arange(6.0).reshape(2, 3)}
-    path = tmp_path / "model.ckpt"
-    ba.save_checkpoint(path, params)
-    back = ba.load_checkpoint(path)
-    assert back["w"].tobytes() == params["w"].tobytes()

@@ -128,6 +128,12 @@ _MALFORMED = {
     "missing_config_field": lambda tmp: _checkpoint(
         _header(config={k: v for k, v in _SMALL_SAE.items() if k != "depth"})),
     "colour_channels": lambda tmp: _checkpoint(_header(config=dict(_SMALL_SAE, channels=3))),
+    "kernel_5x5": lambda tmp: _checkpoint(_header(config=dict(_SMALL_SAE, kernel=[5, 5]))),
+    "stride_1x1": lambda tmp: _checkpoint(_header(config=dict(_SMALL_SAE, stride=[1, 1]))),
+    "stride_1x2": lambda tmp: _checkpoint(_header(config=dict(_SMALL_SAE, stride=[1, 2]))),
+    # the model it names would need terabytes; the file holds 77 values
+    "filters_beyond_file": lambda tmp: _checkpoint(
+        _header(config=dict(_SMALL_SAE, filters=200000))),
 }
 
 
@@ -288,7 +294,11 @@ def test_run_rejects_bad_gate_settings_before_training(key, value, tiny_dirs, tm
 
 
 @pytest.mark.parametrize("command, key, value", [("similarity", "rho_th", 7),
-                                                 ("train-sae", "lambda0", -1)])
+                                                 ("train-sae", "lambda0", -1),
+                                                 ("train-sae", "lambda0", "nan"),
+                                                 ("train-sae", "lr", 0),
+                                                 ("train-sae", "lr", -0.01),
+                                                 ("train-sae", "lr", "nan")])
 def test_commands_reject_bad_settings_before_writing(command, key, value, tiny_dirs, tmp_path,
                                                      capsys):
     (tmp_path / "ok.ckpt").write_bytes(_checkpoint(_header()))
@@ -298,6 +308,31 @@ def test_commands_reject_bad_settings_before_writing(command, key, value, tiny_d
     assert "error: config:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
+
+
+@pytest.mark.parametrize("command", ["train-sae", "similarity", "run"])
+@pytest.mark.parametrize("fraction", [-0.5, 1.5])
+def test_validation_fraction_outside_unit_interval_rejected(command, fraction, tiny_dirs, tmp_path,
+                                                            monkeypatch, capsys):
+    def no_reading(*args, **kwargs):
+        raise AssertionError("read a page before the split was checked")
+
+    monkeypatch.setattr(ba.data, "read_pgm", no_reading)
+    (tmp_path / "ok.ckpt").write_bytes(_checkpoint(_header()))
+    cfg = _cfg_file(tmp_path, tiny_dirs, validation_fraction=fraction)
+    extra = ["--checkpoint", str(tmp_path / "ok.ckpt")] if command == "similarity" else []
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), *extra]) == 2
+    assert "error: config:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("fraction", [0.0, 1.0])
+def test_validation_fraction_bounds_stay_legal(fraction, tiny_dirs, tmp_path, capsys):
+    # all pages land in one split: a data error, not a config one
+    cfg = _cfg_file(tmp_path, tiny_dirs, validation_fraction=fraction)
+    assert main(["train-sae", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+    assert "error: data:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_exit_4_on_ground_truth_of_the_wrong_size(tiny_dirs, tmp_path, capsys):

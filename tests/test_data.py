@@ -244,6 +244,13 @@ def test_make_synthetic_domains_roles_and_sizes():
     assert len(src.train()) >= 1 and len(src.validation()) >= 1
 
 
+@pytest.mark.parametrize("fraction", [-0.5, 1.5])
+def test_synthetic_domains_reject_validation_fraction_outside_unit_interval(fraction):
+    # load_dataset's rejection is checked through the CLI
+    with pytest.raises(ValueError, match="validation fraction"):
+        ba.make_synthetic_domains(0, n_pages=2, page_size=(16, 16), validation_fraction=fraction)
+
+
 def test_write_synthetic_dirs_loadable(tmp_path):
     dirs = write_synthetic_dirs(0, tmp_path, n_pages=3, page_size=(40, 40))
     assert [d.name for d in dirs] == ["source", "target_near", "target_far"]

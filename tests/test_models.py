@@ -156,8 +156,25 @@ def test_model_checkpoint_starts_with_core_magic(tmp_path):
     ba.save_model(path, model)
     assert path.read_bytes().startswith(b"BINADAPT1")
     # plain core reader sees the header as a leading "__config__" record
-    records = ba.load_checkpoint(path)
+    records = ba.read_checkpoint(path.read_bytes())
     assert next(iter(records)) == "__config__"
+
+
+def test_checkpoint_header_bytes_are_pinned(tmp_path):
+    # the fixed geometry fields stay in the header, so older files keep loading
+    sae = ('{"channels":1,"depth":3,"dropout_rate":0.2,"filters":8,"kernel":[3,3],'
+           '"patch":[32,32],"stride":[2,2]}')
+    cases = [
+        (ba.build_sae(ba.SaeConfig(), np.random.default_rng(0)),
+         f'{{"config":{sae},"kind":"sae","th_s":0.5}}'),
+        (ba.build_bindann(ba.BinDannConfig(), np.random.default_rng(0)),
+         f'{{"config":{{"lambda0":0.1,"lambda_increment":0.01,"sae":{sae}}},'
+         f'"kind":"bindann","th_s":0.5}}'),
+    ]
+    for model, expected in cases:
+        ba.save_model(tmp_path / "m.ckpt", model, extra={"th_s": 0.5})
+        codes = ba.read_checkpoint((tmp_path / "m.ckpt").read_bytes())["__config__"]
+        assert bytes(codes.astype(np.uint8)).decode("utf-8") == expected
 
 
 def test_checkpoint_reader_fuzz_prefixes_and_byte_flips(tmp_path):

@@ -1,0 +1,35 @@
+"""``tools/compare_artifacts.py``: seed lists and the file comparison it reports."""
+
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_artifacts.py"
+
+
+def _load_tool():
+    spec = importlib.util.spec_from_file_location("compare_artifacts", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_seed_ranges_and_lists():
+    tool = _load_tool()
+    assert tool.parse_seeds("0-3") == [0, 1, 2, 3]
+    assert tool.parse_seeds("5") == [5]
+    assert tool.parse_seeds("1,4-5") == [1, 4, 5]
+
+
+def test_differing_files_lists_changed_and_one_sided_files(tmp_path):
+    tool = _load_tool()
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root in (a, b):
+        (root / "sub").mkdir(parents=True)
+        (root / "same.txt").write_bytes(b"x")
+    (a / "sub" / "changed.pgm").write_bytes(b"1")
+    (b / "sub" / "changed.pgm").write_bytes(b"2")
+    (a / "only_a.csv").write_bytes(b"")
+    (b / "sub" / "only_b.ckpt").write_bytes(b"")
+    assert tool.differing_files(a, b) == [Path("only_a.csv"), Path("sub/changed.pgm"),
+                                          Path("sub/only_b.ckpt")]
+    assert tool.differing_files(a, a) == []

@@ -1,5 +1,7 @@
 """Trainer contracts: sweeps, checkpoint selection, determinism, zero-coupling."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -159,9 +161,16 @@ def test_trainer_precondition_errors():
 
 
 def test_negative_reversal_schedule_rejected():
-    for bad in ({"lambda0": -1.0}, {"lambda_increment": -0.01}):
+    for bad in ({"lambda0": -1.0}, {"lambda_increment": -0.01},
+                {"lambda0": math.nan}, {"lambda_increment": math.nan}):
         with pytest.raises(ValueError, match="reversal"):
             ba.TrainConfig(**bad)
+
+
+@pytest.mark.parametrize("lr", [0.0, -0.01, math.nan, math.inf])
+def test_non_positive_or_non_finite_learning_rate_rejected(lr):
+    with pytest.raises(ValueError, match="learning rate"):
+        ba.TrainConfig(lr=lr)
 
 
 def test_history_csv_layout():

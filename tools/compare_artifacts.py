@@ -1,0 +1,109 @@
+"""Check that two source trees write byte-identical artifacts.
+
+Usage: python3 tools/compare_artifacts.py PARENT_TREE CHANGE_TREE [--seeds 0-3]
+
+Each tree is a checkout holding ``src/binadapt``. Per seed, the synthetic
+data (4 pages of 128x128 per domain) is written once, by the first tree, and
+both trees then run, each command in its own process with BLAS at one thread,
+at the benchmark's ``adapt`` settings (10 epochs, batch 8, lr 0.01,
+validation fraction 0.2):
+
+* ``binadapt run`` from the source to the far and to the near target;
+* ``binadapt predict`` on every far-target page with the far run's
+  ``bindann.ckpt``.
+
+Every command reads the same inputs at the same paths, so even the
+manifests, which record those paths, must match. Exits 1 and lists every
+file that differs or exists in one tree only; exits 2 if a command fails.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+PAGES, SIDE = 4, 128
+ADAPT = {"epochs": 10, "batch": 8, "lr": 0.01, "validation_fraction": 0.2}
+TARGETS = ("target_far", "target_near")
+
+
+def parse_seeds(text):
+    """'0-3' -> [0, 1, 2, 3]; comma-separated parts and single seeds also work."""
+    seeds = []
+    for part in text.split(","):
+        first, _, last = part.partition("-")
+        seeds.extend(range(int(first), int(last or first) + 1))
+    return seeds
+
+
+def differing_files(a: Path, b: Path):
+    """Paths, relative to the two roots, whose bytes differ or that exist under one only."""
+    files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
+    files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
+    return sorted(rel for rel in files_a | files_b
+                  if rel not in files_a or rel not in files_b
+                  or (a / rel).read_bytes() != (b / rel).read_bytes())
+
+
+def _python(tree: Path, *args):
+    env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"compare_artifacts: {' '.join(args)} under {tree} exited "
+                 f"{proc.returncode}:\n{proc.stderr}")
+
+
+def _binadapt(tree: Path, *args):
+    _python(tree, "-m", "binadapt.cli", *args)
+
+
+def write_data(tree: Path, seed, data: Path):
+    _python(tree, "-c", "import sys; from binadapt.data import write_synthetic_dirs; "
+            f"write_synthetic_dirs({seed}, sys.argv[1], {PAGES}, ({SIDE}, {SIDE}))", str(data))
+
+
+def run_tree(tree: Path, seed, data: Path, out: Path):
+    """Every artifact one tree writes for one seed, under ``out``."""
+    for target in TARGETS:
+        cfg = data / f"{target}.cfg"
+        _binadapt(tree, "run", "--config", str(cfg), "--out", str(out / target))
+    for page in sorted((data / "target_far" / "images").glob("*.pgm")):
+        _binadapt(tree, "predict", "--checkpoint", str(out / "target_far" / "bindann.ckpt"),
+                  "--input", str(page), "--out", str(out / "predict"))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="tree whose artifacts are the reference")
+    parser.add_argument("change", type=Path, help="tree to compare with it")
+    parser.add_argument("--seeds", default="0-3", help="seeds as A-B or a comma list (default 0-3)")
+    args = parser.parse_args(argv)
+
+    differing = []
+    with tempfile.TemporaryDirectory(prefix="compare_artifacts_") as work:
+        work = Path(work)
+        for seed in parse_seeds(args.seeds):
+            data = work / f"data{seed}"
+            write_data(args.parent, seed, data)
+            for target in TARGETS:
+                keys = dict(source_dir=data / "source", target_dir=data / target, seed=seed, **ADAPT)
+                (data / f"{target}.cfg").write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+            outs = [work / name / f"seed{seed}" for name in ("parent", "change")]
+            for tree, out in zip((args.parent, args.change), outs):
+                run_tree(tree, seed, data, out)
+            differing += [Path(f"seed{seed}") / rel for rel in differing_files(*outs)]
+            n_files = sum(1 for p in outs[0].rglob("*") if p.is_file())
+            print(f"seed {seed}: {n_files} files compared")
+    for rel in differing:
+        print(f"differs: {rel}")
+    print(f"{len(differing)} differing files")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
