@@ -196,8 +196,10 @@ def forward(
     is computed, so inputs outside that subgraph need not be bound. Dropout
     nodes draw masks from ``rng`` when training, or reuse ``frozen_masks``
     (node id -> mask) when given. The execution record is cached on the graph
-    for a subsequent ``backward``.
+    for a subsequent ``backward``; the previous record is released first, so
+    a forward that raises leaves nothing to differentiate.
     """
+    graph._run = None
     bindings = bindings or {}
     if wanted is None:
         wanted = tuple(graph.outputs)

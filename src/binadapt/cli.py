@@ -232,7 +232,7 @@ def cmd_predict(args) -> int:
     stem = Path(args.input).stem
     out.mkdir(parents=True, exist_ok=True)
     (out / f"{stem}.prob.pgm").write_bytes(write_pgm(prob))
-    (out / f"{stem}.mask.pgm").write_bytes(write_pgm(binarize(prob, tb.th_s).astype(np.float64)))
+    (out / f"{stem}.mask.pgm").write_bytes(write_pgm(binarize(prob, tb.th_s)))
     _write_manifest(out, "predict", cfg, {"input": str(args.input), "th_s": tb.th_s})
     print(f"wrote {out / f'{stem}.prob.pgm'} and {out / f'{stem}.mask.pgm'}")
     return 0
@@ -282,7 +282,7 @@ def cmd_run(args) -> int:
     mask_dir = out / "binarized"
     mask_dir.mkdir(parents=True, exist_ok=True)
     for stem, mask in result.masks.items():
-        (mask_dir / f"{stem}.pgm").write_bytes(write_pgm(mask.astype(np.float64)))
+        (mask_dir / f"{stem}.pgm").write_bytes(write_pgm(mask))
 
     _write_gate(out, result.report, result.hist_source, result.hist_target, cfg.h_prec)
     (out / "history_sae.csv").write_text(history_csv(result.sae.history))

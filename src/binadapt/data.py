@@ -196,11 +196,18 @@ def read_pgm(data: bytes) -> Page:
 
 
 def write_pgm(page) -> bytes:
-    """Encode a grayscale page (Page or [0,1] array) as binary P5."""
-    arr = page.pixels if isinstance(page, Page) else np.asarray(page, dtype=np.float64)
+    """Encode a grayscale page (Page or [0,1] array) as binary P5; a boolean
+    mask encodes as 0/255."""
+    arr = page.pixels if isinstance(page, Page) else np.asarray(page)
     if arr.ndim != 2:
         raise PgmError(f"write_pgm expects a grayscale page, got shape {arr.shape}")
-    raw = np.clip(np.round(arr * 255.0), 0, 255).astype(np.uint8)
+    if arr.dtype == bool:
+        raw = arr.view(np.uint8) * np.uint8(255)
+    else:  # one float temporary, rounded and clipped in place
+        t = np.multiply(arr, 255.0, dtype=np.float64)
+        np.round(t, out=t)
+        np.clip(t, 0, 255, out=t)
+        raw = t.astype(np.uint8)
     header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")
     return header + raw.tobytes()
 
@@ -398,5 +405,5 @@ def write_synthetic_dirs(seed, out_dir, n_pages=8, page_size=(128, 128)):
             (out_root / kind / sub).mkdir(parents=True, exist_ok=True)
         for stem, page, mask in synthetic_domain_pairs(seed, kind, n_pages, page_size):
             (out_root / kind / "images" / f"{stem}.pgm").write_bytes(write_pgm(page))
-            (out_root / kind / "gt" / f"{stem}.pgm").write_bytes(write_pgm(mask.astype(np.float64)))
+            (out_root / kind / "gt" / f"{stem}.pgm").write_bytes(write_pgm(mask.astype(bool)))
     return [out_root / kind for kind in SYNTHETIC_KINDS]

@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff
 from .autodiff import CheckpointError, Graph, GraphError, read_checkpoint, write_checkpoint
-from .data import assemble, split_patches
+from .data import Page, split_patches
 from .layers import (
     ConvSpec,
     bce_node,
@@ -49,6 +49,12 @@ __all__ = [
 ]
 
 
+# Largest patch side a model may name, 32x the default. Prediction pads a page
+# up to whole patches, so an unbounded side in a checkpoint header could ask
+# for any amount of memory before a single pixel is read.
+_MAX_PATCH_SIDE = 1024
+
+
 @dataclass(frozen=True)
 class SaeConfig:
     """Architecture hyper-parameters; defaults are the small desk scale."""
@@ -65,7 +71,11 @@ class SaeConfig:
             raise GraphError("filters must be positive")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise GraphError(f"dropout rate {self.dropout_rate} outside [0, 1)")
+        if len(self.patch) != 2:
+            raise GraphError(f"patch {self.patch!r} is not a (height, width) pair")
         for side in self.patch:
+            if not 1 <= side <= _MAX_PATCH_SIDE:
+                raise GraphError(f"patch side {side} outside [1, {_MAX_PATCH_SIDE}]")
             if side % (2 ** self.depth) != 0:
                 raise GraphError(f"patch side {side} not divisible by stride^depth = {2 ** self.depth}")
 
@@ -193,19 +203,30 @@ _PREDICT_BATCH = 16  # patches per inference forward
 def predict_prob_map(model: Model, page) -> np.ndarray:
     """Foreground-probability map for a whole page.
 
-    The page is tiled into model-sized patches, every patch runs in inference
-    mode (dropout off), and the per-patch maps are reassembled and cropped
-    back to page size.
+    The page is tiled into model-sized patches, edge-replicated up to full
+    multiples, and every patch runs in inference mode (dropout off) in batches
+    of ``_PREDICT_BATCH`` in row-major order. Each batch cuts only the band of
+    patch rows it touches and writes its maps straight into one preallocated
+    map, which is cropped back to page size, so beyond the page the call holds
+    only that map and one batch's working set.
     """
+    arr = page.pixels if isinstance(page, Page) else np.asarray(page, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ValueError(f"predict_prob_map expects a 2-D page, got shape {arr.shape}")
     cfg = model.config if model.kind == "sae" else model.config.sae
-    grid = split_patches(page, *cfg.patch)
-    x = grid.patches[:, None]  # [k, 1, h, w]
-    maps = []
-    for start in range(0, len(x), _PREDICT_BATCH):
-        out = autodiff.forward(model.graph, {"x": x[start : start + _PREDICT_BATCH]},
-                               wanted=("prob_map",))
-        maps.append(out["prob_map"][:, 0])
-    return assemble(replace(grid, patches=np.concatenate(maps)))
+    h, w = cfg.patch
+    rows, cols = math.ceil(arr.shape[0] / h), math.ceil(arr.shape[1] / w)
+    canvas = np.empty((rows * h, cols * w))
+    tiles = canvas.reshape(rows, h, cols, w).transpose(0, 2, 1, 3)  # a view of canvas
+    for start in range(0, rows * cols, _PREDICT_BATCH):
+        stop = min(start + _PREDICT_BATCH, rows * cols)
+        r0, r1 = start // cols, (stop - 1) // cols + 1  # the patch rows this batch touches
+        band = split_patches(arr[r0 * h : r1 * h], h, w).patches
+        x = band[start - r0 * cols : stop - r0 * cols, None]  # [n, 1, h, w]
+        out = autodiff.forward(model.graph, {"x": x}, wanted=("prob_map",))
+        k = np.arange(start, stop)
+        tiles[k // cols, k % cols] = out["prob_map"][:, 0]
+    return canvas[: arr.shape[0], : arr.shape[1]]
 
 
 # ---------------------------------------------------------------------------

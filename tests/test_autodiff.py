@@ -203,6 +203,18 @@ def test_execution_plan_follows_the_graph_as_it_grows():
     assert all(np.array_equal(grads[k], grads0[k]) for k in grads)
 
 
+def test_failed_forward_releases_the_previous_run():
+    g = ba.Graph()
+    p = g.param("p", [1.0, -2.0])
+    g.set_output("loss", g.sum(g.add(g.input("x"), p)))
+    ba.forward(g, {"x": [3.0, 4.0]})
+    assert set(ba.backward(g, "loss")) == {"p"}
+    with pytest.raises(GraphError, match="not bound"):
+        ba.forward(g, {})
+    with pytest.raises(GraphError, match="backward called before forward"):
+        ba.backward(g, "loss")
+
+
 def test_outputs_and_gradients_do_not_alias_params():
     g = ba.Graph()
     p = g.param("p", [1.0, -2.0])

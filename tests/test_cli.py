@@ -96,6 +96,16 @@ def test_exit_3_on_missing_data(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_exit_2_on_patch_beyond_max_side_before_reading_pages(tmp_path, capsys):
+    # the source does not exist: reading it first would exit 3
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"source_dir = {tmp_path / 'nowhere'}\npatch_h = 2048\n")
+    code = main(["train-sae", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "error: config: patch side 2048 outside [1, 1024]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 _SMALL_SAE = {"depth": 1, "filters": 2, "kernel": [3, 3], "stride": [2, 2],
               "dropout_rate": 0.2, "patch": [4, 4], "channels": 1}
 
@@ -134,6 +144,11 @@ _MALFORMED = {
     # the model it names would need terabytes; the file holds 77 values
     "filters_beyond_file": lambda tmp: _checkpoint(
         _header(config=dict(_SMALL_SAE, filters=200000))),
+    # prediction would pad the page to 8 TiB
+    "patch_beyond_max_side": lambda tmp: _checkpoint(
+        _header(config=dict(_SMALL_SAE, patch=[1048576, 1048576]))),
+    "patch_zero": lambda tmp: _checkpoint(_header(config=dict(_SMALL_SAE, patch=[0, 0]))),
+    "patch_one_side": lambda tmp: _checkpoint(_header(config=dict(_SMALL_SAE, patch=[4]))),
 }
 
 

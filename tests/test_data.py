@@ -83,6 +83,31 @@ def test_p2_header_larger_than_payload_rejected_before_allocation():
 def test_write_pgm_rejects_color():
     with pytest.raises(PgmError, match="grayscale"):
         ba.write_pgm(np.zeros((2, 2, 3)))
+    with pytest.raises(PgmError, match="grayscale"):
+        ba.write_pgm(np.zeros((2, 2, 3), dtype=bool))
+
+
+def test_write_pgm_boolean_mask_encodes_as_its_float_copy():
+    mask = np.random.default_rng(2).random((37, 23)) > 0.5
+    for m in (mask, mask[::2, 1::3], mask.T):  # strided views too
+        blob = ba.write_pgm(m)
+        assert blob == ba.write_pgm(m.astype(np.float64))
+        assert set(blob[len(blob) - m.size:]) == {0, 255}
+
+
+def test_write_pgm_quantizes_as_round_then_clip():
+    # rounding boundaries at +-0.5/255 around every level, negatives and
+    # values above 1; the reference is the plain round-then-clip expression
+    levels = np.arange(256) / 255.0
+    values = np.concatenate([
+        levels, levels + 0.5 / 255.0, levels - 0.5 / 255.0,
+        np.nextafter(levels + 0.5 / 255.0, -1.0), np.nextafter(levels + 0.5 / 255.0, 2.0),
+        [-1e300, -2.0, -0.5 / 255.0, -0.0, 1.0 + 0.5 / 255.0, 1.5, 1e300],
+    ])
+    page = values.reshape(1, -1)
+    expected = np.clip(np.round(page * 255.0), 0, 255).astype(np.uint8)
+    assert ba.write_pgm(page).endswith(expected.tobytes())
+    assert ba.write_pgm(page.T).endswith(expected.T.tobytes())
 
 
 # ---------------------------------------------------------------------------

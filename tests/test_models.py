@@ -1,6 +1,7 @@
 """Model assembly: shape restoration, branch balance, tap wiring, checkpoints."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,20 @@ def test_full_scale_shape_and_bottleneck():
 def test_indivisible_patch_rejected_at_build():
     with pytest.raises(GraphError, match="divisible"):
         ba.SaeConfig(depth=3, patch=(20, 32))
+
+
+@pytest.mark.parametrize("patch, match", [
+    ((0, 0), r"outside \[1, 1024\]"), ((2048, 32), r"outside \[1, 1024\]"),
+    ((32, 1025), r"outside \[1, 1024\]"), ((-8, 32), r"outside \[1, 1024\]"),
+    ((32,), "pair"),
+])
+def test_patch_outside_bound_rejected_at_build(patch, match):
+    with pytest.raises(GraphError, match=match):
+        ba.SaeConfig(depth=3, patch=patch)
+
+
+def test_patch_side_bound_is_inclusive():
+    assert ba.SaeConfig(depth=3, patch=(1024, 8)).patch == (1024, 8)
 
 
 def test_domain_branch_parameter_balance():
@@ -120,6 +135,46 @@ def test_channel_mismatch_rejected():
     model = ba.build_sae(ba.SaeConfig(), np.random.default_rng(0))
     with pytest.raises(ValueError, match="2-D page"):
         ba.predict_prob_map(model, np.zeros((32, 32, 3)))
+
+
+def _whole_page_prob_map(model, page):
+    """Reference tiler: every patch cut at once, maps of batches of 16
+    concatenated, then reassembled."""
+    grid = ba.split_patches(page, *model.config.patch)
+    x = grid.patches[:, None]
+    maps = [_forward_map(model, x[i : i + 16])[:, 0] for i in range(0, len(x), 16)]
+    grid.patches = np.concatenate(maps)
+    return ba.assemble(grid)
+
+
+# pages smaller than a patch, column counts that do not divide 16, and
+# batches that cross patch rows
+_PAGE_SHAPES = [(1024, 1024), (1000, 750), (45, 300), (64, 1024), (300, 31), (100, 77),
+                (31, 31), (1, 1)]
+
+
+@pytest.mark.parametrize("cfg", [ba.SaeConfig(), ba.SaeConfig(depth=1, filters=4, patch=(16, 8))],
+                         ids=["default", "depth1_16x8"])
+def test_streamed_prediction_matches_whole_page_tiling(cfg):
+    model = ba.build_sae(cfg, np.random.default_rng(6))
+    for shape in _PAGE_SHAPES:
+        page = np.random.default_rng(shape).random(shape)
+        got = ba.predict_prob_map(model, page)
+        assert got.shape == shape
+        assert got.tobytes() == _whole_page_prob_map(model, page).tobytes(), shape
+
+
+def test_prediction_memory_is_about_one_page():
+    model = ba.build_sae(ba.SaeConfig(), np.random.default_rng(6))
+    page = np.random.default_rng(0).random((1024, 1024))
+    ba.predict_prob_map(model, page[:64, :64])  # conv plans are memoized on first use
+    tracemalloc.start()
+    try:
+        ba.predict_prob_map(model, page)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * page.nbytes + 8 * 2**20
 
 
 # ---------------------------------------------------------------------------

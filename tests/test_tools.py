@@ -1,7 +1,9 @@
-"""``tools/compare_artifacts.py``: seed lists and the file comparison it reports."""
+"""``tools/compare_artifacts.py``: seed lists, the data it writes and the file comparison it reports."""
 
 import importlib.util
 from pathlib import Path
+
+import binadapt as ba
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_artifacts.py"
 
@@ -33,3 +35,13 @@ def test_differing_files_lists_changed_and_one_sided_files(tmp_path):
     assert tool.differing_files(a, b) == [Path("only_a.csv"), Path("sub/changed.pgm"),
                                           Path("sub/only_b.ckpt")]
     assert tool.differing_files(a, a) == []
+
+
+def test_write_data_adds_ragged_pages(tmp_path):
+    tool = _load_tool()
+    tool.write_data(TOOL.parents[1], 0, tmp_path / "data")
+    for kind in ("source", "target_near", "target_far"):
+        assert len(list((tmp_path / "data" / kind / "images").glob("*.pgm"))) == tool.PAGES
+    ragged = sorted((tmp_path / "data" / "ragged").glob("*.pgm"))
+    shapes = sorted(ba.read_pgm(p.read_bytes()).pixels.shape for p in ragged)
+    assert shapes == sorted(tool.RAGGED)

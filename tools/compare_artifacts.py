@@ -10,7 +10,11 @@ validation fraction 0.2):
 
 * ``binadapt run`` from the source to the far and to the near target;
 * ``binadapt predict`` on every far-target page with the far run's
-  ``bindann.ckpt``.
+  ``bindann.ckpt``;
+* ``binadapt predict`` with the same checkpoint on two ragged far-target
+  pages, 1000x750 and 45x300, whose sides are no multiple of the patch and
+  whose prediction batches cross rows of patches. The first tree writes them
+  next to the data, under ``ragged/``.
 
 Every command reads the same inputs at the same paths, so even the
 manifests, which record those paths, must match. Exits 1 and lists every
@@ -29,6 +33,19 @@ from pathlib import Path
 PAGES, SIDE = 4, 128
 ADAPT = {"epochs": 10, "batch": 8, "lr": 0.01, "validation_fraction": 0.2}
 TARGETS = ("target_far", "target_near")
+RAGGED = ((1000, 750), (45, 300))
+
+_WRITE_DATA = f"""
+import sys
+from pathlib import Path
+from binadapt.data import synthetic_domain_pairs, write_pgm, write_synthetic_dirs
+seed, data = int(sys.argv[1]), Path(sys.argv[2])
+write_synthetic_dirs(seed, data, {PAGES}, ({SIDE}, {SIDE}))
+(data / "ragged").mkdir()
+for h, w in {RAGGED}:
+    [(_, page, _)] = synthetic_domain_pairs(seed, "target_far", 1, (h, w))
+    (data / "ragged" / f"page{{h}}x{{w}}.pgm").write_bytes(write_pgm(page))
+"""
 
 
 def parse_seeds(text):
@@ -63,8 +80,8 @@ def _binadapt(tree: Path, *args):
 
 
 def write_data(tree: Path, seed, data: Path):
-    _python(tree, "-c", "import sys; from binadapt.data import write_synthetic_dirs; "
-            f"write_synthetic_dirs({seed}, sys.argv[1], {PAGES}, ({SIDE}, {SIDE}))", str(data))
+    """The synthetic domains and the ragged pages, written by ``tree``'s code."""
+    _python(tree, "-c", _WRITE_DATA, str(seed), str(data))
 
 
 def run_tree(tree: Path, seed, data: Path, out: Path):
@@ -72,9 +89,10 @@ def run_tree(tree: Path, seed, data: Path, out: Path):
     for target in TARGETS:
         cfg = data / f"{target}.cfg"
         _binadapt(tree, "run", "--config", str(cfg), "--out", str(out / target))
-    for page in sorted((data / "target_far" / "images").glob("*.pgm")):
-        _binadapt(tree, "predict", "--checkpoint", str(out / "target_far" / "bindann.ckpt"),
-                  "--input", str(page), "--out", str(out / "predict"))
+    for pages, name in ((data / "target_far" / "images", "predict"), (data / "ragged", "predict_ragged")):
+        for page in sorted(pages.glob("*.pgm")):
+            _binadapt(tree, "predict", "--checkpoint", str(out / "target_far" / "bindann.ckpt"),
+                      "--input", str(page), "--out", str(out / name))
 
 
 def main(argv=None) -> int:
