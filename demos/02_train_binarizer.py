@@ -28,6 +28,6 @@ out.mkdir(exist_ok=True)
 (out / "binarized.pgm").write_bytes(ba.write_pgm(mask.astype(float)))
 print(f"wrote {out}/page.pgm, probability.pgm, binarized.pgm")
 
-gt = source.validation()[0].gt.mask
+gt = source.validation()[0].gt
 c = ba.confusion(mask, gt)
 print(f"page F1 {ba.f1(c):.3f}  precision {ba.precision(c):.3f}  recall {ba.recall(c):.3f}")

@@ -23,9 +23,7 @@ from .autodiff import (
 from .data import (
     DataError,
     Dataset,
-    GroundTruth,
     Page,
-    PatchGrid,
     PgmError,
     assemble,
     load_dataset,
@@ -56,7 +54,6 @@ from .similarity import (
     domain_histogram,
     gate_decision,
     hist_intersection,
-    intra_domain_rho,
     js_divergence,
     kl_divergence,
     pearson,

@@ -187,7 +187,7 @@ def _evaluation_rows(masks, eval_masks):
     for stem in sorted(masks):
         if stem not in eval_masks:
             continue
-        c = confusion(masks[stem], eval_masks[stem].mask)
+        c = confusion(masks[stem], eval_masks[stem])
         rows.append((stem, f1(c), precision(c), recall(c)))
         total = c if total is None else total + c
     if total is not None:
@@ -226,7 +226,7 @@ def cmd_train_sae(args) -> int:
 def cmd_predict(args) -> int:
     cfg = _load_config(args)
     tb = load_binarizer(args.checkpoint)
-    page = read_pgm(Path(args.input).read_bytes())
+    page = read_pgm(Path(args.input).read_bytes()).pixels
     out = _out_dir(cfg)
     prob = predict_prob_map(tb.model, page)
     stem = Path(args.input).stem

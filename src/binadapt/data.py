@@ -7,14 +7,15 @@ float64 in [0, 1] on load. Dataset directories look like::
     <root>/gt/*.pgm              ground truth, matching stems (source role only;
                                  pixel >= 128 marks foreground ink)
 
-Page pixels and patches are plain float64 ``np.ndarray``s (ground-truth
-masks are uint8). Patch tiling pads pages by edge replication up to multiples
-of the patch size, cuts the padded page into one ``[rows * cols, h, w]`` array
-by a reshape, and records the pad amounts, so ``assemble(split_patches(page))``
-is a bit-exact inverse. The synthetic generator builds three small domains: a
-source domain of dark strokes on light background with exact masks, a nearby
-target that only shifts the noise statistics, and a far target with inverted
-contrast plus faint bleed-through ghosts.
+Pages and patch stacks are plain float64 ``np.ndarray``s and ground-truth
+labels are 2-D boolean masks. Patch tiling pads pages by edge replication up
+to multiples of the patch size and cuts the padded page into one
+``[rows * cols, h, w]`` array by a reshape, so
+``assemble(split_patches(page, h, w), page.shape)`` is a bit-exact inverse.
+The synthetic generator builds three small domains: a source domain of dark
+strokes on light background with exact masks, a nearby target that only
+shifts the noise statistics, and a far target with inverted contrast plus
+faint bleed-through ghosts.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ __all__ = [
     "DataError",
     "PgmError",
     "Page",
-    "GroundTruth",
-    "PatchGrid",
     "PageRecord",
     "Dataset",
     "read_pgm",
@@ -60,44 +59,16 @@ class PgmError(ValueError):
 
 @dataclass
 class Page:
-    """One document page, pixels scaled to [0, 1] floats."""
+    """A decoded PGM: (h, w) grayscale pixels scaled to [0, 1] floats."""
 
-    pixels: np.ndarray  # (h, w) grayscale, the only kind the PGM reader yields
-
-    def __post_init__(self):
-        self.pixels = np.asarray(self.pixels, dtype=np.float64)
-        if self.pixels.ndim != 2:
-            raise PgmError(f"page pixels must be (h,w), got {self.pixels.shape}")
-
-
-@dataclass
-class GroundTruth:
-    """Per-pixel binary annotation; 1 marks foreground ink."""
-
-    mask: np.ndarray  # (h, w) of {0, 1}
-
-    def __post_init__(self):
-        self.mask = np.asarray(self.mask)
-        if self.mask.ndim != 2:
-            raise PgmError(f"ground truth must be 2-D, got shape {self.mask.shape}")
-        self.mask = (self.mask != 0).astype(np.uint8)
-
-
-@dataclass
-class PatchGrid:
-    """Fixed-size tiling of a page plus the metadata needed to undo it."""
-
-    patch: tuple  # (h, w)
-    grid: tuple  # (rows, cols)
-    pad: tuple  # (right, bottom) replication padding applied before tiling
-    patches: np.ndarray  # [rows * cols, h, w], patches in row-major grid order
+    pixels: np.ndarray
 
 
 @dataclass
 class PageRecord:
     stem: str
-    page: Page
-    gt: GroundTruth | None
+    page: np.ndarray  # (h, w) float64 pixels in [0, 1]
+    gt: np.ndarray | None  # (h, w) boolean mask, True marks foreground ink
     split: str  # "train" | "validation"
 
 
@@ -196,9 +167,9 @@ def read_pgm(data: bytes) -> Page:
 
 
 def write_pgm(page) -> bytes:
-    """Encode a grayscale page (Page or [0,1] array) as binary P5; a boolean
-    mask encodes as 0/255."""
-    arr = page.pixels if isinstance(page, Page) else np.asarray(page)
+    """Encode a grayscale [0, 1] page as binary P5; a boolean mask encodes as
+    0/255."""
+    arr = np.asarray(page)
     if arr.ndim != 2:
         raise PgmError(f"write_pgm expects a grayscale page, got shape {arr.shape}")
     if arr.dtype == bool:
@@ -215,33 +186,31 @@ def write_pgm(page) -> bytes:
 # ---------------------------------------------------------------------------
 # tiling
 
-def split_patches(page, h, w) -> PatchGrid:
-    """Tile a page into h x w patches, edge-replicating up to full multiples."""
+def split_patches(page, h, w) -> np.ndarray:
+    """Tile a page into its ``[rows * cols, h, w]`` stack of h x w patches in
+    row-major order, edge-replicating up to full multiples."""
     if h < 1 or w < 1:
         raise ValueError("patch dimensions must be >= 1")
-    arr = page.pixels if isinstance(page, Page) else np.asarray(page, dtype=np.float64)
+    arr = np.asarray(page, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"split_patches expects a 2-D page, got shape {arr.shape}")
-    rows = math.ceil(arr.shape[0] / h)
-    cols = math.ceil(arr.shape[1] / w)
-    pad_bottom = rows * h - arr.shape[0]
-    pad_right = cols * w - arr.shape[1]
-    padded = np.pad(arr, ((0, pad_bottom), (0, pad_right)), mode="edge")
-    patches = padded.reshape(rows, h, cols, w).transpose(0, 2, 1, 3).reshape(rows * cols, h, w)
-    return PatchGrid(patch=(h, w), grid=(rows, cols), pad=(pad_right, pad_bottom), patches=patches)
+    rows, cols = math.ceil(arr.shape[0] / h), math.ceil(arr.shape[1] / w)
+    padded = np.pad(arr, ((0, rows * h - arr.shape[0]), (0, cols * w - arr.shape[1])), mode="edge")
+    return padded.reshape(rows, h, cols, w).transpose(0, 2, 1, 3).reshape(rows * cols, h, w)
 
 
-def assemble(grid: PatchGrid) -> np.ndarray:
-    """Place patches back row-major and crop the recorded padding."""
-    h, w = grid.patch
-    rows, cols = grid.grid
-    if grid.patches.shape != (rows * cols, h, w):
-        raise ValueError(f"grid needs patches of shape {(rows * cols, h, w)}, "
-                         f"has {grid.patches.shape}")
-    canvas = grid.patches.reshape(rows, cols, h, w).transpose(0, 2, 1, 3)
-    canvas = canvas.reshape(rows * h, cols * w)
-    pad_right, pad_bottom = grid.pad
-    return canvas[: rows * h - pad_bottom, : cols * w - pad_right]
+def assemble(patches, shape) -> np.ndarray:
+    """Place a row-major patch stack back into a page of ``shape`` (h, w),
+    cropping the padding ``split_patches`` added."""
+    if patches.ndim != 3:
+        raise ValueError(f"assemble needs patches of shape [n, h, w], has {patches.shape}")
+    n, h, w = patches.shape
+    rows, cols = math.ceil(shape[0] / h), math.ceil(shape[1] / w)
+    if n != rows * cols:
+        raise ValueError(f"a {shape} page needs patches of shape {(rows * cols, h, w)}, "
+                         f"has {patches.shape}")
+    canvas = patches.reshape(rows, cols, h, w).transpose(0, 2, 1, 3).reshape(rows * h, cols * w)
+    return canvas[: shape[0], : shape[1]]
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +227,13 @@ def _assign_splits(stems, validation_fraction, seed):
     return {stem: ("validation" if stem in val else "train") for stem in stems}
 
 
-def _read_gt(path) -> GroundTruth:
-    return GroundTruth(read_pgm(path.read_bytes()).pixels >= GT_INK_THRESHOLD / 255.0)
+def _read_gt(path) -> np.ndarray:
+    return read_pgm(path.read_bytes()).pixels >= GT_INK_THRESHOLD / 255.0
 
 
 def _check_gt_size(stem, gt, page):
-    if gt.mask.shape != page.pixels.shape:
-        raise DataError(f"page {stem!r}: gt size {gt.mask.shape} != image size {page.pixels.shape}")
+    if gt.shape != page.shape:
+        raise DataError(f"page {stem!r}: gt size {gt.shape} != image size {page.shape}")
 
 
 def load_dataset(directory, role, validation_fraction=0.2, seed=0) -> Dataset:
@@ -283,7 +252,7 @@ def load_dataset(directory, role, validation_fraction=0.2, seed=0) -> Dataset:
     records = []
     missing = []
     for path in image_paths:
-        page = read_pgm(path.read_bytes())
+        page = read_pgm(path.read_bytes()).pixels
         gt = None
         if role == "source":
             gt_path = root / "gt" / path.name
@@ -299,7 +268,7 @@ def load_dataset(directory, role, validation_fraction=0.2, seed=0) -> Dataset:
 
 
 def load_eval_masks(directory, records=()) -> dict:
-    """Ground-truth masks from a dataset directory, keyed by stem (may be empty);
+    """Boolean ground-truth masks from a dataset directory, keyed by stem (may be empty);
     one whose size differs from the page of the record of its stem is a ``DataError``."""
     masks = {path.stem: _read_gt(path) for path in sorted(Path(directory, "gt").glob("*.pgm"))}
     for rec in records:
@@ -358,11 +327,11 @@ def _synthetic_page(rng, shape, kind):
         ghost = _paint_strokes(rng, shape, int(rng.integers(6, 12)), (1, 3))[:, ::-1]
         page[ghost] = 0.30 + rng.normal(0, noise, shape)[ghost]
     page[mask] = ink + rng.normal(0, noise, shape)[mask]
-    return np.clip(page, 0.0, 1.0), mask.astype(np.uint8)
+    return np.clip(page, 0.0, 1.0, out=page), mask
 
 
 def synthetic_domain_pairs(seed, kind, n_pages=8, page_size=(128, 128)):
-    """Deterministic (stem, page array, mask) triplets for one domain."""
+    """Deterministic (stem, page array, boolean mask) triplets for one domain."""
     kind_idx = SYNTHETIC_KINDS.index(kind)
     out = []
     for i in range(n_pages):
@@ -383,15 +352,8 @@ def make_synthetic_domains(seed, n_pages=8, page_size=(128, 128), validation_fra
         pairs = synthetic_domain_pairs(seed, kind, n_pages, page_size)
         role = "source" if kind == "source" else "target"
         splits = _assign_splits([stem for stem, _, _ in pairs], validation_fraction, seed)
-        records = [
-            PageRecord(
-                stem,
-                Page(page),
-                GroundTruth(mask) if role == "source" else None,
-                splits[stem],
-            )
-            for stem, page, mask in pairs
-        ]
+        records = [PageRecord(stem, page, mask if role == "source" else None, splits[stem])
+                   for stem, page, mask in pairs]
         datasets.append(Dataset(role=role, records=records))
     return tuple(datasets)
 
@@ -405,5 +367,5 @@ def write_synthetic_dirs(seed, out_dir, n_pages=8, page_size=(128, 128)):
             (out_root / kind / sub).mkdir(parents=True, exist_ok=True)
         for stem, page, mask in synthetic_domain_pairs(seed, kind, n_pages, page_size):
             (out_root / kind / "images" / f"{stem}.pgm").write_bytes(write_pgm(page))
-            (out_root / kind / "gt" / f"{stem}.pgm").write_bytes(write_pgm(mask.astype(bool)))
+            (out_root / kind / "gt" / f"{stem}.pgm").write_bytes(write_pgm(mask))
     return [out_root / kind for kind in SYNTHETIC_KINDS]

@@ -23,10 +23,6 @@ class Confusion:
             self.tp + other.tp, self.fp + other.fp, self.fn + other.fn, self.tn + other.tn
         )
 
-    @property
-    def total(self):
-        return self.tp + self.fp + self.fn + self.tn
-
 
 def confusion(pred, gt) -> Confusion:
     p = np.asarray(pred).astype(bool)

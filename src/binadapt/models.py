@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autodiff
 from .autodiff import CheckpointError, Graph, GraphError, read_checkpoint, write_checkpoint
-from .data import Page, split_patches
+from .data import split_patches
 from .layers import (
     ConvSpec,
     bce_node,
@@ -65,6 +65,11 @@ class SaeConfig:
     patch: tuple = (32, 32)
 
     def __post_init__(self):
+        # a checkpoint header may give any JSON value; a float or bool size
+        # would build a model that cannot predict, or the wrong one
+        for size in (self.depth, self.filters, *self.patch):
+            if type(size) is not int:
+                raise GraphError(f"model size {size!r} is not an integer")
         if self.depth < 1:
             raise GraphError("depth must be >= 1")
         if self.filters < 1:
@@ -102,9 +107,6 @@ class Model:
     @property
     def params(self):
         return self.graph.params
-
-    def param_count(self, prefix=""):
-        return sum(p.size for name, p in self.params.items() if name.startswith(prefix))
 
     def set_grl(self, lam):
         if self.kind != "bindann":
@@ -210,7 +212,7 @@ def predict_prob_map(model: Model, page) -> np.ndarray:
     map, which is cropped back to page size, so beyond the page the call holds
     only that map and one batch's working set.
     """
-    arr = page.pixels if isinstance(page, Page) else np.asarray(page, dtype=np.float64)
+    arr = np.asarray(page, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"predict_prob_map expects a 2-D page, got shape {arr.shape}")
     cfg = model.config if model.kind == "sae" else model.config.sae
@@ -221,7 +223,7 @@ def predict_prob_map(model: Model, page) -> np.ndarray:
     for start in range(0, rows * cols, _PREDICT_BATCH):
         stop = min(start + _PREDICT_BATCH, rows * cols)
         r0, r1 = start // cols, (stop - 1) // cols + 1  # the patch rows this batch touches
-        band = split_patches(arr[r0 * h : r1 * h], h, w).patches
+        band = split_patches(arr[r0 * h : r1 * h], h, w)
         x = band[start - r0 * cols : stop - r0 * cols, None]  # [n, 1, h, w]
         out = autodiff.forward(model.graph, {"x": x}, wanted=("prob_map",))
         k = np.arange(start, stop)

@@ -35,7 +35,6 @@ __all__ = [
     "SimilarityReport",
     "compare_histograms",
     "domain_histogram",
-    "intra_domain_rho",
     "AutoRunResult",
     "autobindann",
     "histogram_csv",
@@ -153,12 +152,10 @@ class SimilarityReport:
     hist_intersection: float
     rho_th: float
     decision: str
-    degenerate: bool = False
+    degenerate_flag: bool = False
 
     def to_json(self) -> str:
-        payload = asdict(self)
-        payload["degenerate_flag"] = payload.pop("degenerate")
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def compare_histograms(hs, ht, rho_th=0.25) -> SimilarityReport:
@@ -182,20 +179,8 @@ def compare_histograms(hs, ht, rho_th=0.25) -> SimilarityReport:
         hist_intersection=hist_intersection(hs, ht),
         rho_th=rho_th,
         decision=gate_decision(rho, rho_th),
-        degenerate=degenerate,
+        degenerate_flag=degenerate,
     )
-
-
-def intra_domain_rho(binarizer: TrainedBinarizer, records, h_prec=0.1) -> float:
-    """Correlation between the histograms of two disjoint halves of a record list."""
-    if len(records) < 2:
-        raise ValueError("need at least two pages to split into halves")
-    half = len(records) // 2
-    hs, ht = (
-        domain_histogram((predict_prob_map(binarizer.model, rec.page) for rec in part), h_prec)
-        for part in (records[:half], records[half:])
-    )
-    return pearson(hs, ht)
 
 
 @dataclass

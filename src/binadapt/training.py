@@ -125,7 +125,7 @@ def sweep_threshold(prob_maps, validation, sweep_step=0.05):
     for rec in validation:
         if rec.gt is None:
             raise ValueError(f"validation page {rec.stem!r} has no ground truth")
-    maps = [(prob, rec.gt.mask) for prob, rec in zip(prob_maps, validation)]
+    maps = [(prob, rec.gt) for prob, rec in zip(prob_maps, validation)]
     best_th, best_f1 = None, -1.0
     for th in _sweep_grid(sweep_step):
         total = Confusion()
@@ -139,7 +139,7 @@ def sweep_threshold(prob_maps, validation, sweep_step=0.05):
 
 def _patch_pool(pages, patch):
     """Every patch of the given pages, stacked as one [k, 1, h, w] array."""
-    return np.concatenate([split_patches(page, *patch).patches for page in pages])[:, None]
+    return np.concatenate([split_patches(page, *patch) for page in pages])[:, None]
 
 
 def _stream(*key):
@@ -178,7 +178,7 @@ def _fit(source: Dataset, target: Dataset | None, cfg: TrainConfig) -> TrainedBi
         tgt_domain = np.ones_like(src_domain)
     opt = adam(cfg.lr)
     x_pool = _patch_pool([r.page for r in train], patch)
-    y_pool = _patch_pool([r.gt.mask.astype(np.float64) for r in train], patch)
+    y_pool = _patch_pool([r.gt for r in train], patch)
     sampler = _stream(_SEED_SRC, cfg.seed)
     steps = math.ceil(len(x_pool) / cfg.batch)
 

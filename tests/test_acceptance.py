@@ -28,7 +28,7 @@ from binadapt.layers import (
     tconv_node,
 )
 from binadapt.metrics import Confusion
-from binadapt.similarity import USE_DA, USE_SAE, autobindann, intra_domain_rho
+from binadapt.similarity import USE_DA, USE_SAE, autobindann
 
 from reference import direct_pearson, fd_loss_gradient, max_rel_err
 
@@ -274,7 +274,10 @@ def test_criterion_6_gate_behavior(far_runs):
     near_ok = near_result.report.decision == USE_SAE and near_result.da is None
 
     boundary_ok = ba.gate_decision(0.25, 0.25) == USE_DA
-    intra = intra_domain_rho(run0["result"].sae, run0["source"].validation())
+    # the two halves of the source validation maps the sweep kept
+    val_maps = run0["result"].sae.val_maps
+    half = len(val_maps) // 2
+    intra = ba.pearson(ba.domain_histogram(val_maps[:half]), ba.domain_histogram(val_maps[half:]))
     elapsed = time.perf_counter() - t0
     _report(6,
             all(d == USE_DA for d in far_decisions) and near_ok and boundary_ok
@@ -321,12 +324,12 @@ def test_criterion_8_pipeline_exactness():
     tiling_ok = True
     for _ in range(200):
         page = rng.random((int(rng.integers(1, 120)), int(rng.integers(1, 120))))
-        grid = ba.split_patches(page, int(rng.integers(1, 48)), int(rng.integers(1, 48)))
-        tiling_ok = tiling_ok and ba.assemble(grid).tobytes() == page.tobytes()
+        patches = ba.split_patches(page, int(rng.integers(1, 48)), int(rng.integers(1, 48)))
+        tiling_ok = tiling_ok and ba.assemble(patches, page.shape).tobytes() == page.tobytes()
 
     payload = rng.integers(0, 256, size=64 * 48, dtype=np.uint8).tobytes()
     blob = b"P5\n48 64\n255\n" + payload
-    pgm_ok = ba.write_pgm(ba.read_pgm(blob)).endswith(payload)
+    pgm_ok = ba.write_pgm(ba.read_pgm(blob).pixels).endswith(payload)
 
     additive_ok = True
     harmonic_ok = True

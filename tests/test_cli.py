@@ -149,6 +149,10 @@ _MALFORMED = {
         _header(config=dict(_SMALL_SAE, patch=[1048576, 1048576]))),
     "patch_zero": lambda tmp: _checkpoint(_header(config=dict(_SMALL_SAE, patch=[0, 0]))),
     "patch_one_side": lambda tmp: _checkpoint(_header(config=dict(_SMALL_SAE, patch=[4]))),
+    # sizes must be integers: a float patch fails only once prediction
+    # allocates, and a bool depth would load as depth 1
+    "patch_float": lambda tmp: _checkpoint(_header(config=dict(_SMALL_SAE, patch=[8.0, 8.0]))),
+    "depth_bool": lambda tmp: _checkpoint(_header(config=dict(_SMALL_SAE, depth=True))),
 }
 
 

@@ -28,7 +28,7 @@ def test_p5_roundtrip_payload_is_byte_identical():
     raw = rng.integers(0, 256, size=30 * 17, dtype=np.uint8).tobytes()
     blob = b"P5\n# a comment\n30 17\n255\n" + raw
     page = ba.read_pgm(blob)
-    again = ba.write_pgm(page)
+    again = ba.write_pgm(page.pixels)
     assert again.endswith(raw)
     assert ba.read_pgm(again).pixels.tobytes() == page.pixels.tobytes()
 
@@ -115,23 +115,20 @@ def test_write_pgm_quantizes_as_round_then_clip():
 
 def test_split_exact_tiling():
     page = np.random.default_rng(4).random((512, 512))
-    grid = ba.split_patches(page, 256, 256)
-    assert grid.grid == (2, 2) and grid.patches.shape == (4, 256, 256)
-    assert grid.pad == (0, 0)
+    patches = ba.split_patches(page, 256, 256)
+    assert patches.shape == (4, 256, 256)
     # row-major: the second patch is the top-right quarter
-    assert grid.patches[1].tobytes() == page[:256, 256:].tobytes()
+    assert patches[1].tobytes() == page[:256, 256:].tobytes()
 
 
 def test_split_with_padding():
-    grid = ba.split_patches(np.zeros((300, 300)), 256, 256)
-    assert len(grid.patches) == 4
-    assert grid.pad == (212, 212)
+    patches = ba.split_patches(np.zeros((300, 300)), 256, 256)
+    assert patches.shape == (4, 256, 256)  # 212 rows and columns of padding
 
 
 def test_split_single_patch_page():
-    grid = ba.split_patches(np.zeros((10, 10)), 32, 32)
-    assert len(grid.patches) == 1
-    assert grid.pad == (22, 22)
+    patches = ba.split_patches(np.zeros((10, 10)), 32, 32)
+    assert patches.shape == (1, 32, 32)  # 22 rows and columns of padding
 
 
 def test_assemble_inverts_split_bitwise():
@@ -140,30 +137,28 @@ def test_assemble_inverts_split_bitwise():
         h = int(rng.integers(1, 90))
         w = int(rng.integers(1, 90))
         page = rng.random((h, w))
-        grid = ba.split_patches(page, int(rng.integers(1, 40)), int(rng.integers(1, 40)))
-        back = ba.assemble(grid)
+        patches = ba.split_patches(page, int(rng.integers(1, 40)), int(rng.integers(1, 40)))
+        back = ba.assemble(patches, page.shape)
         assert back.tobytes() == page.tobytes()
 
 
 def test_assemble_single_patch_grid():
     page = np.arange(12.0).reshape(3, 4)
-    grid = ba.split_patches(page, 8, 8)
-    assert ba.assemble(grid).tobytes() == page.tobytes()
+    patches = ba.split_patches(page, 8, 8)
+    assert ba.assemble(patches, page.shape).tobytes() == page.tobytes()
 
 
 def test_assemble_places_patches_row_major():
-    grid = ba.split_patches(np.zeros((4, 4)), 2, 2)
-    grid.patches = np.stack([np.full((2, 2), v) for v in (1.0, 2.0, 3.0, 4.0)])
-    out = ba.assemble(grid)
+    patches = np.stack([np.full((2, 2), v) for v in (1.0, 2.0, 3.0, 4.0)])
+    out = ba.assemble(patches, (4, 4))
     assert out[0, 0] == 1.0 and out[0, 3] == 2.0 and out[3, 0] == 3.0 and out[3, 3] == 4.0
 
 
 def test_assemble_wrong_patch_count_or_shape_errors():
-    grid = ba.split_patches(np.zeros((4, 4)), 2, 2)
-    for shape in [(3, 2, 2), (5, 2, 2), (4, 2, 3), (4, 4)]:
-        grid.patches = np.zeros(shape)
+    # the patch size is read from the stack, so only the count and rank can be wrong
+    for shape in [(3, 2, 2), (5, 2, 2), (4, 4)]:
         with pytest.raises(ValueError, match="patches of shape"):
-            ba.assemble(grid)
+            ba.assemble(np.zeros(shape), (4, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +226,7 @@ def test_gt_binarized_at_128(tmp_path):
     (tmp_path / "images" / "a.pgm").write_bytes(b"P5\n2 1\n255\n\x00\x00")
     (tmp_path / "gt" / "a.pgm").write_bytes(bytes([0x50, 0x35, 0x0A]) + b"2 1\n255\n" + bytes([127, 128]))
     ds = load_dataset(tmp_path, "source", validation_fraction=0.0, seed=0)
-    np.testing.assert_array_equal(ds.records[0].gt.mask, [[0, 1]])
+    np.testing.assert_array_equal(ds.records[0].gt, [[False, True]])
     assert GT_INK_THRESHOLD == 128
 
 
@@ -263,7 +258,7 @@ def test_make_synthetic_domains_roles_and_sizes():
     src, near, far = ba.make_synthetic_domains(0)
     assert src.role == "source" and near.role == far.role == "target"
     assert len(src.records) >= 8
-    assert all(r.page.pixels.shape >= (128, 128) for r in src.records)
+    assert all(r.page.shape >= (128, 128) for r in src.records)
     assert all(r.gt is not None for r in src.records)
     assert all(r.gt is None for r in near.records + far.records)
     assert len(src.train()) >= 1 and len(src.validation()) >= 1
@@ -286,4 +281,4 @@ def test_write_synthetic_dirs_loadable(tmp_path):
     # round-tripped gt equals the generator's mask
     pairs = synthetic_domain_pairs(0, "target_far", n_pages=3, page_size=(40, 40))
     for stem, _, mask in pairs:
-        np.testing.assert_array_equal(masks[stem].mask, mask)
+        np.testing.assert_array_equal(masks[stem], mask)

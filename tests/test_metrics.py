@@ -74,4 +74,4 @@ def test_streaming_confusion_equals_whole_page():
         for j in range(0, 41, 8):
             streamed = streamed + ba.confusion(pred[i : i + 8, j : j + 8], gt[i : i + 8, j : j + 8])
     assert (streamed.tp, streamed.fp, streamed.fn, streamed.tn) == (whole.tp, whole.fp, whole.fn, whole.tn)
-    assert pg.grid == gg.grid
+    assert pg.shape == gg.shape

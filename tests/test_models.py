@@ -62,8 +62,11 @@ def test_domain_branch_parameter_balance():
     for depth in (1, 2, 3):
         cfg = ba.BinDannConfig(sae=ba.SaeConfig(depth=depth, patch=(32, 32)))
         model = ba.build_bindann(cfg, np.random.default_rng(0))
-        tail = model.param_count(f"dec{depth}.") + model.param_count("out.")
-        dom = model.param_count("dom_")
+        def count(prefix):
+            return sum(p.size for name, p in model.params.items() if name.startswith(prefix))
+
+        tail = count(f"dec{depth}.") + count("out.")
+        dom = count("dom_")
         assert tail == dom
 
 
@@ -140,11 +143,9 @@ def test_channel_mismatch_rejected():
 def _whole_page_prob_map(model, page):
     """Reference tiler: every patch cut at once, maps of batches of 16
     concatenated, then reassembled."""
-    grid = ba.split_patches(page, *model.config.patch)
-    x = grid.patches[:, None]
+    x = ba.split_patches(page, *model.config.patch)[:, None]
     maps = [_forward_map(model, x[i : i + 16])[:, 0] for i in range(0, len(x), 16)]
-    grid.patches = np.concatenate(maps)
-    return ba.assemble(grid)
+    return ba.assemble(np.concatenate(maps), page.shape)
 
 
 # pages smaller than a patch, column counts that do not divide 16, and

@@ -198,7 +198,7 @@ def test_report_json_fields():
 
 def test_degenerate_report_keeps_plain_model():
     report = compare_histograms(np.full(10, 0.1), np.full(10, 0.1), rho_th=0.25)
-    assert report.degenerate is True
+    assert report.degenerate_flag is True
     assert report.decision == USE_SAE
     assert report.rho == 1.0
 
@@ -221,7 +221,7 @@ def test_autobindann_mini_run_contracts():
     result = autobindann(src, far, cfg, h_prec=0.1, rho_th=0.25)
     assert set(result.masks) == {r.stem for r in far.records}
     for rec in far.records:
-        assert result.masks[rec.stem].shape == rec.page.pixels.shape
+        assert result.masks[rec.stem].shape == rec.page.shape
         assert result.masks[rec.stem].dtype == bool
     assert result.report.decision in (USE_SAE, USE_DA)
     assert (result.da is not None) == (result.report.decision == USE_DA)
@@ -233,10 +233,3 @@ def test_autobindann_mini_run_contracts():
     assert result.hist_source.tobytes() == fresh(src.validation()).tobytes()
     # the target histogram pools the plain model's maps of every target page
     assert result.hist_target.tobytes() == fresh(far.records).tobytes()
-
-
-def test_intra_domain_rho_needs_two_pages():
-    src, _, _ = ba.make_synthetic_domains(1, n_pages=4, page_size=(64, 64))
-    model = ba.build_sae(ba.SaeConfig(), np.random.default_rng(0))
-    with pytest.raises(ValueError, match="two pages"):
-        ba.intra_domain_rho(ba.TrainedBinarizer(model, 0.5, []), src.records[:1])

@@ -45,3 +45,14 @@ def test_write_data_adds_ragged_pages(tmp_path):
     ragged = sorted((tmp_path / "data" / "ragged").glob("*.pgm"))
     shapes = sorted(ba.read_pgm(p.read_bytes()).pixels.shape for p in ragged)
     assert shapes == sorted(tool.RAGGED)
+
+
+def test_run_tree_writes_similarity_train_sae_and_synth(tmp_path):
+    tool = _load_tool()
+    data, out = tmp_path / "data", tmp_path / "out"
+    tool.write_data(TOOL.parents[1], 0, data)
+    tool.run_tree(TOOL.parents[1], 0, data, out)
+    assert (out / "similarity" / "report.json").is_file()
+    assert (out / "train_sae" / "sae.ckpt").is_file()
+    for kind in ("source", "target_near", "target_far"):
+        assert len(list((out / "synth" / kind / "images").glob("*.pgm"))) == 8

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import binadapt as ba
-from binadapt.data import GroundTruth, PageRecord
+from binadapt.data import PageRecord
 from binadapt.training import history_csv
 
 
@@ -50,7 +50,7 @@ def test_binarize_threshold_range():
 # threshold sweep (on crafted maps)
 
 def _record(gt):
-    return PageRecord("p", None, GroundTruth(gt), "validation")
+    return PageRecord("p", None, gt != 0, "validation")
 
 
 def test_sweep_perfect_map_returns_lowest_threshold():

@@ -14,7 +14,11 @@ validation fraction 0.2):
 * ``binadapt predict`` with the same checkpoint on two ragged far-target
   pages, 1000x750 and 45x300, whose sides are no multiple of the patch and
   whose prediction batches cross rows of patches. The first tree writes them
-  next to the data, under ``ragged/``.
+  next to the data, under ``ragged/``;
+* ``binadapt similarity`` from the source to the far target with the far
+  run's ``sae.ckpt``;
+* ``binadapt train-sae`` on the source;
+* ``binadapt synth`` at the seed's defaults (8 pages of 128x128 per domain).
 
 Every command reads the same inputs at the same paths, so even the
 manifests, which record those paths, must match. Exits 1 and lists every
@@ -80,8 +84,12 @@ def _binadapt(tree: Path, *args):
 
 
 def write_data(tree: Path, seed, data: Path):
-    """The synthetic domains and the ragged pages, written by ``tree``'s code."""
+    """The synthetic domains and the ragged pages, written by ``tree``'s code,
+    and one config per target."""
     _python(tree, "-c", _WRITE_DATA, str(seed), str(data))
+    for target in TARGETS:
+        keys = dict(source_dir=data / "source", target_dir=data / target, seed=seed, **ADAPT)
+        (data / f"{target}.cfg").write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
 
 
 def run_tree(tree: Path, seed, data: Path, out: Path):
@@ -93,6 +101,11 @@ def run_tree(tree: Path, seed, data: Path, out: Path):
         for page in sorted(pages.glob("*.pgm")):
             _binadapt(tree, "predict", "--checkpoint", str(out / "target_far" / "bindann.ckpt"),
                       "--input", str(page), "--out", str(out / name))
+    far = str(data / "target_far.cfg")
+    _binadapt(tree, "similarity", "--config", far,
+              "--checkpoint", str(out / "target_far" / "sae.ckpt"), "--out", str(out / "similarity"))
+    _binadapt(tree, "train-sae", "--config", far, "--out", str(out / "train_sae"))
+    _binadapt(tree, "synth", "--config", far, "--out", str(out / "synth"))
 
 
 def main(argv=None) -> int:
@@ -108,9 +121,6 @@ def main(argv=None) -> int:
         for seed in parse_seeds(args.seeds):
             data = work / f"data{seed}"
             write_data(args.parent, seed, data)
-            for target in TARGETS:
-                keys = dict(source_dir=data / "source", target_dir=data / target, seed=seed, **ADAPT)
-                (data / f"{target}.cfg").write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
             outs = [work / name / f"seed{seed}" for name in ("parent", "change")]
             for tree, out in zip((args.parent, args.change), outs):
                 run_tree(tree, seed, data, out)
