@@ -8,7 +8,7 @@ import binadapt as ba
 source, _, _ = ba.make_synthetic_domains(seed=0)
 print(f"source: {len(source.train())} train / {len(source.validation())} validation pages")
 
-cfg = ba.TrainConfig(epochs=15, batch=16, seed=0)
+cfg = ba.ExperimentConfig(epochs=15, batch=16, seed=0)
 binarizer = ba.train_sae(source, cfg)
 
 print("epoch  loss    val_f1  threshold")

@@ -8,7 +8,7 @@ from binadapt.metrics import Confusion
 from binadapt.similarity import autobindann
 
 source, near, far = ba.make_synthetic_domains(seed=0)
-cfg = ba.TrainConfig(epochs=40, batch=16, seed=0)
+cfg = ba.ExperimentConfig(epochs=40, batch=16, seed=0)
 
 
 def score(binarizer, dataset, masks):
@@ -21,7 +21,7 @@ def score(binarizer, dataset, masks):
 
 for name, target in (("near", near), ("far", far)):
     print(f"=== target: {name} ===")
-    result = autobindann(source, target, cfg, h_prec=0.1, rho_th=0.25)
+    result = autobindann(source, target, cfg)
     r = result.report
     print(f"rho {r.rho:+.3f}  kl_st {r.kl_st:.3f}  kl_ts {r.kl_ts:.3f}  "
           f"js {r.js:.3f}  intersection {r.hist_intersection:.3f}")

@@ -6,6 +6,7 @@ import numpy as np
 
 import binadapt as ba
 
+cfg = ba.ExperimentConfig()  # the default bin width and gate threshold
 rng = np.random.default_rng(0)
 
 # a "confident" domain: most pixels near 0, some near 1 (typical of a model
@@ -26,7 +27,7 @@ confident2 = np.clip(np.concatenate([
 
 hists = {}
 for name, values in (("confident", confident), ("confident2", confident2), ("unsure", unsure)):
-    hists[name] = ba.domain_histogram([values], 0.1)
+    hists[name] = ba.domain_histogram([values], cfg.h_prec)
     print(f"{name:10s} bins:", np.round(hists[name], 3))
 
 print()
@@ -34,7 +35,7 @@ for a, b in (("confident", "confident2"), ("confident", "unsure")):
     ha, hb = hists[a], hists[b]
     rho = ba.pearson(ha, hb)
     print(f"{a} vs {b}:")
-    print(f"  pearson      {rho:+.3f}   -> gate: {ba.gate_decision(rho, 0.25)}")
+    print(f"  pearson      {rho:+.3f}   -> gate: {ba.gate_decision(rho, cfg.rho_th)}")
     print(f"  kl (a->b)    {ba.kl_divergence(ha, hb):.3f}")
     print(f"  kl (b->a)    {ba.kl_divergence(hb, ha):.3f}   (not symmetric)")
     print(f"  jensen-shannon {ba.js_divergence(ha, hb):.3f}  (max {np.log(2):.3f})")

@@ -59,7 +59,7 @@ from .similarity import (
     pearson,
 )
 from .training import (
-    TrainConfig,
+    ExperimentConfig,
     TrainedBinarizer,
     binarize,
     load_binarizer,

@@ -131,9 +131,6 @@ class Graph:
         self.param_ids[name] = nid
         return nid
 
-    def identity(self, x, name=None) -> int:
-        return self.add_node("identity", (x,), name=name)
-
     def add(self, a, b, name=None) -> int:
         return self.add_node("add", (a, b), name=name)
 
@@ -335,14 +332,6 @@ def grad_check(
 # ---------------------------------------------------------------------------
 # core ops
 
-def _fwd_identity(node, xs, run):
-    return xs[0]
-
-
-def _bwd_identity(node, g, xs, y, run):
-    return [g]
-
-
 def _fwd_add(node, xs, run):
     a, b = xs
     if a.shape != b.shape:
@@ -362,7 +351,6 @@ def _bwd_sum(node, g, xs, y, run):
     return [np.full(xs[0].shape, g[0])]
 
 
-register_op("identity", _fwd_identity, _bwd_identity)
 register_op("add", _fwd_add, _bwd_add)
 register_op("sum", _fwd_sum, _bwd_sum)
 
@@ -383,7 +371,7 @@ class OptimizerState:
     moments: dict = field(default_factory=dict)
 
 
-def adam(lr=1e-3) -> OptimizerState:
+def adam(lr) -> OptimizerState:
     return OptimizerState(lr=lr)
 
 

@@ -13,7 +13,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,7 @@ from .data import (
     write_synthetic_dirs,
 )
 from .metrics import confusion, f1, precision, recall
-from .models import SaeConfig, predict_prob_map
+from .models import predict_prob_map
 from .similarity import (
     autobindann,
     check_gate_settings,
@@ -39,7 +39,7 @@ from .similarity import (
     histogram_csv,
 )
 from .training import (
-    TrainConfig,
+    ExperimentConfig,
     binarize,
     history_csv,
     load_binarizer,
@@ -47,65 +47,16 @@ from .training import (
     train_sae,
 )
 
-__all__ = ["ConfigError", "ExperimentConfig", "parse_config", "main"]
+__all__ = ["ConfigError", "parse_config", "main"]
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
-@dataclass
-class ExperimentConfig:
-    source_dir: str = ""
-    target_dir: str = ""
-    out_dir: str = ""
-    patch_h: int = 32
-    patch_w: int = 32
-    depth: int = 3
-    filters: int = 8
-    dropout: float = 0.2
-    epochs: int = 60
-    batch: int = 16
-    seed: int = 0
-    lr: float = 1e-3
-    lambda0: float = 0.1
-    lambda_inc: float = 0.01
-    h_prec: float = 0.1
-    rho_th: float = 0.25
-    sweep_step: float = 0.05
-    validation_fraction: float = 0.2
-
-    def train_config(self) -> TrainConfig:
-        try:
-            model = SaeConfig(
-                depth=self.depth,
-                filters=self.filters,
-                dropout_rate=self.dropout,
-                patch=(self.patch_h, self.patch_w),
-            )
-            return TrainConfig(
-                epochs=self.epochs,
-                batch=self.batch,
-                seed=self.seed,
-                lr=self.lr,
-                sweep_step=self.sweep_step,
-                lambda0=self.lambda0,
-                lambda_increment=self.lambda_inc,
-                model=model,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def as_dict(self):
-        # out_dir is where artifacts land, not part of the experiment identity
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out_dir"}
-
-    def canonical_text(self):
-        return "".join(f"{k}={v}\n" for k, v in sorted(self.as_dict().items()))
-
-
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse key=value lines ('#' starts a comment); unknown keys are rejected."""
+    """Parse key=value lines ('#' starts a comment); unknown keys and
+    out-of-range values are rejected."""
     known = {f.name: f.type for f in fields(ExperimentConfig)}
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -125,15 +76,19 @@ def parse_config(text: str) -> ExperimentConfig:
             values[key] = caster(value)
         except ValueError:
             raise ConfigError(f"line {lineno}: bad {known[key]} value {value!r} for {key!r}") from None
-    return ExperimentConfig(**values)
+    try:
+        return ExperimentConfig(**values)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _load_config(args) -> ExperimentConfig:
+    """The config file's settings with ``--seed``/``--out`` applied, all of
+    them checked, the gate's included, before any command reads data."""
     cfg = parse_config(Path(args.config).read_text()) if args.config else ExperimentConfig()
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out:
-        cfg.out_dir = args.out
+    cfg = replace(cfg, seed=cfg.seed if args.seed is None else args.seed,
+                  out_dir=args.out or cfg.out_dir)
+    check_gate_settings(cfg.h_prec, cfg.rho_th)
     return cfg
 
 
@@ -208,10 +163,9 @@ def _summary_csv(rows) -> str:
 def cmd_train_sae(args) -> int:
     cfg = _load_config(args)
     _require(cfg, "source_dir")
-    train_cfg = cfg.train_config()
     source = load_dataset(cfg.source_dir, "source", cfg.validation_fraction, cfg.seed)
     out = _out_dir(cfg)
-    tb = train_sae(source, train_cfg)
+    tb = train_sae(source, cfg)
     out.mkdir(parents=True, exist_ok=True)
     save_binarizer(out / "sae.ckpt", tb)
     (out / "history_sae.csv").write_text(history_csv(tb.history))
@@ -240,12 +194,7 @@ def cmd_predict(args) -> int:
 
 def cmd_similarity(args) -> int:
     cfg = _load_config(args)
-    if args.source_dir:
-        cfg.source_dir = args.source_dir
-    if args.target_dir:
-        cfg.target_dir = args.target_dir
     _require(cfg, "source_dir", "target_dir")
-    check_gate_settings(cfg.h_prec, cfg.rho_th)
     tb = load_binarizer(args.checkpoint)
     source = load_dataset(cfg.source_dir, "source", cfg.validation_fraction, cfg.seed)
     target = load_dataset(cfg.target_dir, "target", cfg.validation_fraction, cfg.seed)
@@ -267,8 +216,6 @@ def cmd_similarity(args) -> int:
 def cmd_run(args) -> int:
     cfg = _load_config(args)
     _require(cfg, "source_dir", "target_dir")
-    train_cfg = cfg.train_config()
-    check_gate_settings(cfg.h_prec, cfg.rho_th)
     source = load_dataset(cfg.source_dir, "source", cfg.validation_fraction, cfg.seed)
     target = load_dataset(cfg.target_dir, "target", cfg.validation_fraction, cfg.seed)
     # post-hoc evaluation only: target labels, when present on disk, never
@@ -277,7 +224,7 @@ def cmd_run(args) -> int:
     eval_masks = load_eval_masks(cfg.target_dir, target.records)
     out = _out_dir(cfg)
 
-    result = autobindann(source, target, train_cfg, cfg.h_prec, cfg.rho_th)
+    result = autobindann(source, target, cfg)
 
     mask_dir = out / "binarized"
     mask_dir.mkdir(parents=True, exist_ok=True)
@@ -335,8 +282,6 @@ def _build_parser():
     p = sub.add_parser("similarity", help="histogram similarity report for two domains")
     common(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--source-dir", default="")
-    p.add_argument("--target-dir", default="")
     p.set_defaults(func=cmd_similarity)
 
     p = sub.add_parser("run", help="full gated pipeline on source + target directories")

@@ -36,6 +36,7 @@ __all__ = [
     "write_pgm",
     "split_patches",
     "assemble",
+    "check_validation_fraction",
     "load_dataset",
     "synthetic_domain_pairs",
     "make_synthetic_domains",
@@ -216,9 +217,14 @@ def assemble(patches, shape) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # dataset ingestion
 
+def check_validation_fraction(fraction):
+    """Reject a share of validation pages outside [0, 1]."""
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError(f"validation fraction {fraction} outside [0, 1]")
+
+
 def _assign_splits(stems, validation_fraction, seed):
-    if not 0.0 <= validation_fraction <= 1.0:
-        raise ValueError(f"validation fraction {validation_fraction} outside [0, 1]")
+    check_validation_fraction(validation_fraction)
     order = list(stems)
     rng = np.random.default_rng(np.random.SeedSequence([_SEED_SPLIT, seed]))
     rng.shuffle(order)
@@ -236,7 +242,7 @@ def _check_gt_size(stem, gt, page):
         raise DataError(f"page {stem!r}: gt size {gt.shape} != image size {page.shape}")
 
 
-def load_dataset(directory, role, validation_fraction=0.2, seed=0) -> Dataset:
+def load_dataset(directory, role, validation_fraction, seed) -> Dataset:
     """Load ``<root>/images/*.pgm`` (+ ``gt/`` for sources) with a seeded split.
 
     Target datasets never pick up ground truth even if a gt directory exists;

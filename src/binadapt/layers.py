@@ -87,7 +87,7 @@ class ConvSpec:
         return oh, ow
 
 
-def grl_lambda_at(epoch, start=0.1, increment=0.01):
+def grl_lambda_at(epoch, start, increment):
     """Reversal coefficient at a given epoch: start + increment * epoch."""
     if epoch < 0:
         raise GraphError("epoch must be non-negative")

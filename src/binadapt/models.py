@@ -57,12 +57,12 @@ _MAX_PATCH_SIDE = 1024
 
 @dataclass(frozen=True)
 class SaeConfig:
-    """Architecture hyper-parameters; defaults are the small desk scale."""
+    """Architecture hyper-parameters, as ``ExperimentConfig.sae_config`` builds them."""
 
-    depth: int = 3
-    filters: int = 8
-    dropout_rate: float = 0.2
-    patch: tuple = (32, 32)
+    depth: int
+    filters: int
+    dropout_rate: float
+    patch: tuple
 
     def __post_init__(self):
         # a checkpoint header may give any JSON value; a float or bool size
@@ -89,9 +89,9 @@ class SaeConfig:
 class BinDannConfig:
     """SAE plus the adversarial domain branch and its coefficient schedule."""
 
-    sae: SaeConfig = SaeConfig()
-    lambda0: float = 0.1
-    lambda_increment: float = 0.01
+    sae: SaeConfig
+    lambda0: float
+    lambda_increment: float
 
     def __post_init__(self):
         if self.lambda0 < 0 or self.lambda_increment < 0:

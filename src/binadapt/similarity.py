@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import Dataset
 from .models import predict_prob_map
-from .training import TrainConfig, TrainedBinarizer, binarize, train_bindann, train_sae
+from .training import ExperimentConfig, TrainedBinarizer, binarize, train_bindann, train_sae
 
 __all__ = [
     "USE_SAE",
@@ -59,7 +59,7 @@ def _bin_count(h_prec):
     return int(round(n))
 
 
-def domain_histogram(prob_maps, h_prec=0.1) -> np.ndarray:
+def domain_histogram(prob_maps, h_prec) -> np.ndarray:
     """Pool the pixels of any iterable of probability maps into one
     normalized histogram: a float64 array of ``1 / h_prec`` bin masses.
 
@@ -136,7 +136,7 @@ def check_gate_settings(h_prec, rho_th):
         raise ValueError(f"gate threshold {rho_th} outside [-1, 1]")
 
 
-def gate_decision(rho, rho_th=0.25) -> str:
+def gate_decision(rho, rho_th) -> str:
     """Adaptation is warranted exactly when correlation <= threshold (inclusive)."""
     if not -1.0 <= rho <= 1.0:
         raise ValueError(f"correlation {rho} outside [-1, 1]")
@@ -158,7 +158,7 @@ class SimilarityReport:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def compare_histograms(hs, ht, rho_th=0.25) -> SimilarityReport:
+def compare_histograms(hs, ht, rho_th) -> SimilarityReport:
     """Full metric suite plus the gate decision.
 
     A degenerate (constant) histogram pair cannot be correlated; the report
@@ -199,13 +199,7 @@ class AutoRunResult:
         return self.da if self.da is not None else self.sae
 
 
-def autobindann(
-    source: Dataset,
-    target: Dataset,
-    cfg: TrainConfig,
-    h_prec=0.1,
-    rho_th=0.25,
-) -> AutoRunResult:
+def autobindann(source: Dataset, target: Dataset, cfg: ExperimentConfig) -> AutoRunResult:
     """Train on source, gate on histogram correlation, binarize the target.
 
     The source histogram pools the validation partition's maps from which the
@@ -214,11 +208,12 @@ def autobindann(
     swept threshold binarizes the target; otherwise the plain model's masks,
     taken in the same pass over the target as its histogram, are kept.
     Target ground truth is never touched: the target dataset carries none.
-    The gate settings are checked before any training.
+    The gate settings, ``cfg.h_prec`` and ``cfg.rho_th``, are checked before
+    any training.
     """
-    check_gate_settings(h_prec, rho_th)
+    check_gate_settings(cfg.h_prec, cfg.rho_th)
     sae_tb = train_sae(source, cfg)
-    hist_source = domain_histogram(sae_tb.val_maps, h_prec)
+    hist_source = domain_histogram(sae_tb.val_maps, cfg.h_prec)
     masks = {}
 
     def target_maps():
@@ -227,8 +222,8 @@ def autobindann(
             masks[rec.stem] = binarize(prob, sae_tb.th_s)
             yield prob
 
-    hist_target = domain_histogram(target_maps(), h_prec)
-    report = compare_histograms(hist_source, hist_target, rho_th)
+    hist_target = domain_histogram(target_maps(), cfg.h_prec)
+    report = compare_histograms(hist_source, hist_target, cfg.rho_th)
 
     da_tb = None
     if report.decision == USE_DA:

@@ -14,12 +14,12 @@ trajectory bitwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .autodiff import CheckpointError, adam, backward, forward, optimizer_step
-from .data import DataError, Dataset, split_patches
+from .data import DataError, Dataset, check_validation_fraction, split_patches
 from .layers import grl_lambda_at
 from .metrics import Confusion, confusion, f1
 from .models import (
@@ -34,7 +34,7 @@ from .models import (
 )
 
 __all__ = [
-    "TrainConfig",
+    "ExperimentConfig",
     "EpochStats",
     "TrainedBinarizer",
     "binarize",
@@ -53,25 +53,58 @@ _SEED_DROP = 204
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class ExperimentConfig:
+    """Every setting of an experiment, each with its one default.
+
+    Construction checks the training settings, the validation fraction and
+    the model they build, so a bad value fails before any data is read; the
+    gate's ``h_prec`` and ``rho_th`` are checked by
+    ``similarity.check_gate_settings``.
+    """
+
+    source_dir: str = ""
+    target_dir: str = ""
+    out_dir: str = ""
+    patch_h: int = 32
+    patch_w: int = 32
+    depth: int = 3
+    filters: int = 8
+    dropout: float = 0.2
     epochs: int = 60
     batch: int = 16
     seed: int = 0
     lr: float = 1e-3
-    sweep_step: float = 0.05
     lambda0: float = 0.1
-    lambda_increment: float = 0.01
-    model: SaeConfig = field(default_factory=SaeConfig)
+    lambda_inc: float = 0.01
+    h_prec: float = 0.1
+    rho_th: float = 0.25
+    sweep_step: float = 0.05
+    validation_fraction: float = 0.2
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch < 1:
             raise ValueError("epochs and batch size must be >= 1")
-        if not 0.0 < self.sweep_step < 1.0:
-            raise ValueError(f"sweep step {self.sweep_step} outside (0, 1)")
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} must be non-negative")
         if not 0.0 < self.lr < math.inf:
             raise ValueError(f"learning rate {self.lr} must be finite and positive")
-        if not (0.0 <= self.lambda0 < math.inf and 0.0 <= self.lambda_increment < math.inf):
+        if not (0.0 <= self.lambda0 < math.inf and 0.0 <= self.lambda_inc < math.inf):
             raise ValueError("reversal coefficient schedule must be finite and non-negative")
+        _sweep_grid(self.sweep_step)
+        check_validation_fraction(self.validation_fraction)
+        self.sae_config()
+
+    def sae_config(self) -> SaeConfig:
+        """The model that the depth, filters, dropout and patch settings describe."""
+        return SaeConfig(depth=self.depth, filters=self.filters, dropout_rate=self.dropout,
+                         patch=(self.patch_h, self.patch_w))
+
+    def as_dict(self):
+        # out_dir is where artifacts land, not part of the experiment identity
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out_dir"}
+
+    def canonical_text(self):
+        return "".join(f"{k}={v}\n" for k, v in sorted(self.as_dict().items()))
 
 
 @dataclass
@@ -107,13 +140,15 @@ def binarize(prob_map, th) -> np.ndarray:
 
 
 def _sweep_grid(step):
+    if not 0.0 < step < 1.0:
+        raise ValueError(f"sweep step {step} outside (0, 1)")
     n = round(1.0 / step)
     if n < 2:
         raise ValueError(f"sweep step {step} leaves no interior thresholds")
     return [i * step for i in range(1, n)]
 
 
-def sweep_threshold(prob_maps, validation, sweep_step=0.05):
+def sweep_threshold(prob_maps, validation, sweep_step):
     """Best equidistant threshold for the probability maps of labeled
     validation records, one map per record in the same order.
 
@@ -146,7 +181,7 @@ def _stream(*key):
     return np.random.default_rng(np.random.SeedSequence(key))
 
 
-def _fit(source: Dataset, target: Dataset | None, cfg: TrainConfig) -> TrainedBinarizer:
+def _fit(source: Dataset, target: Dataset | None, cfg: ExperimentConfig) -> TrainedBinarizer:
     """Fit on the labeled source, plus an unlabeled target stream when given,
     and keep the epoch with the best source validation F1 at its swept
     threshold.
@@ -163,22 +198,21 @@ def _fit(source: Dataset, target: Dataset | None, cfg: TrainConfig) -> TrainedBi
     if target is not None and not target.records:
         raise DataError("target dataset is empty")
 
-    patch = cfg.model.patch
+    sae = cfg.sae_config()
     init = _stream(_SEED_INIT, cfg.seed)
     if target is None:
-        model = build_sae(cfg.model, init)
+        model = build_sae(sae, init)
         wanted = ("loss", "bin_loss")
     else:
-        config = BinDannConfig(sae=cfg.model, lambda0=cfg.lambda0, lambda_increment=cfg.lambda_increment)
-        model = build_bindann(config, init)
+        model = build_bindann(BinDannConfig(sae, cfg.lambda0, cfg.lambda_inc), init)
         wanted = ("loss", "bin_loss", "domain_loss")
-        t_pool = _patch_pool([r.page for r in target.records], patch)
+        t_pool = _patch_pool([r.page for r in target.records], sae.patch)
         t_sampler = _stream(_SEED_TGT, cfg.seed)
-        src_domain = np.zeros((cfg.batch, 1, *patch))
+        src_domain = np.zeros((cfg.batch, 1, *sae.patch))
         tgt_domain = np.ones_like(src_domain)
     opt = adam(cfg.lr)
-    x_pool = _patch_pool([r.page for r in train], patch)
-    y_pool = _patch_pool([r.gt for r in train], patch)
+    x_pool = _patch_pool([r.page for r in train], sae.patch)
+    y_pool = _patch_pool([r.gt for r in train], sae.patch)
     sampler = _stream(_SEED_SRC, cfg.seed)
     steps = math.ceil(len(x_pool) / cfg.batch)
 
@@ -186,7 +220,7 @@ def _fit(source: Dataset, target: Dataset | None, cfg: TrainConfig) -> TrainedBi
     for epoch in range(cfg.epochs):
         lam = None
         if target is not None:
-            lam = grl_lambda_at(epoch, cfg.lambda0, cfg.lambda_increment)
+            lam = grl_lambda_at(epoch, cfg.lambda0, cfg.lambda_inc)
             model.set_grl(lam)
         bin_losses, dom_losses = [], []
         for step in range(steps):
@@ -221,13 +255,13 @@ def _fit(source: Dataset, target: Dataset | None, cfg: TrainConfig) -> TrainedBi
     return TrainedBinarizer(model=model, th_s=best[1], history=history, val_maps=best[3])
 
 
-def train_sae(source: Dataset, cfg: TrainConfig) -> TrainedBinarizer:
+def train_sae(source: Dataset, cfg: ExperimentConfig) -> TrainedBinarizer:
     """Fit the plain binarizer on the labeled source and keep the epoch
     checkpoint with the best validation F1 (at its swept threshold)."""
     return _fit(source, None, cfg)
 
 
-def train_bindann(source: Dataset, target: Dataset, cfg: TrainConfig) -> TrainedBinarizer:
+def train_bindann(source: Dataset, target: Dataset, cfg: ExperimentConfig) -> TrainedBinarizer:
     """Adversarial fit: the plain trainer plus an unlabeled target batch per
     step feeding the gradient-reversal domain branch. Binarization BCE is
     computed on the source only, and the returned threshold comes from the

@@ -30,6 +30,7 @@ from binadapt.layers import (
 from binadapt.metrics import Confusion
 from binadapt.similarity import USE_DA, USE_SAE, autobindann
 
+from defaults import DEFAULTS, SAE, bindann_cfg
 from reference import direct_pearson, fd_loss_gradient, max_rel_err
 
 SEEDS = (0, 1, 2)
@@ -57,7 +58,7 @@ def far_runs():
     for seed in SEEDS:
         t0 = time.perf_counter()
         src, near, far = ba.make_synthetic_domains(seed)
-        cfg = ba.TrainConfig(seed=seed, **RUN_CFG)
+        cfg = ba.ExperimentConfig(seed=seed, **RUN_CFG)
         result = autobindann(src, far, cfg)
         masks = {stem: m for stem, _, m in synthetic_domain_pairs(seed, "target_far")}
         runs[seed] = {
@@ -130,7 +131,7 @@ def _layer_checks():
 
 
 def _full_sae_check():
-    model = ba.build_sae(ba.SaeConfig(), np.random.default_rng(10))
+    model = ba.build_sae(SAE, np.random.default_rng(10))
     rng = np.random.default_rng(37)
     bind = {"x": rng.random((1, 1, 32, 32)), "gt": (rng.random((1, 1, 32, 32)) > 0.7).astype(float)}
     worst = 0.0
@@ -147,7 +148,7 @@ def _full_bindann_check(lam=0.1):
     # trunk parameters: the engine's backward through the reversal node is the
     # true gradient of bin_loss - lam * domain_loss; branch parameters see the
     # plain combined loss
-    model = ba.build_bindann(ba.BinDannConfig(lambda0=lam), np.random.default_rng(10))
+    model = ba.build_bindann(bindann_cfg(lambda0=lam), np.random.default_rng(10))
     rng = np.random.default_rng(37)
     bind = {
         "x": rng.random((1, 1, 32, 32)),
@@ -200,10 +201,10 @@ def test_criterion_2_reversal_contract():
             return ba.backward(g, "loss")["p"]
 
         rev = trunk_grad(lambda g, p: grl_node(g, p, lam))
-        ident = trunk_grad(lambda g, p: g.identity(p))
+        ident = trunk_grad(lambda g, p: p)
         exact = exact and rev.tobytes() == (-lam * ident).tobytes()
 
-    schedule = [grl_lambda_at(e) for e in range(11)]
+    schedule = [grl_lambda_at(e, DEFAULTS.lambda0, DEFAULTS.lambda_inc) for e in range(11)]
     sched_ok = all(abs(v - (0.10 + 0.01 * e)) < 1e-12 for e, v in enumerate(schedule))
     elapsed = time.perf_counter() - t0
     _report(2, exact and sched_ok and elapsed < 1,
@@ -216,7 +217,7 @@ def test_criterion_2_reversal_contract():
 def test_criterion_3_lambda_zero_equivalence():
     t0 = time.perf_counter()
     src, _, far = ba.make_synthetic_domains(5)
-    cfg = ba.TrainConfig(epochs=1, batch=16, seed=5, lambda0=0.0, lambda_increment=0.0)
+    cfg = ba.ExperimentConfig(epochs=1, batch=16, seed=5, lambda0=0.0, lambda_inc=0.0)
     steps = math.ceil(len(src.train()) * 16 / 16)  # 16 patches per 128x128 page
     sae = ba.train_sae(src, cfg)
     dann = ba.train_bindann(src, far, cfg)
@@ -269,7 +270,7 @@ def test_criterion_6_gate_behavior(far_runs):
     far_decisions = [far_runs[s]["result"].report.decision for s in SEEDS]
 
     run0 = far_runs[0]
-    cfg = ba.TrainConfig(seed=0, **RUN_CFG)
+    cfg = ba.ExperimentConfig(seed=0, **RUN_CFG)
     near_result = autobindann(run0["source"], run0["near"], cfg)
     near_ok = near_result.report.decision == USE_SAE and near_result.da is None
 
@@ -277,7 +278,8 @@ def test_criterion_6_gate_behavior(far_runs):
     # the two halves of the source validation maps the sweep kept
     val_maps = run0["result"].sae.val_maps
     half = len(val_maps) // 2
-    intra = ba.pearson(ba.domain_histogram(val_maps[:half]), ba.domain_histogram(val_maps[half:]))
+    intra = ba.pearson(ba.domain_histogram(val_maps[:half], DEFAULTS.h_prec),
+                       ba.domain_histogram(val_maps[half:], DEFAULTS.h_prec))
     elapsed = time.perf_counter() - t0
     _report(6,
             all(d == USE_DA for d in far_decisions) and near_ok and boundary_ok

@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 import binadapt as ba
-from binadapt import similarity
-from binadapt.cli import ConfigError, ExperimentConfig, main, parse_config
+from binadapt import cli, similarity
+from binadapt.cli import ConfigError, main, parse_config
 from binadapt.data import write_synthetic_dirs
+
+from defaults import SAE, sae_cfg
 
 
 # ---------------------------------------------------------------------------
@@ -67,11 +69,11 @@ def test_missing_equals_rejected():
 
 def test_invalid_value_combination_rejected():
     with pytest.raises(ConfigError):
-        parse_config("patch_h = 20").train_config()  # not divisible by 2^depth
+        parse_config("patch_h = 20")  # not divisible by 2^depth
 
 
 def test_manifest_config_excludes_out_dir():
-    cfg = ExperimentConfig(out_dir="/somewhere")
+    cfg = ba.ExperimentConfig(out_dir="/somewhere")
     assert "out_dir" not in cfg.as_dict()
     assert "out_dir" not in cfg.canonical_text()
 
@@ -112,7 +114,7 @@ _SMALL_SAE = {"depth": 1, "filters": 2, "kernel": [3, 3], "stride": [2, 2],
 
 def _checkpoint(header_bytes):
     """A checkpoint of a small SAE's parameters under the given raw header."""
-    model = ba.build_sae(ba.SaeConfig(depth=1, filters=2, patch=(4, 4)), np.random.default_rng(0))
+    model = ba.build_sae(sae_cfg(depth=1, filters=2, patch=(4, 4)), np.random.default_rng(0))
     records = {"__config__": np.frombuffer(header_bytes, dtype=np.uint8).astype(np.float64)}
     records.update(model.params)
     return ba.write_checkpoint(records)
@@ -125,7 +127,7 @@ def _header(**fields):
 
 
 def _truncated_real_checkpoint(tmp_path):
-    model = ba.build_sae(ba.SaeConfig(), np.random.default_rng(0))
+    model = ba.build_sae(SAE, np.random.default_rng(0))
     ba.save_model(tmp_path / "full.ckpt", model, extra={"th_s": 0.5})
     return (tmp_path / "full.ckpt").read_bytes()[:200]
 
@@ -196,7 +198,7 @@ def tiny_dirs(tmp_path_factory):
     return root
 
 
-def _cfg_file(tmp_path, data_root, **kw):
+def _cfg_file(tmp_path, data_root, name="exp.cfg", **kw):
     values = {
         "source_dir": data_root / "source",
         "target_dir": data_root / "target_far",
@@ -206,7 +208,7 @@ def _cfg_file(tmp_path, data_root, **kw):
         "validation_fraction": 0.34,
     }
     values.update(kw)
-    path = tmp_path / "exp.cfg"
+    path = tmp_path / name
     path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
     return path
 
@@ -244,9 +246,10 @@ def test_train_predict_similarity_flow(tiny_dirs, tmp_path):
     assert set(np.unique(mask.pixels)) <= {0.0, 1.0}
 
     # same directory as source and target: correlation must be high
+    sim_cfg = _cfg_file(tmp_path, tiny_dirs, name="same.cfg", target_dir=tiny_dirs / "source")
     sim_out = tmp_path / "sim"
-    assert main(["similarity", "--config", str(cfg), "--checkpoint", str(ckpt),
-                 "--target-dir", str(tiny_dirs / "source"), "--out", str(sim_out)]) == 0
+    assert main(["similarity", "--config", str(sim_cfg), "--checkpoint", str(ckpt),
+                 "--out", str(sim_out)]) == 0
     report = json.loads((sim_out / "report.json").read_text())
     assert report["rho"] >= 0.9
     assert report["decision"] == "UseSAE"
@@ -317,9 +320,14 @@ def test_run_rejects_bad_gate_settings_before_training(key, value, tiny_dirs, tm
                                                  ("train-sae", "lambda0", "nan"),
                                                  ("train-sae", "lr", 0),
                                                  ("train-sae", "lr", -0.01),
-                                                 ("train-sae", "lr", "nan")])
+                                                 ("train-sae", "lr", "nan"),
+                                                 ("train-sae", "sweep_step", 0.7)])
 def test_commands_reject_bad_settings_before_writing(command, key, value, tiny_dirs, tmp_path,
-                                                     capsys):
+                                                     monkeypatch, capsys):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before the settings were checked")
+
+    monkeypatch.setattr(cli, "train_sae", no_training)
     (tmp_path / "ok.ckpt").write_bytes(_checkpoint(_header()))
     cfg = _cfg_file(tmp_path, tiny_dirs, **{key: value})
     extra = ["--checkpoint", str(tmp_path / "ok.ckpt")] if command == "similarity" else []
@@ -328,8 +336,15 @@ def test_commands_reject_bad_settings_before_writing(command, key, value, tiny_d
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["synth", "run"])
+def test_negative_seed_rejected_before_writing(command, tiny_dirs, tmp_path, capsys):
+    cfg = _cfg_file(tmp_path, tiny_dirs)
+    assert main([command, "--config", str(cfg), "--seed", "-1", "--out", str(tmp_path / "out")]) == 2
+    assert "error: config: seed -1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
-@pytest.mark.parametrize("command", ["train-sae", "similarity", "run"])
+
+@pytest.mark.parametrize("command", ["train-sae", "similarity", "run", "synth"])
 @pytest.mark.parametrize("fraction", [-0.5, 1.5])
 def test_validation_fraction_outside_unit_interval_rejected(command, fraction, tiny_dirs, tmp_path,
                                                             monkeypatch, capsys):

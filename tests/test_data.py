@@ -13,6 +13,8 @@ from binadapt.data import (
     write_synthetic_dirs,
 )
 
+from defaults import DEFAULTS
+
 
 # ---------------------------------------------------------------------------
 # PGM
@@ -186,13 +188,13 @@ def test_load_dataset_split_arithmetic(tmp_path):
 
 def test_load_dataset_target_ignores_gt(tmp_path):
     _write_pages(tmp_path, 4)
-    ds = load_dataset(tmp_path, "target", seed=0)
+    ds = load_dataset(tmp_path, "target", DEFAULTS.validation_fraction, seed=0)
     assert all(r.gt is None for r in ds.records)
 
 
 def test_load_dataset_target_without_gt_directory(tmp_path):
     _write_pages(tmp_path, 3, gt=False)
-    ds = load_dataset(tmp_path, "target", seed=0)
+    ds = load_dataset(tmp_path, "target", DEFAULTS.validation_fraction, seed=0)
     assert len(ds.records) == 3
     assert all(r.gt is None for r in ds.records)
     assert load_eval_masks(tmp_path) == {}
@@ -210,14 +212,14 @@ def test_load_dataset_split_is_deterministic(tmp_path):
 def test_load_dataset_missing_gt_lists_stems(tmp_path):
     _write_pages(tmp_path, 3, gt_skip=("p01",))
     with pytest.raises(FileNotFoundError, match="p01"):
-        load_dataset(tmp_path, "source", seed=0)
+        load_dataset(tmp_path, "source", DEFAULTS.validation_fraction, seed=0)
 
 
 def test_load_dataset_dimension_mismatch(tmp_path):
     _write_pages(tmp_path, 1)
     (tmp_path / "gt" / "p00.pgm").write_bytes(ba.write_pgm(np.zeros((3, 3))))
     with pytest.raises(ValueError, match="size"):
-        load_dataset(tmp_path, "source", seed=0)
+        load_dataset(tmp_path, "source", DEFAULTS.validation_fraction, seed=0)
 
 
 def test_gt_binarized_at_128(tmp_path):

@@ -21,6 +21,7 @@ from binadapt.layers import (
     tconv_node,
 )
 
+from defaults import DEFAULTS, SAE, bindann_cfg, sae_cfg
 from reference import (
     direct_bce,
     direct_conv2d,
@@ -282,7 +283,7 @@ def _real_shape_arrays(name):
 
 
 def test_real_shape_cases_cover_the_default_model():
-    model = ba.build_bindann(ba.BinDannConfig(), np.random.default_rng(0))
+    model = ba.build_bindann(bindann_cfg(), np.random.default_rng(0))
     used = {(n.kind, n.attrs["spec"]) for n in model.graph.nodes if n.kind in ("conv2d", "tconv2d")}
     assert used == {(kind, spec) for kind, spec, _ in _REAL_SHAPES.values()}
 
@@ -409,8 +410,8 @@ def test_shape_plans_do_not_leak_across_shapes():
 
 
 def _tiny_bindann():
-    cfg = ba.SaeConfig(depth=2, filters=3, dropout_rate=0.0, patch=(8, 8))
-    model = ba.build_bindann(ba.BinDannConfig(sae=cfg), np.random.default_rng(0))
+    cfg = sae_cfg(depth=2, filters=3, dropout_rate=0.0, patch=(8, 8))
+    model = ba.build_bindann(bindann_cfg(cfg), np.random.default_rng(0))
     rng = np.random.default_rng(1)
     bindings = {"x": rng.random((3, 1, 8, 8)), "gt": (rng.random((3, 1, 8, 8)) > 0.5) * 1.0,
                 "domain_gt": np.ones((3, 1, 8, 8))}
@@ -465,14 +466,14 @@ def test_one_grid_per_operand_per_training_step(monkeypatch):
     # SAE: the forward grids the input of its 4 convs and 3 tconvs; the
     # backward grids g once for 3 conv input gradients (enc1 reads data) and
     # once per tconv, the convs' weight gradients read the kept grids
-    sae = ba.build_sae(ba.SaeConfig(), np.random.default_rng(0))
+    sae = ba.build_sae(SAE, np.random.default_rng(0))
     step(sae, {"x": x, "gt": gt}, ("loss", "bin_loss"), "loss")
     assert len(calls) == 7 + 3 + 3
     calls.clear()
     # Bin-DANN adds a tconv and a conv behind the reversal: the source pass
     # costs 9 + (4 + 4) grids; the target pass reaches 4 convs and 3 tconvs,
     # of which 3 convs take an input gradient: 7 + (3 + 3)
-    dann = ba.build_bindann(ba.BinDannConfig(), np.random.default_rng(0))
+    dann = ba.build_bindann(bindann_cfg(), np.random.default_rng(0))
     domain = np.zeros_like(x)
     step(dann, {"x": x, "gt": gt, "domain_gt": domain}, ("loss", "bin_loss", "domain_loss"),
          "loss")
@@ -585,14 +586,15 @@ def test_reversal_backward_equals_minus_lambda_times_identity_backward():
             return ba.backward(g, "loss")["p"]
 
         g_rev = grad_of(lambda g, p: grl_node(g, p, lam))
-        g_id = grad_of(lambda g, p: g.identity(p))
+        g_id = grad_of(lambda g, p: p)
         assert g_rev.tobytes() == (-lam * g_id).tobytes()
 
 
 def test_reversal_schedule_paper_values():
-    assert grl_lambda_at(0) == pytest.approx(0.10, abs=1e-12)
-    assert grl_lambda_at(5) == pytest.approx(0.15, abs=1e-12)
-    assert grl_lambda_at(10) == pytest.approx(0.20, abs=1e-12)
+    schedule = (DEFAULTS.lambda0, DEFAULTS.lambda_inc)
+    assert grl_lambda_at(0, *schedule) == pytest.approx(0.10, abs=1e-12)
+    assert grl_lambda_at(5, *schedule) == pytest.approx(0.15, abs=1e-12)
+    assert grl_lambda_at(10, *schedule) == pytest.approx(0.20, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

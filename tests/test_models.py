@@ -9,27 +9,29 @@ import pytest
 import binadapt as ba
 from binadapt.autodiff import GraphError
 
+from defaults import SAE, bindann_cfg, sae_cfg
+
 
 def _forward_map(model, x):
     return ba.forward(model.graph, {"x": x}, wanted=("prob_map",))["prob_map"]
 
 
 def test_depth1_restores_shape():
-    cfg = ba.SaeConfig(depth=1, filters=2, patch=(4, 4))
+    cfg = sae_cfg(depth=1, filters=2, patch=(4, 4))
     model = ba.build_sae(cfg, np.random.default_rng(0))
     out = _forward_map(model, np.random.default_rng(1).random((3, 1, 4, 4)))
     assert out.shape == (3, 1, 4, 4)
 
 
 def test_desk_scale_restores_shape():
-    model = ba.build_sae(ba.SaeConfig(), np.random.default_rng(0))
+    model = ba.build_sae(SAE, np.random.default_rng(0))
     out = _forward_map(model, np.random.default_rng(1).random((2, 1, 32, 32)))
     assert out.shape == (2, 1, 32, 32)
     assert np.all((out > 0) & (out < 1))
 
 
 def test_full_scale_shape_and_bottleneck():
-    cfg = ba.SaeConfig(depth=6, filters=64, patch=(256, 256))
+    cfg = sae_cfg(depth=6, filters=64, patch=(256, 256))
     model = ba.build_sae(cfg, np.random.default_rng(0))
     out = ba.forward(model.graph, {"x": np.zeros((1, 1, 256, 256))}, wanted=("prob_map",))
     assert out["prob_map"].shape == (1, 1, 256, 256)
@@ -41,7 +43,7 @@ def test_full_scale_shape_and_bottleneck():
 
 def test_indivisible_patch_rejected_at_build():
     with pytest.raises(GraphError, match="divisible"):
-        ba.SaeConfig(depth=3, patch=(20, 32))
+        sae_cfg(depth=3, patch=(20, 32))
 
 
 @pytest.mark.parametrize("patch, match", [
@@ -51,16 +53,16 @@ def test_indivisible_patch_rejected_at_build():
 ])
 def test_patch_outside_bound_rejected_at_build(patch, match):
     with pytest.raises(GraphError, match=match):
-        ba.SaeConfig(depth=3, patch=patch)
+        sae_cfg(depth=3, patch=patch)
 
 
 def test_patch_side_bound_is_inclusive():
-    assert ba.SaeConfig(depth=3, patch=(1024, 8)).patch == (1024, 8)
+    assert sae_cfg(depth=3, patch=(1024, 8)).patch == (1024, 8)
 
 
 def test_domain_branch_parameter_balance():
     for depth in (1, 2, 3):
-        cfg = ba.BinDannConfig(sae=ba.SaeConfig(depth=depth, patch=(32, 32)))
+        cfg = bindann_cfg(sae_cfg(depth=depth, patch=(32, 32)))
         model = ba.build_bindann(cfg, np.random.default_rng(0))
         def count(prefix):
             return sum(p.size for name, p in model.params.items() if name.startswith(prefix))
@@ -71,7 +73,7 @@ def test_domain_branch_parameter_balance():
 
 
 def test_bindann_emits_two_full_size_maps():
-    model = ba.build_bindann(ba.BinDannConfig(), np.random.default_rng(0))
+    model = ba.build_bindann(bindann_cfg(), np.random.default_rng(0))
     out = ba.forward(
         model.graph,
         {"x": np.random.default_rng(2).random((2, 1, 32, 32))},
@@ -82,17 +84,17 @@ def test_bindann_emits_two_full_size_maps():
 
 
 def test_shared_trunk_initialization_matches_plain_model():
-    sae = ba.build_sae(ba.SaeConfig(), np.random.default_rng(11))
-    dann = ba.build_bindann(ba.BinDannConfig(), np.random.default_rng(11))
+    sae = ba.build_sae(SAE, np.random.default_rng(11))
+    dann = ba.build_bindann(bindann_cfg(), np.random.default_rng(11))
     for name, value in sae.params.items():
         assert dann.params[name].tobytes() == value.tobytes()
 
 
 def test_set_grl_only_on_adversarial_model():
-    sae = ba.build_sae(ba.SaeConfig(), np.random.default_rng(0))
+    sae = ba.build_sae(SAE, np.random.default_rng(0))
     with pytest.raises(GraphError):
         sae.set_grl(0.5)
-    dann = ba.build_bindann(ba.BinDannConfig(), np.random.default_rng(0))
+    dann = ba.build_bindann(bindann_cfg(), np.random.default_rng(0))
     dann.set_grl(0.7)
     grl = next(n for n in dann.graph.nodes if n.kind == "grl")
     assert grl.attrs["lam"] == 0.7
@@ -102,7 +104,7 @@ def test_set_grl_only_on_adversarial_model():
 # page prediction
 
 def test_single_patch_page_equals_single_forward():
-    model = ba.build_sae(ba.SaeConfig(), np.random.default_rng(3))
+    model = ba.build_sae(SAE, np.random.default_rng(3))
     page = np.random.default_rng(4).random((32, 32))
     got = ba.predict_prob_map(model, page)
     direct = _forward_map(model, page[None, None])[0, 0]
@@ -110,7 +112,7 @@ def test_single_patch_page_equals_single_forward():
 
 
 def test_prediction_is_pure():
-    model = ba.build_sae(ba.SaeConfig(), np.random.default_rng(3))
+    model = ba.build_sae(SAE, np.random.default_rng(3))
     page = np.random.default_rng(4).random((50, 70))
     a = ba.predict_prob_map(model, page)
     b = ba.predict_prob_map(model, page)
@@ -120,7 +122,7 @@ def test_prediction_is_pure():
 def test_constant_page_interior_is_constant():
     # depth 1 keeps the receptive field small enough that interior pixels see
     # no conv zero-padding; they must agree exactly by translation invariance
-    cfg = ba.SaeConfig(depth=1, filters=4, patch=(16, 16))
+    cfg = sae_cfg(depth=1, filters=4, patch=(16, 16))
     model = ba.build_sae(cfg, np.random.default_rng(5))
     out = ba.predict_prob_map(model, np.full((16, 16), 0.6))
     interior = out[6:10, 6:10]
@@ -128,14 +130,14 @@ def test_constant_page_interior_is_constant():
 
 
 def test_constant_multi_patch_page_is_periodic():
-    cfg = ba.SaeConfig(depth=1, filters=4, patch=(16, 16))
+    cfg = sae_cfg(depth=1, filters=4, patch=(16, 16))
     model = ba.build_sae(cfg, np.random.default_rng(5))
     out = ba.predict_prob_map(model, np.full((32, 32), 0.6))
     assert out[:16, :16].tobytes() == out[16:, 16:].tobytes()
 
 
 def test_channel_mismatch_rejected():
-    model = ba.build_sae(ba.SaeConfig(), np.random.default_rng(0))
+    model = ba.build_sae(SAE, np.random.default_rng(0))
     with pytest.raises(ValueError, match="2-D page"):
         ba.predict_prob_map(model, np.zeros((32, 32, 3)))
 
@@ -154,7 +156,7 @@ _PAGE_SHAPES = [(1024, 1024), (1000, 750), (45, 300), (64, 1024), (300, 31), (10
                 (31, 31), (1, 1)]
 
 
-@pytest.mark.parametrize("cfg", [ba.SaeConfig(), ba.SaeConfig(depth=1, filters=4, patch=(16, 8))],
+@pytest.mark.parametrize("cfg", [SAE, sae_cfg(depth=1, filters=4, patch=(16, 8))],
                          ids=["default", "depth1_16x8"])
 def test_streamed_prediction_matches_whole_page_tiling(cfg):
     model = ba.build_sae(cfg, np.random.default_rng(6))
@@ -166,7 +168,7 @@ def test_streamed_prediction_matches_whole_page_tiling(cfg):
 
 
 def test_prediction_memory_is_about_one_page():
-    model = ba.build_sae(ba.SaeConfig(), np.random.default_rng(6))
+    model = ba.build_sae(SAE, np.random.default_rng(6))
     page = np.random.default_rng(0).random((1024, 1024))
     ba.predict_prob_map(model, page[:64, :64])  # conv plans are memoized on first use
     tracemalloc.start()
@@ -182,7 +184,7 @@ def test_prediction_memory_is_about_one_page():
 # checkpoints with config header
 
 def test_model_checkpoint_roundtrip(tmp_path):
-    model = ba.build_sae(ba.SaeConfig(depth=2, filters=4, patch=(16, 16)), np.random.default_rng(9))
+    model = ba.build_sae(sae_cfg(depth=2, filters=4, patch=(16, 16)), np.random.default_rng(9))
     path = tmp_path / "sae.ckpt"
     ba.save_model(path, model, extra={"th_s": 0.35})
     back, extra = ba.load_model(path)
@@ -194,7 +196,7 @@ def test_model_checkpoint_roundtrip(tmp_path):
 
 
 def test_model_checkpoint_roundtrip_adversarial(tmp_path):
-    cfg = ba.BinDannConfig(sae=ba.SaeConfig(depth=2, filters=4, patch=(16, 16)), lambda0=0.3)
+    cfg = bindann_cfg(sae_cfg(depth=2, filters=4, patch=(16, 16)), lambda0=0.3)
     model = ba.build_bindann(cfg, np.random.default_rng(9))
     path = tmp_path / "dann.ckpt"
     ba.save_model(path, model)
@@ -207,7 +209,7 @@ def test_model_checkpoint_roundtrip_adversarial(tmp_path):
 
 
 def test_model_checkpoint_starts_with_core_magic(tmp_path):
-    model = ba.build_sae(ba.SaeConfig(depth=1, filters=2, patch=(4, 4)), np.random.default_rng(0))
+    model = ba.build_sae(sae_cfg(depth=1, filters=2, patch=(4, 4)), np.random.default_rng(0))
     path = tmp_path / "m.ckpt"
     ba.save_model(path, model)
     assert path.read_bytes().startswith(b"BINADAPT1")
@@ -221,9 +223,9 @@ def test_checkpoint_header_bytes_are_pinned(tmp_path):
     sae = ('{"channels":1,"depth":3,"dropout_rate":0.2,"filters":8,"kernel":[3,3],'
            '"patch":[32,32],"stride":[2,2]}')
     cases = [
-        (ba.build_sae(ba.SaeConfig(), np.random.default_rng(0)),
+        (ba.build_sae(SAE, np.random.default_rng(0)),
          f'{{"config":{sae},"kind":"sae","th_s":0.5}}'),
-        (ba.build_bindann(ba.BinDannConfig(), np.random.default_rng(0)),
+        (ba.build_bindann(bindann_cfg(), np.random.default_rng(0)),
          f'{{"config":{{"lambda0":0.1,"lambda_increment":0.01,"sae":{sae}}},'
          f'"kind":"bindann","th_s":0.5}}'),
     ]
@@ -236,7 +238,7 @@ def test_checkpoint_header_bytes_are_pinned(tmp_path):
 def test_checkpoint_reader_fuzz_prefixes_and_byte_flips(tmp_path):
     # every failure of a damaged file must surface as CheckpointError; any
     # other exception (struct.error, KeyError, reshape ValueError, ...) escapes
-    model = ba.build_sae(ba.SaeConfig(depth=1, filters=2, patch=(4, 4)), np.random.default_rng(0))
+    model = ba.build_sae(sae_cfg(depth=1, filters=2, patch=(4, 4)), np.random.default_rng(0))
     ba.save_model(tmp_path / "ok.ckpt", model, extra={"th_s": 0.45})
     blob = (tmp_path / "ok.ckpt").read_bytes()
     probe = tmp_path / "probe.ckpt"

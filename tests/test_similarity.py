@@ -217,8 +217,8 @@ def test_histogram_csv_layout():
 def test_autobindann_mini_run_contracts():
     src, near, far = ba.make_synthetic_domains(1, n_pages=4, page_size=(64, 64), validation_fraction=0.25)
     assert all(r.gt is None for r in far.records)  # driver never sees target labels
-    cfg = ba.TrainConfig(epochs=2, batch=16, seed=1)
-    result = autobindann(src, far, cfg, h_prec=0.1, rho_th=0.25)
+    cfg = ba.ExperimentConfig(epochs=2, batch=16, seed=1, h_prec=0.1, rho_th=0.25)
+    result = autobindann(src, far, cfg)
     assert set(result.masks) == {r.stem for r in far.records}
     for rec in far.records:
         assert result.masks[rec.stem].shape == rec.page.shape

@@ -15,10 +15,9 @@ def _tiny_domains(seed=0):
 
 
 def _tiny_cfg(**kw):
-    kw.setdefault("model", ba.SaeConfig())
     kw.setdefault("epochs", 2)
     kw.setdefault("batch", 16)
-    return ba.TrainConfig(**kw)
+    return ba.ExperimentConfig(**kw)
 
 
 # ---------------------------------------------------------------------------
@@ -111,10 +110,11 @@ def test_training_is_deterministic():
 
 def test_best_epoch_checkpoint_selected():
     src, _, _ = _tiny_domains()
-    tb = ba.train_sae(src, _tiny_cfg(epochs=4, seed=1))
+    cfg = _tiny_cfg(epochs=4, seed=1)
+    tb = ba.train_sae(src, cfg)
     best = max(h.val_f1 for h in tb.history)
     maps = [ba.predict_prob_map(tb.model, rec.page) for rec in src.validation()]
-    recheck_th, recheck_f1 = ba.sweep_threshold(maps, src.validation())
+    recheck_th, recheck_f1 = ba.sweep_threshold(maps, src.validation(), cfg.sweep_step)
     assert recheck_f1 == pytest.approx(best, abs=0)
     assert recheck_th == pytest.approx(tb.th_s, abs=0)
     assert all(recheck_f1 >= h.val_f1 for h in tb.history)
@@ -135,7 +135,7 @@ def test_zero_coupling_reproduces_plain_trainer_bitwise():
     # lambda pinned to 0 for >= 5 optimizer steps: every trunk parameter of the
     # adversarial model must track the plain trainer exactly
     src, _, far = _tiny_domains()
-    cfg = ba.TrainConfig(epochs=1, batch=2, seed=5, lambda0=0.0, lambda_increment=0.0)
+    cfg = ba.ExperimentConfig(epochs=1, batch=2, seed=5, lambda0=0.0, lambda_inc=0.0)
     sae = ba.train_sae(src, cfg)
     dann = ba.train_bindann(src, far, cfg)
     steps = -(-len(src.train()) * 4 // 2)  # ceil(train patches / batch)
@@ -146,7 +146,7 @@ def test_zero_coupling_reproduces_plain_trainer_bitwise():
 
 def test_adversarial_history_records_schedule():
     src, _, far = _tiny_domains()
-    tb = ba.train_bindann(src, far, _tiny_cfg(epochs=3, seed=2, lambda0=0.1, lambda_increment=0.01))
+    tb = ba.train_bindann(src, far, _tiny_cfg(epochs=3, seed=2, lambda0=0.1, lambda_inc=0.01))
     assert [h.lam for h in tb.history] == pytest.approx([0.10, 0.11, 0.12], abs=1e-12)
     assert all(h.domain_loss is not None for h in tb.history)
 
@@ -161,16 +161,16 @@ def test_trainer_precondition_errors():
 
 
 def test_negative_reversal_schedule_rejected():
-    for bad in ({"lambda0": -1.0}, {"lambda_increment": -0.01},
-                {"lambda0": math.nan}, {"lambda_increment": math.nan}):
+    for bad in ({"lambda0": -1.0}, {"lambda_inc": -0.01},
+                {"lambda0": math.nan}, {"lambda_inc": math.nan}):
         with pytest.raises(ValueError, match="reversal"):
-            ba.TrainConfig(**bad)
+            ba.ExperimentConfig(**bad)
 
 
 @pytest.mark.parametrize("lr", [0.0, -0.01, math.nan, math.inf])
 def test_non_positive_or_non_finite_learning_rate_rejected(lr):
     with pytest.raises(ValueError, match="learning rate"):
-        ba.TrainConfig(lr=lr)
+        ba.ExperimentConfig(lr=lr)
 
 
 def test_history_csv_layout():

@@ -20,6 +20,9 @@ validation fraction 0.2):
 * ``binadapt train-sae`` on the source;
 * ``binadapt synth`` at the seed's defaults (8 pages of 128x128 per domain).
 
+``train-sae`` and ``synth`` also get ``--seed`` with the value the config
+holds, so the override path is compared as well.
+
 Every command reads the same inputs at the same paths, so even the
 manifests, which record those paths, must match. Exits 1 and lists every
 file that differs or exists in one tree only; exits 2 if a command fails.
@@ -104,8 +107,8 @@ def run_tree(tree: Path, seed, data: Path, out: Path):
     far = str(data / "target_far.cfg")
     _binadapt(tree, "similarity", "--config", far,
               "--checkpoint", str(out / "target_far" / "sae.ckpt"), "--out", str(out / "similarity"))
-    _binadapt(tree, "train-sae", "--config", far, "--out", str(out / "train_sae"))
-    _binadapt(tree, "synth", "--config", far, "--out", str(out / "synth"))
+    for command, name in (("train-sae", "train_sae"), ("synth", "synth")):
+        _binadapt(tree, command, "--config", far, "--seed", str(seed), "--out", str(out / name))
 
 
 def main(argv=None) -> int:
