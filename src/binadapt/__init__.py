@@ -16,6 +16,7 @@ from .autodiff import (
     backward,
     forward,
     grad_check,
+    keep_buffers,
     optimizer_step,
     read_checkpoint,
     write_checkpoint,

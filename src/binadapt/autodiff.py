@@ -6,17 +6,37 @@ once per output set (``Graph.plan``), and caches the per-node values;
 ``backward`` walks that cache in reverse and accumulates
 gradients by the chain rule, including the sign-flipped path used by the
 gradient-reversal layer. Parameters, outputs and gradients are plain float64
-``np.ndarray``s: ``Graph.params`` maps names to C-contiguous arrays that
-``optimizer_step`` updates in place, while ``forward`` returns copies and
-``backward`` fresh arrays, so neither aliases a parameter. Outputs are
-addressed by the names given to ``Graph.set_output``. Everything is
-bit-deterministic for a fixed seed.
+``np.ndarray``s. Outputs are addressed by the names given to
+``Graph.set_output``. Everything is bit-deterministic for a fixed seed.
+
+Who owns which array:
+
+* ``Graph.params`` maps names to C-contiguous arrays that the graph owns and
+  ``optimizer_step`` updates in place, as it does Adam's moments, which the
+  optimizer state owns.
+* Ops write their values, dropout masks, grids, gradients and scratch into
+  op buffers: views of one arena (``_Arena``). A buffer is live from the op
+  that takes it to its last reader: scratch until its op returns, a gradient
+  until the node it flows to has passed it on, and a forward's values, masks
+  and kept grids until the next forward on the graph. Buffers whose lives do
+  not overlap share memory (static reuse, Chen et al. 2016).
+* Inside a ``keep_buffers(graph)`` block the arena lives on the graph, and a
+  forward or backward that ran before at the same shapes writes exactly
+  where it did then, so a steady-state training step allocates no array.
+  The block lets go of the arena, and of the last forward's record, when it
+  exits; outside a block every forward has an arena of its own.
+* The caller owns what the engine hands out: ``forward`` returns copies,
+  ``backward`` returns copies of the parameters' gradients, and neither
+  aliases a parameter or an op buffer. ``frozen_masks`` given to ``forward``
+  are read, never written.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +47,7 @@ __all__ = [
     "NumericError",
     "Node",
     "Graph",
+    "keep_buffers",
     "forward",
     "backward",
     "grad_check",
@@ -69,6 +90,13 @@ class Node:
 #   bwd(node, g, xs, y, run) -> list of per-input gradients (None = constant input)
 # bwd may return None for every input k whose run.needs[k] is False: no
 # parameter feeds that input, so its gradient would be discarded.
+# Ownership. xs, y and g belong to other nodes or to the caller: an op reads
+# them and never writes them. fwd writes its value, and bwd the gradients it
+# returns, into op buffers it takes (run.take, run.result); either may also
+# return an input or g itself, unchanged, and bwd may return the same array
+# for two inputs, so the engine sums into a new buffer, never into one it
+# was handed. An op updates in place only buffers it took, and scratch
+# (scratch=True) must be dead when it returns: the next op may get its memory.
 _OPS: dict = {}
 
 
@@ -76,6 +104,129 @@ def register_op(kind, fwd, bwd):
     if kind in _OPS:
         raise GraphError(f"op kind {kind!r} already registered")
     _OPS[kind] = (fwd, bwd)
+
+
+_ALIGN = 64  # bytes: every buffer of an arena starts on a cache line
+
+
+def _address(a) -> int:
+    return a.__array_interface__["data"][0]
+
+
+def _view(raw, shape, dtype, order):
+    """raw's bytes as an array of shape and dtype whose axes lie in memory in
+    ``order``, from the largest stride (None: C order)."""
+    flat = raw.view(dtype)
+    if order is None:
+        return flat.reshape(shape)
+    inverse = sorted(range(len(order)), key=order.__getitem__)
+    return flat.reshape([shape[i] for i in order]).transpose(inverse)
+
+
+class _Program:
+    """Where the first run of a program placed each buffer it took, in order,
+    and views of the arena's current array at those places. A forward's
+    program also holds where its planner stood at its end, which a backward
+    after it is planned from, and the programs of those backwards."""
+
+    def __init__(self):
+        self.places = []  # (start, shape, dtype, order) per buffer taken
+        self.memory = None  # the array self.views look into
+        self.views = []
+        self.end = None
+        self.backward = {}
+
+    def views_in(self, memory):
+        if self.memory is not memory:
+            self.views = [_view(memory[start : start + math.prod(shape) * np.dtype(dtype).itemsize],
+                                shape, dtype, order) for start, shape, dtype, order in self.places]
+            self.memory = memory
+        return self.views
+
+
+class _Arena:
+    """One flat byte array holding the op buffers of every program run on a
+    graph. A program is one forward, or one backward after that forward.
+
+    The first run of a program is planned: each buffer goes, best fit, to a
+    place that no buffer still live overlaps, and the program records it.
+    Later runs hand out views of the same places in the same order. A
+    planned buffer that lies past the end of the array gets an array of its
+    own, which goes when its reader is done; the next forward then replaces
+    the array with one that holds every place planned so far.
+    """
+
+    def __init__(self):
+        self.memory = np.empty(0, np.uint8)
+        self.high = 0  # the end of the furthest place planned
+        self.programs = {}  # forward key -> _Program
+        self.layouts = {}  # (fn, operand layouts) -> shape, dtype and axis order of its result
+
+    def begin(self):
+        """Start a forward: no buffer of the arena is live any more."""
+        if self.high > self.memory.size:
+            self.memory = None  # let go of the old array before taking the new one
+            self.memory = np.empty(self.high, np.uint8)
+
+
+class _Planner:
+    """Best-fit placement of one program's buffers in an arena: the gaps
+    between live buffers, and the start and end of each."""
+
+    def __init__(self, arena, program, state=None):
+        self.arena, self.program = arena, program
+        self.base, self.size = _address(arena.memory), arena.memory.size
+        gaps, live, own = state or ([(0, math.inf)], {}, {})
+        self.gaps = list(gaps)  # (start, end), sorted
+        self.live = dict(live)  # start -> end
+        self.own = dict(own)  # address of a buffer given an array of its own -> start
+
+    def state(self):
+        return list(self.gaps), dict(self.live), dict(self.own)
+
+    def take(self, shape, dtype, order):
+        size = math.prod(shape) * np.dtype(dtype).itemsize
+        need = -(-max(size, 1) // _ALIGN) * _ALIGN
+        # best fit: the smallest gap that holds the buffer, lowest first; a
+        # buffer freed just before is then taken again while still in cache
+        fits = [(end - start, k) for k, (start, end) in enumerate(self.gaps) if end - start >= need]
+        k = min(fits)[1]
+        start, end = self.gaps[k]
+        if end - start == need:
+            del self.gaps[k]
+        else:
+            self.gaps[k] = (start + need, end)
+        self.live[start] = start + need
+        self.arena.high = max(self.arena.high, start + need)
+        self.program.places.append((start, shape, dtype, order))
+        if start + need <= self.size:
+            return _view(self.arena.memory[start : start + size], shape, dtype, order)
+        view = _view(np.empty(size, np.uint8), shape, dtype, order)
+        self.own[_address(view)] = start
+        return view
+
+    def give(self, a):
+        """Free a's buffer, if a starts one that is live."""
+        address = _address(a)
+        start = self.own.pop(address, None)
+        if start is None and 0 <= address - self.base < self.size:
+            start = address - self.base
+        end = self.live.pop(start, None)
+        if end is None:
+            return
+        k = bisect.bisect(self.gaps, (start,))
+        if k < len(self.gaps) and self.gaps[k][0] == end:
+            end = self.gaps.pop(k)[1]
+        if k and self.gaps[k - 1][1] == start:
+            k -= 1
+            start = self.gaps.pop(k)[0]
+        self.gaps.insert(k, (start, end))
+
+
+def _axis_order(a):
+    """a's axes from the largest stride to the smallest; None in C order."""
+    order = tuple(sorted(range(a.ndim), key=lambda i: -a.strides[i]))
+    return None if order == tuple(range(a.ndim)) else order
 
 
 @dataclass
@@ -91,6 +242,74 @@ class _Run:
     nid: int = -1  # id of the node being evaluated or differentiated
     needs: tuple = ()  # input_needs of that node
     grids: dict = field(default_factory=dict)  # node id -> operand grid kept for backward
+    arena: _Arena = field(default_factory=_Arena)  # the graph's inside keep_buffers
+    forward_program: _Program = field(default_factory=_Program)
+    forward_planned: bool = True  # planned by this run, not replayed
+    program: _Program | None = None  # the one running
+    planner: _Planner | None = None  # None while the program is replayed
+    views: list = field(default_factory=list)
+    cursor: int = 0
+    scratch: list = field(default_factory=list)  # freed when the running op returns
+
+    def __post_init__(self):
+        if self.program is None:
+            self.start(self.forward_program, None, self.forward_planned)
+
+    def start(self, program, state, planned):
+        """Run ``program``: plan it from ``state``, or replay its places."""
+        self.program, self.cursor = program, 0
+        self.planner = _Planner(self.arena, program, state) if planned else None
+        if not planned:
+            self.views = program.views_in(self.arena.memory)
+
+    def take(self, shape, dtype=np.float64, *, scratch=False, order=None):
+        """An op buffer of ``shape``, C-ordered or with axes in ``order``
+        from the largest stride. ``scratch`` is dead once the op returns."""
+        if self.planner is None:
+            view = self.views[self.cursor]
+            self.cursor += 1
+            if view.shape != tuple(shape):
+                raise GraphError(f"node {self.nid}: op buffer {view.shape} replayed for {shape}")
+            return view
+        view = self.planner.take(tuple(shape), dtype, order)
+        if scratch:
+            self.scratch.append(view)
+        return view
+
+    def result(self, fn, *args, scratch=False):
+        """``fn(*args)``, for a ufunc or a function taking ``out=`` like one,
+        in an op buffer laid out as numpy lays out a new result of these
+        operands, so that reductions over it add in the same order."""
+        if self.planner is None:
+            self.cursor += 1
+            return fn(*args, out=self.views[self.cursor - 1])
+        key = (fn, *((a.shape, a.strides, a.dtype) for a in args if isinstance(a, np.ndarray)))
+        layout = self.arena.layouts.get(key)
+        if layout is None:  # learnt once from a new result
+            new = fn(*args)
+            layout = self.arena.layouts[key] = (new.shape, new.dtype, _axis_order(new))
+        shape, dtype, order = layout
+        return fn(*args, out=self.take(shape, dtype, scratch=scratch, order=order))
+
+    def free(self, a):
+        """Free the buffer ``take`` returned as ``a``: its last reader is done."""
+        if self.planner is not None:
+            self.scratch = [view for view in self.scratch if view is not a]
+            self.planner.give(a)
+
+    def op_done(self, passed=(), held=()):
+        """Free the scratch of the op that just returned and, in backward, the
+        gradients it was ``passed`` or made that no gradient ``held`` points at."""
+        if self.planner is None:
+            return
+        for view in self.scratch:
+            self.planner.give(view)
+        self.scratch.clear()
+        if passed:
+            held = {_address(a) for a in held}
+            for a in passed:
+                if a is not None and _address(a) not in held:
+                    self.planner.give(a)
 
 
 class Graph:
@@ -103,6 +322,7 @@ class Graph:
         self.param_ids: dict[str, int] = {}
         self.outputs: dict[str, int] = {}
         self._run: _Run | None = None
+        self._arena: _Arena | None = None  # op buffers while a keep_buffers block is open
         self._plans: dict = {}  # target ids -> plan(); cleared when a node is added
 
     def add_node(self, kind, inputs=(), name=None, **attrs) -> int:
@@ -155,9 +375,10 @@ class Graph:
         return sorted(needed)
 
     def plan(self, ids) -> tuple:
-        """Execution plan of the given ids: their ``ancestors`` as a tuple and a
+        """Execution plan of the given ids: their ``ancestors`` as a tuple, a
         map from each of those nodes to a tuple saying, per input, whether some
-        parameter feeds it. Cached until the graph grows."""
+        parameter feeds it, and the names of the inputs among them. Cached
+        until the graph grows."""
         key = tuple(ids)
         plan = self._plans.get(key)
         if plan is None:
@@ -168,8 +389,33 @@ class Graph:
                 needs[nid] = tuple(i in fed for i in node.inputs)
                 if node.kind == "param" or any(needs[nid]):
                     fed.add(nid)
-            plan = self._plans[key] = (order, needs)
+            inputs = tuple(self.nodes[nid].attrs["input_name"] for nid in order
+                           if self.nodes[nid].kind == "input")
+            plan = self._plans[key] = (order, needs, inputs)
         return plan
+
+
+@contextmanager
+def keep_buffers(graph: Graph):
+    """Place the op buffers of every forward and backward on ``graph`` inside
+    the block in one arena that the block keeps.
+
+    A forward, or a backward after it, that already ran in the block at the
+    same shapes takes no new array: it writes into the arena where its first
+    run did. Inside the block, the values and masks of a forward's record are
+    valid until the next forward on the graph. On exit the graph lets go of
+    the last forward's record and, when no enclosing block is still open, of
+    the arena: a model keeps no scratch past the call that opened the block.
+    """
+    outermost = graph._arena is None
+    if outermost:
+        graph._arena = _Arena()
+    try:
+        yield graph
+    finally:
+        graph._run = None
+        if outermost:
+            graph._arena = None
 
 
 def _output_id(graph: Graph, name) -> int:
@@ -203,10 +449,17 @@ def forward(
     if not wanted:
         raise GraphError("graph has no registered outputs")
     targets = [_output_id(graph, w) for w in wanted]
-    order, needs = graph.plan(targets)
+    order, needs, inputs = graph.plan(targets)
 
+    # outside a keep_buffers block the arena lives as long as the record
+    arena = _Arena() if graph._arena is None else graph._arena
+    arena.begin()
+    key = (tuple(targets), len(graph.nodes), training, tuple(sorted(frozen_masks or ())),
+           tuple(np.shape(bindings.get(name)) for name in inputs))
+    program = arena.programs.get(key)
     run = _Run(values={}, masks=dict(frozen_masks or {}), order=order, input_needs=needs,
-               training=training, rng=rng)
+               training=training, rng=rng, arena=arena, forward_program=program or _Program(),
+               forward_planned=program is None)
     # overflow surfaces as the non-finite output check's NumericError below
     with np.errstate(over="ignore", invalid="ignore"):
         for nid in order:
@@ -231,7 +484,11 @@ def forward(
                     raise
                 except Exception as exc:  # re-raise with the node named
                     raise GraphError(f"node {nid} ({node.name}): {exc}") from exc
+                run.op_done()
 
+    if program is None:
+        run.forward_program.end = run.planner.state()
+        arena.programs[key] = run.forward_program
     graph._run = run
     out = {}
     for w, nid in zip(wanted, targets):
@@ -248,7 +505,10 @@ def backward(graph: Graph, loss) -> dict:
     Requires a prior ``forward`` whose computed subgraph contains the loss
     node. Gradients flow in reverse topological order; a parameter feeding
     several consumers receives the sum of all path gradients. Nodes that no
-    parameter feeds, such as the data inputs, receive no gradient.
+    parameter feeds, such as the data inputs, receive no gradient. A node's
+    gradient is dropped once it has been passed to the node's inputs, and
+    the parameters' gradients are returned as copies, which the next forward
+    or backward leaves untouched.
     """
     run = graph._run
     if run is None:
@@ -259,30 +519,41 @@ def backward(graph: Graph, loss) -> dict:
     if run.values[lid].shape != (1,):
         raise GraphError(f"loss node {lid} is not scalar (shape {run.values[lid].shape})")
 
+    key = (lid, tuple(run.grids))  # a conv whose grid is gone grids its input again
+    program = run.forward_program.backward.get(key)
+    gaps, live, own = run.forward_program.end
+    # buffers with arrays of their own belong to the run that planned them
+    run.start(program or _Program(), (gaps, live, own if run.forward_planned else {}),
+              program is None)
     grads = {lid: np.ones(1)}
     # non-finite gradients surface as optimizer_step's NumericError
     with np.errstate(over="ignore", invalid="ignore"):
         for nid in reversed(run.order):
-            g = grads.get(nid)
-            if g is None:
-                continue
             node = graph.nodes[nid]
-            run.nid = nid
-            if node.kind in ("input", "param"):
+            if node.kind == "param":
                 continue
+            g = grads.pop(nid, None)
+            if g is None or node.kind == "input":
+                continue
+            run.nid = nid
             run.needs = run.input_needs[nid]
             _, bwd = _OPS[node.kind]
             xs = [run.values[i] for i in node.inputs]
-            for i, need, gi in zip(node.inputs, run.needs, bwd(node, g, xs, run.values[nid], run)):
+            out = bwd(node, g, xs, run.values[nid], run)
+            passed = [g, *out]
+            for i, need, gi in zip(node.inputs, run.needs, out):
                 if gi is None or not need:
                     continue
-                if i in grads:
-                    grads[i] = grads[i] + gi
+                if i in grads:  # summed into a new buffer: add passes one g to both inputs
+                    passed.append(grads[i])
+                    grads[i] = run.result(np.add, grads[i], gi)
                 else:
                     grads[i] = gi
+            run.op_done(passed, grads.values())
     run.grids.clear()
-
-    return {name: grads[nid] for name, nid in graph.param_ids.items() if nid in grads}
+    if program is None:
+        run.forward_program.backward[key] = run.program
+    return {name: grads[nid].copy() for name, nid in graph.param_ids.items() if nid in grads}
 
 
 def grad_check(
@@ -306,26 +577,28 @@ def grad_check(
     if parameter not in graph.params:
         raise GraphError(f"unknown parameter {parameter!r}")
 
-    forward(graph, bindings, wanted=(loss,), training=training, rng=rng)
-    masks = dict(graph._run.masks)
-    analytic = backward(graph, loss)[parameter].ravel().copy()
+    with keep_buffers(graph):
+        forward(graph, bindings, wanted=(loss,), training=training, rng=rng)
+        # the record's masks live in the arena only until the next forward
+        masks = {nid: mask.copy() for nid, mask in graph._run.masks.items()}
+        analytic = backward(graph, loss)[parameter].ravel()
 
-    def eval_loss():
-        out = forward(graph, bindings, wanted=(loss,), training=training, frozen_masks=masks)
-        return float(out[loss][0])
+        def eval_loss():
+            out = forward(graph, bindings, wanted=(loss,), training=training, frozen_masks=masks)
+            return float(out[loss][0])
 
-    flat = graph.params[parameter].reshape(-1)
-    worst = 0.0
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + epsilon
-        lp = eval_loss()
-        flat[i] = orig - epsilon
-        lm = eval_loss()
-        flat[i] = orig
-        numeric = (lp - lm) / (2.0 * epsilon)
-        denom = max(abs(analytic[i]), abs(numeric), 1e-8)
-        worst = max(worst, abs(analytic[i] - numeric) / denom)
+        flat = graph.params[parameter].reshape(-1)
+        worst = 0.0
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + epsilon
+            lp = eval_loss()
+            flat[i] = orig - epsilon
+            lm = eval_loss()
+            flat[i] = orig
+            numeric = (lp - lm) / (2.0 * epsilon)
+            denom = max(abs(analytic[i]), abs(numeric), 1e-8)
+            worst = max(worst, abs(analytic[i] - numeric) / denom)
     return worst
 
 
@@ -336,11 +609,11 @@ def _fwd_add(node, xs, run):
     a, b = xs
     if a.shape != b.shape:
         raise GraphError(f"add node ({node.name}): shapes {a.shape} and {b.shape} differ")
-    return a + b
+    return run.result(np.add, a, b)
 
 
 def _bwd_add(node, g, xs, y, run):
-    return [g, g]
+    return [g, g]  # one array to both inputs: neither may write it
 
 
 def _fwd_sum(node, xs, run):
@@ -348,7 +621,9 @@ def _fwd_sum(node, xs, run):
 
 
 def _bwd_sum(node, g, xs, y, run):
-    return [np.full(xs[0].shape, g[0])]
+    grad = run.take(xs[0].shape)
+    grad.fill(g[0])
+    return [grad]
 
 
 register_op("add", _fwd_add, _bwd_add)
@@ -391,9 +666,10 @@ def optimizer_step(state: OptimizerState, params: dict, grads: dict) -> dict:
         if name not in state.moments:
             state.moments[name] = (np.zeros_like(p), np.zeros_like(p))
         m, v = state.moments[name]
-        m = _BETA1 * m + (1.0 - _BETA1) * ga
-        v = _BETA2 * v + (1.0 - _BETA2) * ga * ga
-        state.moments[name] = (m, v)
+        np.multiply(m, _BETA1, out=m)
+        m += (1.0 - _BETA1) * ga
+        np.multiply(v, _BETA2, out=v)
+        v += (1.0 - _BETA2) * ga * ga
         mhat = m / (1.0 - _BETA1 ** t)
         vhat = v / (1.0 - _BETA2 ** t)
         p -= state.lr * mhat / (np.sqrt(vhat) + _EPS)

@@ -210,7 +210,9 @@ def predict_prob_map(model: Model, page) -> np.ndarray:
     of ``_PREDICT_BATCH`` in row-major order. Each batch cuts only the band of
     patch rows it touches and writes its maps straight into one preallocated
     map, which is cropped back to page size, so beyond the page the call holds
-    only that map and one batch's working set.
+    only that map and one batch's working set. The batches share one set of
+    op buffers, and the model keeps neither those nor the last batch's
+    forward record once the call returns (``autodiff.keep_buffers``).
     """
     arr = np.asarray(page, dtype=np.float64)
     if arr.ndim != 2:
@@ -220,14 +222,15 @@ def predict_prob_map(model: Model, page) -> np.ndarray:
     rows, cols = math.ceil(arr.shape[0] / h), math.ceil(arr.shape[1] / w)
     canvas = np.empty((rows * h, cols * w))
     tiles = canvas.reshape(rows, h, cols, w).transpose(0, 2, 1, 3)  # a view of canvas
-    for start in range(0, rows * cols, _PREDICT_BATCH):
-        stop = min(start + _PREDICT_BATCH, rows * cols)
-        r0, r1 = start // cols, (stop - 1) // cols + 1  # the patch rows this batch touches
-        band = split_patches(arr[r0 * h : r1 * h], h, w)
-        x = band[start - r0 * cols : stop - r0 * cols, None]  # [n, 1, h, w]
-        out = autodiff.forward(model.graph, {"x": x}, wanted=("prob_map",))
-        k = np.arange(start, stop)
-        tiles[k // cols, k % cols] = out["prob_map"][:, 0]
+    with autodiff.keep_buffers(model.graph):
+        for start in range(0, rows * cols, _PREDICT_BATCH):
+            stop = min(start + _PREDICT_BATCH, rows * cols)
+            r0, r1 = start // cols, (stop - 1) // cols + 1  # the patch rows this batch touches
+            band = split_patches(arr[r0 * h : r1 * h], h, w)
+            x = band[start - r0 * cols : stop - r0 * cols, None]  # [n, 1, h, w]
+            out = autodiff.forward(model.graph, {"x": x}, wanted=("prob_map",))
+            k = np.arange(start, stop)
+            tiles[k // cols, k % cols] = out["prob_map"][:, 0]
     return canvas[: arr.shape[0], : arr.shape[1]]
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .autodiff import CheckpointError, adam, backward, forward, optimizer_step
+from .autodiff import CheckpointError, adam, backward, forward, keep_buffers, optimizer_step
 from .data import DataError, Dataset, check_validation_fraction, split_patches
 from .layers import grl_lambda_at
 from .metrics import Confusion, confusion, f1
@@ -190,7 +190,9 @@ def _fit(source: Dataset, target: Dataset | None, cfg: ExperimentConfig) -> Trai
     gains the domain branch and every step adds a target forward/backward pass
     on ``domain_loss``, whose gradients are summed with the source pass's
     before the one optimizer step. The domain BCE targets all-zero maps for
-    source and all-one maps for target patches.
+    source and all-one maps for target patches. Every step, and every
+    validation prediction, reuses the op buffers of the one before it; the
+    model keeps none of them once the fit returns.
     """
     train, val = source.train(), source.validation()
     if not train or not val:
@@ -217,39 +219,45 @@ def _fit(source: Dataset, target: Dataset | None, cfg: ExperimentConfig) -> Trai
     steps = math.ceil(len(x_pool) / cfg.batch)
 
     history, best = [], None
-    for epoch in range(cfg.epochs):
-        lam = None
-        if target is not None:
-            lam = grl_lambda_at(epoch, cfg.lambda0, cfg.lambda_inc)
-            model.set_grl(lam)
-        bin_losses, dom_losses = [], []
-        for step in range(steps):
-            # dropout draws per (epoch, step, pass): the target pass never
-            # shifts the source pass's masks
-            idx = sampler.integers(0, len(x_pool), size=cfg.batch)
-            bindings = {"x": x_pool[idx], "gt": y_pool[idx]}
+    x_batch, y_batch = (np.empty((cfg.batch, *pool.shape[1:])) for pool in (x_pool, y_pool))
+    with keep_buffers(model.graph):
+        for epoch in range(cfg.epochs):
+            lam = None
             if target is not None:
-                bindings["domain_gt"] = src_domain
-            out = forward(model.graph, bindings, wanted=wanted, training=True,
-                          rng=_stream(_SEED_DROP, cfg.seed, epoch, step, 0))
-            grads = backward(model.graph, "loss")
-            bin_losses.append(float(out["bin_loss"][0]))
+                lam = grl_lambda_at(epoch, cfg.lambda0, cfg.lambda_inc)
+                model.set_grl(lam)
+            bin_losses, dom_losses = [], []
+            for step in range(steps):
+                # dropout draws per (epoch, step, pass): the target pass never
+                # shifts the source pass's masks
+                idx = sampler.integers(0, len(x_pool), size=cfg.batch)
+                # in range by construction; mode="raise" would copy out= first
+                bindings = {"x": np.take(x_pool, idx, axis=0, out=x_batch, mode="clip"),
+                            "gt": np.take(y_pool, idx, axis=0, out=y_batch, mode="clip")}
+                if target is not None:
+                    bindings["domain_gt"] = src_domain
+                out = forward(model.graph, bindings, wanted=wanted, training=True,
+                              rng=_stream(_SEED_DROP, cfg.seed, epoch, step, 0))
+                grads = backward(model.graph, "loss")
+                bin_losses.append(float(out["bin_loss"][0]))
 
-            if target is not None:
-                idx_t = t_sampler.integers(0, len(t_pool), size=cfg.batch)
-                out_t = forward(model.graph, {"x": t_pool[idx_t], "domain_gt": tgt_domain},
-                                wanted=("domain_loss",), training=True,
-                                rng=_stream(_SEED_DROP, cfg.seed, epoch, step, 1))
-                for name, g in backward(model.graph, "domain_loss").items():
-                    grads[name] = grads[name] + g if name in grads else g
-                dom_losses.append(0.5 * float(out["domain_loss"][0] + out_t["domain_loss"][0]))
-            optimizer_step(opt, model.params, grads)
-        val_maps = [predict_prob_map(model, rec.page) for rec in val]
-        th, score = sweep_threshold(val_maps, val, cfg.sweep_step)
-        dom_loss = float(np.mean(dom_losses)) if target is not None else None
-        history.append(EpochStats(epoch, float(np.mean(bin_losses)), dom_loss, lam, score, th))
-        if best is None or score > best[0]:
-            best = (score, th, {name: p.copy() for name, p in model.params.items()}, val_maps)
+                if target is not None:
+                    idx_t = t_sampler.integers(0, len(t_pool), size=cfg.batch)
+                    # the source pass is done with x_batch
+                    t_batch = np.take(t_pool, idx_t, axis=0, out=x_batch, mode="clip")
+                    out_t = forward(model.graph, {"x": t_batch, "domain_gt": tgt_domain},
+                                    wanted=("domain_loss",), training=True,
+                                    rng=_stream(_SEED_DROP, cfg.seed, epoch, step, 1))
+                    for name, g in backward(model.graph, "domain_loss").items():
+                        grads[name] = grads[name] + g if name in grads else g
+                    dom_losses.append(0.5 * float(out["domain_loss"][0] + out_t["domain_loss"][0]))
+                optimizer_step(opt, model.params, grads)
+            val_maps = [predict_prob_map(model, rec.page) for rec in val]
+            th, score = sweep_threshold(val_maps, val, cfg.sweep_step)
+            dom_loss = float(np.mean(dom_losses)) if target is not None else None
+            history.append(EpochStats(epoch, float(np.mean(bin_losses)), dom_loss, lam, score, th))
+            if best is None or score > best[0]:
+                best = (score, th, {name: p.copy() for name, p in model.params.items()}, val_maps)
 
     model.params.update(best[2])
     return TrainedBinarizer(model=model, th_s=best[1], history=history, val_maps=best[3])

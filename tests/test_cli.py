@@ -13,7 +13,7 @@ import pytest
 import binadapt as ba
 from binadapt import cli, similarity
 from binadapt.cli import ConfigError, main, parse_config
-from binadapt.data import write_synthetic_dirs
+from binadapt.data import synthetic_domain_pairs, write_pgm, write_synthetic_dirs
 
 from defaults import SAE, sae_cfg
 
@@ -456,3 +456,26 @@ def test_run_artifacts_do_not_depend_on_blas_threads(tmp_path):
         outs[threads] = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
     assert json.loads(outs["1"][Path("report.json")])["decision"] == "UseDA"
     assert (Path("bindann.ckpt") in outs["1"]) and outs["1"] == outs["2"]
+
+
+def test_runs_in_one_process_write_identical_trees(tmp_path, capsys):
+    # op buffers, plan memos and anything else a call could leave behind would
+    # show here; tools/compare_artifacts.py cannot see it, since it runs every
+    # command in a process of its own
+    data = tmp_path / "data"
+    write_synthetic_dirs(0, data, 4, (64, 64))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"source_dir = {data / 'source'}\ntarget_dir = {data / 'target_far'}\n"
+                   "epochs = 2\nbatch = 8\nlr = 0.01\n")
+    [(_, page, _)] = synthetic_domain_pairs(0, "target_far", 1, (45, 70))
+    (tmp_path / "ragged.pgm").write_bytes(write_pgm(page))
+    outs = [tmp_path / "a", tmp_path / "b"]
+    assert main(["run", "--config", str(cfg), "--out", str(outs[0])]) == 0
+    ckpt = max(outs[0].glob("*.ckpt"))  # bindann.ckpt when the gate fired, else sae.ckpt
+    assert main(["predict", "--checkpoint", str(ckpt), "--input", str(tmp_path / "ragged.pgm"),
+                 "--out", str(tmp_path / "predict")]) == 0
+    assert main(["run", "--config", str(cfg), "--out", str(outs[1])]) == 0
+    files = [sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file()) for out in outs]
+    assert files[0] == files[1] and len(files[0]) >= 7
+    for rel in files[0]:
+        assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel

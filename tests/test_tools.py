@@ -1,4 +1,5 @@
-"""``tools/compare_artifacts.py``: seed lists, the data it writes and the file comparison it reports."""
+"""The tools: ``compare_artifacts.py``'s seed lists, the data it writes and
+the file comparison it reports, and the runs ``faults.py`` measures."""
 
 import importlib.util
 from pathlib import Path
@@ -6,10 +7,11 @@ from pathlib import Path
 import binadapt as ba
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_artifacts.py"
+FAULTS = TOOL.parent / "faults.py"
 
 
-def _load_tool():
-    spec = importlib.util.spec_from_file_location("compare_artifacts", TOOL)
+def _load_tool(path=TOOL):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -56,3 +58,14 @@ def test_run_tree_writes_similarity_train_sae_and_synth(tmp_path):
     assert (out / "train_sae" / "sae.ckpt").is_file()
     for kind in ("source", "target_near", "target_far"):
         assert len(list((out / "synth" / kind / "images").glob("*.pgm"))) == 8
+
+
+def test_faults_reports_every_run(capsys):
+    tool = _load_tool(FAULTS)
+    assert tool.main(["--runs", "2", "--epochs", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    for i, line in enumerate(lines[:2]):
+        name, wall, faults = line.split(": ")[0], *line.split()[3:6:2]
+        assert name == f"run {i}" and float(wall) > 0 and int(faults) >= 0
+    assert lines[2].startswith("after the first run: median wall_s ")
