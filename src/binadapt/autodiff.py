@@ -15,11 +15,14 @@ Who owns which array:
   ``optimizer_step`` updates in place, as it does Adam's moments, which the
   optimizer state owns.
 * Ops write their values, dropout masks, grids, gradients and scratch into
-  op buffers: views of one arena (``_Arena``). A buffer is live from the op
-  that takes it to its last reader: scratch until its op returns, a gradient
-  until the node it flows to has passed it on, and a forward's values, masks
-  and kept grids until the next forward on the graph. Buffers whose lives do
-  not overlap share memory (static reuse, Chen et al. 2016).
+  op buffers: views of one arena (``_Arena``). A buffer is live while any
+  view of it is, and its place is free once the last one is gone, so an op
+  keeps no reference past a buffer's last use and nothing module-level may
+  hold an op buffer. A forward's record holds its values, masks and kept
+  grids until the next forward on the graph. Buffers whose lives do not
+  overlap share memory (static reuse, Chen et al. 2016). A backward planned
+  after a replayed forward counts that forward's kept grids live throughout,
+  since replayed views carry no record of their death.
 * Inside a ``keep_buffers(graph)`` block the arena lives on the graph, and a
   forward or backward that ran before at the same shapes writes exactly
   where it did then, so a steady-state training step allocates no array.
@@ -36,6 +39,7 @@ from __future__ import annotations
 import bisect
 import math
 import struct
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -95,8 +99,9 @@ class Node:
 # returns, into op buffers it takes (run.take, run.result); either may also
 # return an input or g itself, unchanged, and bwd may return the same array
 # for two inputs, so the engine sums into a new buffer, never into one it
-# was handed. An op updates in place only buffers it took, and scratch
-# (scratch=True) must be dead when it returns: the next op may get its memory.
+# was handed. An op updates in place only buffers it took. A buffer's memory
+# may go to the next buffer taken once its last view is gone, so an op drops
+# each reference when it is done with it (``del``) if it takes more after.
 _OPS: dict = {}
 
 
@@ -107,10 +112,6 @@ def register_op(kind, fwd, bwd):
 
 
 _ALIGN = 64  # bytes: every buffer of an arena starts on a cache line
-
-
-def _address(a) -> int:
-    return a.__array_interface__["data"][0]
 
 
 def _view(raw, shape, dtype, order):
@@ -152,8 +153,8 @@ class _Arena:
     place that no buffer still live overlaps, and the program records it.
     Later runs hand out views of the same places in the same order. A
     planned buffer that lies past the end of the array gets an array of its
-    own, which goes when its reader is done; the next forward then replaces
-    the array with one that holds every place planned so far.
+    own, which goes with its last view; the next forward then replaces the
+    array with one that holds every place planned so far.
     """
 
     def __init__(self):
@@ -175,16 +176,17 @@ class _Planner:
 
     def __init__(self, arena, program, state=None):
         self.arena, self.program = arena, program
-        self.base, self.size = _address(arena.memory), arena.memory.size
-        gaps, live, own = state or ([(0, math.inf)], {}, {})
+        gaps, live = state or ([(0, math.inf)], {})
         self.gaps = list(gaps)  # (start, end), sorted
         self.live = dict(live)  # start -> end
-        self.own = dict(own)  # address of a buffer given an array of its own -> start
 
     def state(self):
-        return list(self.gaps), dict(self.live), dict(self.own)
+        return list(self.gaps), dict(self.live)
 
-    def take(self, shape, dtype, order):
+    def take(self, shape, dtype, order, run):
+        """A buffer of ``shape`` placed best fit, with a base of its own whose
+        death, when its last view is gone, gives the place back to the planner
+        ``run`` (a weak reference) is then executing."""
         size = math.prod(shape) * np.dtype(dtype).itemsize
         need = -(-max(size, 1) // _ALIGN) * _ALIGN
         # best fit: the smallest gap that holds the buffer, lowest first; a
@@ -199,21 +201,17 @@ class _Planner:
         self.live[start] = start + need
         self.arena.high = max(self.arena.high, start + need)
         self.program.places.append((start, shape, dtype, order))
-        if start + need <= self.size:
-            return _view(self.arena.memory[start : start + size], shape, dtype, order)
-        view = _view(np.empty(size, np.uint8), shape, dtype, order)
-        self.own[_address(view)] = start
-        return view
+        memory = self.arena.memory
+        # numpy collapses a view's base to the array that owns its memory, so
+        # a base of its own inside the arena must wrap a buffer, not an array
+        raw = (np.frombuffer(memoryview(memory)[start : start + size], np.uint8)
+               if start + need <= memory.size else np.empty(size, np.uint8))
+        weakref.finalize(raw, _died, run, start)
+        return _view(raw, shape, dtype, order)
 
-    def give(self, a):
-        """Free a's buffer, if a starts one that is live."""
-        address = _address(a)
-        start = self.own.pop(address, None)
-        if start is None and 0 <= address - self.base < self.size:
-            start = address - self.base
-        end = self.live.pop(start, None)
-        if end is None:
-            return
+    def give(self, start):
+        """Free the live buffer that starts at ``start``."""
+        end = self.live.pop(start)
         k = bisect.bisect(self.gaps, (start,))
         if k < len(self.gaps) and self.gaps[k][0] == end:
             end = self.gaps.pop(k)[1]
@@ -221,6 +219,14 @@ class _Planner:
             k -= 1
             start = self.gaps.pop(k)[0]
         self.gaps.insert(k, (start, end))
+
+
+def _died(run, start):
+    """The last view of the buffer at ``start`` is gone: free its place in the
+    plan its run is making, if the run is alive and planning."""
+    run = run()
+    if run is not None and run.planner is not None:
+        run.planner.give(start)
 
 
 def _axis_order(a):
@@ -244,16 +250,10 @@ class _Run:
     grids: dict = field(default_factory=dict)  # node id -> operand grid kept for backward
     arena: _Arena = field(default_factory=_Arena)  # the graph's inside keep_buffers
     forward_program: _Program = field(default_factory=_Program)
-    forward_planned: bool = True  # planned by this run, not replayed
     program: _Program | None = None  # the one running
     planner: _Planner | None = None  # None while the program is replayed
     views: list = field(default_factory=list)
     cursor: int = 0
-    scratch: list = field(default_factory=list)  # freed when the running op returns
-
-    def __post_init__(self):
-        if self.program is None:
-            self.start(self.forward_program, None, self.forward_planned)
 
     def start(self, program, state, planned):
         """Run ``program``: plan it from ``state``, or replay its places."""
@@ -262,21 +262,18 @@ class _Run:
         if not planned:
             self.views = program.views_in(self.arena.memory)
 
-    def take(self, shape, dtype=np.float64, *, scratch=False, order=None):
+    def take(self, shape, dtype=np.float64, *, order=None):
         """An op buffer of ``shape``, C-ordered or with axes in ``order``
-        from the largest stride. ``scratch`` is dead once the op returns."""
+        from the largest stride, live while any view of it is."""
         if self.planner is None:
             view = self.views[self.cursor]
             self.cursor += 1
             if view.shape != tuple(shape):
                 raise GraphError(f"node {self.nid}: op buffer {view.shape} replayed for {shape}")
             return view
-        view = self.planner.take(tuple(shape), dtype, order)
-        if scratch:
-            self.scratch.append(view)
-        return view
+        return self.planner.take(tuple(shape), dtype, order, weakref.ref(self))
 
-    def result(self, fn, *args, scratch=False):
+    def result(self, fn, *args):
         """``fn(*args)``, for a ufunc or a function taking ``out=`` like one,
         in an op buffer laid out as numpy lays out a new result of these
         operands, so that reductions over it add in the same order."""
@@ -289,27 +286,7 @@ class _Run:
             new = fn(*args)
             layout = self.arena.layouts[key] = (new.shape, new.dtype, _axis_order(new))
         shape, dtype, order = layout
-        return fn(*args, out=self.take(shape, dtype, scratch=scratch, order=order))
-
-    def free(self, a):
-        """Free the buffer ``take`` returned as ``a``: its last reader is done."""
-        if self.planner is not None:
-            self.scratch = [view for view in self.scratch if view is not a]
-            self.planner.give(a)
-
-    def op_done(self, passed=(), held=()):
-        """Free the scratch of the op that just returned and, in backward, the
-        gradients it was ``passed`` or made that no gradient ``held`` points at."""
-        if self.planner is None:
-            return
-        for view in self.scratch:
-            self.planner.give(view)
-        self.scratch.clear()
-        if passed:
-            held = {_address(a) for a in held}
-            for a in passed:
-                if a is not None and _address(a) not in held:
-                    self.planner.give(a)
+        return fn(*args, out=self.take(shape, dtype, order=order))
 
 
 class Graph:
@@ -458,8 +435,8 @@ def forward(
            tuple(np.shape(bindings.get(name)) for name in inputs))
     program = arena.programs.get(key)
     run = _Run(values={}, masks=dict(frozen_masks or {}), order=order, input_needs=needs,
-               training=training, rng=rng, arena=arena, forward_program=program or _Program(),
-               forward_planned=program is None)
+               training=training, rng=rng, arena=arena, forward_program=program or _Program())
+    run.start(run.forward_program, None, program is None)
     # overflow surfaces as the non-finite output check's NumericError below
     with np.errstate(over="ignore", invalid="ignore"):
         for nid in order:
@@ -484,7 +461,6 @@ def forward(
                     raise
                 except Exception as exc:  # re-raise with the node named
                     raise GraphError(f"node {nid} ({node.name}): {exc}") from exc
-                run.op_done()
 
     if program is None:
         run.forward_program.end = run.planner.state()
@@ -521,10 +497,7 @@ def backward(graph: Graph, loss) -> dict:
 
     key = (lid, tuple(run.grids))  # a conv whose grid is gone grids its input again
     program = run.forward_program.backward.get(key)
-    gaps, live, own = run.forward_program.end
-    # buffers with arrays of their own belong to the run that planned them
-    run.start(program or _Program(), (gaps, live, own if run.forward_planned else {}),
-              program is None)
+    run.start(program or _Program(), run.forward_program.end, program is None)
     grads = {lid: np.ones(1)}
     # non-finite gradients surface as optimizer_step's NumericError
     with np.errstate(over="ignore", invalid="ignore"):
@@ -539,17 +512,12 @@ def backward(graph: Graph, loss) -> dict:
             run.needs = run.input_needs[nid]
             _, bwd = _OPS[node.kind]
             xs = [run.values[i] for i in node.inputs]
-            out = bwd(node, g, xs, run.values[nid], run)
-            passed = [g, *out]
-            for i, need, gi in zip(node.inputs, run.needs, out):
+            for i, need, gi in zip(node.inputs, run.needs, bwd(node, g, xs, run.values[nid], run)):
                 if gi is None or not need:
                     continue
-                if i in grads:  # summed into a new buffer: add passes one g to both inputs
-                    passed.append(grads[i])
-                    grads[i] = run.result(np.add, grads[i], gi)
-                else:
-                    grads[i] = gi
-            run.op_done(passed, grads.values())
+                # summed into a new buffer: add passes one g to both inputs
+                grads[i] = run.result(np.add, grads[i], gi) if i in grads else gi
+            g = gi = None  # a gradient passed on and not kept dies here
     run.grids.clear()
     if program is None:
         run.forward_program.backward[key] = run.program

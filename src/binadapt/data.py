@@ -286,7 +286,14 @@ def load_eval_masks(directory, records=()) -> dict:
 # ---------------------------------------------------------------------------
 # synthetic fixtures
 
-SYNTHETIC_KINDS = ("source", "target_near", "target_far")
+# kind -> (background, ink, noise, ghost level or None). Ghosts are
+# bleed-through: mirrored strokes that stay background in the mask.
+_KINDS = {
+    "source": (0.87, 0.12, 0.04, None),
+    "target_near": (0.80, 0.18, 0.08, None),
+    "target_far": (0.45, 0.15, 0.05, 0.30),
+}
+SYNTHETIC_KINDS = tuple(_KINDS)
 
 
 def _paint_strokes(rng, shape, n_strokes, thickness_range):
@@ -317,21 +324,12 @@ def _synthetic_page(rng, shape, kind):
     source-trained model drowns in false positives while the stroke geometry
     itself stays learnable.
     """
+    bg, ink, noise, ghost_level = _KINDS[kind]
     mask = _paint_strokes(rng, shape, int(rng.integers(8, 14)), (1, 3))
-    if kind == "source":
-        bg, ink, noise = 0.87, 0.12, 0.04
-    elif kind == "target_near":
-        bg, ink, noise = 0.80, 0.18, 0.08
-    elif kind == "target_far":
-        bg, ink, noise = 0.45, 0.15, 0.05
-    else:
-        raise ValueError(f"unknown synthetic kind {kind!r}")
-
     page = np.full(shape, bg) + rng.normal(0, noise, shape)
-    if kind == "target_far":
-        # bleed-through ghosts: mirrored strokes that stay background in the mask
+    if ghost_level is not None:
         ghost = _paint_strokes(rng, shape, int(rng.integers(6, 12)), (1, 3))[:, ::-1]
-        page[ghost] = 0.30 + rng.normal(0, noise, shape)[ghost]
+        page[ghost] = ghost_level + rng.normal(0, noise, shape)[ghost]
     page[mask] = ink + rng.normal(0, noise, shape)[mask]
     return np.clip(page, 0.0, 1.0, out=page), mask
 

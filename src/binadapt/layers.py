@@ -126,13 +126,15 @@ def grl_lambda_at(epoch, start, increment):
 # and, from the plan, zeros over the padding blocks and the slack. A
 # convolution's weight gradient reads the same grid of its input as its
 # forward product, so a training forward keeps that grid on the run until
-# backward takes it and frees it; after an inference forward the grid is
-# scratch and backward builds it again, and backward drops any grid still
-# kept when it returns. The transposed convolution's backward grids its
-# output gradient once for both of its products. Products write through
-# np.matmul(out=) into an op buffer and one scratch; the weight gradient's
-# g on the grid (gz) and the interleaved input gradient write their zeros
-# (invalid positions, phases no tap reaches) on every call the same way.
+# backward takes it, and it dies when that op returns; after an inference
+# forward nothing keeps it, so it dies with its forward op and backward builds
+# it again, and backward drops any grid still kept when it returns. Every
+# other buffer here dies with the call that took it unless it is returned.
+# The transposed convolution's backward grids its output gradient once for
+# both of its products. Products write through np.matmul(out=) into an op
+# buffer and one scratch; the weight gradient's g on the grid (gz) and the
+# interleaved input gradient write their zeros (invalid positions, phases no
+# tap reaches) on every call the same way.
 
 _PLANS = 512  # entries per plan memo: a few per conv node and batch size
 
@@ -181,7 +183,7 @@ def _grid_plan(shape, padding, stride, kernel):
     return (sh * sw, c, n * hq * wq + slack), (hq, wq), copies, blanks
 
 
-def _grid(x, padding, stride, kernel, run, scratch):
+def _grid(x, padding, stride, kernel, run):
     """Padded, phase-split, channel-major grid of x [n, c, h, w]: (buf, n, Hq,
     Wq), buf an op buffer [sh*sw, c, n*Hq*Wq + slack] and (Hq, Wq) the padded
     size over the stride, rounded up. Padded row a + sh*i, column b + sw*j of
@@ -190,7 +192,7 @@ def _grid(x, padding, stride, kernel, run, scratch):
     padding and the slack."""
     n, c = x.shape[:2]
     shape, (hq, wq), copies, blanks = _grid_plan(x.shape, padding, stride, kernel)
-    buf = run.take(shape, scratch=scratch)
+    buf = run.take(shape)
     buf[:, :, n * hq * wq :] = 0.0
     phases = buf[:, :, : n * hq * wq].reshape(shape[0], c, n, hq, wq)
     for p, rows, cols in blanks:
@@ -220,25 +222,23 @@ def _correlate(grid, w, stride, origin, y, run):
     size = n * hq * wq
     taps = _tap_plan((kh, kw), stride, wq, origin)
     if c == 1:
-        tmp = run.take((kh * kw, size), scratch=True)  # the stacked windows
+        tmp = run.take((kh * kw, size))  # the stacked windows
         np.stack([buf[p, 0, off : off + size] for _, _, p, off in taps], out=tmp)
         np.matmul(w.reshape(o, kh * kw), tmp, out=y)
     else:
         (ki, kj, p, off), *rest = taps
         np.matmul(w[:, :, ki, kj], buf[p, :, off : off + size], out=y)
-        tmp = run.take((o, size), scratch=True)
+        tmp = run.take((o, size))
         for ki, kj, p, off in rest:
             y += np.matmul(w[:, :, ki, kj], buf[p, :, off : off + size], out=tmp)
-    run.free(tmp)
     return y.reshape(o, n, hq, wq)
 
 
-def _conv_out(grid, w, stride, out_hw, run, scratch):
+def _conv_out(grid, w, stride, out_hw, run):
     """Convolution [n, o, oh, ow] with w [o, c, kh, kw] of the input gridded
     with its padding, stride and kernel: a view of an op buffer."""
     _, n, hq, wq = grid
-    y = _correlate(grid, w, stride, (0, 0), run.take((w.shape[0], n * hq * wq), scratch=scratch),
-                   run)
+    y = _correlate(grid, w, stride, (0, 0), run.take((w.shape[0], n * hq * wq)), run)
     return y[:, :, : out_hw[0], : out_hw[1]].transpose(1, 0, 2, 3)
 
 
@@ -248,7 +248,7 @@ def _conv_grad_weight(grid, g, stride, kernel, run):
     buf, n, hq, wq = grid
     o, oh, ow = g.shape[1:]
     size = n * hq * wq
-    gz = run.take((o, size), scratch=True)  # g on the grid
+    gz = run.take((o, size))  # g on the grid
     g4 = gz.reshape(o, n, hq, wq)
     g4[:, :, oh:] = 0.0  # zeros drop the invalid positions
     g4[:, :, :oh, ow:] = 0.0
@@ -256,7 +256,6 @@ def _conv_grad_weight(grid, g, stride, kernel, run):
     gw = run.take((o, buf.shape[1], *kernel))
     for ki, kj, p, off in _tap_plan(kernel, stride, wq, (0, 0)):
         gw[:, :, ki, kj] = gz @ buf[p, :, off : off + size].T
-    run.free(gz)
     return gw
 
 
@@ -303,18 +302,17 @@ def _gather_plan(kernel, stride, padding, in_hw, g_hw):
     return (top, bottom, left, right), reach, phases, blanks
 
 
-def _conv_grad_input(g, w, stride, padding, in_hw, run, scratch):
+def _conv_grad_input(g, w, stride, padding, in_hw, run):
     """Gradient [n, c, h, w] of a convolution's input from its output gradient
     g [n, o, oh, ow], i.e. the transposed convolution of g with w [o, c, kh, kw],
-    as a view of an op buffer; scratch when the caller is done with it before
-    its op returns."""
+    as a view of an op buffer."""
     sh, sw = stride
     pads, reach, phases, blanks = _gather_plan(w.shape[2:], stride, padding, in_hw, g.shape[2:])
-    grid = _grid(g, pads, (1, 1), reach, run, True)
+    grid = _grid(g, pads, (1, 1), reach, run)
     _, n, hq, wq = grid
     c = w.shape[1]
     one = sh == sw == 1  # one phase, already in place: no interleaving copy
-    y = run.take((c, n * hq * wq), scratch=scratch or not one)  # one phase at a time
+    y = run.take((c, n * hq * wq))  # one phase at a time
 
     def phase(a, b, origin, crop):
         """Channel-major gradient of one input phase."""
@@ -324,13 +322,11 @@ def _conv_grad_input(g, w, stride, padding, in_hw, run, scratch):
     if one:
         gx = phase(*phases[0][2:])
     else:
-        gx = run.take((c, n, *in_hw), scratch=scratch)
+        gx = run.take((c, n, *in_hw))
         for r0, c0 in blanks:  # phases no tap reaches are zero
             gx[:, :, r0::sh, c0::sw] = 0.0
         for r0, c0, *rest in phases:
             gx[:, :, r0::sh, c0::sw] = phase(*rest)
-        run.free(y)
-    run.free(grid[0])
     return gx.transpose(1, 0, 2, 3)
 
 
@@ -359,25 +355,22 @@ def _fwd_conv(node, xs, run):
     spec = node.attrs["spec"]
     _check_conv_args(x, w, b, spec, transposed=False)
     out_hw = spec.out_hw(*x.shape[2:])
-    # a training forward keeps the grid for the weight gradient; after an
-    # inference forward it is scratch
-    grid = _grid(x, spec.padding, spec.stride, spec.kernel, run, not run.training)
-    if run.training:
+    grid = _grid(x, spec.padding, spec.stride, spec.kernel, run)
+    if run.training:  # kept for the weight gradient
         run.grids[run.nid] = grid
-    y = _conv_out(grid, w, spec.stride, out_hw, run, True)
+    y = _conv_out(grid, w, spec.stride, out_hw, run)
     return run.result(np.add, y, b[None, :, None, None])
 
 
 def _bwd_conv(node, g, xs, y, run):
     x, w, b = xs
     spec = node.attrs["spec"]
-    gx = (_conv_grad_input(g, w, spec.stride, spec.padding, x.shape[2:], run, False)
+    gx = (_conv_grad_input(g, w, spec.stride, spec.padding, x.shape[2:], run)
           if run.needs[0] else None)
     grid = run.grids.pop(run.nid, None)
     if grid is None:  # the forward pass ran in inference mode
-        grid = _grid(x, spec.padding, spec.stride, spec.kernel, run, True)
+        grid = _grid(x, spec.padding, spec.stride, spec.kernel, run)
     gw = _conv_grad_weight(grid, g, spec.stride, spec.kernel, run)
-    run.free(grid[0])
     return [gx, gw, g.sum(axis=(0, 2, 3))]
 
 
@@ -386,17 +379,16 @@ def _fwd_tconv(node, xs, run):
     spec = node.attrs["spec"]
     _check_conv_args(x, w, b, spec, transposed=True)
     out_hw = spec.transpose_out_hw(*x.shape[2:])
-    y = _conv_grad_input(x, w, spec.stride, spec.padding, out_hw, run, True)
+    y = _conv_grad_input(x, w, spec.stride, spec.padding, out_hw, run)
     return run.result(np.add, y, b[None, :, None, None])
 
 
 def _bwd_tconv(node, g, xs, y, run):
     x, w, b = xs
     spec = node.attrs["spec"]
-    grid = _grid(g, spec.padding, spec.stride, spec.kernel, run, True)  # serves both products
-    gx = _conv_out(grid, w, spec.stride, x.shape[2:], run, False) if run.needs[0] else None
+    grid = _grid(g, spec.padding, spec.stride, spec.kernel, run)  # serves both products
+    gx = _conv_out(grid, w, spec.stride, x.shape[2:], run) if run.needs[0] else None
     gw = _conv_grad_weight(grid, x, spec.stride, spec.kernel, run)
-    run.free(grid[0])
     return [gx, gw, g.sum(axis=(0, 2, 3))]
 
 
@@ -405,7 +397,7 @@ def _fwd_relu(node, xs, run):
 
 
 def _bwd_relu(node, g, xs, y, run):
-    return [run.result(np.multiply, g, run.result(np.greater, xs[0], 0.0, scratch=True))]
+    return [run.result(np.multiply, g, run.result(np.greater, xs[0], 0.0))]
 
 
 _SIGMOID_LO = np.nextafter(0.0, 1.0)
@@ -417,16 +409,16 @@ def _fwd_sigmoid(node, xs, run):
     # exp of -|x| never overflows; 1/(1+e) for x >= 0 and e/(1+e) below
     e = run.result(np.abs, x)
     np.exp(np.negative(e, out=e), out=e)
-    d = run.result(np.add, 1.0, e, scratch=True)
+    d = run.result(np.add, 1.0, e)
     np.divide(e, d, out=e)
-    np.copyto(e, np.divide(1.0, d, out=d), where=run.result(np.greater_equal, x, 0.0, scratch=True))
+    np.copyto(e, np.divide(1.0, d, out=d), where=run.result(np.greater_equal, x, 0.0))
     # saturated float64 would round to exactly 0/1; keep the open interval
     return np.clip(e, _SIGMOID_LO, _SIGMOID_HI, out=e)
 
 
 def _bwd_sigmoid(node, g, xs, y, run):
     grad = run.result(np.multiply, g, y)
-    return [np.multiply(grad, run.result(np.subtract, 1.0, y, scratch=True), out=grad)]
+    return [np.multiply(grad, run.result(np.subtract, 1.0, y), out=grad)]
 
 
 def _fwd_dropout(node, xs, run):
@@ -439,9 +431,9 @@ def _fwd_dropout(node, xs, run):
         if run.rng is None:
             raise GraphError(f"dropout node ({node.name}) needs an rng in training mode")
         # inverted dropout: 0 with probability ``rate``, else 1/(1-rate)
-        draws = run.rng.random(out=run.take(x.shape, scratch=True))
+        draws = run.rng.random(out=run.take(x.shape))
         mask = np.greater_equal(draws, rate, out=run.take(x.shape))
-        run.free(draws)
+        del draws  # dead before the product below takes its buffer
         run.masks[run.nid] = np.divide(mask, 1.0 - rate, out=mask)
     elif mask.shape != x.shape:
         raise GraphError(f"frozen dropout mask shape {mask.shape} != input {x.shape}")
@@ -464,7 +456,7 @@ def _bwd_grl(node, g, xs, y, run):
 
 
 def _clipped(p, run):
-    return run.result(np.clip, p, BCE_CLAMP, 1.0 - BCE_CLAMP, scratch=True)
+    return run.result(np.clip, p, BCE_CLAMP, 1.0 - BCE_CLAMP)
 
 
 def _fwd_bce(node, xs, run):
@@ -473,10 +465,10 @@ def _fwd_bce(node, xs, run):
         raise GraphError(f"prediction shape {p.shape} != target shape {t.shape}")
     pc = _clipped(p, run)
     # t * log(pc) + (1 - t) * log(1 - pc), one scratch buffer per term
-    hit = run.result(np.log, pc, scratch=True)
+    hit = run.result(np.log, pc)
     np.multiply(t, hit, out=hit)
-    miss = run.result(np.subtract, 1.0, t, scratch=True)
-    log_q = run.result(np.subtract, 1.0, pc, scratch=True)
+    miss = run.result(np.subtract, 1.0, t)
+    log_q = run.result(np.subtract, 1.0, pc)
     np.multiply(miss, np.log(log_q, out=log_q), out=miss)
     return np.array([-np.mean(np.add(hit, miss, out=hit))])
 
@@ -484,13 +476,12 @@ def _fwd_bce(node, xs, run):
 def _bwd_bce(node, g, xs, y, run):
     p, t = xs
     pc = _clipped(p, run)
-    in_range = run.result(np.greater_equal, p, BCE_CLAMP, scratch=True)
-    np.bitwise_and(in_range, run.result(np.less_equal, p, 1.0 - BCE_CLAMP, scratch=True),
-                   out=in_range)
+    in_range = run.result(np.greater_equal, p, BCE_CLAMP)
+    np.bitwise_and(in_range, run.result(np.less_equal, p, 1.0 - BCE_CLAMP), out=in_range)
     # g / size * (pc - t) / (pc * (1 - pc)) * in_range, left to right
     gp = run.result(np.subtract, pc, t)
     np.multiply(g[0] / p.size, gp, out=gp)
-    pq = run.result(np.subtract, 1.0, pc, scratch=True)
+    pq = run.result(np.subtract, 1.0, pc)
     np.divide(gp, np.multiply(pc, pq, out=pq), out=gp)
     return [np.multiply(gp, in_range, out=gp), None]  # targets are constants
 

@@ -1,6 +1,8 @@
 """Engine-level contracts: forward/backward, grad_check, op buffers, optimizers, checkpoints."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from binadapt import layers
 from binadapt.autodiff import GraphError
 from binadapt.layers import bce_node, conv_node, grl_node, relu_node, sigmoid_node
 
-from defaults import SAE, bindann_cfg
+from defaults import SAE, bindann_cfg, sae_cfg
 from reference import direct_conv2d, fd_loss_gradient, max_rel_err
 
 
@@ -232,17 +234,17 @@ def test_outputs_and_gradients_do_not_alias_params():
 _DANN_WANTED = ("loss", "bin_loss", "domain_loss")
 
 
-def _dann_batches(n, seed):
+def _dann_batches(n, seed, side=32):
     rng = np.random.default_rng(seed)
-    x, t = rng.random((n, 1, 32, 32)), rng.random((n, 1, 32, 32))
+    x, t = rng.random((n, 1, side, side)), rng.random((n, 1, side, side))
     source = {"x": x, "gt": (rng.random(x.shape) > 0.5) * 1.0, "domain_gt": np.zeros_like(x)}
     return source, {"x": t, "domain_gt": np.ones_like(t)}
 
 
-def _dann_step(graph, n, seed):
+def _dann_step(graph, n, seed, side=32):
     """Both passes of one Bin-DANN training step at batch n, without the
     optimizer: the outputs, masks and summed gradients, copied."""
-    source, target = _dann_batches(n, seed)
+    source, target = _dann_batches(n, seed, side)
     out = ba.forward(graph, source, wanted=_DANN_WANTED, training=True,
                      rng=np.random.default_rng(seed))
     masks = {nid: m.copy() for nid, m in graph._run.masks.items()}
@@ -355,6 +357,46 @@ def test_a_steady_training_step_allocates_no_activation():
         finally:
             tracemalloc.stop()
     assert peak - start < 8 * 8 * 32 * 32 * 8
+
+
+def test_a_replaced_record_dies_at_once_and_leaves_no_cycle():
+    # a buffer's place is freed when its last view dies: a finalizer holding
+    # its run, or a cycle through a buffer, would keep buffers alive until the
+    # collector ran, so plans would depend on when it runs
+    model = ba.build_bindann(bindann_cfg(), np.random.default_rng(0))
+    graph = model.graph
+    source, _ = _dann_batches(8, 0)
+    gc.collect()
+    gc.disable()
+    try:
+        with ba.keep_buffers(graph):
+            _dann_step(graph, 8, 1)
+            first = weakref.ref(graph._run)
+            ba.forward(graph, source, wanted=_DANN_WANTED, training=True,
+                       rng=np.random.default_rng(2))
+            assert first() is None
+            ba.backward(graph, "loss")
+            _dann_step(graph, 8, 3)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        assert not [obj for obj in gc.garbage if isinstance(obj, np.ndarray)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+
+
+def test_a_small_models_arena_keeps_its_planned_size():
+    # two Bin-DANN steps at batch 8, then an inference forward at batch 16:
+    # a reference kept past a buffer's last use would make the arena larger
+    cfg = bindann_cfg(sae=sae_cfg(depth=2, filters=4, patch=(16, 16)))
+    graph = ba.build_bindann(cfg, np.random.default_rng(0)).graph
+    with ba.keep_buffers(graph):
+        for seed in (1, 2):
+            _dann_step(graph, 8, seed, side=16)
+        x = np.random.default_rng(3).random((16, 1, 16, 16))
+        ba.forward(graph, {"x": x}, wanted=("prob_map", "domain_map"))
+        assert graph._arena.high == 1_307_712
 
 
 # ---------------------------------------------------------------------------

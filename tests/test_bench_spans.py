@@ -9,6 +9,7 @@ import importlib.util
 from pathlib import Path
 
 import binadapt
+import binadapt.cli  # the test reads binadapt.cli, which the package does not import
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
