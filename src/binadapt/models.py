@@ -18,6 +18,11 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
+import os
+import pickle
+import signal
+import threading
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -200,6 +205,77 @@ def build_bindann(config: BinDannConfig, rng) -> Model:
 
 
 _PREDICT_BATCH = 16  # patches per inference forward
+# Batches per worker process: forking and reaping a child of a 60 MB process
+# took 2.5 ms in the median on a 2-core x86 box, about one forward of 16
+# default patches, so a worker is forked only for 8 batches or more.
+_FORK_BATCHES = 8
+
+
+def _workers(batches):
+    """Processes to predict ``batches`` batches on: one per usable CPU, at most
+    one per ``_FORK_BATCHES`` batches, and only the caller where a fork is
+    missing or would copy a process other threads are running in."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(cpus, batches // _FORK_BATCHES))
+
+
+def _predict_batches(model, arr, tiles, first, last):
+    """Write the maps of batches ``first`` up to ``last`` into ``tiles``, a
+    ``[rows, cols, h, w]`` view of the map; a band of patch rows is cut once
+    and kept while the next batch still lies in it."""
+    rows, cols, h, w = tiles.shape
+    band_end = 0  # the patch rows [band_start // cols, band_end) are cut
+    with autodiff.keep_buffers(model.graph):
+        for start in range(first * _PREDICT_BATCH, min(last * _PREDICT_BATCH, rows * cols), _PREDICT_BATCH):
+            stop = min(start + _PREDICT_BATCH, rows * cols)
+            r0, r1 = start // cols, (stop - 1) // cols + 1  # the patch rows this batch touches
+            if r1 > band_end:
+                band, band_start, band_end = split_patches(arr[r0 * h : r1 * h], h, w), r0 * cols, r1
+            x = band[start - band_start : stop - band_start, None]  # [n, 1, h, w]
+            out = autodiff.forward(model.graph, {"x": x}, wanted=("prob_map",))
+            k = np.arange(start, stop)
+            tiles[k // cols, k % cols] = out["prob_map"][:, 0]
+
+
+def _fork_share(model, arr, tiles, first, last):
+    """Fork a child that predicts batches ``first`` up to ``last`` into the
+    shared ``tiles``; returns its pid and the read end of its result pipe."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, read
+    try:  # the child never returns into the caller, and flushes none of its stdio
+        os.close(read)
+        try:
+            _predict_batches(model, arr, tiles, first, last)
+            result = None
+        except BaseException as exc:
+            result = exc
+        try:
+            payload = pickle.dumps(result)
+            pickle.loads(payload)
+        except Exception:
+            payload = pickle.dumps(RuntimeError(f"prediction worker raised {type(result).__name__}: {result}"))
+        with open(write, "wb") as pipe:
+            pipe.write(payload)
+    finally:
+        os._exit(0)
+
+
+def _reap(pid, read):
+    """Wait for a child of ``_fork_share``; returns the exception its share
+    raised, or None."""
+    with open(read, "rb") as pipe:
+        payload = pipe.read()
+    status = os.waitpid(pid, 0)[1]
+    if os.WIFSIGNALED(status):
+        sig = os.WTERMSIG(status)
+        name = next((s.name for s in signal.Signals if s == sig), f"signal {sig}")
+        return RuntimeError(f"prediction worker {pid} was killed by {name}")
+    return pickle.loads(payload)
 
 
 def predict_prob_map(model: Model, page) -> np.ndarray:
@@ -207,12 +283,23 @@ def predict_prob_map(model: Model, page) -> np.ndarray:
 
     The page is tiled into model-sized patches, edge-replicated up to full
     multiples, and every patch runs in inference mode (dropout off) in batches
-    of ``_PREDICT_BATCH`` in row-major order. Each batch cuts only the band of
-    patch rows it touches and writes its maps straight into one preallocated
-    map, which is cropped back to page size, so beyond the page the call holds
-    only that map and one batch's working set. The batches share one set of
-    op buffers, and the model keeps neither those nor the last batch's
-    forward record once the call returns (``autodiff.keep_buffers``).
+    of ``_PREDICT_BATCH`` in row-major order. A batch cuts only the band of
+    patch rows it touches, or reuses the band the batch before it cut, and
+    writes its maps straight into one map, which is cropped back to page size.
+
+    The batches are split into contiguous shares, one per worker process:
+    ``min(usable CPUs, batches // _FORK_BATCHES)`` of them, at least one, and
+    one where ``os.fork`` is missing or other threads are running. The caller
+    computes the first share and forked children the others. With children,
+    the map is one anonymous shared mapping, so every worker writes its tiles
+    in place and nothing is copied back. Every batch computes the same bytes
+    wherever it runs, so the map is the same whatever the CPU count. Beyond
+    the page, each process holds one batch's working set, and all of them
+    share the one map. Every child is reaped before the call returns or
+    raises, and errors are raised in batch order, as one process would raise
+    them. The batches of a process share one set of op buffers, and the model
+    keeps neither those nor the last batch's forward record once the call
+    returns (``autodiff.keep_buffers``).
     """
     arr = np.asarray(page, dtype=np.float64)
     if arr.ndim != 2:
@@ -220,17 +307,29 @@ def predict_prob_map(model: Model, page) -> np.ndarray:
     cfg = model.config if model.kind == "sae" else model.config.sae
     h, w = cfg.patch
     rows, cols = math.ceil(arr.shape[0] / h), math.ceil(arr.shape[1] / w)
-    canvas = np.empty((rows * h, cols * w))
+    batches = math.ceil(rows * cols / _PREDICT_BATCH)
+    workers = _workers(batches)
+    # shared only where children write it: at 128² a private map took 7 us
+    # and a shared one 110 us (2-core x86 box), mostly in page faults
+    size = rows * h * cols * w
+    canvas = np.empty(size) if workers == 1 else np.frombuffer(mmap.mmap(-1, 8 * size), np.float64)
+    canvas = canvas.reshape(rows * h, cols * w)
     tiles = canvas.reshape(rows, h, cols, w).transpose(0, 2, 1, 3)  # a view of canvas
-    with autodiff.keep_buffers(model.graph):
-        for start in range(0, rows * cols, _PREDICT_BATCH):
-            stop = min(start + _PREDICT_BATCH, rows * cols)
-            r0, r1 = start // cols, (stop - 1) // cols + 1  # the patch rows this batch touches
-            band = split_patches(arr[r0 * h : r1 * h], h, w)
-            x = band[start - r0 * cols : stop - r0 * cols, None]  # [n, 1, h, w]
-            out = autodiff.forward(model.graph, {"x": x}, wanted=("prob_map",))
-            k = np.arange(start, stop)
-            tiles[k // cols, k % cols] = out["prob_map"][:, 0]
+    bounds = [batches * i // workers for i in range(workers + 1)]
+    children = []
+    try:
+        for first, last in zip(bounds[1:-1], bounds[2:]):
+            children.append(_fork_share(model, arr, tiles, first, last))
+        _predict_batches(model, arr, tiles, 0, bounds[1])
+    except BaseException:
+        for pid, _ in children:  # their shares are of no use now
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        errors = [_reap(pid, read) for pid, read in children]
+    for exc in errors:
+        if exc is not None:
+            raise exc
     return canvas[: arr.shape[0], : arr.shape[1]]
 
 

@@ -1,12 +1,16 @@
 """Model assembly: shape restoration, branch balance, tap wiring, checkpoints."""
 
+import os
+import signal
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import binadapt as ba
+from binadapt import autodiff, models
 from binadapt.autodiff import GraphError
 
 from defaults import SAE, bindann_cfg, sae_cfg
@@ -162,10 +166,20 @@ _PAGE_SHAPES = [(1024, 1024), (1000, 750), (45, 300), (64, 1024), (300, 31), (10
                 (31, 31), (1, 1)]
 
 
-@pytest.mark.parametrize("cfg", [SAE, sae_cfg(depth=1, filters=4, patch=(16, 8))],
-                         ids=["default", "depth1_16x8"])
-def test_streamed_prediction_matches_whole_page_tiling(cfg):
+def _force_workers(monkeypatch, workers):
+    monkeypatch.setattr(models, "_workers", lambda batches: workers)
+
+
+_DEPTH1 = sae_cfg(depth=1, filters=4, patch=(16, 8))
+
+
+# five workers: more than the cores, uneven shares, and empty ones on small pages
+@pytest.mark.parametrize("cfg, workers", [(SAE, 1), (SAE, 2), (SAE, 5), (_DEPTH1, 1), (_DEPTH1, 2)],
+                         ids=["default", "default-2workers", "default-5workers", "depth1_16x8",
+                              "depth1_16x8-2workers"])
+def test_streamed_prediction_matches_whole_page_tiling(cfg, workers, monkeypatch):
     model = ba.build_sae(cfg, np.random.default_rng(6))
+    _force_workers(monkeypatch, workers)
     for shape in _PAGE_SHAPES:
         page = np.random.default_rng(shape).random(shape)
         got = ba.predict_prob_map(model, page)
@@ -173,7 +187,97 @@ def test_streamed_prediction_matches_whole_page_tiling(cfg):
         assert got.tobytes() == _whole_page_prob_map(model, page).tobytes(), shape
 
 
-def test_prediction_memory_is_about_one_page():
+def test_worker_count_rule(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert [models._workers(b) for b in (1, 8, 15, 16, 24, 1000)] == [1, 1, 1, 2, 3, 3]
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        assert models._workers(1000) == 1  # no fork while another thread runs
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+
+
+def _two_row_page(nan_at=None):
+    """64x1024: two patch rows of 32 default patches, 4 batches; with two
+    workers the caller predicts patch row 0 and the child patch row 1."""
+    page = np.random.default_rng(0).random((64, 1024))
+    if nan_at is not None:
+        page[nan_at] = np.nan
+    return page
+
+
+def test_an_error_in_a_childs_share_is_the_one_process_error(monkeypatch):
+    model = ba.build_sae(SAE, np.random.default_rng(6))
+    page = _two_row_page(nan_at=(40, 3))
+    ba.predict_prob_map(model, page[:32])  # the caller's share is clean
+    errors = []
+    for workers in (1, 2):
+        _force_workers(monkeypatch, workers)
+        with pytest.raises(GraphError) as info:
+            ba.predict_prob_map(model, page)
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]
+    assert "non-finite" in errors[0][1]
+
+
+@pytest.mark.parametrize("nan_at", [None, (5, 3), (40, 3)],
+                         ids=["success", "caller_error", "child_error"])
+def test_prediction_leaves_no_child_process(monkeypatch, nan_at):
+    model = ba.build_sae(SAE, np.random.default_rng(6))
+    _force_workers(monkeypatch, 2)
+    if nan_at is None:
+        ba.predict_prob_map(model, _two_row_page())
+    else:
+        with pytest.raises(GraphError, match="non-finite"):
+            ba.predict_prob_map(model, _two_row_page(nan_at))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # no child and no zombie
+
+
+class _Unpicklable(Exception):
+    def __init__(self):
+        super().__init__("holds a lock")
+        self.lock = threading.Lock()
+
+
+def _kill_self():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _raise_unpicklable():
+    raise _Unpicklable()
+
+
+@pytest.mark.parametrize("fail, match", [(_raise_unpicklable, "_Unpicklable: holds a lock"),
+                                         (_kill_self, "killed by SIGKILL")],
+                         ids=["unpicklable", "signal"])
+def test_a_child_failure_surfaces_as_runtime_error(monkeypatch, fail, match):
+    model = ba.build_sae(SAE, np.random.default_rng(6))
+    caller, forward = os.getpid(), autodiff.forward
+
+    def forward_failing_in_children(*args, **kwargs):
+        if os.getpid() != caller:
+            fail()
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(autodiff, "forward", forward_failing_in_children)
+    _force_workers(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match=match):
+        ba.predict_prob_map(model, _two_row_page())
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_prediction_memory_is_about_one_page(monkeypatch):
+    """With one worker the map is a private array, so the bound covers it and
+    one batch's working set. Forked workers share the map as an anonymous
+    mapping and hold their working sets in other processes, neither of which
+    tracemalloc sees, so the test pins one worker."""
+    _force_workers(monkeypatch, 1)
     model = ba.build_sae(SAE, np.random.default_rng(6))
     page = np.random.default_rng(0).random((1024, 1024))
     ba.predict_prob_map(model, page[:64, :64])  # conv plans are memoized on first use

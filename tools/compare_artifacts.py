@@ -14,7 +14,11 @@ validation fraction 0.2):
 * ``binadapt predict`` with the same checkpoint on two ragged far-target
   pages, 1000x750 and 45x300, whose sides are no multiple of the patch and
   whose prediction batches cross rows of patches. The first tree writes them
-  next to the data, under ``ragged/``;
+  next to the data, under ``ragged/``. The 1000x750 page has 48 batches of
+  16 patches, so on two or more usable CPUs its prediction forks workers
+  that fill one shared map: it is the only command here that runs that
+  path. The 45x300 page (2 batches) and every 128x128 page (1 batch) run in
+  one process;
 * ``binadapt similarity`` from the source to the far target with the far
   run's ``sae.ckpt``;
 * ``binadapt train-sae`` on the source;
