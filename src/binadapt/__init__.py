@@ -16,7 +16,6 @@ from .autodiff import (
     backward,
     forward,
     grad_check,
-    keep_buffers,
     optimizer_step,
     read_checkpoint,
     write_checkpoint,

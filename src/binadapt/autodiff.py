@@ -14,33 +14,23 @@ Who owns which array:
 * ``Graph.params`` maps names to C-contiguous arrays that the graph owns and
   ``optimizer_step`` updates in place, as it does Adam's moments, which the
   optimizer state owns.
-* Ops write their values, dropout masks, grids, gradients and scratch into
-  op buffers: views of one arena (``_Arena``). A buffer is live while any
-  view of it is, and its place is free once the last one is gone, so an op
-  keeps no reference past a buffer's last use and nothing module-level may
-  hold an op buffer. A forward's record holds its values, masks and kept
-  grids until the next forward on the graph. Buffers whose lives do not
-  overlap share memory (static reuse, Chen et al. 2016). A backward planned
-  after a replayed forward counts that forward's kept grids live throughout,
-  since replayed views carry no record of their death.
-* Inside a ``keep_buffers(graph)`` block the arena lives on the graph, and a
-  forward or backward that ran before at the same shapes writes exactly
-  where it did then, so a steady-state training step allocates no array.
-  The block lets go of the arena, and of the last forward's record, when it
-  exits; outside a block every forward has an arena of its own.
+* Ops allocate their values, dropout masks, grids, gradients and scratch as
+  new numpy arrays. A forward's record holds its values, masks and kept
+  grids until the next forward on the graph; a fit or a prediction drops the
+  last one when it returns. The C heap keeps what a step frees for the next
+  step (see the heap thresholds below), so steady-state steps take no new
+  pages from the kernel.
 * The caller owns what the engine hands out: ``forward`` returns copies,
   ``backward`` returns copies of the parameters' gradients, and neither
-  aliases a parameter or an op buffer. ``frozen_masks`` given to ``forward``
+  aliases a parameter or an op's array. ``frozen_masks`` given to ``forward``
   are read, never written.
 """
 
 from __future__ import annotations
 
-import bisect
+import ctypes
 import math
 import struct
-import weakref
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,7 +41,6 @@ __all__ = [
     "NumericError",
     "Node",
     "Graph",
-    "keep_buffers",
     "forward",
     "backward",
     "grad_check",
@@ -95,13 +84,10 @@ class Node:
 # bwd may return None for every input k whose run.needs[k] is False: no
 # parameter feeds that input, so its gradient would be discarded.
 # Ownership. xs, y and g belong to other nodes or to the caller: an op reads
-# them and never writes them. fwd writes its value, and bwd the gradients it
-# returns, into op buffers it takes (run.take, run.result); either may also
-# return an input or g itself, unchanged, and bwd may return the same array
-# for two inputs, so the engine sums into a new buffer, never into one it
-# was handed. An op updates in place only buffers it took. A buffer's memory
-# may go to the next buffer taken once its last view is gone, so an op drops
-# each reference when it is done with it (``del``) if it takes more after.
+# them and never writes them. fwd returns its value, and bwd the gradients,
+# as new arrays, or an input or g itself, unchanged; bwd may return the same
+# array for two inputs, so the engine sums into a new array, never into one
+# it was handed. An op updates in place only arrays it allocated.
 _OPS: dict = {}
 
 
@@ -111,128 +97,25 @@ def register_op(kind, fwd, bwd):
     _OPS[kind] = (fwd, bwd)
 
 
-_ALIGN = 64  # bytes: every buffer of an arena starts on a cache line
-
-
-def _view(raw, shape, dtype, order):
-    """raw's bytes as an array of shape and dtype whose axes lie in memory in
-    ``order``, from the largest stride (None: C order)."""
-    flat = raw.view(dtype)
-    if order is None:
-        return flat.reshape(shape)
-    inverse = sorted(range(len(order)), key=order.__getitem__)
-    return flat.reshape([shape[i] for i in order]).transpose(inverse)
-
-
-class _Program:
-    """Where the first run of a program placed each buffer it took, in order,
-    and views of the arena's current array at those places. A forward's
-    program also holds where its planner stood at its end, which a backward
-    after it is planned from, and the programs of those backwards."""
-
-    def __init__(self):
-        self.places = []  # (start, shape, dtype, order) per buffer taken
-        self.memory = None  # the array self.views look into
-        self.views = []
-        self.end = None
-        self.backward = {}
-
-    def views_in(self, memory):
-        if self.memory is not memory:
-            self.views = [_view(memory[start : start + math.prod(shape) * np.dtype(dtype).itemsize],
-                                shape, dtype, order) for start, shape, dtype, order in self.places]
-            self.memory = memory
-        return self.views
-
-
-class _Arena:
-    """One flat byte array holding the op buffers of every program run on a
-    graph. A program is one forward, or one backward after that forward.
-
-    The first run of a program is planned: each buffer goes, best fit, to a
-    place that no buffer still live overlaps, and the program records it.
-    Later runs hand out views of the same places in the same order. A
-    planned buffer that lies past the end of the array gets an array of its
-    own, which goes with its last view; the next forward then replaces the
-    array with one that holds every place planned so far.
-    """
-
-    def __init__(self):
-        self.memory = np.empty(0, np.uint8)
-        self.high = 0  # the end of the furthest place planned
-        self.programs = {}  # forward key -> _Program
-        self.layouts = {}  # (fn, operand layouts) -> shape, dtype and axis order of its result
-
-    def begin(self):
-        """Start a forward: no buffer of the arena is live any more."""
-        if self.high > self.memory.size:
-            self.memory = None  # let go of the old array before taking the new one
-            self.memory = np.empty(self.high, np.uint8)
-
-
-class _Planner:
-    """Best-fit placement of one program's buffers in an arena: the gaps
-    between live buffers, and the start and end of each."""
-
-    def __init__(self, arena, program, state=None):
-        self.arena, self.program = arena, program
-        gaps, live = state or ([(0, math.inf)], {})
-        self.gaps = list(gaps)  # (start, end), sorted
-        self.live = dict(live)  # start -> end
-
-    def state(self):
-        return list(self.gaps), dict(self.live)
-
-    def take(self, shape, dtype, order, run):
-        """A buffer of ``shape`` placed best fit, with a base of its own whose
-        death, when its last view is gone, gives the place back to the planner
-        ``run`` (a weak reference) is then executing."""
-        size = math.prod(shape) * np.dtype(dtype).itemsize
-        need = -(-max(size, 1) // _ALIGN) * _ALIGN
-        # best fit: the smallest gap that holds the buffer, lowest first; a
-        # buffer freed just before is then taken again while still in cache
-        fits = [(end - start, k) for k, (start, end) in enumerate(self.gaps) if end - start >= need]
-        k = min(fits)[1]
-        start, end = self.gaps[k]
-        if end - start == need:
-            del self.gaps[k]
-        else:
-            self.gaps[k] = (start + need, end)
-        self.live[start] = start + need
-        self.arena.high = max(self.arena.high, start + need)
-        self.program.places.append((start, shape, dtype, order))
-        memory = self.arena.memory
-        # numpy collapses a view's base to the array that owns its memory, so
-        # a base of its own inside the arena must wrap a buffer, not an array
-        raw = (np.frombuffer(memoryview(memory)[start : start + size], np.uint8)
-               if start + need <= memory.size else np.empty(size, np.uint8))
-        weakref.finalize(raw, _died, run, start)
-        return _view(raw, shape, dtype, order)
-
-    def give(self, start):
-        """Free the live buffer that starts at ``start``."""
-        end = self.live.pop(start)
-        k = bisect.bisect(self.gaps, (start,))
-        if k < len(self.gaps) and self.gaps[k][0] == end:
-            end = self.gaps.pop(k)[1]
-        if k and self.gaps[k - 1][1] == start:
-            k -= 1
-            start = self.gaps.pop(k)[0]
-        self.gaps.insert(k, (start, end))
-
-
-def _died(run, start):
-    """The last view of the buffer at ``start`` is gone: free its place in the
-    plan its run is making, if the run is alive and planning."""
-    run = run()
-    if run is not None and run.planner is not None:
-        run.planner.give(start)
-
-
-def _axis_order(a):
-    """a's axes from the largest stride to the smallest; None in C order."""
-    order = tuple(sorted(range(a.ndim), key=lambda i: -a.strides[i]))
-    return None if order == tuple(range(a.ndim)) else order
+# glibc's heap thresholds, fixed once for the whole process. By default glibc
+# maps every block above its mmap threshold (128 KiB, raised to the largest
+# mapped block freed so far) on its own and unmaps it when it is freed, and
+# hands free memory at the top of the heap back to the kernel past twice that
+# threshold, so the arrays a step frees go back to the kernel and the next
+# step faults their pages in again. Fixed thresholds keep every block up to
+# 4 MiB in the heap and up to 16 MiB of free memory at its top; larger
+# arrays, such as a 1024x1024 page map, are still mapped on their own.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, malloc.h
+_TRIM_THRESHOLD = 16 << 20
+_MMAP_THRESHOLD = 4 << 20
+try:
+    _mallopt = ctypes.CDLL(None).mallopt
+except (AttributeError, OSError, TypeError):  # a C library without mallopt
+    pass
+else:
+    _mallopt.argtypes, _mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    _mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    _mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
 @dataclass
@@ -248,45 +131,6 @@ class _Run:
     nid: int = -1  # id of the node being evaluated or differentiated
     needs: tuple = ()  # input_needs of that node
     grids: dict = field(default_factory=dict)  # node id -> operand grid kept for backward
-    arena: _Arena = field(default_factory=_Arena)  # the graph's inside keep_buffers
-    forward_program: _Program = field(default_factory=_Program)
-    program: _Program | None = None  # the one running
-    planner: _Planner | None = None  # None while the program is replayed
-    views: list = field(default_factory=list)
-    cursor: int = 0
-
-    def start(self, program, state, planned):
-        """Run ``program``: plan it from ``state``, or replay its places."""
-        self.program, self.cursor = program, 0
-        self.planner = _Planner(self.arena, program, state) if planned else None
-        if not planned:
-            self.views = program.views_in(self.arena.memory)
-
-    def take(self, shape, dtype=np.float64, *, order=None):
-        """An op buffer of ``shape``, C-ordered or with axes in ``order``
-        from the largest stride, live while any view of it is."""
-        if self.planner is None:
-            view = self.views[self.cursor]
-            self.cursor += 1
-            if view.shape != tuple(shape):
-                raise GraphError(f"node {self.nid}: op buffer {view.shape} replayed for {shape}")
-            return view
-        return self.planner.take(tuple(shape), dtype, order, weakref.ref(self))
-
-    def result(self, fn, *args):
-        """``fn(*args)``, for a ufunc or a function taking ``out=`` like one,
-        in an op buffer laid out as numpy lays out a new result of these
-        operands, so that reductions over it add in the same order."""
-        if self.planner is None:
-            self.cursor += 1
-            return fn(*args, out=self.views[self.cursor - 1])
-        key = (fn, *((a.shape, a.strides, a.dtype) for a in args if isinstance(a, np.ndarray)))
-        layout = self.arena.layouts.get(key)
-        if layout is None:  # learnt once from a new result
-            new = fn(*args)
-            layout = self.arena.layouts[key] = (new.shape, new.dtype, _axis_order(new))
-        shape, dtype, order = layout
-        return fn(*args, out=self.take(shape, dtype, order=order))
 
 
 class Graph:
@@ -299,7 +143,6 @@ class Graph:
         self.param_ids: dict[str, int] = {}
         self.outputs: dict[str, int] = {}
         self._run: _Run | None = None
-        self._arena: _Arena | None = None  # op buffers while a keep_buffers block is open
         self._plans: dict = {}  # target ids -> plan(); cleared when a node is added
 
     def add_node(self, kind, inputs=(), name=None, **attrs) -> int:
@@ -352,10 +195,9 @@ class Graph:
         return sorted(needed)
 
     def plan(self, ids) -> tuple:
-        """Execution plan of the given ids: their ``ancestors`` as a tuple, a
+        """Execution plan of the given ids: their ``ancestors`` as a tuple and a
         map from each of those nodes to a tuple saying, per input, whether some
-        parameter feeds it, and the names of the inputs among them. Cached
-        until the graph grows."""
+        parameter feeds it. Cached until the graph grows."""
         key = tuple(ids)
         plan = self._plans.get(key)
         if plan is None:
@@ -366,33 +208,8 @@ class Graph:
                 needs[nid] = tuple(i in fed for i in node.inputs)
                 if node.kind == "param" or any(needs[nid]):
                     fed.add(nid)
-            inputs = tuple(self.nodes[nid].attrs["input_name"] for nid in order
-                           if self.nodes[nid].kind == "input")
-            plan = self._plans[key] = (order, needs, inputs)
+            plan = self._plans[key] = (order, needs)
         return plan
-
-
-@contextmanager
-def keep_buffers(graph: Graph):
-    """Place the op buffers of every forward and backward on ``graph`` inside
-    the block in one arena that the block keeps.
-
-    A forward, or a backward after it, that already ran in the block at the
-    same shapes takes no new array: it writes into the arena where its first
-    run did. Inside the block, the values and masks of a forward's record are
-    valid until the next forward on the graph. On exit the graph lets go of
-    the last forward's record and, when no enclosing block is still open, of
-    the arena: a model keeps no scratch past the call that opened the block.
-    """
-    outermost = graph._arena is None
-    if outermost:
-        graph._arena = _Arena()
-    try:
-        yield graph
-    finally:
-        graph._run = None
-        if outermost:
-            graph._arena = None
 
 
 def _output_id(graph: Graph, name) -> int:
@@ -426,17 +243,9 @@ def forward(
     if not wanted:
         raise GraphError("graph has no registered outputs")
     targets = [_output_id(graph, w) for w in wanted]
-    order, needs, inputs = graph.plan(targets)
-
-    # outside a keep_buffers block the arena lives as long as the record
-    arena = _Arena() if graph._arena is None else graph._arena
-    arena.begin()
-    key = (tuple(targets), len(graph.nodes), training, tuple(sorted(frozen_masks or ())),
-           tuple(np.shape(bindings.get(name)) for name in inputs))
-    program = arena.programs.get(key)
+    order, needs = graph.plan(targets)
     run = _Run(values={}, masks=dict(frozen_masks or {}), order=order, input_needs=needs,
-               training=training, rng=rng, arena=arena, forward_program=program or _Program())
-    run.start(run.forward_program, None, program is None)
+               training=training, rng=rng)
     # overflow surfaces as the non-finite output check's NumericError below
     with np.errstate(over="ignore", invalid="ignore"):
         for nid in order:
@@ -462,9 +271,6 @@ def forward(
                 except Exception as exc:  # re-raise with the node named
                     raise GraphError(f"node {nid} ({node.name}): {exc}") from exc
 
-    if program is None:
-        run.forward_program.end = run.planner.state()
-        arena.programs[key] = run.forward_program
     graph._run = run
     out = {}
     for w, nid in zip(wanted, targets):
@@ -495,9 +301,6 @@ def backward(graph: Graph, loss) -> dict:
     if run.values[lid].shape != (1,):
         raise GraphError(f"loss node {lid} is not scalar (shape {run.values[lid].shape})")
 
-    key = (lid, tuple(run.grids))  # a conv whose grid is gone grids its input again
-    program = run.forward_program.backward.get(key)
-    run.start(program or _Program(), run.forward_program.end, program is None)
     grads = {lid: np.ones(1)}
     # non-finite gradients surface as optimizer_step's NumericError
     with np.errstate(over="ignore", invalid="ignore"):
@@ -515,12 +318,9 @@ def backward(graph: Graph, loss) -> dict:
             for i, need, gi in zip(node.inputs, run.needs, bwd(node, g, xs, run.values[nid], run)):
                 if gi is None or not need:
                     continue
-                # summed into a new buffer: add passes one g to both inputs
-                grads[i] = run.result(np.add, grads[i], gi) if i in grads else gi
-            g = gi = None  # a gradient passed on and not kept dies here
+                # summed into a new array: add passes one g to both inputs
+                grads[i] = grads[i] + gi if i in grads else gi
     run.grids.clear()
-    if program is None:
-        run.forward_program.backward[key] = run.program
     return {name: grads[nid].copy() for name, nid in graph.param_ids.items() if nid in grads}
 
 
@@ -545,28 +345,26 @@ def grad_check(
     if parameter not in graph.params:
         raise GraphError(f"unknown parameter {parameter!r}")
 
-    with keep_buffers(graph):
-        forward(graph, bindings, wanted=(loss,), training=training, rng=rng)
-        # the record's masks live in the arena only until the next forward
-        masks = {nid: mask.copy() for nid, mask in graph._run.masks.items()}
-        analytic = backward(graph, loss)[parameter].ravel()
+    forward(graph, bindings, wanted=(loss,), training=training, rng=rng)
+    masks = graph._run.masks  # frozen masks are never written
+    analytic = backward(graph, loss)[parameter].ravel()
 
-        def eval_loss():
-            out = forward(graph, bindings, wanted=(loss,), training=training, frozen_masks=masks)
-            return float(out[loss][0])
+    def eval_loss():
+        out = forward(graph, bindings, wanted=(loss,), training=training, frozen_masks=masks)
+        return float(out[loss][0])
 
-        flat = graph.params[parameter].reshape(-1)
-        worst = 0.0
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + epsilon
-            lp = eval_loss()
-            flat[i] = orig - epsilon
-            lm = eval_loss()
-            flat[i] = orig
-            numeric = (lp - lm) / (2.0 * epsilon)
-            denom = max(abs(analytic[i]), abs(numeric), 1e-8)
-            worst = max(worst, abs(analytic[i] - numeric) / denom)
+    flat = graph.params[parameter].reshape(-1)
+    worst = 0.0
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + epsilon
+        lp = eval_loss()
+        flat[i] = orig - epsilon
+        lm = eval_loss()
+        flat[i] = orig
+        numeric = (lp - lm) / (2.0 * epsilon)
+        denom = max(abs(analytic[i]), abs(numeric), 1e-8)
+        worst = max(worst, abs(analytic[i] - numeric) / denom)
     return worst
 
 
@@ -577,7 +375,7 @@ def _fwd_add(node, xs, run):
     a, b = xs
     if a.shape != b.shape:
         raise GraphError(f"add node ({node.name}): shapes {a.shape} and {b.shape} differ")
-    return run.result(np.add, a, b)
+    return np.add(a, b)
 
 
 def _bwd_add(node, g, xs, y, run):
@@ -589,9 +387,7 @@ def _fwd_sum(node, xs, run):
 
 
 def _bwd_sum(node, g, xs, y, run):
-    grad = run.take(xs[0].shape)
-    grad.fill(g[0])
-    return [grad]
+    return [np.full(xs[0].shape, g[0])]
 
 
 register_op("add", _fwd_add, _bwd_add)

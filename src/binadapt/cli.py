@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .autodiff import CheckpointError, NumericError, keep_buffers
+from .autodiff import CheckpointError, NumericError
 from .data import (
     DataError,
     PgmError,
@@ -201,11 +201,10 @@ def cmd_similarity(args) -> int:
     if not source.validation():
         raise DataError("source has no validation page to pool into its histogram")
     out = _out_dir(cfg)
-    with keep_buffers(tb.model.graph):
-        hist_source, hist_target = (
-            domain_histogram((predict_prob_map(tb.model, rec.page) for rec in records), cfg.h_prec)
-            for records in (source.validation(), target.records)
-        )
+    hist_source, hist_target = (
+        domain_histogram((predict_prob_map(tb.model, rec.page) for rec in records), cfg.h_prec)
+        for records in (source.validation(), target.records)
+    )
     report = compare_histograms(hist_source, hist_target, cfg.rho_th)
     out.mkdir(parents=True, exist_ok=True)
     _write_gate(out, report, hist_source, hist_target, cfg.h_prec)

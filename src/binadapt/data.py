@@ -147,6 +147,8 @@ def read_pgm(data: bytes) -> Page:
 
     count = width * height
     if magic == b"P5":
+        if pos < len(data) and data[pos] not in b" \t\r\n":
+            raise PgmError(f"no whitespace after maxval at byte {pos}")
         pos += 1  # exactly one whitespace byte after maxval
         if pos + count > len(data):
             raise PgmError(

@@ -15,10 +15,7 @@ over all taps when the input has a single channel. The input gradient, and
 with it the transposed convolution, runs as stride-1 convolutions of the
 output gradient, one per stride phase of the input, all on one such copy. The
 layout of each copy is planned once per shape, and a training forward keeps
-a convolution's copy of its input for the weight gradient. Every op writes
-its copies, products, masks, values and gradients into op buffers that the
-engine hands out (``autodiff``), and a step at shapes seen before gets the
-same memory as the last such step.
+a convolution's copy of its input for the weight gradient.
 """
 
 from __future__ import annotations
@@ -121,20 +118,18 @@ def grl_lambda_at(epoch, start, increment):
 # the input gradient's phases with their pads, origins and crops. Each plan is
 # computed once per distinct shape and memoized, bounded, since a new batch
 # size (a page's ragged last batch) adds entries (cf. Chetlur et al. 2014).
-# Grid lifetime. A grid is an op buffer, whose memory other buffers used
-# before it, so every call writes all of it: the phase copies of the input
-# and, from the plan, zeros over the padding blocks and the slack. A
-# convolution's weight gradient reads the same grid of its input as its
-# forward product, so a training forward keeps that grid on the run until
-# backward takes it, and it dies when that op returns; after an inference
-# forward nothing keeps it, so it dies with its forward op and backward builds
-# it again, and backward drops any grid still kept when it returns. Every
-# other buffer here dies with the call that took it unless it is returned.
-# The transposed convolution's backward grids its output gradient once for
-# both of its products. Products write through np.matmul(out=) into an op
-# buffer and one scratch; the weight gradient's g on the grid (gz) and the
-# interleaved input gradient write their zeros (invalid positions, phases no
-# tap reaches) on every call the same way.
+# Grid lifetime. A grid comes from np.empty, which is not zeroed, so every
+# call writes all of it: the phase copies of the input and, from the plan,
+# zeros over the padding blocks and the slack. A convolution's weight
+# gradient reads the same grid of its input as its forward product, so a
+# training forward keeps that grid on the run until backward takes it; after
+# an inference forward nothing keeps it, and backward builds it again.
+# backward drops any grid still kept when it returns. The transposed
+# convolution's backward grids its output gradient once for both of its
+# products. Products write through np.matmul(out=) into their output and one
+# scratch; the weight gradient's g on the grid (gz) and the interleaved input
+# gradient, also from np.empty, write their zeros (invalid positions, phases
+# no tap reaches) on every call the same way.
 
 _PLANS = 512  # entries per plan memo: a few per conv node and batch size
 
@@ -183,16 +178,16 @@ def _grid_plan(shape, padding, stride, kernel):
     return (sh * sw, c, n * hq * wq + slack), (hq, wq), copies, blanks
 
 
-def _grid(x, padding, stride, kernel, run):
+def _grid(x, padding, stride, kernel):
     """Padded, phase-split, channel-major grid of x [n, c, h, w]: (buf, n, Hq,
-    Wq), buf an op buffer [sh*sw, c, n*Hq*Wq + slack] and (Hq, Wq) the padded
+    Wq), buf [sh*sw, c, n*Hq*Wq + slack] and (Hq, Wq) the padded
     size over the stride, rounded up. Padded row a + sh*i, column b + sw*j of
     sample m sits in phase a*sw + b at column (m*Hq + i)*Wq + j; slack is the
     largest tap offset. Every entry is written: the input, and zeros in the
     padding and the slack."""
     n, c = x.shape[:2]
     shape, (hq, wq), copies, blanks = _grid_plan(x.shape, padding, stride, kernel)
-    buf = run.take(shape)
+    buf = np.empty(shape)
     buf[:, :, n * hq * wq :] = 0.0
     phases = buf[:, :, : n * hq * wq].reshape(shape[0], c, n, hq, wq)
     for p, rows, cols in blanks:
@@ -213,7 +208,7 @@ def _tap_plan(kernel, stride, wq, origin):
                  for ki in range(kh) for kj in range(kw))
 
 
-def _correlate(grid, w, stride, origin, y, run):
+def _correlate(grid, w, stride, origin, y):
     """Channel-major [o, n, Hq, Wq] cross-correlation of w [o, c, kh, kw] over
     grid, written into y [o, n*Hq*Wq]; output (i, j) of each sample is valid
     where its windows stay inside that sample's grid."""
@@ -222,38 +217,38 @@ def _correlate(grid, w, stride, origin, y, run):
     size = n * hq * wq
     taps = _tap_plan((kh, kw), stride, wq, origin)
     if c == 1:
-        tmp = run.take((kh * kw, size))  # the stacked windows
+        tmp = np.empty((kh * kw, size))  # the stacked windows
         np.stack([buf[p, 0, off : off + size] for _, _, p, off in taps], out=tmp)
         np.matmul(w.reshape(o, kh * kw), tmp, out=y)
     else:
         (ki, kj, p, off), *rest = taps
         np.matmul(w[:, :, ki, kj], buf[p, :, off : off + size], out=y)
-        tmp = run.take((o, size))
+        tmp = np.empty((o, size))
         for ki, kj, p, off in rest:
             y += np.matmul(w[:, :, ki, kj], buf[p, :, off : off + size], out=tmp)
     return y.reshape(o, n, hq, wq)
 
 
-def _conv_out(grid, w, stride, out_hw, run):
+def _conv_out(grid, w, stride, out_hw):
     """Convolution [n, o, oh, ow] with w [o, c, kh, kw] of the input gridded
-    with its padding, stride and kernel: a view of an op buffer."""
+    with its padding, stride and kernel, as a view of the product."""
     _, n, hq, wq = grid
-    y = _correlate(grid, w, stride, (0, 0), run.take((w.shape[0], n * hq * wq)), run)
+    y = _correlate(grid, w, stride, (0, 0), np.empty((w.shape[0], n * hq * wq)))
     return y[:, :, : out_hw[0], : out_hw[1]].transpose(1, 0, 2, 3)
 
 
-def _conv_grad_weight(grid, g, stride, kernel, run):
+def _conv_grad_weight(grid, g, stride, kernel):
     """Gradient [o, c, kh, kw] of a convolution's weight from the grid of its
     input and its output gradient g [n, o, oh, ow]."""
     buf, n, hq, wq = grid
     o, oh, ow = g.shape[1:]
     size = n * hq * wq
-    gz = run.take((o, size))  # g on the grid
+    gz = np.empty((o, size))  # g on the grid
     g4 = gz.reshape(o, n, hq, wq)
     g4[:, :, oh:] = 0.0  # zeros drop the invalid positions
     g4[:, :, :oh, ow:] = 0.0
     g4[:, :, :oh, :ow] = g.transpose(1, 0, 2, 3)
-    gw = run.take((o, buf.shape[1], *kernel))
+    gw = np.empty((o, buf.shape[1], *kernel))
     for ki, kj, p, off in _tap_plan(kernel, stride, wq, (0, 0)):
         gw[:, :, ki, kj] = gz @ buf[p, :, off : off + size].T
     return gw
@@ -302,27 +297,27 @@ def _gather_plan(kernel, stride, padding, in_hw, g_hw):
     return (top, bottom, left, right), reach, phases, blanks
 
 
-def _conv_grad_input(g, w, stride, padding, in_hw, run):
+def _conv_grad_input(g, w, stride, padding, in_hw):
     """Gradient [n, c, h, w] of a convolution's input from its output gradient
     g [n, o, oh, ow], i.e. the transposed convolution of g with w [o, c, kh, kw],
-    as a view of an op buffer."""
+    as a view of a channel-major array."""
     sh, sw = stride
     pads, reach, phases, blanks = _gather_plan(w.shape[2:], stride, padding, in_hw, g.shape[2:])
-    grid = _grid(g, pads, (1, 1), reach, run)
+    grid = _grid(g, pads, (1, 1), reach)
     _, n, hq, wq = grid
     c = w.shape[1]
     one = sh == sw == 1  # one phase, already in place: no interleaving copy
-    y = run.take((c, n * hq * wq))  # one phase at a time
+    y = np.empty((c, n * hq * wq))  # one phase at a time
 
     def phase(a, b, origin, crop):
         """Channel-major gradient of one input phase."""
         sub = w[:, :, a::sh, b::sw][:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        return _correlate(grid, sub, (1, 1), origin, y, run)[:, :, : crop[0], : crop[1]]
+        return _correlate(grid, sub, (1, 1), origin, y)[:, :, : crop[0], : crop[1]]
 
     if one:
         gx = phase(*phases[0][2:])
     else:
-        gx = run.take((c, n, *in_hw))
+        gx = np.empty((c, n, *in_hw))
         for r0, c0 in blanks:  # phases no tap reaches are zero
             gx[:, :, r0::sh, c0::sw] = 0.0
         for r0, c0, *rest in phases:
@@ -355,22 +350,21 @@ def _fwd_conv(node, xs, run):
     spec = node.attrs["spec"]
     _check_conv_args(x, w, b, spec, transposed=False)
     out_hw = spec.out_hw(*x.shape[2:])
-    grid = _grid(x, spec.padding, spec.stride, spec.kernel, run)
+    grid = _grid(x, spec.padding, spec.stride, spec.kernel)
     if run.training:  # kept for the weight gradient
         run.grids[run.nid] = grid
-    y = _conv_out(grid, w, spec.stride, out_hw, run)
-    return run.result(np.add, y, b[None, :, None, None])
+    y = _conv_out(grid, w, spec.stride, out_hw)
+    return np.add(y, b[None, :, None, None])
 
 
 def _bwd_conv(node, g, xs, y, run):
     x, w, b = xs
     spec = node.attrs["spec"]
-    gx = (_conv_grad_input(g, w, spec.stride, spec.padding, x.shape[2:], run)
-          if run.needs[0] else None)
+    gx = _conv_grad_input(g, w, spec.stride, spec.padding, x.shape[2:]) if run.needs[0] else None
     grid = run.grids.pop(run.nid, None)
     if grid is None:  # the forward pass ran in inference mode
-        grid = _grid(x, spec.padding, spec.stride, spec.kernel, run)
-    gw = _conv_grad_weight(grid, g, spec.stride, spec.kernel, run)
+        grid = _grid(x, spec.padding, spec.stride, spec.kernel)
+    gw = _conv_grad_weight(grid, g, spec.stride, spec.kernel)
     return [gx, gw, g.sum(axis=(0, 2, 3))]
 
 
@@ -379,25 +373,25 @@ def _fwd_tconv(node, xs, run):
     spec = node.attrs["spec"]
     _check_conv_args(x, w, b, spec, transposed=True)
     out_hw = spec.transpose_out_hw(*x.shape[2:])
-    y = _conv_grad_input(x, w, spec.stride, spec.padding, out_hw, run)
-    return run.result(np.add, y, b[None, :, None, None])
+    y = _conv_grad_input(x, w, spec.stride, spec.padding, out_hw)
+    return np.add(y, b[None, :, None, None])
 
 
 def _bwd_tconv(node, g, xs, y, run):
     x, w, b = xs
     spec = node.attrs["spec"]
-    grid = _grid(g, spec.padding, spec.stride, spec.kernel, run)  # serves both products
-    gx = _conv_out(grid, w, spec.stride, x.shape[2:], run) if run.needs[0] else None
-    gw = _conv_grad_weight(grid, x, spec.stride, spec.kernel, run)
+    grid = _grid(g, spec.padding, spec.stride, spec.kernel)  # serves both products
+    gx = _conv_out(grid, w, spec.stride, x.shape[2:]) if run.needs[0] else None
+    gw = _conv_grad_weight(grid, x, spec.stride, spec.kernel)
     return [gx, gw, g.sum(axis=(0, 2, 3))]
 
 
 def _fwd_relu(node, xs, run):
-    return run.result(np.maximum, xs[0], 0.0)
+    return np.maximum(xs[0], 0.0)
 
 
 def _bwd_relu(node, g, xs, y, run):
-    return [run.result(np.multiply, g, run.result(np.greater, xs[0], 0.0))]
+    return [np.multiply(g, np.greater(xs[0], 0.0))]
 
 
 _SIGMOID_LO = np.nextafter(0.0, 1.0)
@@ -407,18 +401,18 @@ _SIGMOID_HI = np.nextafter(1.0, 0.0)
 def _fwd_sigmoid(node, xs, run):
     x = xs[0]
     # exp of -|x| never overflows; 1/(1+e) for x >= 0 and e/(1+e) below
-    e = run.result(np.abs, x)
+    e = np.abs(x)
     np.exp(np.negative(e, out=e), out=e)
-    d = run.result(np.add, 1.0, e)
+    d = np.add(1.0, e)
     np.divide(e, d, out=e)
-    np.copyto(e, np.divide(1.0, d, out=d), where=run.result(np.greater_equal, x, 0.0))
+    np.copyto(e, np.divide(1.0, d, out=d), where=np.greater_equal(x, 0.0))
     # saturated float64 would round to exactly 0/1; keep the open interval
     return np.clip(e, _SIGMOID_LO, _SIGMOID_HI, out=e)
 
 
 def _bwd_sigmoid(node, g, xs, y, run):
-    grad = run.result(np.multiply, g, y)
-    return [np.multiply(grad, run.result(np.subtract, 1.0, y), out=grad)]
+    grad = np.multiply(g, y)
+    return [np.multiply(grad, np.subtract(1.0, y), out=grad)]
 
 
 def _fwd_dropout(node, xs, run):
@@ -431,20 +425,19 @@ def _fwd_dropout(node, xs, run):
         if run.rng is None:
             raise GraphError(f"dropout node ({node.name}) needs an rng in training mode")
         # inverted dropout: 0 with probability ``rate``, else 1/(1-rate)
-        draws = run.rng.random(out=run.take(x.shape))
-        mask = np.greater_equal(draws, rate, out=run.take(x.shape))
-        del draws  # dead before the product below takes its buffer
+        mask = run.rng.random(x.shape)
+        np.greater_equal(mask, rate, out=mask)
         run.masks[run.nid] = np.divide(mask, 1.0 - rate, out=mask)
     elif mask.shape != x.shape:
         raise GraphError(f"frozen dropout mask shape {mask.shape} != input {x.shape}")
-    return run.result(np.multiply, x, mask)
+    return np.multiply(x, mask)
 
 
 def _bwd_dropout(node, g, xs, y, run):
     mask = run.masks.get(run.nid)
     if mask is None or not run.training or node.attrs["rate"] == 0.0:
         return [g]
-    return [run.result(np.multiply, g, mask)]
+    return [np.multiply(g, mask)]
 
 
 def _fwd_grl(node, xs, run):
@@ -452,36 +445,36 @@ def _fwd_grl(node, xs, run):
 
 
 def _bwd_grl(node, g, xs, y, run):
-    return [run.result(np.multiply, -node.attrs["lam"], g)]
+    return [np.multiply(-node.attrs["lam"], g)]
 
 
-def _clipped(p, run):
-    return run.result(np.clip, p, BCE_CLAMP, 1.0 - BCE_CLAMP)
+def _clipped(p):
+    return np.clip(p, BCE_CLAMP, 1.0 - BCE_CLAMP)
 
 
 def _fwd_bce(node, xs, run):
     p, t = xs
     if p.shape != t.shape:
         raise GraphError(f"prediction shape {p.shape} != target shape {t.shape}")
-    pc = _clipped(p, run)
-    # t * log(pc) + (1 - t) * log(1 - pc), one scratch buffer per term
-    hit = run.result(np.log, pc)
+    pc = _clipped(p)
+    # t * log(pc) + (1 - t) * log(1 - pc), one scratch array per term
+    hit = np.log(pc)
     np.multiply(t, hit, out=hit)
-    miss = run.result(np.subtract, 1.0, t)
-    log_q = run.result(np.subtract, 1.0, pc)
+    miss = np.subtract(1.0, t)
+    log_q = np.subtract(1.0, pc)
     np.multiply(miss, np.log(log_q, out=log_q), out=miss)
     return np.array([-np.mean(np.add(hit, miss, out=hit))])
 
 
 def _bwd_bce(node, g, xs, y, run):
     p, t = xs
-    pc = _clipped(p, run)
-    in_range = run.result(np.greater_equal, p, BCE_CLAMP)
-    np.bitwise_and(in_range, run.result(np.less_equal, p, 1.0 - BCE_CLAMP), out=in_range)
+    pc = _clipped(p)
+    in_range = np.greater_equal(p, BCE_CLAMP)
+    np.bitwise_and(in_range, np.less_equal(p, 1.0 - BCE_CLAMP), out=in_range)
     # g / size * (pc - t) / (pc * (1 - pc)) * in_range, left to right
-    gp = run.result(np.subtract, pc, t)
+    gp = np.subtract(pc, t)
     np.multiply(g[0] / p.size, gp, out=gp)
-    pq = run.result(np.subtract, 1.0, pc)
+    pq = np.subtract(1.0, pc)
     np.divide(gp, np.multiply(pc, pq, out=pq), out=gp)
     return [np.multiply(gp, in_range, out=gp), None]  # targets are constants
 

@@ -227,16 +227,15 @@ def _predict_batches(model, arr, tiles, first, last):
     and kept while the next batch still lies in it."""
     rows, cols, h, w = tiles.shape
     band_end = 0  # the patch rows [band_start // cols, band_end) are cut
-    with autodiff.keep_buffers(model.graph):
-        for start in range(first * _PREDICT_BATCH, min(last * _PREDICT_BATCH, rows * cols), _PREDICT_BATCH):
-            stop = min(start + _PREDICT_BATCH, rows * cols)
-            r0, r1 = start // cols, (stop - 1) // cols + 1  # the patch rows this batch touches
-            if r1 > band_end:
-                band, band_start, band_end = split_patches(arr[r0 * h : r1 * h], h, w), r0 * cols, r1
-            x = band[start - band_start : stop - band_start, None]  # [n, 1, h, w]
-            out = autodiff.forward(model.graph, {"x": x}, wanted=("prob_map",))
-            k = np.arange(start, stop)
-            tiles[k // cols, k % cols] = out["prob_map"][:, 0]
+    for start in range(first * _PREDICT_BATCH, min(last * _PREDICT_BATCH, rows * cols), _PREDICT_BATCH):
+        stop = min(start + _PREDICT_BATCH, rows * cols)
+        r0, r1 = start // cols, (stop - 1) // cols + 1  # the patch rows this batch touches
+        if r1 > band_end:
+            band, band_start, band_end = split_patches(arr[r0 * h : r1 * h], h, w), r0 * cols, r1
+        x = band[start - band_start : stop - band_start, None]  # [n, 1, h, w]
+        out = autodiff.forward(model.graph, {"x": x}, wanted=("prob_map",))
+        k = np.arange(start, stop)
+        tiles[k // cols, k % cols] = out["prob_map"][:, 0]
 
 
 def _fork_share(model, arr, tiles, first, last):
@@ -297,9 +296,7 @@ def predict_prob_map(model: Model, page) -> np.ndarray:
     the page, each process holds one batch's working set, and all of them
     share the one map. Every child is reaped before the call returns or
     raises, and errors are raised in batch order, as one process would raise
-    them. The batches of a process share one set of op buffers, and the model
-    keeps neither those nor the last batch's forward record once the call
-    returns (``autodiff.keep_buffers``).
+    them. The model keeps no forward record once the call returns or raises.
     """
     arr = np.asarray(page, dtype=np.float64)
     if arr.ndim != 2:
@@ -326,6 +323,7 @@ def predict_prob_map(model: Model, page) -> np.ndarray:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
+        model.graph._run = None
         errors = [_reap(pid, read) for pid, read in children]
     for exc in errors:
         if exc is not None:

@@ -18,7 +18,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .autodiff import keep_buffers
 from .data import Dataset
 from .models import predict_prob_map
 from .training import ExperimentConfig, TrainedBinarizer, binarize, train_bindann, train_sae
@@ -210,8 +209,7 @@ def autobindann(source: Dataset, target: Dataset, cfg: ExperimentConfig) -> Auto
     taken in the same pass over the target as its histogram, are kept.
     Target ground truth is never touched: the target dataset carries none.
     The gate settings, ``cfg.h_prec`` and ``cfg.rho_th``, are checked before
-    any training. Each model's pass over the target pages shares one arena of
-    op buffers, which goes before the next model trains or the call returns.
+    any training.
     """
     check_gate_settings(cfg.h_prec, cfg.rho_th)
     sae_tb = train_sae(source, cfg)
@@ -224,18 +222,16 @@ def autobindann(source: Dataset, target: Dataset, cfg: ExperimentConfig) -> Auto
             masks[rec.stem] = binarize(prob, sae_tb.th_s)
             yield prob
 
-    with keep_buffers(sae_tb.model.graph):
-        hist_target = domain_histogram(target_maps(), cfg.h_prec)
+    hist_target = domain_histogram(target_maps(), cfg.h_prec)
     report = compare_histograms(hist_source, hist_target, cfg.rho_th)
 
     da_tb = None
     if report.decision == USE_DA:
         da_tb = train_bindann(source, target, cfg)
-        with keep_buffers(da_tb.model.graph):
-            masks = {
-                rec.stem: binarize(predict_prob_map(da_tb.model, rec.page), da_tb.th_s)
-                for rec in target.records
-            }
+        masks = {
+            rec.stem: binarize(predict_prob_map(da_tb.model, rec.page), da_tb.th_s)
+            for rec in target.records
+        }
     return AutoRunResult(report, sae_tb, da_tb, masks, hist_source, hist_target)
 
 

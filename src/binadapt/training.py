@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .autodiff import CheckpointError, adam, backward, forward, keep_buffers, optimizer_step
+from .autodiff import CheckpointError, adam, backward, forward, optimizer_step
 from .data import DataError, Dataset, check_validation_fraction, split_patches
 from .layers import grl_lambda_at
 from .metrics import Confusion, confusion, f1
@@ -190,9 +190,8 @@ def _fit(source: Dataset, target: Dataset | None, cfg: ExperimentConfig) -> Trai
     gains the domain branch and every step adds a target forward/backward pass
     on ``domain_loss``, whose gradients are summed with the source pass's
     before the one optimizer step. The domain BCE targets all-zero maps for
-    source and all-one maps for target patches. Every step, and every
-    validation prediction, reuses the op buffers of the one before it; the
-    model keeps none of them once the fit returns.
+    source and all-one maps for target patches. The model keeps no forward
+    record once the fit returns or raises.
     """
     train, val = source.train(), source.validation()
     if not train or not val:
@@ -220,7 +219,7 @@ def _fit(source: Dataset, target: Dataset | None, cfg: ExperimentConfig) -> Trai
 
     history, best = [], None
     x_batch, y_batch = (np.empty((cfg.batch, *pool.shape[1:])) for pool in (x_pool, y_pool))
-    with keep_buffers(model.graph):
+    try:
         for epoch in range(cfg.epochs):
             lam = None
             if target is not None:
@@ -258,6 +257,8 @@ def _fit(source: Dataset, target: Dataset | None, cfg: ExperimentConfig) -> Trai
             history.append(EpochStats(epoch, float(np.mean(bin_losses)), dom_loss, lam, score, th))
             if best is None or score > best[0]:
                 best = (score, th, {name: p.copy() for name, p in model.params.items()}, val_maps)
+    finally:
+        model.graph._run = None
 
     model.params.update(best[2])
     return TrainedBinarizer(model=model, th_s=best[1], history=history, val_maps=best[3])

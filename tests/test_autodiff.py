@@ -1,7 +1,6 @@
-"""Engine-level contracts: forward/backward, grad_check, op buffers, optimizers, checkpoints."""
+"""Engine-level contracts: forward/backward, grad_check, op arrays, optimizers, checkpoints."""
 
 import gc
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -12,7 +11,7 @@ from binadapt import layers
 from binadapt.autodiff import GraphError
 from binadapt.layers import bce_node, conv_node, grl_node, relu_node, sigmoid_node
 
-from defaults import SAE, bindann_cfg, sae_cfg
+from defaults import SAE, bindann_cfg
 from reference import direct_conv2d, fd_loss_gradient, max_rel_err
 
 
@@ -229,22 +228,22 @@ def test_outputs_and_gradients_do_not_alias_params():
 
 
 # ---------------------------------------------------------------------------
-# op buffers: a keep_buffers block reuses one arena across steps
+# op arrays: steps on one graph share no state
 
 _DANN_WANTED = ("loss", "bin_loss", "domain_loss")
 
 
-def _dann_batches(n, seed, side=32):
+def _dann_batches(n, seed):
     rng = np.random.default_rng(seed)
-    x, t = rng.random((n, 1, side, side)), rng.random((n, 1, side, side))
+    x, t = rng.random((n, 1, 32, 32)), rng.random((n, 1, 32, 32))
     source = {"x": x, "gt": (rng.random(x.shape) > 0.5) * 1.0, "domain_gt": np.zeros_like(x)}
     return source, {"x": t, "domain_gt": np.ones_like(t)}
 
 
-def _dann_step(graph, n, seed, side=32):
+def _dann_step(graph, n, seed):
     """Both passes of one Bin-DANN training step at batch n, without the
     optimizer: the outputs, masks and summed gradients, copied."""
-    source, target = _dann_batches(n, seed, side)
+    source, target = _dann_batches(n, seed)
     out = ba.forward(graph, source, wanted=_DANN_WANTED, training=True,
                      rng=np.random.default_rng(seed))
     masks = {nid: m.copy() for nid, m in graph._run.masks.items()}
@@ -269,7 +268,7 @@ def _assert_bitwise_equal(a, b):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def test_kept_buffers_leak_no_state_between_shapes():
+def test_steps_on_one_graph_leak_no_state_between_shapes():
     # training at 8, inference at 16 and at a ragged 5, training at 8 again:
     # every step on the one graph must equal the same step on a fresh graph
     model = ba.build_bindann(bindann_cfg(), np.random.default_rng(0))
@@ -282,8 +281,7 @@ def test_kept_buffers_leak_no_state_between_shapes():
         x = np.random.default_rng(seed).random((n, 1, 32, 32))
         return ba.forward(graph, {"x": x}, wanted=("prob_map", "domain_map"))
 
-    with ba.keep_buffers(model.graph):
-        kept = [run(model.graph, *step) for step in steps]
+    kept = [run(model.graph, *step) for step in steps]
     for step, got in zip(steps, kept):
         fresh = ba.build_bindann(bindann_cfg(), np.random.default_rng(0))
         _assert_bitwise_equal(got, run(fresh.graph, *step))
@@ -292,12 +290,11 @@ def test_kept_buffers_leak_no_state_between_shapes():
 def test_returned_gradients_survive_the_next_step():
     model = ba.build_bindann(bindann_cfg(), np.random.default_rng(0))
     graph = model.graph
-    with ba.keep_buffers(graph):
-        _dann_step(graph, 8, 0)  # sizes the arena: later steps run in it
-        first = _dann_step(graph, 8, 1)[4]
-        before = {name: g.copy() for name, g in first.items()}
-        _dann_step(graph, 8, 2)
-        _dann_step(graph, 8, 3)
+    _dann_step(graph, 8, 0)
+    first = _dann_step(graph, 8, 1)[4]
+    before = {name: g.copy() for name, g in first.items()}
+    _dann_step(graph, 8, 2)
+    _dann_step(graph, 8, 3)
     _assert_bitwise_equal(first, before)
 
 
@@ -306,77 +303,34 @@ def test_frozen_masks_are_never_written():
     graph = model.graph
     source, _ = _dann_batches(4, 0)
     del source["domain_gt"]
-    with ba.keep_buffers(graph):
-        want = ba.forward(graph, source, training=True, rng=np.random.default_rng(1))
-        masks = {nid: m.copy() for nid, m in graph._run.masks.items()}
-        for mask in masks.values():
-            mask.flags.writeable = False  # a write would raise
-        for _ in range(3):
-            got = ba.forward(graph, source, training=True, frozen_masks=masks)
-            ba.backward(graph, "loss")
-            _assert_bitwise_equal(got, want)
+    want = ba.forward(graph, source, training=True, rng=np.random.default_rng(1))
+    masks = {nid: m.copy() for nid, m in graph._run.masks.items()}
+    for mask in masks.values():
+        mask.flags.writeable = False  # a write would raise
+    for _ in range(3):
+        got = ba.forward(graph, source, training=True, frozen_masks=masks)
+        ba.backward(graph, "loss")
+        _assert_bitwise_equal(got, want)
     assert ba.grad_check(graph, "loss", source, "out.b", training=True,
                          rng=np.random.default_rng(1)) < 1e-4
 
 
-def test_keep_buffers_releases_the_record_and_the_arena():
-    model = ba.build_sae(SAE, np.random.default_rng(0))
-    graph = model.graph
-    with ba.keep_buffers(graph):
-        with ba.keep_buffers(graph):  # nested, as prediction inside a fit
-            ba.forward(graph, {"x": np.zeros((2, 1, 32, 32))}, wanted=("prob_map",))
-        assert graph._run is None and graph._arena is not None
-        ba.forward(graph, {"x": np.zeros((2, 1, 32, 32))}, wanted=("prob_map",))
-    assert graph._run is None and graph._arena is None
-
-
-def test_a_steady_training_step_allocates_no_activation():
-    # two consecutive Bin-DANN steps at batch 8, as the fit runs them: the
-    # second step's allocations stay below one [8, 8, 32, 32] float64 array
-    model = ba.build_bindann(bindann_cfg(), np.random.default_rng(0))
-    graph, opt = model.graph, ba.adam(1e-3)
-    batches = [_dann_batches(8, seed) for seed in (1, 2)]
-
-    def step(source, target, seed):
-        ba.forward(graph, source, wanted=_DANN_WANTED, training=True,
-                   rng=np.random.default_rng(seed))
-        grads = ba.backward(graph, "loss")
-        ba.forward(graph, target, wanted=("domain_loss",), training=True,
-                   rng=np.random.default_rng(seed + 1))
-        for name, g in ba.backward(graph, "domain_loss").items():
-            grads[name] = grads[name] + g
-        ba.optimizer_step(opt, graph.params, grads)
-
-    with ba.keep_buffers(graph):
-        step(*batches[0], 1)
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            step(*batches[1], 2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert peak - start < 8 * 8 * 32 * 32 * 8
-
-
 def test_a_replaced_record_dies_at_once_and_leaves_no_cycle():
-    # a buffer's place is freed when its last view dies: a finalizer holding
-    # its run, or a cycle through a buffer, would keep buffers alive until the
-    # collector ran, so plans would depend on when it runs
+    # a cycle through a record would hold its activations until the
+    # collector ran
     model = ba.build_bindann(bindann_cfg(), np.random.default_rng(0))
     graph = model.graph
     source, _ = _dann_batches(8, 0)
     gc.collect()
     gc.disable()
     try:
-        with ba.keep_buffers(graph):
-            _dann_step(graph, 8, 1)
-            first = weakref.ref(graph._run)
-            ba.forward(graph, source, wanted=_DANN_WANTED, training=True,
-                       rng=np.random.default_rng(2))
-            assert first() is None
-            ba.backward(graph, "loss")
-            _dann_step(graph, 8, 3)
+        _dann_step(graph, 8, 1)
+        first = weakref.ref(graph._run)
+        ba.forward(graph, source, wanted=_DANN_WANTED, training=True,
+                   rng=np.random.default_rng(2))
+        assert first() is None
+        ba.backward(graph, "loss")
+        _dann_step(graph, 8, 3)
         gc.set_debug(gc.DEBUG_SAVEALL)
         gc.collect()
         assert not [obj for obj in gc.garbage if isinstance(obj, np.ndarray)]
@@ -384,19 +338,6 @@ def test_a_replaced_record_dies_at_once_and_leaves_no_cycle():
         gc.set_debug(0)
         gc.garbage.clear()
         gc.enable()
-
-
-def test_a_small_models_arena_keeps_its_planned_size():
-    # two Bin-DANN steps at batch 8, then an inference forward at batch 16:
-    # a reference kept past a buffer's last use would make the arena larger
-    cfg = bindann_cfg(sae=sae_cfg(depth=2, filters=4, patch=(16, 16)))
-    graph = ba.build_bindann(cfg, np.random.default_rng(0)).graph
-    with ba.keep_buffers(graph):
-        for seed in (1, 2):
-            _dann_step(graph, 8, seed, side=16)
-        x = np.random.default_rng(3).random((16, 1, 16, 16))
-        ba.forward(graph, {"x": x}, wanted=("prob_map", "domain_map"))
-        assert graph._arena.high == 1_307_712
 
 
 # ---------------------------------------------------------------------------

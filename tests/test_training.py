@@ -101,7 +101,7 @@ def test_trained_models_keep_no_record_or_buffers():
     source, _, target = _tiny_domains()
     cfg = _tiny_cfg(epochs=1)
     for tb in (ba.train_sae(source, cfg), ba.train_bindann(source, target, cfg)):
-        assert tb.model.graph._run is None and tb.model.graph._arena is None
+        assert tb.model.graph._run is None
 
 
 def test_training_is_deterministic():
