@@ -12,18 +12,14 @@ gradient-reversal layer. Parameters, outputs and gradients are plain float64
 Who owns which array:
 
 * ``Graph.params`` maps names to C-contiguous arrays that the graph owns and
-  ``optimizer_step`` updates in place, as it does Adam's moments, which the
-  optimizer state owns.
-* Ops allocate their values, dropout masks, grids, gradients and scratch as
-  new numpy arrays. A forward's record holds its values, masks and kept
-  grids until the next forward on the graph; a fit or a prediction drops the
-  last one when it returns. The C heap keeps what a step frees for the next
-  step (see the heap thresholds below), so steady-state steps take no new
-  pages from the kernel.
-* The caller owns what the engine hands out: ``forward`` returns copies,
-  ``backward`` returns copies of the parameters' gradients, and neither
-  aliases a parameter or an op's array. ``frozen_masks`` given to ``forward``
-  are read, never written.
+  ``optimizer_step`` updates in place, as it does Adam's moments.
+* Ops allocate their results with plain numpy. A forward's record holds its
+  values, masks and kept grids until the next forward on the graph; a fit or
+  a prediction drops the last one when it returns. The C heap keeps what a
+  step frees for the next step (see the heap thresholds below).
+* The caller owns what the engine hands out: ``forward`` returns copies and
+  ``backward`` the gradients themselves, and neither aliases a parameter.
+  ``frozen_masks`` given to ``forward`` are read, never written.
 """
 
 from __future__ import annotations
@@ -288,9 +284,10 @@ def backward(graph: Graph, loss) -> dict:
     node. Gradients flow in reverse topological order; a parameter feeding
     several consumers receives the sum of all path gradients. Nodes that no
     parameter feeds, such as the data inputs, receive no gradient. A node's
-    gradient is dropped once it has been passed to the node's inputs, and
-    the parameters' gradients are returned as copies, which the next forward
-    or backward leaves untouched.
+    gradient is dropped once it has been passed to the node's inputs. The
+    engine keeps no reference to the gradients it returns. ``add`` passes one
+    array to both its inputs, so two parameters that feed one ``add``
+    directly get the same array.
     """
     run = graph._run
     if run is None:
@@ -321,7 +318,7 @@ def backward(graph: Graph, loss) -> dict:
                 # summed into a new array: add passes one g to both inputs
                 grads[i] = grads[i] + gi if i in grads else gi
     run.grids.clear()
-    return {name: grads[nid].copy() for name, nid in graph.param_ids.items() if nid in grads}
+    return {name: grads[nid] for name, nid in graph.param_ids.items() if nid in grads}
 
 
 def grad_check(

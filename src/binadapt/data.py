@@ -125,9 +125,11 @@ def _token(data, pos, what):
 
 def _int_token(data, pos, what, minimum=1):
     tok, pos = _token(data, pos, what)
-    try:
+    try:  # ASCII digits only: int() also takes a sign, "_" and \x0b or \x0c
+        if not tok.isdigit():
+            raise ValueError
         value = int(tok)
-    except ValueError:
+    except ValueError:  # or more digits than int() converts
         raise PgmError(f"bad {what} {tok!r} at byte {pos - len(tok)}") from None
     if value < minimum:
         raise PgmError(f"bad {what} {value} at byte {pos - len(tok)}")

@@ -118,80 +118,53 @@ def grl_lambda_at(epoch, start, increment):
 # the input gradient's phases with their pads, origins and crops. Each plan is
 # computed once per distinct shape and memoized, bounded, since a new batch
 # size (a page's ragged last batch) adds entries (cf. Chetlur et al. 2014).
-# Grid lifetime. A grid comes from np.empty, which is not zeroed, so every
-# call writes all of it: the phase copies of the input and, from the plan,
-# zeros over the padding blocks and the slack. A convolution's weight
-# gradient reads the same grid of its input as its forward product, so a
-# training forward keeps that grid on the run until backward takes it; after
-# an inference forward nothing keeps it, and backward builds it again.
-# backward drops any grid still kept when it returns. The transposed
-# convolution's backward grids its output gradient once for both of its
-# products. Products write through np.matmul(out=) into their output and one
-# scratch; the weight gradient's g on the grid (gz) and the interleaved input
-# gradient, also from np.empty, write their zeros (invalid positions, phases
-# no tap reaches) on every call the same way.
+# Grid lifetime. A convolution's weight gradient reads the same grid of its
+# input as its forward product, so a training forward keeps that grid on the
+# run until backward takes it; after an inference forward backward builds it
+# again, and backward drops any grid still kept when it returns. The
+# transposed convolution's backward grids its output gradient once for both
+# of its products.
 
 _PLANS = 512  # entries per plan memo: a few per conv node and batch size
 
 
 def _split(size, before, after, s):
-    """For each stride phase of an axis of `size` samples padded by `before`
-    and `after` (a negative pad crops), (phase, destination slice in the
-    phase's samples, source slice of the axis) where the phase holds input."""
+    """Yield, for each stride phase of an axis of `size` samples padded by
+    `before` and `after` (a negative pad crops), (phase, destination slice in
+    the phase's samples, source slice of the axis) where the phase holds input."""
     lo, hi = max(before, 0), size + before - max(-after, 0)
-    out = []
     for a in range(s):
         i0, i1 = -(-(lo - a) // s), -(-(hi - a) // s)
         if i1 > i0:
-            out.append((a, slice(i0, i1), slice(a + i0 * s - before, hi - before, s)))
-    return out
+            yield a, slice(i0, i1), slice(a + i0 * s - before, hi - before, s)
 
 
 @lru_cache(maxsize=_PLANS)
 def _grid_plan(shape, padding, stride, kernel):
     """Layout of the grid of an input of `shape` [n, c, h, w]: the buffer
-    shape, (Hq, Wq), (phase, rows, cols, source rows, source cols) for each
-    phase that holds input, and (phases, rows, cols) for each block that
-    holds padding in those phases."""
+    shape, (Hq, Wq), and (phase, rows, cols, source rows, source cols) for each
+    phase that holds input."""
     n, c, h, w = shape
     pt, pb, pl, pr = padding
     (sh, sw), (kh, kw) = stride, kernel
     hq, wq = -(-(h + pt + pb) // sh), -(-(w + pl + pr) // sw)
     slack = (kh - 1) // sh * wq + (kw - 1) // sw
-    row_split, col_split = _split(h, pt, pb, sh), _split(w, pl, pr, sw)
     copies = tuple((a * sw + b, rows, cols, src_rows, src_cols)
-                   for a, rows, src_rows in row_split for b, cols, src_cols in col_split)
-    held_rows = {a: (rows.start, rows.stop) for a, rows, _ in row_split}
-    held_cols = {b: (cols.start, cols.stop) for b, cols, _ in col_split}
-    blanks = {}  # (rows, cols) -> the phases where that block is padding
-    for a in range(sh):
-        for b in range(sw):
-            (r0, r1), (c0, c1) = held_rows.get(a, (0, 0)), held_cols.get(b, (0, 0))
-            # around the input's rectangle: rows above and below it, then
-            # columns left and right of it
-            for rows, cols in (((0, r0), (0, wq)), ((r1, hq), (0, wq)), ((r0, r1), (0, c0)),
-                               ((r0, r1), (c1, wq))):
-                if rows[1] > rows[0] and cols[1] > cols[0]:
-                    blanks.setdefault((rows, cols), []).append(a * sw + b)
-    blanks = tuple((slice(None) if len(phases) == sh * sw else phases, slice(*rows), slice(*cols))
-                   for (rows, cols), phases in blanks.items())
-    return (sh * sw, c, n * hq * wq + slack), (hq, wq), copies, blanks
+                   for a, rows, src_rows in _split(h, pt, pb, sh)
+                   for b, cols, src_cols in _split(w, pl, pr, sw))
+    return (sh * sw, c, n * hq * wq + slack), (hq, wq), copies
 
 
 def _grid(x, padding, stride, kernel):
     """Padded, phase-split, channel-major grid of x [n, c, h, w]: (buf, n, Hq,
-    Wq), buf [sh*sw, c, n*Hq*Wq + slack] and (Hq, Wq) the padded
-    size over the stride, rounded up. Padded row a + sh*i, column b + sw*j of
-    sample m sits in phase a*sw + b at column (m*Hq + i)*Wq + j; slack is the
-    largest tap offset. Every entry is written: the input, and zeros in the
-    padding and the slack."""
+    Wq), buf an array [sh*sw, c, n*Hq*Wq + slack] and (Hq, Wq) the padded size
+    over the stride, rounded up. Padded row a + sh*i, column b + sw*j of sample
+    m sits in phase a*sw + b at column (m*Hq + i)*Wq + j; slack is the largest
+    tap offset."""
     n, c = x.shape[:2]
-    shape, (hq, wq), copies, blanks = _grid_plan(x.shape, padding, stride, kernel)
-    buf = np.empty(shape)
-    buf[:, :, n * hq * wq :] = 0.0
+    shape, (hq, wq), copies = _grid_plan(x.shape, padding, stride, kernel)
+    buf = np.zeros(shape)
     phases = buf[:, :, : n * hq * wq].reshape(shape[0], c, n, hq, wq)
-    for p, rows, cols in blanks:
-        phases[p, :, :, rows, cols] = 0.0
     xc = x.transpose(1, 0, 2, 3)
     for p, rows, cols, src_rows, src_cols in copies:
         phases[p, :, :, rows, cols] = xc[:, :, src_rows, src_cols]
@@ -208,22 +181,21 @@ def _tap_plan(kernel, stride, wq, origin):
                  for ki in range(kh) for kj in range(kw))
 
 
-def _correlate(grid, w, stride, origin, y):
+def _correlate(grid, w, stride, origin=(0, 0)):
     """Channel-major [o, n, Hq, Wq] cross-correlation of w [o, c, kh, kw] over
-    grid, written into y [o, n*Hq*Wq]; output (i, j) of each sample is valid
-    where its windows stay inside that sample's grid."""
+    grid; output (i, j) of each sample is valid where its windows stay inside
+    that sample's grid."""
     buf, n, hq, wq = grid
     o, c, kh, kw = w.shape
     size = n * hq * wq
     taps = _tap_plan((kh, kw), stride, wq, origin)
     if c == 1:
-        tmp = np.empty((kh * kw, size))  # the stacked windows
-        np.stack([buf[p, 0, off : off + size] for _, _, p, off in taps], out=tmp)
-        np.matmul(w.reshape(o, kh * kw), tmp, out=y)
+        stack = np.stack([buf[p, 0, off : off + size] for _, _, p, off in taps])
+        y = w.reshape(o, kh * kw) @ stack
     else:
         (ki, kj, p, off), *rest = taps
-        np.matmul(w[:, :, ki, kj], buf[p, :, off : off + size], out=y)
-        tmp = np.empty((o, size))
+        y = w[:, :, ki, kj] @ buf[p, :, off : off + size]
+        tmp = np.empty_like(y)
         for ki, kj, p, off in rest:
             y += np.matmul(w[:, :, ki, kj], buf[p, :, off : off + size], out=tmp)
     return y.reshape(o, n, hq, wq)
@@ -231,10 +203,8 @@ def _correlate(grid, w, stride, origin, y):
 
 def _conv_out(grid, w, stride, out_hw):
     """Convolution [n, o, oh, ow] with w [o, c, kh, kw] of the input gridded
-    with its padding, stride and kernel, as a view of the product."""
-    _, n, hq, wq = grid
-    y = _correlate(grid, w, stride, (0, 0), np.empty((w.shape[0], n * hq * wq)))
-    return y[:, :, : out_hw[0], : out_hw[1]].transpose(1, 0, 2, 3)
+    with its padding, stride and kernel."""
+    return _correlate(grid, w, stride)[:, :, : out_hw[0], : out_hw[1]].transpose(1, 0, 2, 3)
 
 
 def _conv_grad_weight(grid, g, stride, kernel):
@@ -243,11 +213,8 @@ def _conv_grad_weight(grid, g, stride, kernel):
     buf, n, hq, wq = grid
     o, oh, ow = g.shape[1:]
     size = n * hq * wq
-    gz = np.empty((o, size))  # g on the grid
-    g4 = gz.reshape(o, n, hq, wq)
-    g4[:, :, oh:] = 0.0  # zeros drop the invalid positions
-    g4[:, :, :oh, ow:] = 0.0
-    g4[:, :, :oh, :ow] = g.transpose(1, 0, 2, 3)
+    gz = np.zeros((o, size))  # g on the grid; zeros drop the invalid positions
+    gz.reshape(o, n, hq, wq)[:, :, :oh, :ow] = g.transpose(1, 0, 2, 3)
     gw = np.empty((o, buf.shape[1], *kernel))
     for ki, kj, p, off in _tap_plan(kernel, stride, wq, (0, 0)):
         gw[:, :, ki, kj] = gz @ buf[p, :, off : off + size].T
@@ -277,9 +244,8 @@ def _phases(k, s, pad, size, g_size):
 @lru_cache(maxsize=_PLANS)
 def _gather_plan(kernel, stride, padding, in_hw, g_hw):
     """Geometry of _conv_grad_input: the pads and reach of the output
-    gradient's stride-1 grid, per input phase some tap reaches (first row,
-    first column, row and column kernel offsets, origin on the grid, size),
-    and the (first row, first column) of each phase no tap reaches."""
+    gradient's stride-1 grid, and per input phase some tap reaches (first row,
+    first column, row and column kernel offsets, origin on the grid, size)."""
     (kh, kw), (sh, sw) = kernel, stride
     rows = _phases(kh, sh, padding[0], in_hw[0], g_hw[0])
     cols = _phases(kw, sw, padding[2], in_hw[1], g_hw[1])
@@ -292,36 +258,26 @@ def _gather_plan(kernel, stride, padding, in_hw, g_hw):
     phases = tuple((r0, c0, a, b, (top - r_lo, left - c_lo),
                     (len(range(r0, in_hw[0], sh)), len(range(c0, in_hw[1], sw))))
                    for r0, a, r_lo, _ in rows for c0, b, c_lo, _ in cols)
-    reached = {phase[:2] for phase in phases}
-    blanks = tuple((r0, c0) for r0 in range(sh) for c0 in range(sw) if (r0, c0) not in reached)
-    return (top, bottom, left, right), reach, phases, blanks
+    return (top, bottom, left, right), reach, phases
 
 
 def _conv_grad_input(g, w, stride, padding, in_hw):
     """Gradient [n, c, h, w] of a convolution's input from its output gradient
-    g [n, o, oh, ow], i.e. the transposed convolution of g with w [o, c, kh, kw],
-    as a view of a channel-major array."""
+    g [n, o, oh, ow], i.e. the transposed convolution of g with w [o, c, kh, kw]."""
     sh, sw = stride
-    pads, reach, phases, blanks = _gather_plan(w.shape[2:], stride, padding, in_hw, g.shape[2:])
+    pads, reach, phases = _gather_plan(w.shape[2:], stride, padding, in_hw, g.shape[2:])
     grid = _grid(g, pads, (1, 1), reach)
-    _, n, hq, wq = grid
-    c = w.shape[1]
-    one = sh == sw == 1  # one phase, already in place: no interleaving copy
-    y = np.empty((c, n * hq * wq))  # one phase at a time
 
     def phase(a, b, origin, crop):
         """Channel-major gradient of one input phase."""
         sub = w[:, :, a::sh, b::sw][:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        return _correlate(grid, sub, (1, 1), origin, y)[:, :, : crop[0], : crop[1]]
+        return _correlate(grid, sub, (1, 1), origin)[:, :, : crop[0], : crop[1]]
 
-    if one:
-        gx = phase(*phases[0][2:])
-    else:
-        gx = np.empty((c, n, *in_hw))
-        for r0, c0 in blanks:  # phases no tap reaches are zero
-            gx[:, :, r0::sh, c0::sw] = 0.0
-        for r0, c0, *rest in phases:
-            gx[:, :, r0::sh, c0::sw] = phase(*rest)
+    if sh == sw == 1:  # one phase, already in place: no interleaving copy
+        return phase(*phases[0][2:]).transpose(1, 0, 2, 3)
+    gx = np.zeros((w.shape[1], g.shape[0], *in_hw))  # phases no tap reaches stay zero
+    for r0, c0, *rest in phases:
+        gx[:, :, r0::sh, c0::sw] = phase(*rest)
     return gx.transpose(1, 0, 2, 3)
 
 
@@ -351,10 +307,9 @@ def _fwd_conv(node, xs, run):
     _check_conv_args(x, w, b, spec, transposed=False)
     out_hw = spec.out_hw(*x.shape[2:])
     grid = _grid(x, spec.padding, spec.stride, spec.kernel)
-    if run.training:  # kept for the weight gradient
+    if run.training:  # the weight gradient reads the same grid
         run.grids[run.nid] = grid
-    y = _conv_out(grid, w, spec.stride, out_hw)
-    return np.add(y, b[None, :, None, None])
+    return _conv_out(grid, w, spec.stride, out_hw) + b[None, :, None, None]
 
 
 def _bwd_conv(node, g, xs, y, run):
@@ -373,8 +328,7 @@ def _fwd_tconv(node, xs, run):
     spec = node.attrs["spec"]
     _check_conv_args(x, w, b, spec, transposed=True)
     out_hw = spec.transpose_out_hw(*x.shape[2:])
-    y = _conv_grad_input(x, w, spec.stride, spec.padding, out_hw)
-    return np.add(y, b[None, :, None, None])
+    return _conv_grad_input(x, w, spec.stride, spec.padding, out_hw) + b[None, :, None, None]
 
 
 def _bwd_tconv(node, g, xs, y, run):
@@ -391,7 +345,7 @@ def _fwd_relu(node, xs, run):
 
 
 def _bwd_relu(node, g, xs, y, run):
-    return [np.multiply(g, np.greater(xs[0], 0.0))]
+    return [g * (xs[0] > 0)]
 
 
 _SIGMOID_LO = np.nextafter(0.0, 1.0)
@@ -401,18 +355,15 @@ _SIGMOID_HI = np.nextafter(1.0, 0.0)
 def _fwd_sigmoid(node, xs, run):
     x = xs[0]
     # exp of -|x| never overflows; 1/(1+e) for x >= 0 and e/(1+e) below
-    e = np.abs(x)
-    np.exp(np.negative(e, out=e), out=e)
-    d = np.add(1.0, e)
-    np.divide(e, d, out=e)
-    np.copyto(e, np.divide(1.0, d, out=d), where=np.greater_equal(x, 0.0))
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    out = np.where(x >= 0, 1.0 / d, e / d)
     # saturated float64 would round to exactly 0/1; keep the open interval
-    return np.clip(e, _SIGMOID_LO, _SIGMOID_HI, out=e)
+    return np.clip(out, _SIGMOID_LO, _SIGMOID_HI)
 
 
 def _bwd_sigmoid(node, g, xs, y, run):
-    grad = np.multiply(g, y)
-    return [np.multiply(grad, np.subtract(1.0, y), out=grad)]
+    return [g * y * (1.0 - y)]
 
 
 def _fwd_dropout(node, xs, run):
@@ -425,19 +376,18 @@ def _fwd_dropout(node, xs, run):
         if run.rng is None:
             raise GraphError(f"dropout node ({node.name}) needs an rng in training mode")
         # inverted dropout: 0 with probability ``rate``, else 1/(1-rate)
-        mask = run.rng.random(x.shape)
-        np.greater_equal(mask, rate, out=mask)
-        run.masks[run.nid] = np.divide(mask, 1.0 - rate, out=mask)
+        mask = (run.rng.random(x.shape) >= rate) / (1.0 - rate)
+        run.masks[run.nid] = mask
     elif mask.shape != x.shape:
         raise GraphError(f"frozen dropout mask shape {mask.shape} != input {x.shape}")
-    return np.multiply(x, mask)
+    return x * mask
 
 
 def _bwd_dropout(node, g, xs, y, run):
     mask = run.masks.get(run.nid)
     if mask is None or not run.training or node.attrs["rate"] == 0.0:
         return [g]
-    return [np.multiply(g, mask)]
+    return [g * mask]
 
 
 def _fwd_grl(node, xs, run):
@@ -445,38 +395,23 @@ def _fwd_grl(node, xs, run):
 
 
 def _bwd_grl(node, g, xs, y, run):
-    return [np.multiply(-node.attrs["lam"], g)]
-
-
-def _clipped(p):
-    return np.clip(p, BCE_CLAMP, 1.0 - BCE_CLAMP)
+    return [(-node.attrs["lam"]) * g]
 
 
 def _fwd_bce(node, xs, run):
     p, t = xs
     if p.shape != t.shape:
         raise GraphError(f"prediction shape {p.shape} != target shape {t.shape}")
-    pc = _clipped(p)
-    # t * log(pc) + (1 - t) * log(1 - pc), one scratch array per term
-    hit = np.log(pc)
-    np.multiply(t, hit, out=hit)
-    miss = np.subtract(1.0, t)
-    log_q = np.subtract(1.0, pc)
-    np.multiply(miss, np.log(log_q, out=log_q), out=miss)
-    return np.array([-np.mean(np.add(hit, miss, out=hit))])
+    pc = np.clip(p, BCE_CLAMP, 1.0 - BCE_CLAMP)
+    return np.array([-np.mean(t * np.log(pc) + (1.0 - t) * np.log(1.0 - pc))])
 
 
 def _bwd_bce(node, g, xs, y, run):
     p, t = xs
-    pc = _clipped(p)
-    in_range = np.greater_equal(p, BCE_CLAMP)
-    np.bitwise_and(in_range, np.less_equal(p, 1.0 - BCE_CLAMP), out=in_range)
-    # g / size * (pc - t) / (pc * (1 - pc)) * in_range, left to right
-    gp = np.subtract(pc, t)
-    np.multiply(g[0] / p.size, gp, out=gp)
-    pq = np.subtract(1.0, pc)
-    np.divide(gp, np.multiply(pc, pq, out=pq), out=gp)
-    return [np.multiply(gp, in_range, out=gp), None]  # targets are constants
+    pc = np.clip(p, BCE_CLAMP, 1.0 - BCE_CLAMP)
+    in_range = (p >= BCE_CLAMP) & (p <= 1.0 - BCE_CLAMP)
+    gp = g[0] / p.size * (pc - t) / (pc * (1.0 - pc)) * in_range
+    return [gp, None]  # targets are constants
 
 
 register_op("conv2d", _fwd_conv, _bwd_conv)

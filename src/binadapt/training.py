@@ -218,7 +218,6 @@ def _fit(source: Dataset, target: Dataset | None, cfg: ExperimentConfig) -> Trai
     steps = math.ceil(len(x_pool) / cfg.batch)
 
     history, best = [], None
-    x_batch, y_batch = (np.empty((cfg.batch, *pool.shape[1:])) for pool in (x_pool, y_pool))
     try:
         for epoch in range(cfg.epochs):
             lam = None
@@ -230,9 +229,7 @@ def _fit(source: Dataset, target: Dataset | None, cfg: ExperimentConfig) -> Trai
                 # dropout draws per (epoch, step, pass): the target pass never
                 # shifts the source pass's masks
                 idx = sampler.integers(0, len(x_pool), size=cfg.batch)
-                # in range by construction; mode="raise" would copy out= first
-                bindings = {"x": np.take(x_pool, idx, axis=0, out=x_batch, mode="clip"),
-                            "gt": np.take(y_pool, idx, axis=0, out=y_batch, mode="clip")}
+                bindings = {"x": x_pool[idx], "gt": y_pool[idx]}
                 if target is not None:
                     bindings["domain_gt"] = src_domain
                 out = forward(model.graph, bindings, wanted=wanted, training=True,
@@ -242,9 +239,7 @@ def _fit(source: Dataset, target: Dataset | None, cfg: ExperimentConfig) -> Trai
 
                 if target is not None:
                     idx_t = t_sampler.integers(0, len(t_pool), size=cfg.batch)
-                    # the source pass is done with x_batch
-                    t_batch = np.take(t_pool, idx_t, axis=0, out=x_batch, mode="clip")
-                    out_t = forward(model.graph, {"x": t_batch, "domain_gt": tgt_domain},
+                    out_t = forward(model.graph, {"x": t_pool[idx_t], "domain_gt": tgt_domain},
                                     wanted=("domain_loss",), training=True,
                                     rng=_stream(_SEED_DROP, cfg.seed, epoch, step, 1))
                     for name, g in backward(model.graph, "domain_loss").items():

@@ -298,6 +298,37 @@ def test_returned_gradients_survive_the_next_step():
     _assert_bitwise_equal(first, before)
 
 
+def test_returned_gradients_belong_to_the_caller():
+    # backward returns its gradients uncopied: a caller that overwrites them
+    # after the optimizer step changes nothing in the next step
+    def first_step(graph, opt):
+        source, target = _dann_batches(8, 0)
+        ba.forward(graph, source, wanted=_DANN_WANTED, training=True,
+                   rng=np.random.default_rng(0))
+        returned = [ba.backward(graph, "loss")]
+        ba.forward(graph, target, wanted=("domain_loss",), training=True,
+                   rng=np.random.default_rng(1))
+        returned.append(ba.backward(graph, "domain_loss"))
+        grads = dict(returned[0])
+        for name, g in returned[1].items():
+            grads[name] = grads[name] + g if name in grads else g
+        ba.optimizer_step(opt, graph.params, grads)
+        return returned
+
+    models = [ba.build_bindann(bindann_cfg(), np.random.default_rng(0)) for _ in range(2)]
+    opts = [ba.adam(0.01), ba.adam(0.01)]
+    for grads in first_step(models[0].graph, opts[0]):
+        for g in grads.values():
+            g.fill(np.nan)
+    first_step(models[1].graph, opts[1])  # a fresh graph, its gradients left alone
+    after = []
+    for model, opt in zip(models, opts):
+        step = _dann_step(model.graph, 8, 2)
+        ba.optimizer_step(opt, model.params, step[4])
+        after.append((step, model.params, opt.moments))
+    _assert_bitwise_equal(*after)
+
+
 def test_frozen_masks_are_never_written():
     model = ba.build_sae(SAE, np.random.default_rng(0))
     graph = model.graph

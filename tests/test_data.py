@@ -1,5 +1,7 @@
 """PGM codec, tiling round trips, dataset ingestion, synthetic fixtures."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,17 @@ def test_pgm_errors_carry_byte_offsets():
         ba.read_pgm(b"P2\n2 2\n255\n0 255 999 0\n")
     with pytest.raises(PgmError, match="end of file"):
         ba.read_pgm(b"P5\n4")
+
+
+@pytest.mark.parametrize("blob, what, tok", [
+    (b"P5 1_0 +1 255\n" + bytes(10), "width", b"1_0"),  # a digit separator, then a sign
+    (b"P5 2 1 255\x0b\n\x10\x20", "maxval", b"255\x0b"),  # \x0b separates no tokens
+    (b"P2 2 1 255\n+1 0\n", "pixel 0", b"+1"),
+    (b"P2 2 1 255\n1 -0\n", "pixel 1", b"-0"),
+])
+def test_pgm_numbers_are_ascii_digits_only(blob, what, tok):
+    with pytest.raises(PgmError, match=re.escape(f"bad {what} {tok!r} at byte")):
+        ba.read_pgm(blob)
 
 
 def test_p5_needs_whitespace_after_maxval():
