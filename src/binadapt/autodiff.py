@@ -462,7 +462,8 @@ def write_checkpoint(params: dict) -> bytes:
 
 
 def read_checkpoint(data: bytes) -> dict:
-    """Parse checkpoint bytes into an ordered name -> ndarray map (bit-exact)."""
+    """Parse checkpoint bytes into an ordered name -> ndarray map (bit-exact);
+    a name may name one record only."""
     if data[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise CheckpointError("bad checkpoint magic")
     pos = len(CHECKPOINT_MAGIC)
@@ -483,6 +484,8 @@ def read_checkpoint(data: bytes) -> dict:
             name = take(nlen, "name").decode("utf-8")
         except UnicodeDecodeError:
             raise CheckpointError(f"parameter name at byte {start} is not UTF-8") from None
+        if name in out:
+            raise CheckpointError(f"record {name!r} at byte {start - 4} repeats an earlier record")
         (rank,) = struct.unpack("<I", take(4, "rank"))
         if rank > _MAX_RANK:
             raise CheckpointError(f"rank {rank} of {name!r} at byte {pos - 4} exceeds {_MAX_RANK}")

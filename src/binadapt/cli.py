@@ -33,7 +33,6 @@ from .metrics import confusion, f1, precision, recall
 from .models import predict_prob_map
 from .similarity import (
     autobindann,
-    check_gate_settings,
     compare_histograms,
     domain_histogram,
     histogram_csv,
@@ -84,11 +83,10 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def _load_config(args) -> ExperimentConfig:
     """The config file's settings with ``--seed``/``--out`` applied, all of
-    them checked, the gate's included, before any command reads data."""
+    them checked before any command reads data."""
     cfg = parse_config(Path(args.config).read_text()) if args.config else ExperimentConfig()
     cfg = replace(cfg, seed=cfg.seed if args.seed is None else args.seed,
                   out_dir=args.out or cfg.out_dir)
-    check_gate_settings(cfg.h_prec, cfg.rho_th)
     return cfg
 
 

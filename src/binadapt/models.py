@@ -20,7 +20,6 @@ import json
 import math
 import mmap
 import os
-import pickle
 import signal
 import threading
 from dataclasses import asdict, dataclass
@@ -30,7 +29,6 @@ import numpy as np
 
 from . import autodiff
 from .autodiff import CheckpointError, Graph, GraphError, read_checkpoint, write_checkpoint
-from .data import split_patches
 from .layers import (
     ConvSpec,
     bce_node,
@@ -223,58 +221,32 @@ def _workers(batches):
 
 def _predict_batches(model, arr, tiles, first, last):
     """Write the maps of batches ``first`` up to ``last`` into ``tiles``, a
-    ``[rows, cols, h, w]`` view of the map; a band of patch rows is cut once
-    and kept while the next batch still lies in it."""
+    ``[rows, cols, h, w]`` view of the map. A batch gathers its patches
+    straight from the page through row and column indices clipped to the
+    last pixel, which replicates the edges as ``split_patches`` pads them."""
     rows, cols, h, w = tiles.shape
-    band_end = 0  # the patch rows [band_start // cols, band_end) are cut
+    ys = np.minimum(np.arange(rows * h), arr.shape[0] - 1).reshape(rows, h, 1)
+    xs = np.minimum(np.arange(cols * w), arr.shape[1] - 1).reshape(cols, 1, w)
     for start in range(first * _PREDICT_BATCH, min(last * _PREDICT_BATCH, rows * cols), _PREDICT_BATCH):
-        stop = min(start + _PREDICT_BATCH, rows * cols)
-        r0, r1 = start // cols, (stop - 1) // cols + 1  # the patch rows this batch touches
-        if r1 > band_end:
-            band, band_start, band_end = split_patches(arr[r0 * h : r1 * h], h, w), r0 * cols, r1
-        x = band[start - band_start : stop - band_start, None]  # [n, 1, h, w]
+        k = np.arange(start, min(start + _PREDICT_BATCH, rows * cols))
+        r, c = k // cols, k % cols
+        x = arr[ys[r], xs[c]][:, None]  # [n, 1, h, w]
         out = autodiff.forward(model.graph, {"x": x}, wanted=("prob_map",))
-        k = np.arange(start, stop)
-        tiles[k // cols, k % cols] = out["prob_map"][:, 0]
+        tiles[r, c] = out["prob_map"][:, 0]
 
 
 def _fork_share(model, arr, tiles, first, last):
     """Fork a child that predicts batches ``first`` up to ``last`` into the
-    shared ``tiles``; returns its pid and the read end of its result pipe."""
-    read, write = os.pipe()
+    shared ``tiles``; returns its pid. The child exits 0 once its share is
+    written and 1 if it raised, flushing none of its stdio."""
     pid = os.fork()
     if pid:
-        os.close(write)
-        return pid, read
-    try:  # the child never returns into the caller, and flushes none of its stdio
-        os.close(read)
-        try:
-            _predict_batches(model, arr, tiles, first, last)
-            result = None
-        except BaseException as exc:
-            result = exc
-        try:
-            payload = pickle.dumps(result)
-            pickle.loads(payload)
-        except Exception:
-            payload = pickle.dumps(RuntimeError(f"prediction worker raised {type(result).__name__}: {result}"))
-        with open(write, "wb") as pipe:
-            pipe.write(payload)
-    finally:
+        return pid
+    try:  # os._exit leaves at once, so the finally runs only if the share raised
+        _predict_batches(model, arr, tiles, first, last)
         os._exit(0)
-
-
-def _reap(pid, read):
-    """Wait for a child of ``_fork_share``; returns the exception its share
-    raised, or None."""
-    with open(read, "rb") as pipe:
-        payload = pipe.read()
-    status = os.waitpid(pid, 0)[1]
-    if os.WIFSIGNALED(status):
-        sig = os.WTERMSIG(status)
-        name = next((s.name for s in signal.Signals if s == sig), f"signal {sig}")
-        return RuntimeError(f"prediction worker {pid} was killed by {name}")
-    return pickle.loads(payload)
+    finally:
+        os._exit(1)
 
 
 def predict_prob_map(model: Model, page) -> np.ndarray:
@@ -282,21 +254,24 @@ def predict_prob_map(model: Model, page) -> np.ndarray:
 
     The page is tiled into model-sized patches, edge-replicated up to full
     multiples, and every patch runs in inference mode (dropout off) in batches
-    of ``_PREDICT_BATCH`` in row-major order. A batch cuts only the band of
-    patch rows it touches, or reuses the band the batch before it cut, and
-    writes its maps straight into one map, which is cropped back to page size.
+    of ``_PREDICT_BATCH`` in row-major order. A batch gathers its patches from
+    the page and writes its maps straight into one map, which is cropped back
+    to page size.
 
     The batches are split into contiguous shares, one per worker process:
     ``min(usable CPUs, batches // _FORK_BATCHES)`` of them, at least one, and
     one where ``os.fork`` is missing or other threads are running. The caller
     computes the first share and forked children the others. With children,
     the map is one anonymous shared mapping, so every worker writes its tiles
-    in place and nothing is copied back. Every batch computes the same bytes
-    wherever it runs, so the map is the same whatever the CPU count. Beyond
-    the page, each process holds one batch's working set, and all of them
-    share the one map. Every child is reaped before the call returns or
-    raises, and errors are raised in batch order, as one process would raise
-    them. The model keeps no forward record once the call returns or raises.
+    in place and nothing is copied back. A child reports only its exit status;
+    once every child is reaped, the caller computes, in batch order, each share
+    whose child did not exit 0, so an error is raised as one process raises
+    it, and a child that was killed or failed for a reason of its own does not
+    fail the prediction. Every batch computes the same bytes wherever it runs,
+    so the map is the same whatever the CPU count. Beyond the page, each
+    process holds one batch's working set, and all of them share the one map.
+    Every child is reaped before the call returns or raises, and the model
+    keeps no forward record once it does.
     """
     arr = np.asarray(page, dtype=np.float64)
     if arr.ndim != 2:
@@ -313,21 +288,22 @@ def predict_prob_map(model: Model, page) -> np.ndarray:
     canvas = canvas.reshape(rows * h, cols * w)
     tiles = canvas.reshape(rows, h, cols, w).transpose(0, 2, 1, 3)  # a view of canvas
     bounds = [batches * i // workers for i in range(workers + 1)]
-    children = []
+    children = []  # (pid, first, last)
     try:
-        for first, last in zip(bounds[1:-1], bounds[2:]):
-            children.append(_fork_share(model, arr, tiles, first, last))
-        _predict_batches(model, arr, tiles, 0, bounds[1])
-    except BaseException:
-        for pid, _ in children:  # their shares are of no use now
-            os.kill(pid, signal.SIGKILL)
-        raise
+        try:
+            for first, last in zip(bounds[1:-1], bounds[2:]):
+                children.append((_fork_share(model, arr, tiles, first, last), first, last))
+            _predict_batches(model, arr, tiles, 0, bounds[1])
+        except BaseException:
+            for pid, _, _ in children:  # their shares are of no use now
+                os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            unfinished = [(first, last) for pid, first, last in children if os.waitpid(pid, 0)[1]]
+        for first, last in unfinished:
+            _predict_batches(model, arr, tiles, first, last)
     finally:
         model.graph._run = None
-        errors = [_reap(pid, read) for pid, read in children]
-    for exc in errors:
-        if exc is not None:
-            raise exc
     return canvas[: arr.shape[0], : arr.shape[1]]
 
 

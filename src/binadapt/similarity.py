@@ -20,7 +20,8 @@ import numpy as np
 
 from .data import Dataset
 from .models import predict_prob_map
-from .training import ExperimentConfig, TrainedBinarizer, binarize, train_bindann, train_sae
+from .training import (ExperimentConfig, TrainedBinarizer, _bin_count, binarize, train_bindann,
+                       train_sae)
 
 __all__ = [
     "USE_SAE",
@@ -30,7 +31,6 @@ __all__ = [
     "kl_divergence",
     "js_divergence",
     "hist_intersection",
-    "check_gate_settings",
     "gate_decision",
     "SimilarityReport",
     "compare_histograms",
@@ -48,15 +48,6 @@ _KL_SMOOTHING = 1e-10
 
 class DegenerateHistogramError(ValueError):
     """A histogram with zero variance cannot be correlated."""
-
-
-def _bin_count(h_prec):
-    if not 0.0 < h_prec <= 1.0:
-        raise ValueError(f"bin width {h_prec} outside (0, 1]")
-    n = 1.0 / h_prec
-    if abs(n - round(n)) > 1e-9:
-        raise ValueError(f"bin width {h_prec} does not divide 1 into whole bins")
-    return int(round(n))
 
 
 def domain_histogram(prob_maps, h_prec) -> np.ndarray:
@@ -127,13 +118,6 @@ def hist_intersection(p, q) -> float:
     """Shared mass between two normalized histograms, in [0, 1]; symmetric."""
     ps, qs = _masses(p, q, require_normalized=True)
     return float(np.minimum(ps, qs).sum())
-
-
-def check_gate_settings(h_prec, rho_th):
-    """Reject a histogram bin width or gate threshold the gate cannot use."""
-    _bin_count(h_prec)
-    if not -1.0 <= rho_th <= 1.0:
-        raise ValueError(f"gate threshold {rho_th} outside [-1, 1]")
 
 
 def gate_decision(rho, rho_th) -> str:
@@ -208,10 +192,7 @@ def autobindann(source: Dataset, target: Dataset, cfg: ExperimentConfig) -> Auto
     swept threshold binarizes the target; otherwise the plain model's masks,
     taken in the same pass over the target as its histogram, are kept.
     Target ground truth is never touched: the target dataset carries none.
-    The gate settings, ``cfg.h_prec`` and ``cfg.rho_th``, are checked before
-    any training.
     """
-    check_gate_settings(cfg.h_prec, cfg.rho_th)
     sae_tb = train_sae(source, cfg)
     hist_source = domain_histogram(sae_tb.val_maps, cfg.h_prec)
     masks = {}

@@ -56,10 +56,9 @@ _SEED_DROP = 204
 class ExperimentConfig:
     """Every setting of an experiment, each with its one default.
 
-    Construction checks the training settings, the validation fraction and
-    the model they build, so a bad value fails before any data is read; the
-    gate's ``h_prec`` and ``rho_th`` are checked by
-    ``similarity.check_gate_settings``.
+    Construction checks the training settings, the validation fraction, the
+    model they build and the gate's bin width and threshold, so a bad value
+    fails before any data is read.
     """
 
     source_dir: str = ""
@@ -91,6 +90,9 @@ class ExperimentConfig:
         if not (0.0 <= self.lambda0 < math.inf and 0.0 <= self.lambda_inc < math.inf):
             raise ValueError("reversal coefficient schedule must be finite and non-negative")
         _sweep_grid(self.sweep_step)
+        _bin_count(self.h_prec)
+        if not -1.0 <= self.rho_th <= 1.0:
+            raise ValueError(f"gate threshold {self.rho_th} outside [-1, 1]")
         check_validation_fraction(self.validation_fraction)
         self.sae_config()
 
@@ -139,6 +141,16 @@ def binarize(prob_map, th) -> np.ndarray:
     return np.asarray(prob_map) >= th
 
 
+def _bin_count(h_prec):
+    """The number of histogram bins of width ``h_prec``, which must divide 1."""
+    if not 0.0 < h_prec <= 1.0:
+        raise ValueError(f"bin width {h_prec} outside (0, 1]")
+    n = 1.0 / h_prec
+    if abs(n - round(n)) > 1e-9:
+        raise ValueError(f"bin width {h_prec} does not divide 1 into whole bins")
+    return int(round(n))
+
+
 def _sweep_grid(step):
     if not 0.0 < step < 1.0:
         raise ValueError(f"sweep step {step} outside (0, 1)")
@@ -160,7 +172,7 @@ def sweep_threshold(prob_maps, validation, sweep_step):
     for rec in validation:
         if rec.gt is None:
             raise ValueError(f"validation page {rec.stem!r} has no ground truth")
-    maps = [(prob, rec.gt) for prob, rec in zip(prob_maps, validation)]
+    maps = [(prob, rec.gt) for prob, rec in zip(prob_maps, validation, strict=True)]
     best_th, best_f1 = None, -1.0
     for th in _sweep_grid(sweep_step):
         total = Confusion()

@@ -8,7 +8,7 @@ import pytest
 
 import binadapt as ba
 from binadapt import layers
-from binadapt.autodiff import GraphError
+from binadapt.autodiff import CHECKPOINT_MAGIC, GraphError
 from binadapt.layers import bce_node, conv_node, grl_node, relu_node, sigmoid_node
 
 from defaults import SAE, bindann_cfg
@@ -424,3 +424,11 @@ def test_checkpoint_bad_magic_and_truncation():
     blob = ba.write_checkpoint({"p": np.ones(3)})
     with pytest.raises(GraphError, match="truncated"):
         ba.read_checkpoint(blob[:-4])
+
+
+def test_checkpoint_rejects_a_repeated_record():
+    # the second record would otherwise replace the first one's values
+    blob = ba.write_checkpoint({"p": np.ones(3), "q": np.zeros(2)})
+    again = ba.write_checkpoint({"p": np.full(3, 7.0)})[len(CHECKPOINT_MAGIC):]
+    with pytest.raises(ba.CheckpointError, match=rf"record 'p' at byte {len(blob)} repeats"):
+        ba.read_checkpoint(blob + again)

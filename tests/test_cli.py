@@ -12,6 +12,7 @@ import pytest
 
 import binadapt as ba
 from binadapt import cli, similarity
+from binadapt.autodiff import CHECKPOINT_MAGIC
 from binadapt.cli import ConfigError, main, parse_config
 from binadapt.data import synthetic_domain_pairs, write_pgm, write_synthetic_dirs
 
@@ -132,8 +133,17 @@ def _truncated_real_checkpoint(tmp_path):
     return (tmp_path / "full.ckpt").read_bytes()[:200]
 
 
+def _repeated_record_checkpoint(tmp_path):
+    """A saved SAE with a second ``out.b`` record appended after the trained one."""
+    model = ba.build_sae(SAE, np.random.default_rng(0))
+    ba.save_model(tmp_path / "full.ckpt", model, extra={"th_s": 0.5})
+    again = ba.write_checkpoint({"out.b": np.ones(1)})[len(CHECKPOINT_MAGIC):]
+    return (tmp_path / "full.ckpt").read_bytes() + again
+
+
 _MALFORMED = {
     "truncated": _truncated_real_checkpoint,
+    "repeated_record": _repeated_record_checkpoint,
     "undecodable_header": lambda tmp: _checkpoint(b"\xff{not json"),
     "missing_kind": lambda tmp: _checkpoint(_header(kind=None)),
     "unknown_kind": lambda tmp: _checkpoint(_header(kind="gan")),

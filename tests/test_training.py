@@ -86,6 +86,12 @@ def test_sweep_result_achieves_curve_maximum():
     assert grid.index(th) == int(np.argmax(curve))  # ties resolve to lowest
 
 
+def test_sweep_needs_one_map_per_validation_page():
+    gt = np.eye(3, dtype=np.uint8)
+    with pytest.raises(ValueError):
+        ba.sweep_threshold([gt.astype(float)], [_record(gt), _record(gt)], sweep_step=0.05)
+
+
 # ---------------------------------------------------------------------------
 # training loops
 
@@ -178,6 +184,14 @@ def test_negative_reversal_schedule_rejected():
 def test_non_positive_or_non_finite_learning_rate_rejected(lr):
     with pytest.raises(ValueError, match="learning rate"):
         ba.ExperimentConfig(lr=lr)
+
+
+@pytest.mark.parametrize("setting, match", [({"h_prec": 0.3}, "whole bins"),
+                                            ({"rho_th": 1.5}, "gate threshold")],
+                         ids=["h_prec", "rho_th"])
+def test_gate_settings_are_checked_on_construction(setting, match):
+    with pytest.raises(ValueError, match=match):
+        ba.ExperimentConfig(**setting)
 
 
 def test_history_csv_layout():
