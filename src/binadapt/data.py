@@ -13,9 +13,10 @@ to multiples of the patch size and cuts the padded page into one
 ``[rows * cols, h, w]`` array by a reshape, so
 ``assemble(split_patches(page, h, w), page.shape)`` is a bit-exact inverse.
 The synthetic generator builds three small domains: a source domain of dark
-strokes on light background with exact masks, a nearby target that only
-shifts the noise statistics, and a far target with inverted contrast plus
-faint bleed-through ghosts.
+strokes on light background with exact masks, a nearby target whose paper is
+a little darker, its ink a little lighter and its noise twice as strong, and
+a far target whose contrast collapses (ink at 0.15 on mid-gray paper at 0.45)
+under heavy mirrored bleed-through ghosts.
 """
 
 from __future__ import annotations
@@ -301,23 +302,52 @@ SYNTHETIC_KINDS = tuple(_KINDS)
 
 
 def _paint_strokes(rng, shape, n_strokes, thickness_range):
-    """Random-walk strokes rasterized as a boolean mask."""
+    """Random-walk strokes rasterized as a boolean mask.
+
+    A stroke starts at a uniform point and heading and takes ``steps`` unit
+    steps, turning by a normal draw after each. At every step whose truncated
+    position lies on the page it paints the clipped square
+    ``[y - half, y + half) x [x - half, x + half)``. Each walk is computed as
+    arrays, and leaves the mask and generator state a step-by-step loop leaves
+    (``tests/reference.py``): one ``rng.normal(0, 0.25, steps)`` call yields
+    the values of ``steps`` scalar calls, ``cumsum`` adds headings and
+    positions left to right as the loop does, and ``int()`` truncates toward
+    zero, so a position is on the page when ``-1 < y < h`` and ``-1 < x < w``.
+    """
     h, w = shape
     mask = np.zeros(shape, dtype=bool)
+    centres = {}  # half-thickness -> boolean image of the squares' centres
     for _ in range(n_strokes):
         y = rng.uniform(0, h)
         x = rng.uniform(0, w)
         angle = rng.uniform(0, 2 * np.pi)
         steps = int(rng.integers(h // 3, h))
         half = int(rng.integers(*thickness_range))
-        for _ in range(steps):
-            yi, xi = int(y), int(x)
-            if 0 <= yi < h and 0 <= xi < w:
-                mask[max(0, yi - half) : yi + half, max(0, xi - half) : xi + half] = True
-            angle += rng.normal(0, 0.25)
-            y += np.sin(angle)
-            x += np.cos(angle)
+        turns = rng.normal(0, 0.25, steps)
+        if steps == 0 or half <= 0:
+            continue
+        heading = np.concatenate(([angle], turns[:-1])).cumsum()  # the last turn paints nothing
+        ys = np.concatenate(([y], np.sin(heading[1:]))).cumsum()
+        xs = np.concatenate(([x], np.cos(heading[1:]))).cumsum()
+        on = (-1 < ys) & (ys < h) & (-1 < xs) & (xs < w)
+        if half not in centres:
+            centres[half] = np.zeros(shape, dtype=bool)
+        centres[half][ys[on].astype(np.intp), xs[on].astype(np.intp)] = True
+    for half, marked in centres.items():
+        rows = np.zeros(shape, dtype=bool)
+        _grow_rows(marked, half, rows)
+        _grow_rows(rows.T, half, mask.T)
     return mask
+
+
+def _grow_rows(a, half, out):
+    """OR into ``out`` each True cell of ``a``, in row r, grown to the rows
+    [r - half, r + half): row r of ``out`` takes rows r - half + 1 ... r + half."""
+    n = len(a)
+    for d in range(1 - half, half + 1):
+        lo, hi = max(0, -d), min(n, n - d)
+        if lo < hi:  # a shift past the page would wrap the slice ends
+            out[lo:hi] |= a[lo + d : hi + d]
 
 
 def _synthetic_page(rng, shape, kind):
@@ -338,8 +368,18 @@ def _synthetic_page(rng, shape, kind):
     return np.clip(page, 0.0, 1.0, out=page), mask
 
 
+def _check_page_size(page_size):
+    if len(page_size) != 2 or not all(
+            isinstance(side, (int, np.integer)) and not isinstance(side, bool) and side >= 1
+            for side in page_size):
+        raise ValueError(f"page size {page_size!r} needs two integer sides >= 1")
+
+
 def synthetic_domain_pairs(seed, kind, n_pages=8, page_size=(128, 128)):
     """Deterministic (stem, page array, boolean mask) triplets for one domain."""
+    if kind not in _KINDS:
+        raise ValueError(f"unknown synthetic kind {kind!r}; known kinds: {', '.join(SYNTHETIC_KINDS)}")
+    _check_page_size(page_size)
     kind_idx = SYNTHETIC_KINDS.index(kind)
     out = []
     for i in range(n_pages):
@@ -369,6 +409,7 @@ def make_synthetic_domains(seed, n_pages=8, page_size=(128, 128), validation_fra
 def write_synthetic_dirs(seed, out_dir, n_pages=8, page_size=(128, 128)):
     """Write the three fixture domains as dataset directories (gt included for
     all three; target gt exists on disk for evaluation only)."""
+    _check_page_size(page_size)  # before any directory is made
     out_root = Path(out_dir)
     for kind in SYNTHETIC_KINDS:
         for sub in ("images", "gt"):

@@ -118,3 +118,23 @@ def max_rel_err(analytic, numeric):
     a = np.asarray(analytic).ravel()
     n = np.asarray(numeric).ravel()
     return float(np.max(np.abs(a - n) / np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-8)))
+
+
+def loop_paint_strokes(rng, shape, n_strokes, thickness_range):
+    """Random-walk strokes painted one step at a time, one draw per turn."""
+    h, w = shape
+    mask = np.zeros(shape, dtype=bool)
+    for _ in range(n_strokes):
+        y = rng.uniform(0, h)
+        x = rng.uniform(0, w)
+        angle = rng.uniform(0, 2 * np.pi)
+        steps = int(rng.integers(h // 3, h))
+        half = int(rng.integers(*thickness_range))
+        for _ in range(steps):
+            yi, xi = int(y), int(x)
+            if 0 <= yi < h and 0 <= xi < w:
+                mask[max(0, yi - half) : yi + half, max(0, xi - half) : xi + half] = True
+            angle += rng.normal(0, 0.25)
+            y += np.sin(angle)
+            x += np.cos(angle)
+    return mask

@@ -9,6 +9,7 @@ import binadapt as ba
 from binadapt.data import (
     GT_INK_THRESHOLD,
     PgmError,
+    _paint_strokes,
     load_dataset,
     load_eval_masks,
     synthetic_domain_pairs,
@@ -16,6 +17,7 @@ from binadapt.data import (
 )
 
 from defaults import DEFAULTS
+from reference import loop_paint_strokes
 
 
 # ---------------------------------------------------------------------------
@@ -293,14 +295,47 @@ def test_synthetic_domains_reject_validation_fraction_outside_unit_interval(frac
         ba.make_synthetic_domains(0, n_pages=2, page_size=(16, 16), validation_fraction=fraction)
 
 
-def test_write_synthetic_dirs_loadable(tmp_path):
-    dirs = write_synthetic_dirs(0, tmp_path, n_pages=3, page_size=(40, 40))
+# tiny pages give zero-step strokes and half-thicknesses as large as a side;
+# a half-thickness of 0 paints nothing
+@pytest.mark.parametrize("thickness", [(1, 3), (0, 3), (2, 5)])
+@pytest.mark.parametrize("shape", [(128, 128), (64, 200), (300, 90), (1, 5), (2, 2), (5, 1)])
+def test_paint_strokes_matches_the_step_by_step_walk(shape, thickness):
+    for seed in range(4):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        mask = _paint_strokes(rng, shape, 11, thickness)
+        np.testing.assert_array_equal(mask, loop_paint_strokes(oracle_rng, shape, 11, thickness))
+        assert rng.random() == oracle_rng.random()  # the generator is left where the walk leaves it
+
+
+def test_synthetic_pairs_reject_unknown_kind():
+    with pytest.raises(ValueError, match="unknown synthetic kind 'nope'"):
+        synthetic_domain_pairs(0, "nope")
+
+
+@pytest.mark.parametrize("page_size", [(0, 5), (5, -1), (12.5, 8), (True, 4), (8,)])
+def test_synthetic_pairs_reject_page_sides_that_are_not_integers_from_1(page_size):
+    with pytest.raises(ValueError, match=re.escape(f"page size {page_size!r}")):
+        synthetic_domain_pairs(0, "source", 1, page_size)
+    with pytest.raises(ValueError, match=re.escape(f"page size {page_size!r}")):
+        ba.make_synthetic_domains(0, n_pages=1, page_size=page_size)
+
+
+def test_write_synthetic_dirs_rejects_an_empty_side_before_writing(tmp_path):
+    with pytest.raises(ValueError, match=re.escape("page size (5, 0)")):
+        write_synthetic_dirs(0, tmp_path / "out", 1, (5, 0))
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("page_size", [(40, 40), (30, 52)], ids=["square", "non-square"])
+def test_write_synthetic_dirs_loadable(tmp_path, page_size):
+    dirs = write_synthetic_dirs(0, tmp_path, n_pages=3, page_size=page_size)
     assert [d.name for d in dirs] == ["source", "target_near", "target_far"]
     src = load_dataset(tmp_path / "source", "source", 0.34, seed=0)
     assert len(src.records) == 3
+    assert all(r.page.shape == r.gt.shape == page_size for r in src.records)
     masks = load_eval_masks(tmp_path / "target_far")
     assert set(masks) == {"page00", "page01", "page02"}
     # round-tripped gt equals the generator's mask
-    pairs = synthetic_domain_pairs(0, "target_far", n_pages=3, page_size=(40, 40))
+    pairs = synthetic_domain_pairs(0, "target_far", n_pages=3, page_size=page_size)
     for stem, _, mask in pairs:
         np.testing.assert_array_equal(masks[stem], mask)

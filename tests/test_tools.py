@@ -1,8 +1,12 @@
 """The tools: ``compare_artifacts.py``'s seed lists, the data it writes and
-the file comparison it reports, and the runs ``faults.py`` measures."""
+compares, the file comparison it reports and its exit status on a failed
+command, and the runs ``faults.py`` measures."""
 
 import importlib.util
+import shutil
 from pathlib import Path
+
+import pytest
 
 import binadapt as ba
 
@@ -49,10 +53,36 @@ def test_write_data_adds_ragged_pages(tmp_path):
     assert shapes == sorted(tool.RAGGED)
 
 
+def test_compare_data_reports_a_generator_wrong_only_on_non_square_pages(tmp_path):
+    tool = _load_tool()
+    change = tmp_path / "change"
+    shutil.copytree(TOOL.parents[1] / "src" / "binadapt", change / "src" / "binadapt",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    data_py = change / "src" / "binadapt" / "data.py"
+    text = data_py.read_text()
+    walk = "steps = int(rng.integers(h // 3, h))"
+    assert walk in text
+    data_py.write_text(text.replace(walk, "steps = int(rng.integers(w // 3, w))"))
+    data, differing = tool.compare_data(TOOL.parents[1], change, 0, tmp_path / "work")
+    assert data == tmp_path / "work" / "parent" / "data0"
+    # the 128x128 domains match; both ragged pages are non-square
+    assert differing == sorted(Path("ragged") / f"page{h}x{w}.pgm" for h, w in tool.RAGGED)
+    _, differing = tool.compare_data(TOOL.parents[1], TOOL.parents[1], 0, tmp_path / "same")
+    assert differing == []
+
+
+def test_failed_command_exits_2(tmp_path):
+    tool = _load_tool()
+    with pytest.raises(SystemExit) as exit_info:
+        tool._python(tmp_path, "-c", "raise SystemExit(3)")
+    assert exit_info.value.code == 2
+
+
 def test_run_tree_writes_similarity_train_sae_and_synth(tmp_path):
     tool = _load_tool()
     data, out = tmp_path / "data", tmp_path / "out"
     tool.write_data(TOOL.parents[1], 0, data)
+    tool.write_configs(0, data)
     tool.run_tree(TOOL.parents[1], 0, data, out)
     assert (out / "similarity" / "report.json").is_file()
     assert (out / "train_sae" / "sae.ckpt").is_file()

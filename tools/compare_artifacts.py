@@ -2,23 +2,24 @@
 
 Usage: python3 tools/compare_artifacts.py PARENT_TREE CHANGE_TREE [--seeds 0-3]
 
-Each tree is a checkout holding ``src/binadapt``. Per seed, the synthetic
-data (4 pages of 128x128 per domain) is written once, by the first tree, and
-both trees then run, each command in its own process with BLAS at one thread,
-at the benchmark's ``adapt`` settings (10 epochs, batch 8, lr 0.01,
-validation fraction 0.2):
+Each tree is a checkout holding ``src/binadapt``. Per seed, each tree writes
+the synthetic data: 4 pages of 128x128 per domain with their ``gt`` masks,
+and two ragged far-target pages, 1000x750 and 45x300, under ``ragged/``.
+Every generated file whose bytes differ between the two data trees is
+listed, under ``seedN/data/``, so a generator that is wrong only on
+non-square pages shows here. Both trees then run on the first tree's data,
+each command in its own process with BLAS at one thread, at the benchmark's
+``adapt`` settings (10 epochs, batch 8, lr 0.01, validation fraction 0.2):
 
 * ``binadapt run`` from the source to the far and to the near target;
 * ``binadapt predict`` on every far-target page with the far run's
   ``bindann.ckpt``;
-* ``binadapt predict`` with the same checkpoint on two ragged far-target
-  pages, 1000x750 and 45x300, whose sides are no multiple of the patch and
-  whose prediction batches cross rows of patches. The first tree writes them
-  next to the data, under ``ragged/``. The 1000x750 page has 48 batches of
-  16 patches, so on two or more usable CPUs its prediction forks workers
-  that fill one shared map: it is the only command here that runs that
-  path. The 45x300 page (2 batches) and every 128x128 page (1 batch) run in
-  one process;
+* ``binadapt predict`` with the same checkpoint on the two ragged pages,
+  whose sides are no multiple of the patch and whose prediction batches
+  cross rows of patches. The 1000x750 page has 48 batches of 16 patches,
+  so on two or more usable CPUs its prediction forks workers that fill one
+  shared map: it is the only command here that runs that path. The 45x300
+  page (2 batches) and every 128x128 page (1 batch) run in one process;
 * ``binadapt similarity`` from the source to the far target with the far
   run's ``sae.ckpt``;
 * ``binadapt train-sae`` on the source;
@@ -82,8 +83,9 @@ def _python(tree: Path, *args):
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
     if proc.returncode != 0:
-        sys.exit(f"compare_artifacts: {' '.join(args)} under {tree} exited "
-                 f"{proc.returncode}:\n{proc.stderr}")
+        print(f"compare_artifacts: {' '.join(args)} under {tree} exited "
+              f"{proc.returncode}:\n{proc.stderr}", file=sys.stderr)
+        sys.exit(2)
 
 
 def _binadapt(tree: Path, *args):
@@ -91,9 +93,22 @@ def _binadapt(tree: Path, *args):
 
 
 def write_data(tree: Path, seed, data: Path):
-    """The synthetic domains and the ragged pages, written by ``tree``'s code,
-    and one config per target."""
+    """The synthetic domains and the ragged pages, written by ``tree``'s code."""
     _python(tree, "-c", _WRITE_DATA, str(seed), str(data))
+
+
+def compare_data(parent: Path, change: Path, seed, work: Path):
+    """Write the seed's data with each tree, under ``work/parent`` and
+    ``work/change``; return the parent's data directory and the generated
+    files whose bytes differ between the two."""
+    datas = [work / name / f"data{seed}" for name in ("parent", "change")]
+    for tree, data in zip((parent, change), datas):
+        write_data(tree, seed, data)
+    return datas[0], differing_files(*datas)
+
+
+def write_configs(seed, data: Path):
+    """One config per target, at the benchmark's ``adapt`` settings, next to ``data``'s domains."""
     for target in TARGETS:
         keys = dict(source_dir=data / "source", target_dir=data / target, seed=seed, **ADAPT)
         (data / f"{target}.cfg").write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
@@ -126,14 +141,16 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="compare_artifacts_") as work:
         work = Path(work)
         for seed in parse_seeds(args.seeds):
-            data = work / f"data{seed}"
-            write_data(args.parent, seed, data)
+            data, data_differing = compare_data(args.parent, args.change, seed, work)
+            differing += [Path(f"seed{seed}", "data") / rel for rel in data_differing]
+            n_data = sum(1 for p in data.rglob("*") if p.is_file())
+            write_configs(seed, data)
             outs = [work / name / f"seed{seed}" for name in ("parent", "change")]
             for tree, out in zip((args.parent, args.change), outs):
                 run_tree(tree, seed, data, out)
             differing += [Path(f"seed{seed}") / rel for rel in differing_files(*outs)]
             n_files = sum(1 for p in outs[0].rglob("*") if p.is_file())
-            print(f"seed {seed}: {n_files} files compared")
+            print(f"seed {seed}: {n_data} data files and {n_files} artifacts compared")
     for rel in differing:
         print(f"differs: {rel}")
     print(f"{len(differing)} differing files")
