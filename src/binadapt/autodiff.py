@@ -119,7 +119,7 @@ class _Run:
     """Cached state of one forward execution, consumed by backward."""
 
     values: dict
-    masks: dict
+    masks: dict  # dropout node id -> boolean keep-mask
     order: tuple
     input_needs: dict  # node id -> per input: does a parameter feed it?
     training: bool
@@ -227,8 +227,10 @@ def forward(
 
     Only the ancestor subgraph of ``wanted`` (default: all registered outputs)
     is computed, so inputs outside that subgraph need not be bound. Dropout
-    nodes draw masks from ``rng`` when training, or reuse ``frozen_masks``
-    (node id -> mask) when given. The execution record is cached on the graph
+    nodes draw boolean keep-masks from ``rng`` when training, or reuse
+    ``frozen_masks`` (node id -> boolean keep-mask of the node's input shape,
+    as a record's ``masks`` holds them; anything else raises ``GraphError``)
+    when given. The execution record is cached on the graph
     for a subsequent ``backward``; the previous record is released first, so
     a forward that raises leaves nothing to differentiate.
     """

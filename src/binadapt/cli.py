@@ -178,7 +178,7 @@ def cmd_train_sae(args) -> int:
 def cmd_predict(args) -> int:
     cfg = _load_config(args)
     tb = load_binarizer(args.checkpoint)
-    page = read_pgm(Path(args.input).read_bytes()).pixels
+    page = read_pgm(Path(args.input).read_bytes()).levels
     out = _out_dir(cfg)
     prob = predict_prob_map(tb.model, page)
     stem = Path(args.input).stem

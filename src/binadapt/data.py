@@ -1,16 +1,20 @@
 """Image I/O, dataset directory ingestion, patch tiling, and synthetic fixtures.
 
-Pages are 8-bit PGM files (P5 binary or P2 ASCII, maxval 255) scaled to
-float64 in [0, 1] on load. Dataset directories look like::
+Pages are 8-bit PGM files (P5 binary or P2 ASCII, maxval 255). A loaded page
+stays an array of ``uint8`` levels until a batch is gathered from it, and
+``unit_floats`` then scales the batch to float64 in [0, 1]: ``level / 255.0``,
+the division ``Page.pixels`` makes of a whole page, so a loaded page and its
+float copy give the same bytes. Dataset directories look like::
 
     <root>/images/*.pgm          pages
     <root>/gt/*.pgm              ground truth, matching stems (source role only;
                                  pixel >= 128 marks foreground ink)
 
-Pages and patch stacks are plain float64 ``np.ndarray``s and ground-truth
-labels are 2-D boolean masks. Patch tiling pads pages by edge replication up
-to multiples of the patch size and cuts the padded page into one
-``[rows * cols, h, w]`` array by a reshape, so
+Pages and patch stacks are plain ``np.ndarray``s: ``uint8`` levels when
+loaded, float64 in [0, 1] when generated, and ground-truth labels are 2-D
+boolean masks. Patch tiling pads pages by edge replication up to multiples of
+the patch size and cuts the padded page into one ``[rows * cols, h, w]``
+array of the page's dtype by a reshape, so
 ``assemble(split_patches(page, h, w), page.shape)`` is a bit-exact inverse.
 The synthetic generator builds three small domains: a source domain of dark
 strokes on light background with exact masks, a nearby target whose paper is
@@ -49,6 +53,10 @@ _SEED_SPLIT = 101
 _SEED_SYNTH = 102
 
 GT_INK_THRESHOLD = 128  # 8-bit level at or above which a gt pixel counts as ink
+# Values per block where a page-sized float array would otherwise be made at
+# once: the generator's noise and write_pgm's quantization run row block by
+# row block, each of about this many values (512 KiB of float64).
+_BLOCK = 1 << 16
 
 
 class DataError(ValueError):
@@ -61,15 +69,26 @@ class PgmError(ValueError):
 
 @dataclass
 class Page:
-    """A decoded PGM: (h, w) grayscale pixels scaled to [0, 1] floats."""
+    """A decoded PGM: its (h, w) ``uint8`` gray levels."""
 
-    pixels: np.ndarray
+    levels: np.ndarray
+
+    @property
+    def pixels(self) -> np.ndarray:
+        """The levels scaled to a new float64 array in [0, 1]."""
+        return self.levels / 255.0
+
+
+def unit_floats(batch) -> np.ndarray:
+    """A gathered batch of ``uint8`` levels scaled to float64 by ``/ 255.0``,
+    as ``Page.pixels`` scales a page; float pixels pass as they are."""
+    return batch / 255.0 if batch.dtype == np.uint8 else batch
 
 
 @dataclass
 class PageRecord:
     stem: str
-    page: np.ndarray  # (h, w) float64 pixels in [0, 1]
+    page: np.ndarray  # (h, w) uint8 levels when loaded, float64 in [0, 1] when generated
     gt: np.ndarray | None  # (h, w) boolean mask, True marks foreground ink
     split: str  # "train" | "validation"
 
@@ -158,7 +177,7 @@ def read_pgm(data: bytes) -> Page:
                 f"truncated P5 payload at byte {len(data)}: "
                 f"expected {count} bytes from byte {pos}"
             )
-        values = np.frombuffer(data[pos : pos + count], dtype=np.uint8)
+        values = np.frombuffer(data, dtype=np.uint8, count=count, offset=pos)
     else:
         if len(data) - pos < 2 * count - 1:  # a digit and a separator per pixel
             raise PgmError(f"truncated P2 payload at byte {len(data)}: "
@@ -169,7 +188,13 @@ def read_pgm(data: bytes) -> Page:
             if v > 255:
                 raise PgmError(f"pixel value {v} exceeds 255 at byte {pos}")
             values[i] = v
-    return Page(values.reshape(height, width) / 255.0)
+    return Page(values.reshape(height, width))
+
+
+def _row_blocks(shape):
+    """Slices of consecutive rows, about ``_BLOCK`` values each, covering ``shape``."""
+    step = max(1, _BLOCK // max(1, shape[1]))
+    return [slice(r, min(r + step, shape[0])) for r in range(0, shape[0], step)]
 
 
 def write_pgm(page) -> bytes:
@@ -180,11 +205,13 @@ def write_pgm(page) -> bytes:
         raise PgmError(f"write_pgm expects a grayscale page, got shape {arr.shape}")
     if arr.dtype == bool:
         raw = arr.view(np.uint8) * np.uint8(255)
-    else:  # one float temporary, rounded and clipped in place
-        t = np.multiply(arr, 255.0, dtype=np.float64)
-        np.round(t, out=t)
-        np.clip(t, 0, 255, out=t)
-        raw = t.astype(np.uint8)
+    else:  # one float block at a time, rounded and clipped in place
+        raw = np.empty(arr.shape, dtype=np.uint8)
+        for rows in _row_blocks(arr.shape):
+            t = np.multiply(arr[rows], 255.0, dtype=np.float64)
+            np.round(t, out=t)
+            np.clip(t, 0, 255, out=t)
+            raw[rows] = t
     header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")
     return header + raw.tobytes()
 
@@ -194,10 +221,11 @@ def write_pgm(page) -> bytes:
 
 def split_patches(page, h, w) -> np.ndarray:
     """Tile a page into its ``[rows * cols, h, w]`` stack of h x w patches in
-    row-major order, edge-replicating up to full multiples."""
+    row-major order, edge-replicating up to full multiples; the stack keeps
+    the page's dtype."""
     if h < 1 or w < 1:
         raise ValueError("patch dimensions must be >= 1")
-    arr = np.asarray(page, dtype=np.float64)
+    arr = np.asarray(page)
     if arr.ndim != 2:
         raise ValueError(f"split_patches expects a 2-D page, got shape {arr.shape}")
     rows, cols = math.ceil(arr.shape[0] / h), math.ceil(arr.shape[1] / w)
@@ -239,7 +267,7 @@ def _assign_splits(stems, validation_fraction, seed):
 
 
 def _read_gt(path) -> np.ndarray:
-    return read_pgm(path.read_bytes()).pixels >= GT_INK_THRESHOLD / 255.0
+    return read_pgm(path.read_bytes()).levels >= GT_INK_THRESHOLD
 
 
 def _check_gt_size(stem, gt, page):
@@ -263,7 +291,7 @@ def load_dataset(directory, role, validation_fraction, seed) -> Dataset:
     records = []
     missing = []
     for path in image_paths:
-        page = read_pgm(path.read_bytes()).pixels
+        page = read_pgm(path.read_bytes()).levels
         gt = None
         if role == "source":
             gt_path = root / "gt" / path.name
@@ -360,18 +388,34 @@ def _synthetic_page(rng, shape, kind):
     """
     bg, ink, noise, ghost_level = _KINDS[kind]
     mask = _paint_strokes(rng, shape, int(rng.integers(8, 14)), (1, 3))
-    page = np.full(shape, bg) + rng.normal(0, noise, shape)
+    page = np.full(shape, bg)
+    for rows, z in _noise_blocks(rng, noise, shape):
+        page[rows] += z
     if ghost_level is not None:
         ghost = _paint_strokes(rng, shape, int(rng.integers(6, 12)), (1, 3))[:, ::-1]
-        page[ghost] = ghost_level + rng.normal(0, noise, shape)[ghost]
-    page[mask] = ink + rng.normal(0, noise, shape)[mask]
+        for rows, z in _noise_blocks(rng, noise, shape):
+            page[rows][ghost[rows]] = ghost_level + z[ghost[rows]]
+    for rows, z in _noise_blocks(rng, noise, shape):
+        page[rows][mask[rows]] = ink + z[mask[rows]]
     return np.clip(page, 0.0, 1.0, out=page), mask
 
 
-def _check_page_size(page_size):
-    if len(page_size) != 2 or not all(
-            isinstance(side, (int, np.integer)) and not isinstance(side, bool) and side >= 1
-            for side in page_size):
+def _noise_blocks(rng, noise, shape):
+    """``rng.normal(0, noise, shape)`` drawn as consecutive row blocks, each
+    yielded with its rows. The generator draws sample by sample, so the blocks
+    hold the values of one page-sized draw and leave the stream where it would."""
+    for rows in _row_blocks(shape):
+        yield rows, rng.normal(0, noise, (rows.stop - rows.start, shape[1]))
+
+
+def _is_count(value):
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
+
+
+def _check_pages(n_pages, page_size):
+    if not _is_count(n_pages):
+        raise ValueError(f"page count {n_pages!r} is not an integer >= 1")
+    if len(page_size) != 2 or not all(_is_count(side) for side in page_size):
         raise ValueError(f"page size {page_size!r} needs two integer sides >= 1")
 
 
@@ -379,7 +423,7 @@ def synthetic_domain_pairs(seed, kind, n_pages=8, page_size=(128, 128)):
     """Deterministic (stem, page array, boolean mask) triplets for one domain."""
     if kind not in _KINDS:
         raise ValueError(f"unknown synthetic kind {kind!r}; known kinds: {', '.join(SYNTHETIC_KINDS)}")
-    _check_page_size(page_size)
+    _check_pages(n_pages, page_size)
     kind_idx = SYNTHETIC_KINDS.index(kind)
     out = []
     for i in range(n_pages):
@@ -409,7 +453,7 @@ def make_synthetic_domains(seed, n_pages=8, page_size=(128, 128), validation_fra
 def write_synthetic_dirs(seed, out_dir, n_pages=8, page_size=(128, 128)):
     """Write the three fixture domains as dataset directories (gt included for
     all three; target gt exists on disk for evaluation only)."""
-    _check_page_size(page_size)  # before any directory is made
+    _check_pages(n_pages, page_size)  # before any directory is made
     out_root = Path(out_dir)
     for kind in SYNTHETIC_KINDS:
         for sub in ("images", "gt"):

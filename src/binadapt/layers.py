@@ -371,23 +371,30 @@ def _fwd_dropout(node, xs, run):
     rate = node.attrs["rate"]
     if not run.training or rate == 0.0:
         return x
-    mask = run.masks.get(run.nid)
-    if mask is None:
+    keep = run.masks.get(run.nid)
+    if keep is None:
         if run.rng is None:
             raise GraphError(f"dropout node ({node.name}) needs an rng in training mode")
-        # inverted dropout: 0 with probability ``rate``, else 1/(1-rate)
-        mask = (run.rng.random(x.shape) >= rate) / (1.0 - rate)
-        run.masks[run.nid] = mask
-    elif mask.shape != x.shape:
-        raise GraphError(f"frozen dropout mask shape {mask.shape} != input {x.shape}")
-    return x * mask
+        keep = run.rng.random(x.shape) >= rate
+        run.masks[run.nid] = keep
+    elif not isinstance(keep, np.ndarray) or keep.dtype != bool or keep.shape != x.shape:
+        raise GraphError(f"frozen dropout mask of node ({node.name}) is not a boolean array "
+                         f"of the input's shape {x.shape}")
+    return _inverted_dropout(x, keep, rate)
 
 
 def _bwd_dropout(node, g, xs, y, run):
-    mask = run.masks.get(run.nid)
-    if mask is None or not run.training or node.attrs["rate"] == 0.0:
+    keep = run.masks.get(run.nid)
+    if keep is None or not run.training or node.attrs["rate"] == 0.0:
         return [g]
-    return [g * mask]
+    return [_inverted_dropout(g, keep, node.attrs["rate"])]
+
+
+def _inverted_dropout(a, keep, rate):
+    """``a`` times the multiplier of the boolean keep-mask: 0 where dropped,
+    else 1/(1-rate), computed into the multiplier (the product ``a * m``)."""
+    m = keep / (1.0 - rate)
+    return np.multiply(a, m, out=m)
 
 
 def _fwd_grl(node, xs, run):

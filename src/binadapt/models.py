@@ -29,6 +29,7 @@ import numpy as np
 
 from . import autodiff
 from .autodiff import CheckpointError, Graph, GraphError, read_checkpoint, write_checkpoint
+from .data import unit_floats
 from .layers import (
     ConvSpec,
     bce_node,
@@ -230,7 +231,7 @@ def _predict_batches(model, arr, tiles, first, last):
     for start in range(first * _PREDICT_BATCH, min(last * _PREDICT_BATCH, rows * cols), _PREDICT_BATCH):
         k = np.arange(start, min(start + _PREDICT_BATCH, rows * cols))
         r, c = k // cols, k % cols
-        x = arr[ys[r], xs[c]][:, None]  # [n, 1, h, w]
+        x = unit_floats(arr[ys[r], xs[c]])[:, None]  # [n, 1, h, w]
         out = autodiff.forward(model.graph, {"x": x}, wanted=("prob_map",))
         tiles[r, c] = out["prob_map"][:, 0]
 
@@ -255,8 +256,10 @@ def predict_prob_map(model: Model, page) -> np.ndarray:
     The page is tiled into model-sized patches, edge-replicated up to full
     multiples, and every patch runs in inference mode (dropout off) in batches
     of ``_PREDICT_BATCH`` in row-major order. A batch gathers its patches from
-    the page and writes its maps straight into one map, which is cropped back
-    to page size.
+    the page, ``uint8`` levels or float pixels in [0, 1], scales them as
+    ``data.unit_floats`` does, and writes its maps straight into one map,
+    which is cropped back to page size. Levels ``v`` and the pixels
+    ``v / 255.0`` give the same map.
 
     The batches are split into contiguous shares, one per worker process:
     ``min(usable CPUs, batches // _FORK_BATCHES)`` of them, at least one, and
@@ -273,7 +276,7 @@ def predict_prob_map(model: Model, page) -> np.ndarray:
     Every child is reaped before the call returns or raises, and the model
     keeps no forward record once it does.
     """
-    arr = np.asarray(page, dtype=np.float64)
+    arr = np.asarray(page)
     if arr.ndim != 2:
         raise ValueError(f"predict_prob_map expects a 2-D page, got shape {arr.shape}")
     cfg = model.config if model.kind == "sae" else model.config.sae

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .autodiff import CheckpointError, adam, backward, forward, optimizer_step
-from .data import DataError, Dataset, check_validation_fraction, split_patches
+from .data import DataError, Dataset, check_validation_fraction, split_patches, unit_floats
 from .layers import grl_lambda_at
 from .metrics import Confusion, confusion, f1
 from .models import (
@@ -185,7 +185,8 @@ def sweep_threshold(prob_maps, validation, sweep_step):
 
 
 def _patch_pool(pages, patch):
-    """Every patch of the given pages, stacked as one [k, 1, h, w] array."""
+    """Every patch of the given pages, stacked as one [k, 1, h, w] array of
+    the pages' dtype: ``uint8`` levels or float pixels, or boolean labels."""
     return np.concatenate([split_patches(page, *patch) for page in pages])[:, None]
 
 
@@ -241,7 +242,7 @@ def _fit(source: Dataset, target: Dataset | None, cfg: ExperimentConfig) -> Trai
                 # dropout draws per (epoch, step, pass): the target pass never
                 # shifts the source pass's masks
                 idx = sampler.integers(0, len(x_pool), size=cfg.batch)
-                bindings = {"x": x_pool[idx], "gt": y_pool[idx]}
+                bindings = {"x": unit_floats(x_pool[idx]), "gt": y_pool[idx]}
                 if target is not None:
                     bindings["domain_gt"] = src_domain
                 out = forward(model.graph, bindings, wanted=wanted, training=True,
@@ -251,7 +252,7 @@ def _fit(source: Dataset, target: Dataset | None, cfg: ExperimentConfig) -> Trai
 
                 if target is not None:
                     idx_t = t_sampler.integers(0, len(t_pool), size=cfg.batch)
-                    out_t = forward(model.graph, {"x": t_pool[idx_t], "domain_gt": tgt_domain},
+                    out_t = forward(model.graph, {"x": unit_floats(t_pool[idx_t]), "domain_gt": tgt_domain},
                                     wanted=("domain_loss",), training=True,
                                     rng=_stream(_SEED_DROP, cfg.seed, epoch, step, 1))
                     for name, g in backward(model.graph, "domain_loss").items():

@@ -138,3 +138,18 @@ def loop_paint_strokes(rng, shape, n_strokes, thickness_range):
             y += np.sin(angle)
             x += np.cos(angle)
     return mask
+
+
+def whole_page_synthetic_page(rng, shape, kind):
+    """One synthetic (page, mask) pair with every noise field drawn as one
+    page-sized array, painted by ``loop_paint_strokes``."""
+    from binadapt.data import _KINDS
+
+    bg, ink, noise, ghost_level = _KINDS[kind]
+    mask = loop_paint_strokes(rng, shape, int(rng.integers(8, 14)), (1, 3))
+    page = np.full(shape, bg) + rng.normal(0, noise, shape)
+    if ghost_level is not None:
+        ghost = loop_paint_strokes(rng, shape, int(rng.integers(6, 12)), (1, 3))[:, ::-1]
+        page[ghost] = ghost_level + rng.normal(0, noise, shape)[ghost]
+    page[mask] = ink + rng.normal(0, noise, shape)[mask]
+    return np.clip(page, 0.0, 1.0), mask

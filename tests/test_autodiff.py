@@ -346,6 +346,20 @@ def test_frozen_masks_are_never_written():
                          rng=np.random.default_rng(1)) < 1e-4
 
 
+def test_a_frozen_mask_must_be_a_boolean_keep_mask_of_the_input_shape():
+    model = ba.build_sae(SAE, np.random.default_rng(0))
+    source, _ = _dann_batches(4, 0)
+    del source["domain_gt"]
+    ba.forward(model.graph, source, training=True, rng=np.random.default_rng(1))
+    masks = dict(model.graph._run.masks)
+    nid, keep = next(iter(masks.items()))
+    assert all(m.dtype == bool for m in masks.values())
+    # the float multiplier keep / (1 - rate) a record once held is refused too
+    for bad in (keep / 0.8, keep.astype(np.uint8), keep[:1], keep.tolist()):
+        with pytest.raises(GraphError, match="frozen dropout mask"):
+            ba.forward(model.graph, source, training=True, frozen_masks={**masks, nid: bad})
+
+
 def test_a_replaced_record_dies_at_once_and_leaves_no_cycle():
     # a cycle through a record would hold its activations until the
     # collector ran

@@ -1,15 +1,19 @@
 """PGM codec, tiling round trips, dataset ingestion, synthetic fixtures."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import binadapt as ba
 from binadapt.data import (
+    _BLOCK,
     GT_INK_THRESHOLD,
+    SYNTHETIC_KINDS,
     PgmError,
     _paint_strokes,
+    _synthetic_page,
     load_dataset,
     load_eval_masks,
     synthetic_domain_pairs,
@@ -17,7 +21,7 @@ from binadapt.data import (
 )
 
 from defaults import DEFAULTS
-from reference import loop_paint_strokes
+from reference import loop_paint_strokes, whole_page_synthetic_page
 
 
 # ---------------------------------------------------------------------------
@@ -34,6 +38,9 @@ def test_p5_roundtrip_payload_is_byte_identical():
     raw = rng.integers(0, 256, size=30 * 17, dtype=np.uint8).tobytes()
     blob = b"P5\n# a comment\n30 17\n255\n" + raw
     page = ba.read_pgm(blob)
+    assert page.levels.dtype == np.uint8 and page.levels.tobytes() == raw
+    levels = np.frombuffer(raw, dtype=np.uint8).reshape(17, 30)
+    assert page.pixels.tobytes() == (levels / 255.0).tobytes()
     again = ba.write_pgm(page.pixels)
     assert again.endswith(raw)
     assert ba.read_pgm(again).pixels.tobytes() == page.pixels.tobytes()
@@ -128,10 +135,31 @@ def test_write_pgm_quantizes_as_round_then_clip():
         np.nextafter(levels + 0.5 / 255.0, -1.0), np.nextafter(levels + 0.5 / 255.0, 2.0),
         [-1e300, -2.0, -0.5 / 255.0, -0.0, 1.0 + 0.5 / 255.0, 1.5, 1e300],
     ])
-    page = values.reshape(1, -1)
-    expected = np.clip(np.round(page * 255.0), 0, 255).astype(np.uint8)
-    assert ba.write_pgm(page).endswith(expected.tobytes())
-    assert ba.write_pgm(page.T).endswith(expected.T.tobytes())
+    # and a page quantized in row blocks whose height is no multiple of a block
+    tall = np.resize(values, (300, 1000))
+    assert 300 % (_BLOCK // 1000) != 0
+    for page in (values.reshape(1, -1), values.reshape(-1, 1), tall, tall.T):
+        expected = np.clip(np.round(page * 255.0), 0, 255).astype(np.uint8)
+        assert ba.write_pgm(page).endswith(expected.tobytes())
+
+
+def test_pgm_codec_makes_no_page_sized_float():
+    # a 1024² page: 8 MiB as float64, 1 MiB as levels
+    page = np.random.default_rng(3).random((1024, 1024))
+    tracemalloc.start()
+    try:
+        blob = ba.write_pgm(page)
+        encode_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        levels = ba.read_pgm(blob).levels
+        decode_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert encode_peak < 4 * 2**20
+    assert decode_peak < 1.5 * 2**20
+    assert levels.dtype == np.uint8
+    assert blob.endswith(levels.tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +227,15 @@ def _write_pages(root, n, size=(12, 10), gt=True, gt_skip=()):
         if gt and stem not in gt_skip:
             mask = (rng.random(size) > 0.5).astype(float)
             (root / "gt" / f"{stem}.pgm").write_bytes(ba.write_pgm(mask))
+
+
+def test_load_dataset_keeps_levels_and_boolean_labels(tmp_path):
+    _write_pages(tmp_path, 2)
+    ds = load_dataset(tmp_path, "source", validation_fraction=0.5, seed=0)
+    for rec in ds.records:
+        assert rec.page.dtype == np.uint8 and rec.gt.dtype == bool
+        blob = (tmp_path / "images" / f"{rec.stem}.pgm").read_bytes()
+        assert rec.page.tobytes() == ba.read_pgm(blob).levels.tobytes()
 
 
 def test_load_dataset_split_arithmetic(tmp_path):
@@ -307,6 +344,20 @@ def test_paint_strokes_matches_the_step_by_step_walk(shape, thickness):
         assert rng.random() == oracle_rng.random()  # the generator is left where the walk leaves it
 
 
+# heights of 300 and 1100 span several noise blocks and end in a partial one
+@pytest.mark.parametrize("kind", SYNTHETIC_KINDS)
+@pytest.mark.parametrize("shape", [(128, 128), (64, 200), (300, 90), (1, 5), (2, 2), (5, 1),
+                                   (300, 1000), (1100, 64)])
+def test_synthetic_page_matches_whole_page_noise(shape, kind):
+    for seed in range(2):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        page, mask = _synthetic_page(rng, shape, kind)
+        want_page, want_mask = whole_page_synthetic_page(oracle_rng, shape, kind)
+        assert page.tobytes() == want_page.tobytes()
+        np.testing.assert_array_equal(mask, want_mask)
+        assert rng.random() == oracle_rng.random()
+
+
 def test_synthetic_pairs_reject_unknown_kind():
     with pytest.raises(ValueError, match="unknown synthetic kind 'nope'"):
         synthetic_domain_pairs(0, "nope")
@@ -320,9 +371,19 @@ def test_synthetic_pairs_reject_page_sides_that_are_not_integers_from_1(page_siz
         ba.make_synthetic_domains(0, n_pages=1, page_size=page_size)
 
 
+@pytest.mark.parametrize("n_pages", [0, -2, 1.5, True, "3"])
+def test_synthetic_pairs_reject_page_counts_that_are_not_integers_from_1(n_pages):
+    with pytest.raises(ValueError, match=re.escape(f"page count {n_pages!r}")):
+        synthetic_domain_pairs(0, "source", n_pages, (8, 8))
+    with pytest.raises(ValueError, match=re.escape(f"page count {n_pages!r}")):
+        ba.make_synthetic_domains(0, n_pages=n_pages, page_size=(8, 8))
+
+
 def test_write_synthetic_dirs_rejects_an_empty_side_before_writing(tmp_path):
     with pytest.raises(ValueError, match=re.escape("page size (5, 0)")):
         write_synthetic_dirs(0, tmp_path / "out", 1, (5, 0))
+    with pytest.raises(ValueError, match=re.escape("page count 0")):
+        write_synthetic_dirs(0, tmp_path / "out", 0, (5, 5))
     assert not (tmp_path / "out").exists()
 
 

@@ -187,6 +187,17 @@ def test_streamed_prediction_matches_whole_page_tiling(cfg, workers, monkeypatch
         assert got.tobytes() == _whole_page_prob_map(model, page).tobytes(), shape
 
 
+# 256x1000 is 16 batches of default patches, predicted here by two processes
+@pytest.mark.parametrize("shape, workers", [((256, 1000), 2), ((45, 300), 1)],
+                         ids=["forked", "one-process"])
+def test_levels_predict_as_their_pixels(shape, workers, monkeypatch):
+    model = ba.build_sae(SAE, np.random.default_rng(6))
+    _force_workers(monkeypatch, workers)
+    levels = np.random.default_rng(shape).integers(0, 256, shape, dtype=np.uint8)
+    got = ba.predict_prob_map(model, levels)
+    assert got.tobytes() == ba.predict_prob_map(model, levels / 255.0).tobytes()
+
+
 def test_worker_count_rule(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     assert [models._workers(b) for b in (1, 8, 15, 16, 24, 1000)] == [1, 1, 1, 2, 3, 3]

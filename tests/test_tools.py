@@ -1,8 +1,9 @@
 """The tools: ``compare_artifacts.py``'s seed lists, the data it writes and
 compares, the file comparison it reports and its exit status on a failed
-command, and the runs ``faults.py`` measures."""
+command, the runs ``faults.py`` measures, and ``memory_probe.py``'s report."""
 
 import importlib.util
+import json
 import shutil
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import binadapt as ba
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_artifacts.py"
 FAULTS = TOOL.parent / "faults.py"
+PROBE = TOOL.parent / "memory_probe.py"
 
 
 def _load_tool(path=TOOL):
@@ -102,3 +104,14 @@ def test_faults_reports_every_run(capsys):
     # with glibc's default heap thresholds the arrays every step frees go back
     # to the kernel, and the second run faults thousands of pages in again
     assert int(lines[1].split()[-1]) <= 1000
+
+
+def test_memory_probe_reports_the_runs_peak_per_input_pixel(tmp_path, capsys):
+    probe = _load_tool(PROBE)
+    assert probe.main(["--side", "64", "--pages", "3", "--seed", "0", "--out", str(tmp_path)]) == 0
+    report = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert report["input_pixels"] == 2 * 3 * 64 * 64
+    assert report["maxrss_bytes"] > 0
+    assert report["bytes_per_pixel"] == round(report["maxrss_bytes"] / report["input_pixels"], 2)
+    assert (tmp_path / "out" / "manifest.json").is_file()
+    assert len(list((tmp_path / "data" / "target_far" / "images").glob("*.pgm"))) == 3

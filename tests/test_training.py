@@ -1,12 +1,13 @@
 """Trainer contracts: sweeps, checkpoint selection, determinism, zero-coupling."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import binadapt as ba
-from binadapt.data import PageRecord
+from binadapt.data import Dataset, PageRecord, write_synthetic_dirs
 from binadapt.training import history_csv
 
 
@@ -142,6 +143,28 @@ def test_kept_validation_maps_are_the_kept_models_maps():
     assert len(tb.val_maps) == len(src.validation())
     for prob, rec in zip(tb.val_maps, src.validation()):
         assert prob.tobytes() == ba.predict_prob_map(tb.model, rec.page).tobytes()
+
+
+def _as_pixels(ds):
+    return Dataset(ds.role, [replace(r, page=r.page / 255.0) for r in ds.records])
+
+
+@pytest.mark.parametrize("adversarial", [False, True], ids=["sae", "bindann"])
+def test_training_on_levels_matches_training_on_their_pixels(tmp_path, adversarial):
+    write_synthetic_dirs(0, tmp_path, n_pages=4, page_size=(64, 64))
+    src = ba.load_dataset(tmp_path / "source", "source", 0.25, 0)
+    far = ba.load_dataset(tmp_path / "target_far", "target", 0.25, 0)
+    assert src.records[0].page.dtype == far.records[0].page.dtype == np.uint8
+    cfg = _tiny_cfg(seed=3)
+    if adversarial:
+        runs = [ba.train_bindann(src, far, cfg), ba.train_bindann(_as_pixels(src), _as_pixels(far), cfg)]
+    else:
+        runs = [ba.train_sae(src, cfg), ba.train_sae(_as_pixels(src), cfg)]
+    levels, pixels = runs
+    assert history_csv(levels.history) == history_csv(pixels.history)
+    for name in levels.model.params:
+        assert levels.model.params[name].tobytes() == pixels.model.params[name].tobytes()
+    assert [m.tobytes() for m in levels.val_maps] == [m.tobytes() for m in pixels.val_maps]
 
 
 def test_zero_coupling_reproduces_plain_trainer_bitwise():
