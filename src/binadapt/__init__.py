@@ -52,6 +52,7 @@ from .similarity import (
     autobindann,
     compare_histograms,
     domain_histogram,
+    gate,
     gate_decision,
     hist_intersection,
     js_divergence,

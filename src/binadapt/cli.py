@@ -31,12 +31,7 @@ from .data import (
 )
 from .metrics import confusion, f1, precision, recall
 from .models import predict_prob_map
-from .similarity import (
-    autobindann,
-    compare_histograms,
-    domain_histogram,
-    histogram_csv,
-)
+from .similarity import autobindann, gate, histogram_csv
 from .training import (
     ExperimentConfig,
     binarize,
@@ -110,11 +105,14 @@ def _write_manifest(out: Path, command, cfg, extra=None):
     (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
-def _write_gate(out: Path, report, hist_source, hist_target, h_prec):
-    """The gate's artifacts: its report and the two domain histograms."""
+def _write_gate(out: Path, command, cfg, result, **extra):
+    """The gate's artifacts: its report, the two domain histograms, and the
+    manifest, which records the gate's decision and rho."""
+    report = result.report
     (out / "report.json").write_text(report.to_json() + "\n")
-    (out / "hist_source.csv").write_text(histogram_csv(hist_source, h_prec))
-    (out / "hist_target.csv").write_text(histogram_csv(hist_target, h_prec))
+    (out / "hist_source.csv").write_text(histogram_csv(result.hist_source, cfg.h_prec))
+    (out / "hist_target.csv").write_text(histogram_csv(result.hist_target, cfg.h_prec))
+    _write_manifest(out, command, cfg, {"decision": report.decision, "rho": report.rho, **extra})
 
 
 def _collapsed(**binarizers):
@@ -196,18 +194,11 @@ def cmd_similarity(args) -> int:
     tb = load_binarizer(args.checkpoint)
     source = load_dataset(cfg.source_dir, "source", cfg.validation_fraction, cfg.seed)
     target = load_dataset(cfg.target_dir, "target", cfg.validation_fraction, cfg.seed)
-    if not source.validation():
-        raise DataError("source has no validation page to pool into its histogram")
+    result = gate(tb, source, target, cfg)
     out = _out_dir(cfg)
-    hist_source, hist_target = (
-        domain_histogram((predict_prob_map(tb.model, rec.page) for rec in records), cfg.h_prec)
-        for records in (source.validation(), target.records)
-    )
-    report = compare_histograms(hist_source, hist_target, cfg.rho_th)
     out.mkdir(parents=True, exist_ok=True)
-    _write_gate(out, report, hist_source, hist_target, cfg.h_prec)
-    _write_manifest(out, "similarity", cfg, {"decision": report.decision, "rho": report.rho})
-    print(f"rho={report.rho:.4f} decision={report.decision}")
+    _write_gate(out, "similarity", cfg, result)
+    print(f"rho={result.report.rho:.4f} decision={result.report.decision}")
     return 0
 
 
@@ -229,7 +220,6 @@ def cmd_run(args) -> int:
     for stem, mask in result.masks.items():
         (mask_dir / f"{stem}.pgm").write_bytes(write_pgm(mask))
 
-    _write_gate(out, result.report, result.hist_source, result.hist_target, cfg.h_prec)
     (out / "history_sae.csv").write_text(history_csv(result.sae.history))
     save_binarizer(out / "sae.ckpt", result.sae)
     if result.da is not None:
@@ -240,8 +230,7 @@ def cmd_run(args) -> int:
     if rows:
         (out / "summary.csv").write_text(_summary_csv(rows))
 
-    _write_manifest(out, "run", cfg, {"decision": result.report.decision, "rho": result.report.rho,
-                                      "collapsed": _collapsed(sae=result.sae, bindann=result.da)})
+    _write_gate(out, "run", cfg, result, collapsed=_collapsed(sae=result.sae, bindann=result.da))
     print(f"rho={result.report.rho:.4f} decision={result.report.decision}; "
           f"binarized {len(result.masks)} pages into {mask_dir}")
     return 0

@@ -1,13 +1,13 @@
 """Domain similarity from probability-map histograms, and the gated driver.
 
-The source-trained binarizer predicts foreground-probability maps for both
-domains. ``domain_histogram``, the one place a histogram is built, pools a
-domain's pixel probabilities into one normalized histogram: a plain float64
-array of bin masses, bin width ``h_prec``. The Pearson correlation between
-the two histograms decides whether the plain model transfers (high
-correlation) or adversarial adaptation should be trained (correlation at or
-below ``rho_th``). KL and Jensen-Shannon divergences plus histogram
-intersection are computed alongside for reporting.
+``domain_histogram``, the one place a histogram is built, pools a domain's
+probability maps into a float64 array of bin masses of width ``h_prec``.
+``gate`` pools a trained binarizer's maps of both domains. The Pearson
+correlation of the two histograms keeps the plain model (high correlation)
+or calls for adversarial adaptation (at or below ``rho_th``); KL and
+Jensen-Shannon divergences and histogram intersection are reported alongside.
+``binadapt run`` reaches ``gate`` through ``autobindann``, which also trains
+both models, and ``binadapt similarity`` calls it with a loaded checkpoint.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import DataError, Dataset
 from .models import predict_prob_map
 from .training import (ExperimentConfig, TrainedBinarizer, _bin_count, binarize, train_bindann,
                        train_sae)
@@ -36,6 +36,7 @@ __all__ = [
     "compare_histograms",
     "domain_histogram",
     "AutoRunResult",
+    "gate",
     "autobindann",
     "histogram_csv",
 ]
@@ -169,7 +170,7 @@ def compare_histograms(hs, ht, rho_th) -> SimilarityReport:
 
 @dataclass
 class AutoRunResult:
-    """Everything the gated driver produced, for reporting and evaluation."""
+    """What the gate, and the gated driver after it, produced."""
 
     report: SimilarityReport
     sae: TrainedBinarizer
@@ -183,37 +184,45 @@ class AutoRunResult:
         return self.da if self.da is not None else self.sae
 
 
-def autobindann(source: Dataset, target: Dataset, cfg: ExperimentConfig) -> AutoRunResult:
-    """Train on source, gate on histogram correlation, binarize the target.
+def gate(sae: TrainedBinarizer, source: Dataset, target: Dataset,
+         cfg: ExperimentConfig) -> AutoRunResult:
+    """Gate a trained binarizer on histogram correlation; ``da`` stays ``None``.
 
-    The source histogram pools the validation partition's maps from which the
-    kept epoch's threshold was swept; the target histogram pools every target
-    page. When the gate fires, the adversarial model is trained and its own
-    swept threshold binarizes the target; otherwise the plain model's masks,
-    taken in the same pass over the target as its histogram, are kept.
-    Target ground truth is never touched: the target dataset carries none.
+    The source histogram pools the source validation maps: a fresh binarizer's
+    kept sweep maps, else (a checkpoint) new predictions. The target histogram
+    pools every target page, whose masks at ``th_s`` are taken in the same
+    pass. Target ground truth is never touched.
     """
-    sae_tb = train_sae(source, cfg)
-    hist_source = domain_histogram(sae_tb.val_maps, cfg.h_prec)
+    val_maps = sae.val_maps
+    if val_maps is None:
+        if not source.validation():
+            raise DataError("source has no validation page to pool into its histogram")
+        val_maps = (predict_prob_map(sae.model, rec.page) for rec in source.validation())
+    hist_source = domain_histogram(val_maps, cfg.h_prec)
     masks = {}
 
     def target_maps():
         for rec in target.records:
-            prob = predict_prob_map(sae_tb.model, rec.page)
-            masks[rec.stem] = binarize(prob, sae_tb.th_s)
+            prob = predict_prob_map(sae.model, rec.page)
+            masks[rec.stem] = binarize(prob, sae.th_s)
             yield prob
 
     hist_target = domain_histogram(target_maps(), cfg.h_prec)
     report = compare_histograms(hist_source, hist_target, cfg.rho_th)
+    return AutoRunResult(report, sae, None, masks, hist_source, hist_target)
 
-    da_tb = None
-    if report.decision == USE_DA:
-        da_tb = train_bindann(source, target, cfg)
-        masks = {
-            rec.stem: binarize(predict_prob_map(da_tb.model, rec.page), da_tb.th_s)
+
+def autobindann(source: Dataset, target: Dataset, cfg: ExperimentConfig) -> AutoRunResult:
+    """Train on source, ``gate``, and when the gate fires train the adversarial
+    model, whose own swept threshold then binarizes the target."""
+    result = gate(train_sae(source, cfg), source, target, cfg)
+    if result.report.decision == USE_DA:
+        result.da = train_bindann(source, target, cfg)
+        result.masks = {
+            rec.stem: binarize(predict_prob_map(result.da.model, rec.page), result.da.th_s)
             for rec in target.records
         }
-    return AutoRunResult(report, sae_tb, da_tb, masks, hist_source, hist_target)
+    return result
 
 
 def histogram_csv(h, h_prec) -> str:

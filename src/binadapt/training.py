@@ -81,6 +81,10 @@ class ExperimentConfig:
     validation_fraction: float = 0.2
 
     def __post_init__(self):
+        for name in ("epochs", "batch", "seed"):
+            # exactly int: a float fails deep in training, a bool enters the manifest
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} {getattr(self, name)!r} is not an integer")
         if self.epochs < 1 or self.batch < 1:
             raise ValueError("epochs and batch size must be >= 1")
         if self.seed < 0:

@@ -32,8 +32,8 @@ def test_tracer_installs_on_every_traced_name_and_uninstalls():
         for (module, attr), fn in zip(traced, originals):
             assert getattr(module, attr) is not fn, f"{module.__name__}.{attr} is not wrapped"
         # a binding imported into another module is wrapped there too
-        assert binadapt.cli.domain_histogram is binadapt.similarity.domain_histogram
+        assert binadapt.cli.autobindann is binadapt.similarity.autobindann
     finally:
         tracer.uninstall()
     assert [getattr(module, attr) for module, attr in traced] == originals
-    assert binadapt.cli.domain_histogram is binadapt.similarity.domain_histogram
+    assert binadapt.cli.autobindann is binadapt.similarity.autobindann

@@ -285,6 +285,14 @@ def test_run_command_emits_all_artifacts(tiny_dirs, tmp_path):
     if report["decision"] == "UseDA":
         assert (out / "bindann.ckpt").exists()
         assert (out / "history_bindann.csv").exists()
+    # similarity on the run's SAE checkpoint reproduces the run's gate files
+    sim = tmp_path / "sim"
+    assert main(["similarity", "--config", str(cfg), "--checkpoint", str(out / "sae.ckpt"),
+                 "--out", str(sim)]) == 0
+    for name in ("report.json", "hist_source.csv", "hist_target.csv"):
+        assert (sim / name).read_bytes() == (out / name).read_bytes(), name
+    sim_manifest = json.loads((sim / "manifest.json").read_text())
+    assert (sim_manifest["decision"], sim_manifest["rho"]) == (manifest["decision"], manifest["rho"])
 
 
 @pytest.mark.parametrize("command", ["train-sae", "run"])

@@ -1,8 +1,10 @@
 """The demo scripts are documented entry points: each must run to completion.
 
-``demos/03_similarity_gate.py`` is left out because it trains for tens of
-seconds; the API it calls (``autobindann``, ``synthetic_domain_pairs``,
-``Confusion``) is exercised by the acceptance suite.
+``demos/03_similarity_gate.py`` is left out because it trains for about ten
+seconds; the stages it calls (``train_sae``, ``gate``, ``train_bindann``) are
+held equal to ``autobindann`` in ``test_similarity.py``, and
+``synthetic_domain_pairs`` and ``Confusion`` are exercised by the acceptance
+suite.
 """
 
 import os

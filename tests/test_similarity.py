@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import binadapt as ba
+from binadapt import similarity
 from binadapt.similarity import (
     USE_DA,
     USE_SAE,
@@ -14,6 +15,7 @@ from binadapt.similarity import (
     autobindann,
     compare_histograms,
     domain_histogram,
+    gate,
     histogram_csv,
 )
 
@@ -233,3 +235,62 @@ def test_autobindann_mini_run_contracts():
     assert result.hist_source.tobytes() == fresh(src.validation()).tobytes()
     # the target histogram pools the plain model's maps of every target page
     assert result.hist_target.tobytes() == fresh(far.records).tobytes()
+
+
+def _same_binarizer(a, b):
+    assert a.th_s == b.th_s and a.history == b.history
+    assert {k: v.tobytes() for k, v in a.model.params.items()} == \
+        {k: v.tobytes() for k, v in b.model.params.items()}
+
+
+def test_one_trained_sae_gates_every_target_as_autobindann_does(monkeypatch):
+    # at this seed and learning rate the far gate fires and the near one does not
+    src, near, far = ba.make_synthetic_domains(2, n_pages=4, page_size=(64, 64), validation_fraction=0.25)
+    cfg = ba.ExperimentConfig(epochs=2, batch=8, seed=2, lr=0.01)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return ba.train_sae(*args, **kwargs)
+
+    monkeypatch.setattr(similarity, "train_sae", counted)
+    sae = similarity.train_sae(src, cfg)
+    staged = {name: gate(sae, src, target, cfg) for name, target in (("near", near), ("far", far))}
+    assert len(calls) == 1  # two targets, one SAE
+    assert (staged["near"].report.decision, staged["far"].report.decision) == (USE_SAE, USE_DA)
+    for name, target in (("near", near), ("far", far)):
+        mine, whole = staged[name], autobindann(src, target, cfg)
+        assert mine.da is None and mine.sae is sae
+        assert mine.report.to_json() == whole.report.to_json()
+        assert mine.hist_source.tobytes() == whole.hist_source.tobytes()
+        assert mine.hist_target.tobytes() == whole.hist_target.tobytes()
+        _same_binarizer(mine.sae, whole.sae)
+        masks = mine.masks
+        if mine.report.decision == USE_DA:
+            # the stages go on only where the gate fires
+            da = ba.train_bindann(src, target, cfg)
+            _same_binarizer(da, whole.da)
+            masks = {r.stem: ba.binarize(ba.predict_prob_map(da.model, r.page), da.th_s)
+                     for r in target.records}
+        else:
+            assert whole.da is None
+        assert masks.keys() == whole.masks.keys()
+        for stem, mask in masks.items():
+            assert mask.dtype == bool and mask.tobytes() == whole.masks[stem].tobytes()
+    assert len(calls) == 3
+
+
+def test_gate_predicts_a_loaded_binarizers_source_validation_pages(tmp_path):
+    src, _, far = ba.make_synthetic_domains(1, n_pages=4, page_size=(64, 64), validation_fraction=0.25)
+    cfg = ba.ExperimentConfig(epochs=1, batch=16, seed=1)
+    fresh = ba.train_sae(src, cfg)
+    ba.save_binarizer(tmp_path / "sae.ckpt", fresh)
+    loaded = ba.load_binarizer(tmp_path / "sae.ckpt")
+    assert loaded.val_maps is None
+    a, b = gate(fresh, src, far, cfg), gate(loaded, src, far, cfg)
+    assert a.report.to_json() == b.report.to_json()
+    assert a.hist_source.tobytes() == b.hist_source.tobytes()
+    assert all(a.masks[s].tobytes() == b.masks[s].tobytes() for s in a.masks)
+    no_val = ba.Dataset("source", src.train())
+    with pytest.raises(ba.DataError, match="^source has no validation page to pool into its histogram$"):
+        gate(loaded, no_val, far, cfg)

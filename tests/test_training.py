@@ -1,6 +1,7 @@
 """Trainer contracts: sweeps, checkpoint selection, determinism, zero-coupling."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -215,6 +216,15 @@ def test_non_positive_or_non_finite_learning_rate_rejected(lr):
 def test_gate_settings_are_checked_on_construction(setting, match):
     with pytest.raises(ValueError, match=match):
         ba.ExperimentConfig(**setting)
+
+
+@pytest.mark.parametrize("name, value", [("epochs", 2.0), ("batch", 4.0), ("seed", 1.5),
+                                         ("epochs", True), ("seed", True), ("batch", "4"),
+                                         ("seed", np.int64(1))])
+def test_counts_that_are_not_ints_are_rejected_on_construction(name, value):
+    # a float would fail deep in training and a bool would enter the manifest
+    with pytest.raises(ValueError, match=f"^{name} {re.escape(repr(value))} is not an integer$"):
+        ba.ExperimentConfig(**{name: value})
 
 
 def test_history_csv_layout():
