@@ -35,7 +35,6 @@ from .data import (
 from .layers import ConvSpec, grl_lambda_at
 from .metrics import Confusion, confusion, f1, precision, recall
 from .models import (
-    BinDannConfig,
     Model,
     SaeConfig,
     build_bindann,

@@ -198,12 +198,14 @@ def _row_blocks(shape):
 
 
 def write_pgm(page) -> bytes:
-    """Encode a grayscale [0, 1] page as binary P5; a boolean mask encodes as
-    0/255."""
+    """Encode a grayscale page as binary P5: ``uint8`` levels as they are, a
+    boolean mask as 0/255 and any other array as [0, 1] pixels."""
     arr = np.asarray(page)
     if arr.ndim != 2:
         raise PgmError(f"write_pgm expects a grayscale page, got shape {arr.shape}")
-    if arr.dtype == bool:
+    if arr.dtype == np.uint8:
+        raw = arr
+    elif arr.dtype == bool:
         raw = arr.view(np.uint8) * np.uint8(255)
     else:  # one float block at a time, rounded and clipped in place
         raw = np.empty(arr.shape, dtype=np.uint8)

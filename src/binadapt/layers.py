@@ -454,10 +454,15 @@ def dropout_node(g: Graph, x, rate, name=None):
     return g.add_node("dropout", (x,), name=name, rate=rate)
 
 
+def reversal_coefficient(lam):
+    """``lam`` as a float, which must be finite and non-negative."""
+    if not 0.0 <= lam < np.inf:
+        raise GraphError(f"gradient-reversal coefficient {lam} must be finite and non-negative")
+    return float(lam)
+
+
 def grl_node(g: Graph, x, lam, name=None):
-    if lam < 0:
-        raise GraphError("gradient-reversal coefficient must be non-negative")
-    return g.add_node("grl", (x,), name=name, lam=lam)
+    return g.add_node("grl", (x,), name=name, lam=reversal_coefficient(lam))
 
 
 def bce_node(g: Graph, pred, target, name=None):

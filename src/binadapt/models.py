@@ -11,7 +11,9 @@ foreground-probability map the same size as the input patch.
 order) and taps the activation entering the last decoder block through a
 gradient-reversal node into a domain-classifier branch that replicates the
 trunk tail (last decoder block + output conv) with its own parameters, so
-both branches carry the same number of weights.
+both branches carry the same number of weights. Both models are described by
+one ``SaeConfig``; the reversal coefficient is not part of the model but set
+on it with ``Model.set_grl``, as training does from its schedule.
 """
 
 from __future__ import annotations
@@ -37,13 +39,13 @@ from .layers import (
     dropout_node,
     grl_node,
     relu_node,
+    reversal_coefficient,
     sigmoid_node,
     tconv_node,
 )
 
 __all__ = [
     "SaeConfig",
-    "BinDannConfig",
     "Model",
     "build_sae",
     "build_bindann",
@@ -89,23 +91,10 @@ class SaeConfig:
                 raise GraphError(f"patch side {side} not divisible by stride^depth = {2 ** self.depth}")
 
 
-@dataclass(frozen=True)
-class BinDannConfig:
-    """SAE plus the adversarial domain branch and its coefficient schedule."""
-
-    sae: SaeConfig
-    lambda0: float
-    lambda_increment: float
-
-    def __post_init__(self):
-        if self.lambda0 < 0 or self.lambda_increment < 0:
-            raise GraphError("reversal schedule values must be non-negative")
-
-
 @dataclass
 class Model:
     kind: str  # "sae" | "bindann"
-    config: object
+    config: SaeConfig
     graph: Graph
 
     @property
@@ -113,11 +102,13 @@ class Model:
         return self.graph.params
 
     def set_grl(self, lam):
+        """Set the reversal coefficient, which must be finite and non-negative."""
         if self.kind != "bindann":
             raise GraphError("only the adversarial model has a gradient-reversal node")
+        lam = reversal_coefficient(lam)
         for node in self.graph.nodes:
             if node.kind == "grl":
-                node.attrs["lam"] = float(lam)
+                node.attrs["lam"] = lam
 
 
 def _conv_params(g, name, shape, c_in, c_out, rng):
@@ -182,16 +173,15 @@ def build_sae(config: SaeConfig, rng) -> Model:
     return Model(kind="sae", config=config, graph=g)
 
 
-def build_bindann(config: BinDannConfig, rng) -> Model:
+def build_bindann(cfg: SaeConfig, rng) -> Model:
     """Adversarial variant: trunk outputs plus ``domain_map``, ``domain_loss``
     and a combined ``loss``; the domain branch reads the trunk through a
-    gradient-reversal node."""
+    gradient-reversal node whose coefficient starts at 0.0."""
     rng = np.random.default_rng(rng)  # a Generator passes through unchanged
-    cfg = config.sae
     g = Graph()
     bin_loss, tap = _build_trunk(g, cfg, rng)
 
-    rev = grl_node(g, tap, config.lambda0, name="grl")
+    rev = grl_node(g, tap, 0.0, name="grl")
     dom = _block(g, cfg, rev, f"dom_dec{cfg.depth}", cfg.filters, cfg.filters, transposed=True, rng=rng)
     domain_map = _output_head(g, cfg, dom, "dom_out", rng)
     domain_loss = bce_node(g, domain_map, g.input("domain_gt"), name="domain_bce")
@@ -200,7 +190,7 @@ def build_bindann(config: BinDannConfig, rng) -> Model:
     g.set_output("domain_map", domain_map)
     g.set_output("domain_loss", domain_loss)
     g.set_output("loss", total)
-    return Model(kind="bindann", config=config, graph=g)
+    return Model(kind="bindann", config=cfg, graph=g)
 
 
 _PREDICT_BATCH = 16  # patches per inference forward
@@ -279,8 +269,7 @@ def predict_prob_map(model: Model, page) -> np.ndarray:
     arr = np.asarray(page)
     if arr.ndim != 2:
         raise ValueError(f"predict_prob_map expects a 2-D page, got shape {arr.shape}")
-    cfg = model.config if model.kind == "sae" else model.config.sae
-    h, w = cfg.patch
+    h, w = model.config.patch
     rows, cols = math.ceil(arr.shape[0] / h), math.ceil(arr.shape[1] / w)
     batches = math.ceil(rows * cols / _PREDICT_BATCH)
     workers = _workers(batches)
@@ -320,36 +309,25 @@ _FIXED_FIELDS = {"channels": 1, "kernel": [3, 3], "stride": [2, 2]}
 
 
 def _config_dict(model: Model):
-    d = asdict(model.config)  # tuples serialize as JSON lists
-    (d if model.kind == "sae" else d["sae"]).update(_FIXED_FIELDS)
-    return d
+    """The header's config: the SAE fields, nested under ``"sae"`` for a Bin-DANN."""
+    d = dict(asdict(model.config), **_FIXED_FIELDS)  # tuples serialize as JSON lists
+    return d if model.kind == "sae" else {"sae": d}
 
 
 def _config_from_dict(kind, d, stored):
-    """The config a header describes; ``stored`` is the number of parameter
-    values in the file, which the model it names must not exceed."""
-    def sae_cfg(sd):
-        for key, value in _FIXED_FIELDS.items():
-            if sd[key] != value:
-                raise ValueError(f"{key} {sd[key]!r}, expected {value!r}")
-        # checked before SaeConfig computes 2^depth: 2*depth - 1 convolutions
-        # hold filters x filters x 3 x 3 weights each
-        if (2 * sd["depth"] - 1) * 9 * sd["filters"] * sd["filters"] > stored:
-            raise ValueError(f"it names a model larger than the {stored} values stored")
-        return SaeConfig(
-            depth=sd["depth"],
-            filters=sd["filters"],
-            dropout_rate=sd["dropout_rate"],
-            patch=tuple(sd["patch"]),
-        )
-
-    if kind == "sae":
-        return sae_cfg(d)
-    return BinDannConfig(
-        sae=sae_cfg(d["sae"]),
-        lambda0=d["lambda0"],
-        lambda_increment=d["lambda_increment"],
-    )
+    """The config a header describes, ignoring keys it does not read;
+    ``stored`` is the number of parameter values in the file, which the model
+    it names must not exceed."""
+    sd = d if kind == "sae" else d["sae"]
+    for key, value in _FIXED_FIELDS.items():
+        if sd[key] != value:
+            raise ValueError(f"{key} {sd[key]!r}, expected {value!r}")
+    # checked before SaeConfig computes 2^depth: 2*depth - 1 convolutions
+    # hold filters x filters x 3 x 3 weights each
+    if (2 * sd["depth"] - 1) * 9 * sd["filters"] * sd["filters"] > stored:
+        raise ValueError(f"it names a model larger than the {stored} values stored")
+    return SaeConfig(depth=sd["depth"], filters=sd["filters"], dropout_rate=sd["dropout_rate"],
+                     patch=tuple(sd["patch"]))
 
 
 def save_model(path, model: Model, extra=None):

@@ -63,7 +63,7 @@ def domain_histogram(prob_maps, h_prec) -> np.ndarray:
     counts = np.zeros(n)
     for prob in prob_maps:
         values = np.asarray(prob, dtype=np.float64).ravel()
-        if values.size and (values.min() < 0.0 or values.max() > 1.0):
+        if values.size and not (0.0 <= values.min() and values.max() <= 1.0):  # NaN too
             raise ValueError("probability map has values outside [0, 1]")
         idx = np.minimum(np.floor(values / h_prec).astype(np.int64), n - 1)
         counts += np.bincount(idx, minlength=n)

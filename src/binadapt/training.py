@@ -23,7 +23,6 @@ from .data import DataError, Dataset, check_validation_fraction, split_patches, 
 from .layers import grl_lambda_at
 from .metrics import Confusion, confusion, f1
 from .models import (
-    BinDannConfig,
     Model,
     SaeConfig,
     build_bindann,
@@ -56,8 +55,9 @@ _SEED_DROP = 204
 class ExperimentConfig:
     """Every setting of an experiment, each with its one default.
 
-    Construction checks the training settings, the validation fraction, the
-    model they build and the gate's bin width and threshold, so a bad value
+    Construction checks every setting's type, storing a float setting given
+    as an int as a float, then the training settings, the validation fraction,
+    the model they build and the gate's bin width and threshold, so a bad value
     fails before any data is read.
     """
 
@@ -81,10 +81,17 @@ class ExperimentConfig:
     validation_fraction: float = 0.2
 
     def __post_init__(self):
-        for name in ("epochs", "batch", "seed"):
+        for f in fields(self):
+            value = getattr(self, f.name)
             # exactly int: a float fails deep in training, a bool enters the manifest
-            if type(getattr(self, name)) is not int:
-                raise ValueError(f"{name} {getattr(self, name)!r} is not an integer")
+            if f.type == "int" and type(value) is not int:
+                raise ValueError(f"{f.name} {value!r} is not an integer")
+            if f.type == "str" and not isinstance(value, str):
+                raise ValueError(f"{f.name} {value!r} is not a string")
+            if f.type == "float":
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise ValueError(f"{f.name} {value!r} is not a number")
+                object.__setattr__(self, f.name, float(value))  # lr=1 and lr=1.0: one experiment
         if self.epochs < 1 or self.batch < 1:
             raise ValueError("epochs and batch size must be >= 1")
         if self.seed < 0:
@@ -222,7 +229,7 @@ def _fit(source: Dataset, target: Dataset | None, cfg: ExperimentConfig) -> Trai
         model = build_sae(sae, init)
         wanted = ("loss", "bin_loss")
     else:
-        model = build_bindann(BinDannConfig(sae, cfg.lambda0, cfg.lambda_inc), init)
+        model = build_bindann(sae, init)
         wanted = ("loss", "bin_loss", "domain_loss")
         t_pool = _patch_pool([r.page for r in target.records], sae.patch)
         t_sampler = _stream(_SEED_TGT, cfg.seed)

@@ -1,6 +1,8 @@
-"""Model configs at the library's defaults, which ``ExperimentConfig`` holds."""
+"""Model configs and models at the library's defaults, which ``ExperimentConfig`` holds."""
 
 from dataclasses import replace
+
+import numpy as np
 
 import binadapt as ba
 
@@ -13,6 +15,9 @@ def sae_cfg(**changes):
     return replace(SAE, **changes)
 
 
-def bindann_cfg(sae=SAE, lambda0=DEFAULTS.lambda0):
-    """A Bin-DANN config on ``sae`` with the default reversal schedule."""
-    return ba.BinDannConfig(sae, lambda0, DEFAULTS.lambda_inc)
+def bindann(sae=SAE, seed=0, lam=DEFAULTS.lambda0):
+    """A Bin-DANN on ``sae`` built from ``seed``, its reversal coefficient set
+    to ``lam``: by default the schedule's first value, as training sets it."""
+    model = ba.build_bindann(sae, np.random.default_rng(seed))
+    model.set_grl(lam)
+    return model

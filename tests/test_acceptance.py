@@ -30,7 +30,7 @@ from binadapt.layers import (
 from binadapt.metrics import Confusion
 from binadapt.similarity import USE_DA, USE_SAE, autobindann
 
-from defaults import DEFAULTS, SAE, bindann_cfg
+from defaults import DEFAULTS, SAE, bindann
 from reference import direct_pearson, fd_loss_gradient, max_rel_err
 
 SEEDS = (0, 1, 2)
@@ -148,7 +148,7 @@ def _full_bindann_check(lam=0.1):
     # trunk parameters: the engine's backward through the reversal node is the
     # true gradient of bin_loss - lam * domain_loss; branch parameters see the
     # plain combined loss
-    model = ba.build_bindann(bindann_cfg(lambda0=lam), np.random.default_rng(10))
+    model = bindann(seed=10, lam=lam)
     rng = np.random.default_rng(37)
     bind = {
         "x": rng.random((1, 1, 32, 32)),

@@ -11,7 +11,7 @@ from binadapt import layers
 from binadapt.autodiff import CHECKPOINT_MAGIC, GraphError
 from binadapt.layers import bce_node, conv_node, grl_node, relu_node, sigmoid_node
 
-from defaults import SAE, bindann_cfg
+from defaults import SAE, bindann
 from reference import direct_conv2d, fd_loss_gradient, max_rel_err
 
 
@@ -271,7 +271,7 @@ def _assert_bitwise_equal(a, b):
 def test_steps_on_one_graph_leak_no_state_between_shapes():
     # training at 8, inference at 16 and at a ragged 5, training at 8 again:
     # every step on the one graph must equal the same step on a fresh graph
-    model = ba.build_bindann(bindann_cfg(), np.random.default_rng(0))
+    model = bindann()
     steps = [("train", 8, 1), ("infer", 16, 2), ("infer", 5, 3), ("train", 8, 4),
              ("train", 8, 5), ("infer", 16, 6)]
 
@@ -283,12 +283,12 @@ def test_steps_on_one_graph_leak_no_state_between_shapes():
 
     kept = [run(model.graph, *step) for step in steps]
     for step, got in zip(steps, kept):
-        fresh = ba.build_bindann(bindann_cfg(), np.random.default_rng(0))
+        fresh = bindann()
         _assert_bitwise_equal(got, run(fresh.graph, *step))
 
 
 def test_returned_gradients_survive_the_next_step():
-    model = ba.build_bindann(bindann_cfg(), np.random.default_rng(0))
+    model = bindann()
     graph = model.graph
     _dann_step(graph, 8, 0)
     first = _dann_step(graph, 8, 1)[4]
@@ -315,7 +315,7 @@ def test_returned_gradients_belong_to_the_caller():
         ba.optimizer_step(opt, graph.params, grads)
         return returned
 
-    models = [ba.build_bindann(bindann_cfg(), np.random.default_rng(0)) for _ in range(2)]
+    models = [bindann() for _ in range(2)]
     opts = [ba.adam(0.01), ba.adam(0.01)]
     for grads in first_step(models[0].graph, opts[0]):
         for g in grads.values():
@@ -363,7 +363,7 @@ def test_a_frozen_mask_must_be_a_boolean_keep_mask_of_the_input_shape():
 def test_a_replaced_record_dies_at_once_and_leaves_no_cycle():
     # a cycle through a record would hold its activations until the
     # collector ran
-    model = ba.build_bindann(bindann_cfg(), np.random.default_rng(0))
+    model = bindann()
     graph = model.graph
     source, _ = _dann_batches(8, 0)
     gc.collect()

@@ -126,6 +126,12 @@ def test_write_pgm_boolean_mask_encodes_as_its_float_copy():
         assert set(blob[len(blob) - m.size:]) == {0, 255}
 
 
+def test_write_pgm_writes_uint8_levels_unchanged():
+    levels = np.arange(256, dtype=np.uint8).reshape(16, 16)
+    for page in (levels, levels.T, levels[::2, 1::3]):  # strided views too
+        np.testing.assert_array_equal(ba.read_pgm(ba.write_pgm(page)).levels, page)
+
+
 def test_write_pgm_quantizes_as_round_then_clip():
     # rounding boundaries at +-0.5/255 around every level, negatives and
     # values above 1; the reference is the plain round-then-clip expression

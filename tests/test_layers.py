@@ -21,7 +21,7 @@ from binadapt.layers import (
     tconv_node,
 )
 
-from defaults import DEFAULTS, SAE, bindann_cfg, sae_cfg
+from defaults import DEFAULTS, SAE, bindann, sae_cfg
 from reference import (
     direct_bce,
     direct_conv2d,
@@ -283,7 +283,7 @@ def _real_shape_arrays(name):
 
 
 def test_real_shape_cases_cover_the_default_model():
-    model = ba.build_bindann(bindann_cfg(), np.random.default_rng(0))
+    model = bindann()
     used = {(n.kind, n.attrs["spec"]) for n in model.graph.nodes if n.kind in ("conv2d", "tconv2d")}
     assert used == {(kind, spec) for kind, spec, _ in _REAL_SHAPES.values()}
 
@@ -411,7 +411,7 @@ def test_shape_plans_do_not_leak_across_shapes():
 
 def _tiny_bindann():
     cfg = sae_cfg(depth=2, filters=3, dropout_rate=0.0, patch=(8, 8))
-    model = ba.build_bindann(bindann_cfg(cfg), np.random.default_rng(0))
+    model = bindann(cfg)
     rng = np.random.default_rng(1)
     bindings = {"x": rng.random((3, 1, 8, 8)), "gt": (rng.random((3, 1, 8, 8)) > 0.5) * 1.0,
                 "domain_gt": np.ones((3, 1, 8, 8))}
@@ -473,7 +473,7 @@ def test_one_grid_per_operand_per_training_step(monkeypatch):
     # Bin-DANN adds a tconv and a conv behind the reversal: the source pass
     # costs 9 + (4 + 4) grids; the target pass reaches 4 convs and 3 tconvs,
     # of which 3 convs take an input gradient: 7 + (3 + 3)
-    dann = ba.build_bindann(bindann_cfg(), np.random.default_rng(0))
+    dann = bindann()
     domain = np.zeros_like(x)
     step(dann, {"x": x, "gt": gt, "domain_gt": domain}, ("loss", "bin_loss", "domain_loss"),
          "loss")
@@ -572,6 +572,14 @@ def test_reversal_backward_definition():
     g.set_output("loss", g.sum(grl_node(g, p, 0.5)))
     ba.forward(g)
     np.testing.assert_array_equal(ba.backward(g, "loss")["p"], [-0.5, -0.5])
+
+
+@pytest.mark.parametrize("lam", [-0.5, float("nan"), float("inf"), -float("inf")])
+def test_reversal_node_rejects_negative_or_non_finite_coefficients(lam):
+    g = ba.Graph()
+    x = g.input("x")
+    with pytest.raises(GraphError, match="reversal coefficient"):
+        grl_node(g, x, lam)
 
 
 def test_reversal_backward_equals_minus_lambda_times_identity_backward():

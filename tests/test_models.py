@@ -13,7 +13,7 @@ import binadapt as ba
 from binadapt import autodiff, models
 from binadapt.autodiff import GraphError
 
-from defaults import SAE, bindann_cfg, sae_cfg
+from defaults import SAE, bindann, sae_cfg
 
 
 def _forward_map(model, x):
@@ -66,8 +66,7 @@ def test_patch_side_bound_is_inclusive():
 
 def test_domain_branch_parameter_balance():
     for depth in (1, 2, 3):
-        cfg = bindann_cfg(sae_cfg(depth=depth, patch=(32, 32)))
-        model = ba.build_bindann(cfg, np.random.default_rng(0))
+        model = bindann(sae_cfg(depth=depth, patch=(32, 32)))
         def count(prefix):
             return sum(p.size for name, p in model.params.items() if name.startswith(prefix))
 
@@ -77,7 +76,7 @@ def test_domain_branch_parameter_balance():
 
 
 def test_bindann_emits_two_full_size_maps():
-    model = ba.build_bindann(bindann_cfg(), np.random.default_rng(0))
+    model = bindann()
     out = ba.forward(
         model.graph,
         {"x": np.random.default_rng(2).random((2, 1, 32, 32))},
@@ -89,7 +88,7 @@ def test_bindann_emits_two_full_size_maps():
 
 def test_shared_trunk_initialization_matches_plain_model():
     sae = ba.build_sae(SAE, np.random.default_rng(11))
-    dann = ba.build_bindann(bindann_cfg(), np.random.default_rng(11))
+    dann = bindann(seed=11)
     for name, value in sae.params.items():
         assert dann.params[name].tobytes() == value.tobytes()
 
@@ -98,10 +97,24 @@ def test_set_grl_only_on_adversarial_model():
     sae = ba.build_sae(SAE, np.random.default_rng(0))
     with pytest.raises(GraphError):
         sae.set_grl(0.5)
-    dann = ba.build_bindann(bindann_cfg(), np.random.default_rng(0))
+    dann = bindann()
     dann.set_grl(0.7)
     grl = next(n for n in dann.graph.nodes if n.kind == "grl")
     assert grl.attrs["lam"] == 0.7
+
+
+@pytest.mark.parametrize("lam", [-1.0, -1e-12, float("nan"), float("inf")])
+def test_set_grl_rejects_negative_or_non_finite_coefficients(lam):
+    dann = bindann()
+    with pytest.raises(GraphError, match="reversal coefficient"):
+        dann.set_grl(lam)
+    assert next(n for n in dann.graph.nodes if n.kind == "grl").attrs["lam"] == 0.1
+
+
+def test_bindann_is_built_at_a_zero_reversal_coefficient():
+    dann = ba.build_bindann(SAE, np.random.default_rng(0))
+    assert dann.config == SAE
+    assert next(n for n in dann.graph.nodes if n.kind == "grl").attrs["lam"] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +332,8 @@ def test_model_checkpoint_roundtrip(tmp_path):
 
 
 def test_model_checkpoint_roundtrip_adversarial(tmp_path):
-    cfg = bindann_cfg(sae_cfg(depth=2, filters=4, patch=(16, 16)), lambda0=0.3)
-    model = ba.build_bindann(cfg, np.random.default_rng(9))
+    cfg = sae_cfg(depth=2, filters=4, patch=(16, 16))
+    model = bindann(cfg, seed=9, lam=0.3)
     path = tmp_path / "dann.ckpt"
     ba.save_model(path, model)
     back, extra = ba.load_model(path)
@@ -348,14 +361,26 @@ def test_checkpoint_header_bytes_are_pinned(tmp_path):
     cases = [
         (ba.build_sae(SAE, np.random.default_rng(0)),
          f'{{"config":{sae},"kind":"sae","th_s":0.5}}'),
-        (ba.build_bindann(bindann_cfg(), np.random.default_rng(0)),
-         f'{{"config":{{"lambda0":0.1,"lambda_increment":0.01,"sae":{sae}}},'
-         f'"kind":"bindann","th_s":0.5}}'),
+        (bindann(), f'{{"config":{{"sae":{sae}}},"kind":"bindann","th_s":0.5}}'),
     ]
     for model, expected in cases:
         ba.save_model(tmp_path / "m.ckpt", model, extra={"th_s": 0.5})
         codes = ba.read_checkpoint((tmp_path / "m.ckpt").read_bytes())["__config__"]
         assert bytes(codes.astype(np.uint8)).decode("utf-8") == expected
+
+
+def test_bindann_header_with_a_reversal_schedule_still_loads(tmp_path):
+    # headers written while the schedule was part of the model config keep loading
+    model = bindann()
+    old = (b'{"config":{"lambda0":0.1,"lambda_increment":0.01,"sae":{"channels":1,"depth":3,'
+           b'"dropout_rate":0.2,"filters":8,"kernel":[3,3],"patch":[32,32],"stride":[2,2]}},'
+           b'"kind":"bindann","th_s":0.5}')
+    records = {"__config__": np.frombuffer(old, np.uint8).astype(np.float64), **model.params}
+    (tmp_path / "old.ckpt").write_bytes(ba.write_checkpoint(records))
+    back, extra = ba.load_model(tmp_path / "old.ckpt")
+    assert back.kind == "bindann" and back.config == SAE and extra == {"th_s": 0.5}
+    for name, value in model.params.items():
+        assert back.params[name].tobytes() == value.tobytes()
 
 
 def test_checkpoint_reader_fuzz_prefixes_and_byte_flips(tmp_path):

@@ -45,11 +45,12 @@ def test_accumulation_is_additive():
     assert domain_histogram((m for m in (a, b)), 0.1).tobytes() == pooled
 
 
+@pytest.mark.filterwarnings("error")  # NaN must fail before it is cast to a bin
 def test_out_of_range_values_rejected():
-    with pytest.raises(ValueError, match="outside"):
-        domain_histogram([np.array([1.2])], 0.1)
-    with pytest.raises(ValueError, match="outside"):
-        domain_histogram([np.zeros(3), np.array([-0.1])], 0.1)
+    for maps in ([np.array([1.2])], [np.zeros(3), np.array([-0.1])],
+                 [np.zeros(3), np.array([0.5, math.nan])]):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            domain_histogram(maps, 0.1)
 
 
 def test_bin_width_must_divide_one():

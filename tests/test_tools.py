@@ -45,6 +45,27 @@ def test_differing_files_lists_changed_and_one_sided_files(tmp_path):
     assert tool.differing_files(a, a) == []
 
 
+def test_checkpoints_that_differ_only_in_their_header_are_told_apart(tmp_path):
+    tool = _load_tool()
+    model = ba.build_sae(ba.SaeConfig(1, 2, 0.0, (4, 4)), 0)
+    a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+    for root in (a, b, c):
+        root.mkdir()
+    ba.save_model(a / "m.ckpt", model, extra={"th_s": 0.25})
+    ba.save_model(b / "m.ckpt", model, extra={"th_s": 0.5})
+    model.params["out.b"] = model.params["out.b"] + 1.0
+    ba.save_model(c / "m.ckpt", model, extra={"th_s": 0.25})
+    (c / "m.txt").write_bytes(b"x")
+    (b / "m.txt").write_bytes(b"y")
+    assert tool.checkpoint_difference(a / "m.ckpt", b / "m.ckpt") == "header only"
+    assert tool.checkpoint_difference(a / "m.ckpt", c / "m.ckpt") == "parameters differ"
+    (b / "m.ckpt").write_bytes(b"not a checkpoint")
+    assert tool.checkpoint_difference(a / "m.ckpt", b / "m.ckpt") == "parameters differ"
+    assert tool.note(a, c, Path("m.ckpt")) == " (parameters differ)"
+    assert tool.note(b, c, Path("m.txt")) == ""
+    assert tool.note(a, a / "missing", Path("m.ckpt")) == ""
+
+
 def test_write_data_adds_ragged_pages(tmp_path):
     tool = _load_tool()
     tool.write_data(TOOL.parents[1], 0, tmp_path / "data")

@@ -227,6 +227,28 @@ def test_counts_that_are_not_ints_are_rejected_on_construction(name, value):
         ba.ExperimentConfig(**{name: value})
 
 
+@pytest.mark.parametrize("name, value", [("lr", True), ("dropout", False), ("rho_th", True),
+                                         ("lambda0", True), ("validation_fraction", False),
+                                         ("h_prec", "0.1"), ("sweep_step", None)])
+def test_float_settings_that_are_not_numbers_are_rejected_on_construction(name, value):
+    with pytest.raises(ValueError, match=f"^{name} {re.escape(repr(value))} is not a number$"):
+        ba.ExperimentConfig(**{name: value})
+
+
+def test_an_int_float_setting_is_stored_as_a_float():
+    cfg = ba.ExperimentConfig(lr=1, lambda0=0, rho_th=0)
+    assert type(cfg.lr) is float and type(cfg.lambda0) is float and type(cfg.rho_th) is float
+    same = ba.ExperimentConfig(lr=1.0, lambda0=0.0, rho_th=0.0)
+    assert cfg.canonical_text() == same.canonical_text()
+    assert "lr=1.0\n" in cfg.canonical_text()
+
+
+@pytest.mark.parametrize("name, value", [("source_dir", 3), ("target_dir", None), ("out_dir", b"out")])
+def test_directories_that_are_not_strings_are_rejected_on_construction(name, value):
+    with pytest.raises(ValueError, match=f"^{name} {re.escape(repr(value))} is not a string$"):
+        ba.ExperimentConfig(**{name: value})
+
+
 def test_history_csv_layout():
     src, _, _ = _tiny_domains()
     tb = ba.train_sae(src, _tiny_cfg(epochs=1))

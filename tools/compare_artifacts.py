@@ -30,7 +30,9 @@ holds, so the override path is compared as well.
 
 Every command reads the same inputs at the same paths, so even the
 manifests, which record those paths, must match. Exits 1 and lists every
-file that differs or exists in one tree only; exits 2 if a command fails.
+file that differs or exists in one tree only; a checkpoint both trees wrote
+is marked "header only" when only its ``__config__`` record differs and
+"parameters differ" otherwise. Exits 2 if a command fails.
 """
 
 from __future__ import annotations
@@ -41,6 +43,9 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+from binadapt.autodiff import CheckpointError, read_checkpoint  # noqa: E402  (this checkout's reader)
 
 PAGES, SIDE = 4, 128
 ADAPT = {"epochs": 10, "batch": 8, "lr": 0.01, "validation_fraction": 0.2}
@@ -76,6 +81,28 @@ def differing_files(a: Path, b: Path):
     return sorted(rel for rel in files_a | files_b
                   if rel not in files_a or rel not in files_b
                   or (a / rel).read_bytes() != (b / rel).read_bytes())
+
+
+def checkpoint_difference(a: Path, b: Path):
+    """How two differing checkpoints differ: "header only" when every record
+    but ``__config__`` has the same name, place, shape and bytes in both."""
+    def params(path):
+        try:
+            records = read_checkpoint(path.read_bytes())
+        except CheckpointError:
+            return None
+        records.pop("__config__", None)
+        return [(name, arr.shape, arr.tobytes()) for name, arr in records.items()]
+
+    pa, pb = params(a), params(b)
+    return "header only" if pa is not None and pa == pb else "parameters differ"
+
+
+def note(a: Path, b: Path, rel: Path):
+    """What differs in ``rel`` if it is a checkpoint under both roots, as " (...)", else ""."""
+    if rel.suffix == ".ckpt" and (a / rel).is_file() and (b / rel).is_file():
+        return f" ({checkpoint_difference(a / rel, b / rel)})"
+    return ""
 
 
 def _python(tree: Path, *args):
@@ -148,7 +175,7 @@ def main(argv=None) -> int:
             outs = [work / name / f"seed{seed}" for name in ("parent", "change")]
             for tree, out in zip((args.parent, args.change), outs):
                 run_tree(tree, seed, data, out)
-            differing += [Path(f"seed{seed}") / rel for rel in differing_files(*outs)]
+            differing += [f"{Path(f'seed{seed}') / rel}{note(*outs, rel)}" for rel in differing_files(*outs)]
             n_files = sum(1 for p in outs[0].rglob("*") if p.is_file())
             print(f"seed {seed}: {n_data} data files and {n_files} artifacts compared")
     for rel in differing:
