@@ -198,19 +198,23 @@ def _row_blocks(shape):
 
 
 def write_pgm(page) -> bytes:
-    """Encode a grayscale page as binary P5: ``uint8`` levels as they are, a
-    boolean mask as 0/255 and any other array as [0, 1] pixels."""
+    """Encode a non-empty grayscale page as binary P5: ``uint8`` levels as they
+    are, a boolean mask as 0/255, float [0, 1] pixels rounded; no other ints, no NaN."""
     arr = np.asarray(page)
-    if arr.ndim != 2:
-        raise PgmError(f"write_pgm expects a grayscale page, got shape {arr.shape}")
+    if arr.ndim != 2 or 0 in arr.shape:
+        raise PgmError(f"write_pgm expects a non-empty grayscale page, got shape {arr.shape}")
     if arr.dtype == np.uint8:
         raw = arr
     elif arr.dtype == bool:
         raw = arr.view(np.uint8) * np.uint8(255)
+    elif arr.dtype.kind in "iu":
+        raise PgmError(f"write_pgm writes uint8 levels, not {arr.dtype} integers")
     else:  # one float block at a time, rounded and clipped in place
         raw = np.empty(arr.shape, dtype=np.uint8)
         for rows in _row_blocks(arr.shape):
             t = np.multiply(arr[rows], 255.0, dtype=np.float64)
+            if np.isnan(t).any():
+                raise PgmError(f"write_pgm got NaN pixels in rows {rows.start}-{rows.stop - 1}")
             np.round(t, out=t)
             np.clip(t, 0, 255, out=t)
             raw[rows] = t

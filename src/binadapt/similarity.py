@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import DataError, Dataset
+from .data import DataError, Dataset, _row_blocks
 from .models import predict_prob_map
 from .training import (ExperimentConfig, TrainedBinarizer, _bin_count, binarize, train_bindann,
                        train_sae)
@@ -57,16 +57,21 @@ def domain_histogram(prob_maps, h_prec) -> np.ndarray:
 
     Pixel p lands in bin floor(p / h_prec); p == 1.0 lands in the closed top
     bin. Values outside [0, 1] are contract violations. Maps are read one at a
-    time, so a generator of maps keeps one page's map in memory, not a domain's.
+    time and binned in row blocks of about ``data._BLOCK`` values, so a
+    generator keeps one page's map in memory and a cropped map is not copied.
     """
     n = _bin_count(h_prec)
     counts = np.zeros(n)
     for prob in prob_maps:
-        values = np.asarray(prob, dtype=np.float64).ravel()
-        if values.size and not (0.0 <= values.min() and values.max() <= 1.0):  # NaN too
-            raise ValueError("probability map has values outside [0, 1]")
-        idx = np.minimum(np.floor(values / h_prec).astype(np.int64), n - 1)
-        counts += np.bincount(idx, minlength=n)
+        table = np.atleast_2d(prob)
+        for rows in _row_blocks(table.shape):
+            values = np.asarray(table[rows], dtype=np.float64)
+            if values.size and not (0.0 <= values.min() and values.max() <= 1.0):  # NaN too
+                raise ValueError("probability map has values outside [0, 1]")
+            t = values / h_prec
+            idx = np.minimum(np.floor(t, out=t), n - 1, out=t).astype(np.int64)
+            counts += np.bincount(idx.ravel(), minlength=n)
+            del t, idx  # else they are still held while the next block's are made
     total = counts.sum()
     if total <= 0:
         raise ValueError("cannot normalize an empty histogram")
@@ -188,17 +193,15 @@ def gate(sae: TrainedBinarizer, source: Dataset, target: Dataset,
          cfg: ExperimentConfig) -> AutoRunResult:
     """Gate a trained binarizer on histogram correlation; ``da`` stays ``None``.
 
-    The source histogram pools the source validation maps: a fresh binarizer's
-    kept sweep maps, else (a checkpoint) new predictions. The target histogram
-    pools every target page, whose masks at ``th_s`` are taken in the same
-    pass. Target ground truth is never touched.
+    The source histogram pools the binarizer's maps of the source validation
+    pages, predicted one at a time. The target histogram pools every target
+    page, whose masks at ``th_s`` are taken in the same pass. Target ground
+    truth is never touched.
     """
-    val_maps = sae.val_maps
-    if val_maps is None:
-        if not source.validation():
-            raise DataError("source has no validation page to pool into its histogram")
-        val_maps = (predict_prob_map(sae.model, rec.page) for rec in source.validation())
-    hist_source = domain_histogram(val_maps, cfg.h_prec)
+    if not source.validation():
+        raise DataError("source has no validation page to pool into its histogram")
+    hist_source = domain_histogram((predict_prob_map(sae.model, rec.page)
+                                    for rec in source.validation()), cfg.h_prec)
     masks = {}
 
     def target_maps():

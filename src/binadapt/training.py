@@ -132,17 +132,11 @@ class EpochStats:
 
 @dataclass
 class TrainedBinarizer:
-    """Best-epoch model plus its swept threshold and the training history.
-
-    ``val_maps`` holds the model's probability maps of the source validation
-    pages, in partition order, as the threshold sweep computed them; a
-    binarizer loaded from a checkpoint has none.
-    """
+    """Best-epoch model plus its swept threshold and the training history."""
 
     model: Model
     th_s: float
     history: list
-    val_maps: list | None = None
 
 
 def binarize(prob_map, th) -> np.ndarray:
@@ -175,24 +169,23 @@ def sweep_threshold(prob_maps, validation, sweep_step):
     """Best equidistant threshold for the probability maps of labeled
     validation records, one map per record in the same order.
 
-    Confusions are aggregated across all pages per candidate threshold; ties
-    resolve to the lowest threshold. Returns (threshold, F1 at it).
+    Each map adds its confusions into one integer total per candidate
+    threshold, so maps are read one at a time and a generator keeps one page's
+    map in memory. Ties resolve to the lowest threshold. Returns (threshold,
+    F1 at it).
     """
     if not validation:
         raise ValueError("validation set is empty")
     for rec in validation:
         if rec.gt is None:
             raise ValueError(f"validation page {rec.stem!r} has no ground truth")
-    maps = [(prob, rec.gt) for prob, rec in zip(prob_maps, validation, strict=True)]
-    best_th, best_f1 = None, -1.0
-    for th in _sweep_grid(sweep_step):
-        total = Confusion()
-        for prob, mask in maps:
-            total = total + confusion(prob >= th, mask)
-        score = f1(total)
-        if score > best_f1:
-            best_th, best_f1 = th, score
-    return best_th, best_f1
+    grid = _sweep_grid(sweep_step)
+    totals = [Confusion()] * len(grid)
+    for prob, rec in zip(prob_maps, validation, strict=True):
+        totals = [total + confusion(prob >= th, rec.gt) for total, th in zip(totals, grid)]
+    scores = [f1(total) for total in totals]
+    best = scores.index(max(scores))  # the first of equal scores
+    return grid[best], scores[best]
 
 
 def _patch_pool(pages, patch):
@@ -270,17 +263,17 @@ def _fit(source: Dataset, target: Dataset | None, cfg: ExperimentConfig) -> Trai
                         grads[name] = grads[name] + g if name in grads else g
                     dom_losses.append(0.5 * float(out["domain_loss"][0] + out_t["domain_loss"][0]))
                 optimizer_step(opt, model.params, grads)
-            val_maps = [predict_prob_map(model, rec.page) for rec in val]
-            th, score = sweep_threshold(val_maps, val, cfg.sweep_step)
+            th, score = sweep_threshold((predict_prob_map(model, rec.page) for rec in val),
+                                        val, cfg.sweep_step)
             dom_loss = float(np.mean(dom_losses)) if target is not None else None
             history.append(EpochStats(epoch, float(np.mean(bin_losses)), dom_loss, lam, score, th))
             if best is None or score > best[0]:
-                best = (score, th, {name: p.copy() for name, p in model.params.items()}, val_maps)
+                best = (score, th, {name: p.copy() for name, p in model.params.items()})
     finally:
         model.graph._run = None
 
     model.params.update(best[2])
-    return TrainedBinarizer(model=model, th_s=best[1], history=history, val_maps=best[3])
+    return TrainedBinarizer(model=model, th_s=best[1], history=history)
 
 
 def train_sae(source: Dataset, cfg: ExperimentConfig) -> TrainedBinarizer:

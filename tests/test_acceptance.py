@@ -275,8 +275,9 @@ def test_criterion_6_gate_behavior(far_runs):
     near_ok = near_result.report.decision == USE_SAE and near_result.da is None
 
     boundary_ok = ba.gate_decision(0.25, 0.25) == USE_DA
-    # the two halves of the source validation maps the sweep kept
-    val_maps = run0["result"].sae.val_maps
+    # the two halves of the SAE's maps of the source validation pages
+    model = run0["result"].sae.model
+    val_maps = [ba.predict_prob_map(model, rec.page) for rec in run0["source"].validation()]
     half = len(val_maps) // 2
     intra = ba.pearson(ba.domain_histogram(val_maps[:half], DEFAULTS.h_prec),
                        ba.domain_histogram(val_maps[half:], DEFAULTS.h_prec))

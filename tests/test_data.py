@@ -118,6 +118,30 @@ def test_write_pgm_rejects_color():
         ba.write_pgm(np.zeros((2, 2, 3), dtype=bool))
 
 
+def test_write_pgm_refuses_wider_integer_levels():
+    # as [0, 1] pixels they would saturate: [[0, 100, 200]] read back as 0, 255, 255
+    for dtype in (np.int64, np.uint16, np.int8):
+        with pytest.raises(PgmError, match=f"not {np.dtype(dtype)} integers"):
+            ba.write_pgm(np.array([[0, 100, 120]], dtype=dtype))
+
+
+def test_write_pgm_refuses_nan_pixels():
+    page = np.full((300, 1000), 0.5)
+    page[250, 3] = np.nan  # past the first row block
+    with pytest.raises(PgmError, match="NaN pixels in rows 195-259"):
+        ba.write_pgm(page)
+    with pytest.raises(PgmError, match="NaN"):
+        ba.write_pgm(np.array([[np.nan]], dtype=np.float32))
+
+
+def test_write_pgm_refuses_a_zero_side():
+    # read_pgm refuses a P5 header of height or width 0
+    for shape in ((0, 5), (5, 0), (0, 0)):
+        for dtype in (np.uint8, bool, np.float64):
+            with pytest.raises(PgmError, match="non-empty grayscale"):
+                ba.write_pgm(np.zeros(shape, dtype=dtype))
+
+
 def test_write_pgm_boolean_mask_encodes_as_its_float_copy():
     mask = np.random.default_rng(2).random((37, 23)) > 0.5
     for m in (mask, mask[::2, 1::3], mask.T):  # strided views too

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,40 @@ def test_out_of_range_values_rejected():
                  [np.zeros(3), np.array([0.5, math.nan])]):
         with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
             domain_histogram(maps, 0.1)
+
+
+def _one_shot_histogram(values, h_prec):
+    n = round(1 / h_prec)
+    idx = np.minimum(np.floor(np.ravel(values) / h_prec).astype(np.int64), n - 1)
+    counts = np.bincount(idx, minlength=n).astype(np.float64)
+    return counts / counts.sum()
+
+
+def test_blocked_binning_equals_the_one_shot_formula():
+    # bin edges, their neighbours and exactly 1.0, over more rows than one block
+    edges = np.arange(11) / 10
+    values = np.clip(np.concatenate([edges, np.nextafter(edges, -1), np.nextafter(edges, 2)]), 0, 1)
+    rng = np.random.default_rng(5)
+    page = rng.choice(values, size=(700, 300))
+    for prob in (page, page[3:, 7:290], page.T, page.ravel()):
+        for h_prec in (0.1, 0.25, 0.05):
+            expected = _one_shot_histogram(prob, h_prec)
+            assert domain_histogram([prob], h_prec).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("crop", [False, True], ids=["1024x1024", "1000x750-view"])
+def test_domain_histogram_makes_no_page_sized_temporary(crop):
+    # a ragged page's map is a cropped, non-contiguous view of a wider one
+    prob = np.random.default_rng(6).random((1024, 1024))
+    if crop:
+        prob = prob[:1000, :750]
+    tracemalloc.start()
+    try:
+        domain_histogram([prob], 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < prob.size * prob.itemsize / 4
 
 
 def test_bin_width_must_divide_one():
@@ -287,7 +322,6 @@ def test_gate_predicts_a_loaded_binarizers_source_validation_pages(tmp_path):
     fresh = ba.train_sae(src, cfg)
     ba.save_binarizer(tmp_path / "sae.ckpt", fresh)
     loaded = ba.load_binarizer(tmp_path / "sae.ckpt")
-    assert loaded.val_maps is None
     a, b = gate(fresh, src, far, cfg), gate(loaded, src, far, cfg)
     assert a.report.to_json() == b.report.to_json()
     assert a.hist_source.tobytes() == b.hist_source.tobytes()
