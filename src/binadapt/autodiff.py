@@ -15,15 +15,19 @@ Who owns which array:
   ``optimizer_step`` updates in place, as it does Adam's moments.
 * Ops allocate their results with plain numpy. A forward's record holds its
   values, masks and kept grids until the next forward on the graph; a fit or
-  a prediction drops the last one when it returns. The C heap keeps what a
-  step frees for the next step (see the heap thresholds below).
+  a prediction drops the last one when it returns. A training record keeps
+  only what a backward reads: each op declares the inputs its backward reads
+  (``register_op``), and a training forward drops every other value, bar the
+  parameters and the registered outputs, after its last forward consumer, so
+  such a record serves one backward. The C heap keeps what a step frees for
+  the next step (see the heap thresholds below).
 * The caller owns what the engine hands out: ``forward`` returns copies and
   ``backward`` the gradients themselves, and neither aliases a parameter.
-  ``frozen_masks`` given to ``forward`` are read, never written.
 """
 
 from __future__ import annotations
 
+import copy
 import ctypes
 import math
 import struct
@@ -74,9 +78,12 @@ class Node:
     name: str
 
 
-# Op registry. Each entry maps a node kind to a pair of callables:
+# Op registry. Each entry maps a node kind to two callables and what the
+# second reads:
 #   fwd(node, xs, run) -> ndarray
 #   bwd(node, g, xs, y, run) -> list of per-input gradients (None = constant input)
+#   reads: the positions in xs that bwd reads, and "y" if it reads y. After a
+#   training forward every other entry of xs, and y, may be None.
 # bwd may return None for every input k whose run.needs[k] is False: no
 # parameter feeds that input, so its gradient would be discarded.
 # Ownership. xs, y and g belong to other nodes or to the caller: an op reads
@@ -87,10 +94,10 @@ class Node:
 _OPS: dict = {}
 
 
-def register_op(kind, fwd, bwd):
+def register_op(kind, fwd, bwd, reads):
     if kind in _OPS:
         raise GraphError(f"op kind {kind!r} already registered")
-    _OPS[kind] = (fwd, bwd)
+    _OPS[kind] = (fwd, bwd, tuple(reads))
 
 
 # glibc's heap thresholds, fixed once for the whole process. By default glibc
@@ -119,14 +126,15 @@ class _Run:
     """Cached state of one forward execution, consumed by backward."""
 
     values: dict
-    masks: dict  # dropout node id -> boolean keep-mask
     order: tuple
     input_needs: dict  # node id -> per input: does a parameter feed it?
     training: bool
     rng: np.random.Generator | None = None  # dropout mask source when training
+    masks: dict = field(default_factory=dict)  # dropout node id -> boolean keep-mask
+    spent: bool = False  # a backward has read this training record
     nid: int = -1  # id of the node being evaluated or differentiated
     needs: tuple = ()  # input_needs of that node
-    grids: dict = field(default_factory=dict)  # node id -> operand grid kept for backward
+    grids: dict = field(default_factory=dict)  # node id -> (operand grid, input size) for backward
 
 
 class Graph:
@@ -177,6 +185,7 @@ class Graph:
         if not (0 <= nid < len(self.nodes)):
             raise GraphError(f"output {name!r} points at undefined node id {nid}")
         self.outputs[name] = nid
+        self._plans.clear()  # a plan never drops a registered output
 
     def ancestors(self, ids) -> list:
         """All node ids the given ids depend on, in storage (topological) order."""
@@ -191,20 +200,34 @@ class Graph:
         return sorted(needed)
 
     def plan(self, ids) -> tuple:
-        """Execution plan of the given ids: their ``ancestors`` as a tuple and a
+        """Execution plan of the given ids: their ``ancestors`` as a tuple, a
         map from each of those nodes to a tuple saying, per input, whether some
-        parameter feeds it. Cached until the graph grows."""
+        parameter feeds it, and a map from a node to the values a training
+        forward drops once it is evaluated: those no backward on the plan
+        reads, bar the parameters and the registered outputs, after their last
+        forward consumer. Cached until the graph grows or an output is set."""
         key = tuple(ids)
         plan = self._plans.get(key)
         if plan is None:
             order = tuple(self.ancestors(key))
             fed, needs = set(), {}
+            kept = set(self.param_ids.values()) | set(self.outputs.values())
+            last = {}
             for nid in order:
                 node = self.nodes[nid]
                 needs[nid] = tuple(i in fed for i in node.inputs)
                 if node.kind == "param" or any(needs[nid]):
                     fed.add(nid)
-            plan = self._plans[key] = (order, needs)
+                if node.inputs:
+                    reads = _OPS[node.kind][2]
+                    kept.update(nid if k == "y" else node.inputs[k] for k in reads)
+                for i in node.inputs:
+                    last[i] = nid
+            drops = {}
+            for i, nid in last.items():
+                if i not in kept:
+                    drops.setdefault(nid, []).append(i)
+            plan = self._plans[key] = (order, needs, drops)
         return plan
 
 
@@ -221,18 +244,16 @@ def forward(
     wanted=None,
     training: bool = False,
     rng: np.random.Generator | None = None,
-    frozen_masks: dict | None = None,
 ) -> dict:
     """Evaluate the graph and return copies of the requested named outputs.
 
     Only the ancestor subgraph of ``wanted`` (default: all registered outputs)
     is computed, so inputs outside that subgraph need not be bound. Dropout
-    nodes draw boolean keep-masks from ``rng`` when training, or reuse
-    ``frozen_masks`` (node id -> boolean keep-mask of the node's input shape,
-    as a record's ``masks`` holds them; anything else raises ``GraphError``)
-    when given. The execution record is cached on the graph
-    for a subsequent ``backward``; the previous record is released first, so
-    a forward that raises leaves nothing to differentiate.
+    nodes draw boolean keep-masks from ``rng`` when training. The execution
+    record is cached on the graph for a subsequent ``backward``; the previous
+    record is released first, so a forward that raises leaves nothing to
+    differentiate. A training forward keeps only the values a backward reads,
+    plus the parameters and the registered outputs.
     """
     graph._run = None
     bindings = bindings or {}
@@ -241,9 +262,9 @@ def forward(
     if not wanted:
         raise GraphError("graph has no registered outputs")
     targets = [_output_id(graph, w) for w in wanted]
-    order, needs = graph.plan(targets)
-    run = _Run(values={}, masks=dict(frozen_masks or {}), order=order, input_needs=needs,
-               training=training, rng=rng)
+    order, needs, drops = graph.plan(targets)
+    drops = drops if training else {}
+    run = _Run(values={}, order=order, input_needs=needs, training=training, rng=rng)
     # overflow surfaces as the non-finite output check's NumericError below
     with np.errstate(over="ignore", invalid="ignore"):
         for nid in order:
@@ -260,7 +281,7 @@ def forward(
             elif node.kind == "param":
                 run.values[nid] = graph.params[node.attrs["param_name"]]
             else:
-                fwd, _ = _OPS[node.kind]
+                fwd = _OPS[node.kind][0]
                 xs = [run.values[i] for i in node.inputs]
                 try:
                     run.values[nid] = fwd(node, xs, run)
@@ -268,6 +289,8 @@ def forward(
                     raise
                 except Exception as exc:  # re-raise with the node named
                     raise GraphError(f"node {nid} ({node.name}): {exc}") from exc
+            for i in drops.get(nid, ()):
+                del run.values[i]
 
     graph._run = run
     out = {}
@@ -289,7 +312,9 @@ def backward(graph: Graph, loss) -> dict:
     gradient is dropped once it has been passed to the node's inputs. The
     engine keeps no reference to the gradients it returns. ``add`` passes one
     array to both its inputs, so two parameters that feed one ``add``
-    directly get the same array.
+    directly get the same array. A training forward's record serves one
+    backward: it kept only what that backward reads, and the backward
+    consumes the kept grids.
     """
     run = graph._run
     if run is None:
@@ -299,6 +324,10 @@ def backward(graph: Graph, loss) -> dict:
         raise GraphError(f"loss node {lid} was not computed by the last forward")
     if run.values[lid].shape != (1,):
         raise GraphError(f"loss node {lid} is not scalar (shape {run.values[lid].shape})")
+    if run.spent:
+        raise GraphError("a backward already read the last training forward's record, "
+                         "which keeps only what one backward reads; run forward again")
+    run.spent = run.training
 
     grads = {lid: np.ones(1)}
     # non-finite gradients surface as optimizer_step's NumericError
@@ -312,9 +341,10 @@ def backward(graph: Graph, loss) -> dict:
                 continue
             run.nid = nid
             run.needs = run.input_needs[nid]
-            _, bwd = _OPS[node.kind]
-            xs = [run.values[i] for i in node.inputs]
-            for i, need, gi in zip(node.inputs, run.needs, bwd(node, g, xs, run.values[nid], run)):
+            bwd = _OPS[node.kind][1]
+            # None for what a training forward dropped, which bwd does not read
+            xs, y = [run.values.get(i) for i in node.inputs], run.values.get(nid)
+            for i, need, gi in zip(node.inputs, run.needs, bwd(node, g, xs, y, run)):
                 if gi is None or not need:
                     continue
                 # summed into a new array: add passes one g to both inputs
@@ -336,20 +366,21 @@ def grad_check(
     """Max relative error between analytic and central-difference gradients.
 
     The error per element is |analytic - numeric| / max(|analytic|, |numeric|,
-    1e-8). Dropout masks are drawn once and frozen across all evaluations so
-    the loss stays a fixed differentiable function of the parameter.
+    1e-8). Every evaluation draws its dropout masks from a copy of ``rng`` as
+    it stood before the first forward, so each draws the same masks and the
+    loss stays a fixed differentiable function of the parameter.
     """
     if not (0.0 < epsilon <= 1e-3):
         raise GraphError(f"epsilon {epsilon} outside (0, 1e-3]")
     if parameter not in graph.params:
         raise GraphError(f"unknown parameter {parameter!r}")
 
+    start = copy.deepcopy(rng)
     forward(graph, bindings, wanted=(loss,), training=training, rng=rng)
-    masks = graph._run.masks  # frozen masks are never written
     analytic = backward(graph, loss)[parameter].ravel()
 
     def eval_loss():
-        out = forward(graph, bindings, wanted=(loss,), training=training, frozen_masks=masks)
+        out = forward(graph, bindings, wanted=(loss,), training=training, rng=copy.deepcopy(start))
         return float(out[loss][0])
 
     flat = graph.params[parameter].reshape(-1)
@@ -389,8 +420,8 @@ def _bwd_sum(node, g, xs, y, run):
     return [np.full(xs[0].shape, g[0])]
 
 
-register_op("add", _fwd_add, _bwd_add)
-register_op("sum", _fwd_sum, _bwd_sum)
+register_op("add", _fwd_add, _bwd_add, reads=())
+register_op("sum", _fwd_sum, _bwd_sum, reads=(0,))  # its shape
 
 
 # ---------------------------------------------------------------------------

@@ -297,6 +297,9 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"error: numeric: {exc}", file=sys.stderr)
         return 5
+    except MemoryError as exc:
+        print(f"error: memory: {exc}", file=sys.stderr)
+        return 6
     except ValueError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2

@@ -15,7 +15,10 @@ over all taps when the input has a single channel. The input gradient, and
 with it the transposed convolution, runs as stride-1 convolutions of the
 output gradient, one per stride phase of the input, all on one such copy. The
 layout of each copy is planned once per shape, and a training forward keeps
-a convolution's copy of its input for the weight gradient.
+a convolution's copy of its input, with the input's size, for the weight and
+input gradients instead of the input itself. Each op declares what its
+backward reads, so a training forward's record drops the rest: a relu's and
+a dropout's outputs, and every value only convolutions consume.
 """
 
 from __future__ import annotations
@@ -119,11 +122,12 @@ def grl_lambda_at(epoch, start, increment):
 # computed once per distinct shape and memoized, bounded, since a new batch
 # size (a page's ragged last batch) adds entries (cf. Chetlur et al. 2014).
 # Grid lifetime. A convolution's weight gradient reads the same grid of its
-# input as its forward product, so a training forward keeps that grid on the
-# run until backward takes it; after an inference forward backward builds it
-# again, and backward drops any grid still kept when it returns. The
-# transposed convolution's backward grids its output gradient once for both
-# of its products.
+# input as its forward product, so a training forward keeps that grid, with
+# the input's spatial size, on the run until backward takes it, and the input
+# itself is not kept for the convolution; after an inference forward backward
+# builds the grid again from the input, and backward drops any grid still
+# kept when it returns. The transposed convolution's backward grids its
+# output gradient once for both of its products.
 
 _PLANS = 512  # entries per plan memo: a few per conv node and batch size
 
@@ -307,18 +311,19 @@ def _fwd_conv(node, xs, run):
     _check_conv_args(x, w, b, spec, transposed=False)
     out_hw = spec.out_hw(*x.shape[2:])
     grid = _grid(x, spec.padding, spec.stride, spec.kernel)
-    if run.training:  # the weight gradient reads the same grid
-        run.grids[run.nid] = grid
+    if run.training:  # the backward reads this grid, and not x
+        run.grids[run.nid] = (grid, x.shape[2:])
     return _conv_out(grid, w, spec.stride, out_hw) + b[None, :, None, None]
 
 
 def _bwd_conv(node, g, xs, y, run):
     x, w, b = xs
     spec = node.attrs["spec"]
-    gx = _conv_grad_input(g, w, spec.stride, spec.padding, x.shape[2:]) if run.needs[0] else None
-    grid = run.grids.pop(run.nid, None)
-    if grid is None:  # the forward pass ran in inference mode
-        grid = _grid(x, spec.padding, spec.stride, spec.kernel)
+    kept = run.grids.pop(run.nid, None)
+    if kept is None:  # the forward pass ran in inference mode and kept x
+        kept = _grid(x, spec.padding, spec.stride, spec.kernel), x.shape[2:]
+    grid, in_hw = kept
+    gx = _conv_grad_input(g, w, spec.stride, spec.padding, in_hw) if run.needs[0] else None
     gw = _conv_grad_weight(grid, g, spec.stride, spec.kernel)
     return [gx, gw, g.sum(axis=(0, 2, 3))]
 
@@ -371,21 +376,15 @@ def _fwd_dropout(node, xs, run):
     rate = node.attrs["rate"]
     if not run.training or rate == 0.0:
         return x
-    keep = run.masks.get(run.nid)
-    if keep is None:
-        if run.rng is None:
-            raise GraphError(f"dropout node ({node.name}) needs an rng in training mode")
-        keep = run.rng.random(x.shape) >= rate
-        run.masks[run.nid] = keep
-    elif not isinstance(keep, np.ndarray) or keep.dtype != bool or keep.shape != x.shape:
-        raise GraphError(f"frozen dropout mask of node ({node.name}) is not a boolean array "
-                         f"of the input's shape {x.shape}")
+    if run.rng is None:
+        raise GraphError(f"dropout node ({node.name}) needs an rng in training mode")
+    keep = run.masks[run.nid] = run.rng.random(x.shape) >= rate
     return _inverted_dropout(x, keep, rate)
 
 
 def _bwd_dropout(node, g, xs, y, run):
-    keep = run.masks.get(run.nid)
-    if keep is None or not run.training or node.attrs["rate"] == 0.0:
+    keep = run.masks.get(run.nid)  # drawn only by a training forward at a rate above 0
+    if keep is None:
         return [g]
     return [_inverted_dropout(g, keep, node.attrs["rate"])]
 
@@ -421,13 +420,13 @@ def _bwd_bce(node, g, xs, y, run):
     return [gp, None]  # targets are constants
 
 
-register_op("conv2d", _fwd_conv, _bwd_conv)
-register_op("tconv2d", _fwd_tconv, _bwd_tconv)
-register_op("relu", _fwd_relu, _bwd_relu)
-register_op("sigmoid", _fwd_sigmoid, _bwd_sigmoid)
-register_op("dropout", _fwd_dropout, _bwd_dropout)
-register_op("grl", _fwd_grl, _bwd_grl)
-register_op("bce", _fwd_bce, _bwd_bce)
+register_op("conv2d", _fwd_conv, _bwd_conv, reads=(1,))  # and the grid it keeps
+register_op("tconv2d", _fwd_tconv, _bwd_tconv, reads=(0, 1))
+register_op("relu", _fwd_relu, _bwd_relu, reads=(0,))
+register_op("sigmoid", _fwd_sigmoid, _bwd_sigmoid, reads=("y",))
+register_op("dropout", _fwd_dropout, _bwd_dropout, reads=())  # its keep-mask
+register_op("grl", _fwd_grl, _bwd_grl, reads=())
+register_op("bce", _fwd_bce, _bwd_bce, reads=(0, 1))
 
 
 # node builders

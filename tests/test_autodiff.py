@@ -1,6 +1,7 @@
 """Engine-level contracts: forward/backward, grad_check, op arrays, optimizers, checkpoints."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -11,7 +12,7 @@ from binadapt import layers
 from binadapt.autodiff import CHECKPOINT_MAGIC, GraphError
 from binadapt.layers import bce_node, conv_node, grl_node, relu_node, sigmoid_node
 
-from defaults import SAE, bindann
+from defaults import SAE, bindann, sae_cfg
 from reference import direct_conv2d, fd_loss_gradient, max_rel_err
 
 
@@ -233,9 +234,9 @@ def test_outputs_and_gradients_do_not_alias_params():
 _DANN_WANTED = ("loss", "bin_loss", "domain_loss")
 
 
-def _dann_batches(n, seed):
+def _dann_batches(n, seed, side=32):
     rng = np.random.default_rng(seed)
-    x, t = rng.random((n, 1, 32, 32)), rng.random((n, 1, 32, 32))
+    x, t = rng.random((n, 1, side, side)), rng.random((n, 1, side, side))
     source = {"x": x, "gt": (rng.random(x.shape) > 0.5) * 1.0, "domain_gt": np.zeros_like(x)}
     return source, {"x": t, "domain_gt": np.ones_like(t)}
 
@@ -329,35 +330,12 @@ def test_returned_gradients_belong_to_the_caller():
     _assert_bitwise_equal(*after)
 
 
-def test_frozen_masks_are_never_written():
+def test_grad_check_draws_the_first_forward_s_masks_for_every_evaluation():
     model = ba.build_sae(SAE, np.random.default_rng(0))
-    graph = model.graph
     source, _ = _dann_batches(4, 0)
     del source["domain_gt"]
-    want = ba.forward(graph, source, training=True, rng=np.random.default_rng(1))
-    masks = {nid: m.copy() for nid, m in graph._run.masks.items()}
-    for mask in masks.values():
-        mask.flags.writeable = False  # a write would raise
-    for _ in range(3):
-        got = ba.forward(graph, source, training=True, frozen_masks=masks)
-        ba.backward(graph, "loss")
-        _assert_bitwise_equal(got, want)
-    assert ba.grad_check(graph, "loss", source, "out.b", training=True,
+    assert ba.grad_check(model.graph, "loss", source, "out.b", training=True,
                          rng=np.random.default_rng(1)) < 1e-4
-
-
-def test_a_frozen_mask_must_be_a_boolean_keep_mask_of_the_input_shape():
-    model = ba.build_sae(SAE, np.random.default_rng(0))
-    source, _ = _dann_batches(4, 0)
-    del source["domain_gt"]
-    ba.forward(model.graph, source, training=True, rng=np.random.default_rng(1))
-    masks = dict(model.graph._run.masks)
-    nid, keep = next(iter(masks.items()))
-    assert all(m.dtype == bool for m in masks.values())
-    # the float multiplier keep / (1 - rate) a record once held is refused too
-    for bad in (keep / 0.8, keep.astype(np.uint8), keep[:1], keep.tolist()):
-        with pytest.raises(GraphError, match="frozen dropout mask"):
-            ba.forward(model.graph, source, training=True, frozen_masks={**masks, nid: bad})
 
 
 def test_a_replaced_record_dies_at_once_and_leaves_no_cycle():
@@ -383,6 +361,75 @@ def test_a_replaced_record_dies_at_once_and_leaves_no_cycle():
         gc.set_debug(0)
         gc.garbage.clear()
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# what a training record keeps
+
+def _sae_record(training, n=2):
+    graph = ba.build_sae(SAE, np.random.default_rng(0)).graph
+    source, _ = _dann_batches(n, 0)
+    del source["domain_gt"]
+    ba.forward(graph, source, training=training, rng=np.random.default_rng(1))
+    return graph, source
+
+
+def test_a_training_record_keeps_only_what_backward_reads():
+    graph, _ = _sae_record(training=True)
+    nodes, kept = graph.nodes, graph._run.values
+    consumers = {}
+    for nid in graph._run.order:
+        for i in nodes[nid].inputs:
+            consumers.setdefault(i, set()).add(nodes[nid].kind)
+    params = set(graph.param_ids.values())
+    assert set(graph.outputs.values()) | params <= kept.keys()
+    assert graph.input_ids["x"] not in kept  # only the first conv reads the page batch
+    assert not [nid for nid in kept if nodes[nid].kind == "relu"]
+    assert not [nid for nid in kept.keys() - params if consumers.get(nid) == {"conv2d"}]
+    # a dropout output is kept only as the input that a transposed conv reads
+    kept_drops = [nid for nid in kept if nodes[nid].kind == "dropout"]
+    assert kept_drops and all("tconv2d" in consumers[nid] for nid in kept_drops)
+    assert len(kept) < len(graph._run.order)
+
+
+def test_an_inference_record_keeps_every_value():
+    graph, _ = _sae_record(training=False)
+    assert graph._run.values.keys() == set(graph._run.order)
+
+
+def test_a_training_record_serves_one_backward():
+    graph, source = _sae_record(training=True)
+    ba.backward(graph, "loss")
+    with pytest.raises(GraphError, match="already read the last training forward's record"):
+        ba.backward(graph, "loss")
+    # an inference record kept every value, so its backward runs again bit for bit
+    ba.forward(graph, source)
+    _assert_bitwise_equal(ba.backward(graph, "loss"), ba.backward(graph, "loss"))
+
+
+def test_a_bindann_step_s_traced_peak_stays_under_its_bound():
+    # keeping every value, one step at 64x64 and batch 4 peaked at 14.2 MiB;
+    # keeping what backward reads, at 8.7 MiB
+    graph = bindann(sae_cfg(patch=(64, 64))).graph
+    source, target = _dann_batches(4, 0, side=64)
+
+    def step(seed):
+        ba.forward(graph, source, wanted=_DANN_WANTED, training=True,
+                   rng=np.random.default_rng(seed))
+        grads = ba.backward(graph, "loss")
+        ba.forward(graph, target, wanted=("domain_loss",), training=True,
+                   rng=np.random.default_rng(seed + 1))
+        for name, g in ba.backward(graph, "domain_loss").items():
+            grads[name] = grads[name] + g if name in grads else g
+
+    step(0)  # plans and memos
+    tracemalloc.start()
+    try:
+        step(2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 11 * 2**20, peak / 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -455,6 +455,15 @@ def test_exit_5_prints_only_the_error_line(tiny_dirs, tmp_path, capsys):
     assert err.startswith("error: numeric:") and err.count("\n") == 1, err
 
 
+def test_exit_6_on_a_batch_too_large_to_allocate(tiny_dirs, tmp_path, capsys):
+    # a batch of 10^12 patch indices would take 7.28 TiB
+    cfg = _cfg_file(tmp_path, tiny_dirs, epochs=1, batch=10**12)
+    assert main(["train-sae", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 6
+    err = capsys.readouterr().err
+    assert err.startswith("error: memory:") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_artifacts_do_not_depend_on_blas_threads(tmp_path):
     # the thread count is read when numpy loads, so each run is its own process;
     # training batches of 64 give GEMMs (8x8 by 8x16384 and up) that OpenBLAS

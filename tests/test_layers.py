@@ -343,7 +343,7 @@ _PLAN_MEMOS = (layers._grid_plan, layers._tap_plan, layers._gather_plan)
 def _conv_op_results(kind, spec, x, w, b, g):
     """Value, input gradient and weight gradient of one conv2d or tconv2d
     node for output gradient g, evaluated as a training step evaluates it."""
-    fwd, bwd = autodiff._OPS[kind]
+    fwd, bwd, _ = autodiff._OPS[kind]
     node = autodiff.Node(kind, (0, 1, 2), {"spec": spec}, kind)
     run = autodiff._Run(values={}, masks={}, order=(), input_needs={}, training=True, nid=3,
                         needs=(True, True, False))

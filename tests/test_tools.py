@@ -1,6 +1,7 @@
 """The tools: ``compare_artifacts.py``'s seed lists, the data it writes and
 compares, the file comparison it reports and its exit status on a failed
-command, the runs ``faults.py`` measures, and ``memory_probe.py``'s report."""
+command, the runs ``faults.py`` measures, and the reports of
+``memory_probe.py`` and ``step_memory.py``."""
 
 import importlib.util
 import json
@@ -14,6 +15,7 @@ import binadapt as ba
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_artifacts.py"
 FAULTS = TOOL.parent / "faults.py"
 PROBE = TOOL.parent / "memory_probe.py"
+STEPS = TOOL.parent / "step_memory.py"
 
 
 def _load_tool(path=TOOL):
@@ -136,3 +138,16 @@ def test_memory_probe_reports_the_runs_peak_per_input_pixel(tmp_path, capsys):
     assert report["bytes_per_pixel"] == round(report["maxrss_bytes"] / report["input_pixels"], 2)
     assert (tmp_path / "out" / "manifest.json").is_file()
     assert len(list((tmp_path / "data" / "target_far" / "images").glob("*.pgm"))) == 3
+
+
+def test_step_memory_reports_both_models_steps(capsys):
+    tool = _load_tool(STEPS)
+    assert tool.main(["--patch", "16", "--batch", "2", "--steps", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:2]] == ["sae", "bindann"]
+    report = json.loads(lines[-1])
+    assert (report["patch"], report["batch"]) == (16, 2)
+    for kind in ("sae", "bindann"):
+        assert report[kind]["peak_bytes"] > 0 and report[kind]["step_s"] > 0
+    # the target pass and the domain branch only add to a step
+    assert report["bindann"]["peak_bytes"] > report["sae"]["peak_bytes"]
