@@ -2,8 +2,8 @@
 
 Graphs are built explicitly, node by node, and stored in topological order.
 ``forward`` evaluates the subgraph needed for the requested outputs, planned
-once per output set (``Graph.plan``), and caches the per-node values;
-``backward`` walks that cache in reverse and accumulates
+once per output set (``Graph.plan``), and records what each op's backward
+reads; ``backward`` walks that record in reverse and accumulates
 gradients by the chain rule, including the sign-flipped path used by the
 gradient-reversal layer. Parameters, outputs and gradients are plain float64
 ``np.ndarray``s. Outputs are addressed by the names given to
@@ -13,14 +13,14 @@ Who owns which array:
 
 * ``Graph.params`` maps names to C-contiguous arrays that the graph owns and
   ``optimizer_step`` updates in place, as it does Adam's moments.
-* Ops allocate their results with plain numpy. A forward's record holds its
-  values, masks and kept grids until the next forward on the graph; a fit or
-  a prediction drops the last one when it returns. A training record keeps
-  only what a backward reads: each op declares the inputs its backward reads
-  (``register_op``), and a training forward drops every other value, bar the
-  parameters and the registered outputs, after its last forward consumer, so
-  such a record serves one backward. The C heap keeps what a step frees for
-  the next step (see the heap thresholds below).
+* Ops allocate their results with plain numpy. Each op's forward returns its
+  value and what its backward reads (``register_op``). A forward's record
+  holds those, the parameters and the registered outputs; every other value
+  goes after its last forward consumer. The record lasts until the next
+  forward on the graph or until a backward consumes it, so it serves one
+  backward; a fit or a prediction drops the last one when it returns. The C
+  heap keeps what a step frees for the next step (see the heap thresholds
+  below).
 * The caller owns what the engine hands out: ``forward`` returns copies and
   ``backward`` the gradients themselves, and neither aliases a parameter.
 """
@@ -78,26 +78,24 @@ class Node:
     name: str
 
 
-# Op registry. Each entry maps a node kind to two callables and what the
-# second reads:
-#   fwd(node, xs, run) -> ndarray
-#   bwd(node, g, xs, y, run) -> list of per-input gradients (None = constant input)
-#   reads: the positions in xs that bwd reads, and "y" if it reads y. After a
-#   training forward every other entry of xs, and y, may be None.
-# bwd may return None for every input k whose run.needs[k] is False: no
-# parameter feeds that input, so its gradient would be discarded.
-# Ownership. xs, y and g belong to other nodes or to the caller: an op reads
-# them and never writes them. fwd returns its value, and bwd the gradients,
-# as new arrays, or an input or g itself, unchanged; bwd may return the same
-# array for two inputs, so the engine sums into a new array, never into one
-# it was handed. An op updates in place only arrays it allocated.
+# Op registry. Each entry maps a node kind to two callables:
+#   fwd(node, xs, run) -> (value, saved), saved being all that bwd reads
+#   bwd(node, g, saved, needs) -> list of per-input gradients (None = constant input)
+# needs[k] says whether some parameter feeds input k; bwd may return None
+# for every input whose need is False, as its gradient would be discarded.
+# Ownership. xs, saved and g belong to other nodes or to the caller: an op
+# reads them and never writes them. fwd returns its value, and bwd the
+# gradients, as new arrays, or an input or g itself, unchanged; bwd may
+# return the same array for two inputs, so the engine sums into a new array,
+# never into one it was handed. An op updates in place only arrays it
+# allocated.
 _OPS: dict = {}
 
 
-def register_op(kind, fwd, bwd, reads):
+def register_op(kind, fwd, bwd):
     if kind in _OPS:
         raise GraphError(f"op kind {kind!r} already registered")
-    _OPS[kind] = (fwd, bwd, tuple(reads))
+    _OPS[kind] = (fwd, bwd)
 
 
 # glibc's heap thresholds, fixed once for the whole process. By default glibc
@@ -123,18 +121,14 @@ else:
 
 @dataclass
 class _Run:
-    """Cached state of one forward execution, consumed by backward."""
+    """Record of one forward execution, consumed by backward."""
 
-    values: dict
+    values: dict  # node id -> value; once forward returns, the params and outputs
     order: tuple
     input_needs: dict  # node id -> per input: does a parameter feed it?
     training: bool
     rng: np.random.Generator | None = None  # dropout mask source when training
-    masks: dict = field(default_factory=dict)  # dropout node id -> boolean keep-mask
-    spent: bool = False  # a backward has read this training record
-    nid: int = -1  # id of the node being evaluated or differentiated
-    needs: tuple = ()  # input_needs of that node
-    grids: dict = field(default_factory=dict)  # node id -> (operand grid, input size) for backward
+    saved: dict = field(default_factory=dict)  # op node id -> what its backward reads
 
 
 class Graph:
@@ -202,10 +196,10 @@ class Graph:
     def plan(self, ids) -> tuple:
         """Execution plan of the given ids: their ``ancestors`` as a tuple, a
         map from each of those nodes to a tuple saying, per input, whether some
-        parameter feeds it, and a map from a node to the values a training
-        forward drops once it is evaluated: those no backward on the plan
-        reads, bar the parameters and the registered outputs, after their last
-        forward consumer. Cached until the graph grows or an output is set."""
+        parameter feeds it, and a map from a node to the values a forward
+        drops once it is evaluated: every value but the parameters and the
+        registered outputs, after its last forward consumer. Cached until the
+        graph grows or an output is set."""
         key = tuple(ids)
         plan = self._plans.get(key)
         if plan is None:
@@ -218,9 +212,6 @@ class Graph:
                 needs[nid] = tuple(i in fed for i in node.inputs)
                 if node.kind == "param" or any(needs[nid]):
                     fed.add(nid)
-                if node.inputs:
-                    reads = _OPS[node.kind][2]
-                    kept.update(nid if k == "y" else node.inputs[k] for k in reads)
                 for i in node.inputs:
                     last[i] = nid
             drops = {}
@@ -252,8 +243,8 @@ def forward(
     nodes draw boolean keep-masks from ``rng`` when training. The execution
     record is cached on the graph for a subsequent ``backward``; the previous
     record is released first, so a forward that raises leaves nothing to
-    differentiate. A training forward keeps only the values a backward reads,
-    plus the parameters and the registered outputs.
+    differentiate. The record keeps what each op's backward reads, the
+    parameters and the registered outputs.
     """
     graph._run = None
     bindings = bindings or {}
@@ -263,13 +254,11 @@ def forward(
         raise GraphError("graph has no registered outputs")
     targets = [_output_id(graph, w) for w in wanted]
     order, needs, drops = graph.plan(targets)
-    drops = drops if training else {}
     run = _Run(values={}, order=order, input_needs=needs, training=training, rng=rng)
     # overflow surfaces as the non-finite output check's NumericError below
     with np.errstate(over="ignore", invalid="ignore"):
         for nid in order:
             node = graph.nodes[nid]
-            run.nid = nid
             if node.kind == "input":
                 name = node.attrs["input_name"]
                 if name not in bindings:
@@ -284,7 +273,7 @@ def forward(
                 fwd = _OPS[node.kind][0]
                 xs = [run.values[i] for i in node.inputs]
                 try:
-                    run.values[nid] = fwd(node, xs, run)
+                    run.values[nid], run.saved[nid] = fwd(node, xs, run)
                 except GraphError:
                     raise
                 except Exception as exc:  # re-raise with the node named
@@ -312,44 +301,34 @@ def backward(graph: Graph, loss) -> dict:
     gradient is dropped once it has been passed to the node's inputs. The
     engine keeps no reference to the gradients it returns. ``add`` passes one
     array to both its inputs, so two parameters that feed one ``add``
-    directly get the same array. A training forward's record serves one
-    backward: it kept only what that backward reads, and the backward
-    consumes the kept grids.
+    directly get the same array. The backward consumes the forward's record,
+    so each forward serves one backward.
     """
     run = graph._run
     if run is None:
-        raise GraphError("backward called before forward")
+        raise GraphError("backward called before forward; each forward serves one backward")
     lid = _output_id(graph, loss)
     if lid not in run.values:
         raise GraphError(f"loss node {lid} was not computed by the last forward")
     if run.values[lid].shape != (1,):
         raise GraphError(f"loss node {lid} is not scalar (shape {run.values[lid].shape})")
-    if run.spent:
-        raise GraphError("a backward already read the last training forward's record, "
-                         "which keeps only what one backward reads; run forward again")
-    run.spent = run.training
-
+    graph._run = None
     grads = {lid: np.ones(1)}
     # non-finite gradients surface as optimizer_step's NumericError
     with np.errstate(over="ignore", invalid="ignore"):
         for nid in reversed(run.order):
             node = graph.nodes[nid]
-            if node.kind == "param":
+            if not node.inputs:  # a parameter keeps its gradient; an input gets none
                 continue
-            g = grads.pop(nid, None)
-            if g is None or node.kind == "input":
+            saved, g = run.saved.pop(nid), grads.pop(nid, None)
+            if g is None:
                 continue
-            run.nid = nid
-            run.needs = run.input_needs[nid]
-            bwd = _OPS[node.kind][1]
-            # None for what a training forward dropped, which bwd does not read
-            xs, y = [run.values.get(i) for i in node.inputs], run.values.get(nid)
-            for i, need, gi in zip(node.inputs, run.needs, bwd(node, g, xs, y, run)):
+            needs = run.input_needs[nid]
+            for i, need, gi in zip(node.inputs, needs, _OPS[node.kind][1](node, g, saved, needs)):
                 if gi is None or not need:
                     continue
                 # summed into a new array: add passes one g to both inputs
                 grads[i] = grads[i] + gi if i in grads else gi
-    run.grids.clear()
     return {name: grads[nid] for name, nid in graph.param_ids.items() if nid in grads}
 
 
@@ -405,23 +384,23 @@ def _fwd_add(node, xs, run):
     a, b = xs
     if a.shape != b.shape:
         raise GraphError(f"add node ({node.name}): shapes {a.shape} and {b.shape} differ")
-    return np.add(a, b)
+    return np.add(a, b), None
 
 
-def _bwd_add(node, g, xs, y, run):
+def _bwd_add(node, g, saved, needs):
     return [g, g]  # one array to both inputs: neither may write it
 
 
 def _fwd_sum(node, xs, run):
-    return np.array([xs[0].sum()])
+    return np.array([xs[0].sum()]), xs[0].shape
 
 
-def _bwd_sum(node, g, xs, y, run):
-    return [np.full(xs[0].shape, g[0])]
+def _bwd_sum(node, g, shape, needs):
+    return [np.full(shape, g[0])]
 
 
-register_op("add", _fwd_add, _bwd_add, reads=())
-register_op("sum", _fwd_sum, _bwd_sum, reads=(0,))  # its shape
+register_op("add", _fwd_add, _bwd_add)
+register_op("sum", _fwd_sum, _bwd_sum)
 
 
 # ---------------------------------------------------------------------------

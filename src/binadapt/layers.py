@@ -14,11 +14,10 @@ contiguous window that BLAS reads in place: one matrix product per tap, or one
 over all taps when the input has a single channel. The input gradient, and
 with it the transposed convolution, runs as stride-1 convolutions of the
 output gradient, one per stride phase of the input, all on one such copy. The
-layout of each copy is planned once per shape, and a training forward keeps
-a convolution's copy of its input, with the input's size, for the weight and
-input gradients instead of the input itself. Each op declares what its
-backward reads, so a training forward's record drops the rest: a relu's and
-a dropout's outputs, and every value only convolutions consume.
+layout of each copy is planned once per shape. Each op's forward returns,
+beside its value, all that its backward reads: a convolution its copy of its
+input, the input's size and its weights, so the record keeps no value that
+only convolutions consume, nor a relu's or a dropout's output.
 """
 
 from __future__ import annotations
@@ -122,12 +121,10 @@ def grl_lambda_at(epoch, start, increment):
 # computed once per distinct shape and memoized, bounded, since a new batch
 # size (a page's ragged last batch) adds entries (cf. Chetlur et al. 2014).
 # Grid lifetime. A convolution's weight gradient reads the same grid of its
-# input as its forward product, so a training forward keeps that grid, with
-# the input's spatial size, on the run until backward takes it, and the input
-# itself is not kept for the convolution; after an inference forward backward
-# builds the grid again from the input, and backward drops any grid still
-# kept when it returns. The transposed convolution's backward grids its
-# output gradient once for both of its products.
+# input as its forward product, so the forward saves that grid, with the
+# input's spatial size, for its backward instead of the input itself. The
+# transposed convolution's backward grids its output gradient once for both
+# of its products.
 
 _PLANS = 512  # entries per plan memo: a few per conv node and batch size
 
@@ -311,19 +308,14 @@ def _fwd_conv(node, xs, run):
     _check_conv_args(x, w, b, spec, transposed=False)
     out_hw = spec.out_hw(*x.shape[2:])
     grid = _grid(x, spec.padding, spec.stride, spec.kernel)
-    if run.training:  # the backward reads this grid, and not x
-        run.grids[run.nid] = (grid, x.shape[2:])
-    return _conv_out(grid, w, spec.stride, out_hw) + b[None, :, None, None]
+    y = _conv_out(grid, w, spec.stride, out_hw) + b[None, :, None, None]
+    return y, (grid, x.shape[2:], w)
 
 
-def _bwd_conv(node, g, xs, y, run):
-    x, w, b = xs
+def _bwd_conv(node, g, saved, needs):
+    grid, in_hw, w = saved
     spec = node.attrs["spec"]
-    kept = run.grids.pop(run.nid, None)
-    if kept is None:  # the forward pass ran in inference mode and kept x
-        kept = _grid(x, spec.padding, spec.stride, spec.kernel), x.shape[2:]
-    grid, in_hw = kept
-    gx = _conv_grad_input(g, w, spec.stride, spec.padding, in_hw) if run.needs[0] else None
+    gx = _conv_grad_input(g, w, spec.stride, spec.padding, in_hw) if needs[0] else None
     gw = _conv_grad_weight(grid, g, spec.stride, spec.kernel)
     return [gx, gw, g.sum(axis=(0, 2, 3))]
 
@@ -333,24 +325,25 @@ def _fwd_tconv(node, xs, run):
     spec = node.attrs["spec"]
     _check_conv_args(x, w, b, spec, transposed=True)
     out_hw = spec.transpose_out_hw(*x.shape[2:])
-    return _conv_grad_input(x, w, spec.stride, spec.padding, out_hw) + b[None, :, None, None]
+    y = _conv_grad_input(x, w, spec.stride, spec.padding, out_hw) + b[None, :, None, None]
+    return y, (x, w)
 
 
-def _bwd_tconv(node, g, xs, y, run):
-    x, w, b = xs
+def _bwd_tconv(node, g, saved, needs):
+    x, w = saved
     spec = node.attrs["spec"]
     grid = _grid(g, spec.padding, spec.stride, spec.kernel)  # serves both products
-    gx = _conv_out(grid, w, spec.stride, x.shape[2:]) if run.needs[0] else None
+    gx = _conv_out(grid, w, spec.stride, x.shape[2:]) if needs[0] else None
     gw = _conv_grad_weight(grid, x, spec.stride, spec.kernel)
     return [gx, gw, g.sum(axis=(0, 2, 3))]
 
 
 def _fwd_relu(node, xs, run):
-    return np.maximum(xs[0], 0.0)
+    return np.maximum(xs[0], 0.0), xs[0]
 
 
-def _bwd_relu(node, g, xs, y, run):
-    return [g * (xs[0] > 0)]
+def _bwd_relu(node, g, x, needs):
+    return [g * (x > 0)]
 
 
 _SIGMOID_LO = np.nextafter(0.0, 1.0)
@@ -364,10 +357,11 @@ def _fwd_sigmoid(node, xs, run):
     d = 1.0 + e
     out = np.where(x >= 0, 1.0 / d, e / d)
     # saturated float64 would round to exactly 0/1; keep the open interval
-    return np.clip(out, _SIGMOID_LO, _SIGMOID_HI)
+    y = np.clip(out, _SIGMOID_LO, _SIGMOID_HI)
+    return y, y
 
 
-def _bwd_sigmoid(node, g, xs, y, run):
+def _bwd_sigmoid(node, g, y, needs):
     return [g * y * (1.0 - y)]
 
 
@@ -375,16 +369,15 @@ def _fwd_dropout(node, xs, run):
     x = xs[0]
     rate = node.attrs["rate"]
     if not run.training or rate == 0.0:
-        return x
+        return x, None
     if run.rng is None:
         raise GraphError(f"dropout node ({node.name}) needs an rng in training mode")
-    keep = run.masks[run.nid] = run.rng.random(x.shape) >= rate
-    return _inverted_dropout(x, keep, rate)
+    keep = run.rng.random(x.shape) >= rate
+    return _inverted_dropout(x, keep, rate), keep
 
 
-def _bwd_dropout(node, g, xs, y, run):
-    keep = run.masks.get(run.nid)  # drawn only by a training forward at a rate above 0
-    if keep is None:
+def _bwd_dropout(node, g, keep, needs):
+    if keep is None:  # no mask drawn: the forward passed its input through
         return [g]
     return [_inverted_dropout(g, keep, node.attrs["rate"])]
 
@@ -397,10 +390,10 @@ def _inverted_dropout(a, keep, rate):
 
 
 def _fwd_grl(node, xs, run):
-    return xs[0]
+    return xs[0], None
 
 
-def _bwd_grl(node, g, xs, y, run):
+def _bwd_grl(node, g, saved, needs):
     return [(-node.attrs["lam"]) * g]
 
 
@@ -409,24 +402,24 @@ def _fwd_bce(node, xs, run):
     if p.shape != t.shape:
         raise GraphError(f"prediction shape {p.shape} != target shape {t.shape}")
     pc = np.clip(p, BCE_CLAMP, 1.0 - BCE_CLAMP)
-    return np.array([-np.mean(t * np.log(pc) + (1.0 - t) * np.log(1.0 - pc))])
+    return np.array([-np.mean(t * np.log(pc) + (1.0 - t) * np.log(1.0 - pc))]), (p, t)
 
 
-def _bwd_bce(node, g, xs, y, run):
-    p, t = xs
+def _bwd_bce(node, g, saved, needs):
+    p, t = saved
     pc = np.clip(p, BCE_CLAMP, 1.0 - BCE_CLAMP)
     in_range = (p >= BCE_CLAMP) & (p <= 1.0 - BCE_CLAMP)
     gp = g[0] / p.size * (pc - t) / (pc * (1.0 - pc)) * in_range
     return [gp, None]  # targets are constants
 
 
-register_op("conv2d", _fwd_conv, _bwd_conv, reads=(1,))  # and the grid it keeps
-register_op("tconv2d", _fwd_tconv, _bwd_tconv, reads=(0, 1))
-register_op("relu", _fwd_relu, _bwd_relu, reads=(0,))
-register_op("sigmoid", _fwd_sigmoid, _bwd_sigmoid, reads=("y",))
-register_op("dropout", _fwd_dropout, _bwd_dropout, reads=())  # its keep-mask
-register_op("grl", _fwd_grl, _bwd_grl, reads=())
-register_op("bce", _fwd_bce, _bwd_bce, reads=(0, 1))
+register_op("conv2d", _fwd_conv, _bwd_conv)
+register_op("tconv2d", _fwd_tconv, _bwd_tconv)
+register_op("relu", _fwd_relu, _bwd_relu)
+register_op("sigmoid", _fwd_sigmoid, _bwd_sigmoid)
+register_op("dropout", _fwd_dropout, _bwd_dropout)
+register_op("grl", _fwd_grl, _bwd_grl)
+register_op("bce", _fwd_bce, _bwd_bce)
 
 
 # node builders

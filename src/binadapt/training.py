@@ -98,8 +98,10 @@ class ExperimentConfig:
             raise ValueError(f"seed {self.seed} must be non-negative")
         if not 0.0 < self.lr < math.inf:
             raise ValueError(f"learning rate {self.lr} must be finite and positive")
-        if not (0.0 <= self.lambda0 < math.inf and 0.0 <= self.lambda_inc < math.inf):
-            raise ValueError("reversal coefficient schedule must be finite and non-negative")
+        last = grl_lambda_at(self.epochs - 1, self.lambda0, self.lambda_inc)
+        if not (0.0 <= self.lambda0 and 0.0 <= self.lambda_inc and last < math.inf):
+            raise ValueError("reversal coefficient schedule must be non-negative and "
+                             f"finite through epoch {self.epochs - 1}")
         _sweep_grid(self.sweep_step)
         _bin_count(self.h_prec)
         if not -1.0 <= self.rho_th <= 1.0:

@@ -241,17 +241,23 @@ def _dann_batches(n, seed, side=32):
     return source, {"x": t, "domain_gt": np.ones_like(t)}
 
 
+def _masks(graph):
+    """Copies of the keep-masks the last forward's dropout nodes saved."""
+    return {nid: keep.copy() for nid, keep in graph._run.saved.items()
+            if graph.nodes[nid].kind == "dropout" and keep is not None}
+
+
 def _dann_step(graph, n, seed):
     """Both passes of one Bin-DANN training step at batch n, without the
     optimizer: the outputs, masks and summed gradients, copied."""
     source, target = _dann_batches(n, seed)
     out = ba.forward(graph, source, wanted=_DANN_WANTED, training=True,
                      rng=np.random.default_rng(seed))
-    masks = {nid: m.copy() for nid, m in graph._run.masks.items()}
+    masks = _masks(graph)
     grads = ba.backward(graph, "loss")
     out_t = ba.forward(graph, target, wanted=("domain_loss",), training=True,
                        rng=np.random.default_rng(seed + 1))
-    masks_t = {nid: m.copy() for nid, m in graph._run.masks.items()}
+    masks_t = _masks(graph)
     for name, g in ba.backward(graph, "domain_loss").items():
         grads[name] = grads[name] + g if name in grads else g
     return out, out_t, masks, masks_t, grads
@@ -347,12 +353,17 @@ def test_a_replaced_record_dies_at_once_and_leaves_no_cycle():
     gc.collect()
     gc.disable()
     try:
+        def record(seed):
+            ba.forward(graph, source, wanted=_DANN_WANTED, training=True,
+                       rng=np.random.default_rng(seed))
+            return weakref.ref(graph._run)
+
         _dann_step(graph, 8, 1)
-        first = weakref.ref(graph._run)
-        ba.forward(graph, source, wanted=_DANN_WANTED, training=True,
-                   rng=np.random.default_rng(2))
-        assert first() is None
+        replaced = record(2)
+        consumed = record(3)
+        assert replaced() is None
         ba.backward(graph, "loss")
+        assert consumed() is None  # and so does a consumed one
         _dann_step(graph, 8, 3)
         gc.set_debug(gc.DEBUG_SAVEALL)
         gc.collect()
@@ -364,47 +375,44 @@ def test_a_replaced_record_dies_at_once_and_leaves_no_cycle():
 
 
 # ---------------------------------------------------------------------------
-# what a training record keeps
+# what a record keeps
 
-def _sae_record(training, n=2):
-    graph = ba.build_sae(SAE, np.random.default_rng(0)).graph
-    source, _ = _dann_batches(n, 0)
-    del source["domain_gt"]
-    ba.forward(graph, source, training=training, rng=np.random.default_rng(1))
-    return graph, source
+_RECORDS = [(kind, training) for kind in ("sae", "bindann") for training in (True, False)]
 
 
-def test_a_training_record_keeps_only_what_backward_reads():
-    graph, _ = _sae_record(training=True)
-    nodes, kept = graph.nodes, graph._run.values
-    consumers = {}
-    for nid in graph._run.order:
-        for i in nodes[nid].inputs:
-            consumers.setdefault(i, set()).add(nodes[nid].kind)
-    params = set(graph.param_ids.values())
-    assert set(graph.outputs.values()) | params <= kept.keys()
-    assert graph.input_ids["x"] not in kept  # only the first conv reads the page batch
-    assert not [nid for nid in kept if nodes[nid].kind == "relu"]
-    assert not [nid for nid in kept.keys() - params if consumers.get(nid) == {"conv2d"}]
-    # a dropout output is kept only as the input that a transposed conv reads
-    kept_drops = [nid for nid in kept if nodes[nid].kind == "dropout"]
-    assert kept_drops and all("tconv2d" in consumers[nid] for nid in kept_drops)
-    assert len(kept) < len(graph._run.order)
+def _forward(kind, training, wanted=None):
+    """A model's graph after one forward on a batch of 2 patches, and that
+    forward as a callable."""
+    graph = (ba.build_sae(SAE, np.random.default_rng(0)) if kind == "sae" else bindann()).graph
+    source, _ = _dann_batches(2, 0)
+    if kind == "sae":
+        del source["domain_gt"]
+
+    def run():
+        ba.forward(graph, source, wanted=wanted, training=training, rng=np.random.default_rng(1))
+
+    run()
+    return graph, run
 
 
-def test_an_inference_record_keeps_every_value():
-    graph, _ = _sae_record(training=False)
-    assert graph._run.values.keys() == set(graph._run.order)
+def test_a_record_holds_the_values_of_only_the_parameters_and_the_outputs():
+    for (kind, training), wanted in [(r, w) for r in _RECORDS for w in (None, ("prob_map",))]:
+        graph, _ = _forward(kind, training, wanted)
+        run = graph._run
+        kept = set(graph.param_ids.values()) | set(graph.outputs.values())
+        assert run.values.keys() == kept & set(run.order), (kind, training, wanted)
+        assert run.saved.keys() == {nid for nid in run.order if graph.nodes[nid].inputs}
 
 
-def test_a_training_record_serves_one_backward():
-    graph, source = _sae_record(training=True)
-    ba.backward(graph, "loss")
-    with pytest.raises(GraphError, match="already read the last training forward's record"):
-        ba.backward(graph, "loss")
-    # an inference record kept every value, so its backward runs again bit for bit
-    ba.forward(graph, source)
-    _assert_bitwise_equal(ba.backward(graph, "loss"), ba.backward(graph, "loss"))
+def test_a_backward_consumes_its_record():
+    for kind, training in _RECORDS:
+        graph, forward = _forward(kind, training)
+        for loss in ("bin_loss", "loss"):  # through part of the record, and through all of it
+            forward()
+            assert set(ba.backward(graph, loss))
+            assert graph._run is None
+            with pytest.raises(GraphError, match="each forward serves one backward"):
+                ba.backward(graph, loss)
 
 
 def test_a_bindann_step_s_traced_peak_stays_under_its_bound():

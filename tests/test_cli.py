@@ -109,6 +109,15 @@ def test_exit_2_on_patch_beyond_max_side_before_reading_pages(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_exit_2_on_a_reversal_schedule_that_overflows_before_reading_pages(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"source_dir = {tmp_path / 'nowhere'}\ntarget_dir = {tmp_path / 'nowhere'}\n"
+                   "epochs = 2\nlambda0 = 1e308\nlambda_inc = 1e308\n")
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "error: config: reversal coefficient schedule" in capsys.readouterr().err
+
+
 _SMALL_SAE = {"depth": 1, "filters": 2, "kernel": [3, 3], "stride": [2, 2],
               "dropout_rate": 0.2, "patch": [4, 4], "channels": 1}
 

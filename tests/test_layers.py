@@ -335,7 +335,7 @@ def test_real_shape_gradients_match_finite_differences(name):
 
 
 # ---------------------------------------------------------------------------
-# shape plans and the grids a training forward keeps for backward
+# shape plans and the grids a forward saves for backward
 
 _PLAN_MEMOS = (layers._grid_plan, layers._tap_plan, layers._gather_plan)
 
@@ -343,12 +343,11 @@ _PLAN_MEMOS = (layers._grid_plan, layers._tap_plan, layers._gather_plan)
 def _conv_op_results(kind, spec, x, w, b, g):
     """Value, input gradient and weight gradient of one conv2d or tconv2d
     node for output gradient g, evaluated as a training step evaluates it."""
-    fwd, bwd, _ = autodiff._OPS[kind]
+    fwd, bwd = autodiff._OPS[kind]
     node = autodiff.Node(kind, (0, 1, 2), {"spec": spec}, kind)
-    run = autodiff._Run(values={}, masks={}, order=(), input_needs={}, training=True, nid=3,
-                        needs=(True, True, False))
-    y = fwd(node, [x, w, b], run)
-    gx, gw, _ = bwd(node, g, [x, w, b], y, run)
+    run = autodiff._Run(values={}, order=(), input_needs={}, training=True)
+    y, saved = fwd(node, [x, w, b], run)
+    gx, gw, _ = bwd(node, g, saved, (True, True, False))
     return y, gx, gw
 
 
@@ -421,13 +420,10 @@ def _tiny_bindann():
 def test_backward_reuses_the_grids_of_a_training_forward():
     model, bindings = _tiny_bindann()
     graph = model.graph
-    convs = [nid for nid, node in enumerate(graph.nodes) if node.kind == "conv2d"]
     grads = {}
     for training in (True, False):  # with dropout off the two passes compute the same
         ba.forward(graph, bindings, training=training, rng=np.random.default_rng(2))
-        assert sorted(graph._run.grids) == (convs if training else [])
         grads[training] = ba.backward(graph, "loss")
-        assert graph._run.grids == {}
     assert set(grads[True]) == set(graph.params)
     for name in graph.params:
         np.testing.assert_array_equal(grads[True][name], grads[False][name])
@@ -465,7 +461,7 @@ def test_one_grid_per_operand_per_training_step(monkeypatch):
 
     # SAE: the forward grids the input of its 4 convs and 3 tconvs; the
     # backward grids g once for 3 conv input gradients (enc1 reads data) and
-    # once per tconv, the convs' weight gradients read the kept grids
+    # once per tconv, the convs' weight gradients read the saved grids
     sae = ba.build_sae(SAE, np.random.default_rng(0))
     step(sae, {"x": x, "gt": gt}, ("loss", "bin_loss"), "loss")
     assert len(calls) == 7 + 3 + 3

@@ -39,10 +39,11 @@ def test_full_scale_shape_and_bottleneck():
     model = ba.build_sae(cfg, np.random.default_rng(0))
     out = ba.forward(model.graph, {"x": np.zeros((1, 1, 256, 256))}, wanted=("prob_map",))
     assert out["prob_map"].shape == (1, 1, 256, 256)
-    # bottleneck = output of the last encoder block: 256 / 2^6 = 4
-    run = model.graph._run
-    enc_last = next(n for n in range(len(model.graph.nodes)) if model.graph.nodes[n].name == "enc6.drop")
-    assert run.values[enc_last].shape[2:] == (4, 4)
+    # bottleneck = output of the last encoder block, the input the first
+    # decoder block saves: 256 / 2^6 = 4
+    dec1 = next(n for n, node in enumerate(model.graph.nodes) if node.name == "dec1.tconv")
+    bottleneck, _ = model.graph._run.saved[dec1]
+    assert bottleneck.shape[2:] == (4, 4)
 
 
 def test_indivisible_patch_rejected_at_build():

@@ -144,10 +144,12 @@ def test_step_memory_reports_both_models_steps(capsys):
     tool = _load_tool(STEPS)
     assert tool.main(["--patch", "16", "--batch", "2", "--steps", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split(":")[0] for line in lines[:2]] == ["sae", "bindann"]
+    assert [line.split(":")[0] for line in lines[:3]] == ["sae", "bindann", "infer"]
     report = json.loads(lines[-1])
     assert (report["patch"], report["batch"]) == (16, 2)
-    for kind in ("sae", "bindann"):
+    for kind in ("sae", "bindann", "infer"):
         assert report[kind]["peak_bytes"] > 0 and report[kind]["step_s"] > 0
     # the target pass and the domain branch only add to a step
     assert report["bindann"]["peak_bytes"] > report["sae"]["peak_bytes"]
+    # an inference forward holds less than a training step's forward and backward
+    assert report["infer"]["peak_bytes"] < report["sae"]["peak_bytes"]

@@ -213,7 +213,9 @@ def test_trainer_precondition_errors():
 
 def test_negative_reversal_schedule_rejected():
     for bad in ({"lambda0": -1.0}, {"lambda_inc": -0.01},
-                {"lambda0": math.nan}, {"lambda_inc": math.nan}):
+                {"lambda0": math.nan}, {"lambda_inc": math.nan},
+                # each finite, but the last epoch's coefficient is not
+                {"lambda0": 1e308, "lambda_inc": 1e308, "epochs": 2}):
         with pytest.raises(ValueError, match="reversal"):
             ba.ExperimentConfig(**bad)
 

@@ -1,4 +1,5 @@
-"""Traced memory peak and time of one SAE and one Bin-DANN training step.
+"""Traced memory peak and time of one SAE and one Bin-DANN training step,
+and of one SAE inference forward.
 
 Usage: python3 tools/step_memory.py [TREE] --patch P --batch B [--steps 5]
 
@@ -9,10 +10,11 @@ coefficient at its first scheduled value) and trains each on random batches
 of B patches, as ``binadapt`` training steps: the SAE's forward and backward
 on ``loss``; for Bin-DANN that source pass plus the target pass on
 ``domain_loss``, the two passes' gradients summed; then one Adam update.
-After one warm-up step it times ``--steps`` steps, then runs one more under
-``tracemalloc``, whose peak is the most memory the step's own allocations
-held at once. It prints each model's traced peak and median step time, the
-last line as JSON.
+The ``infer`` step is the SAE's inference forward on ``prob_map`` alone, as
+page prediction runs it, on a batch of the same size. After one warm-up step
+it times ``--steps`` steps, then runs one more under ``tracemalloc``, whose
+peak is the most memory the step's own allocations held at once. It prints
+each step's traced peak and median time, the last line as JSON.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ source = {"x": data.random(shape), "gt": (data.random(shape) > 0.8) * 1.0}
 target = {"x": data.random(shape), "domain_gt": np.ones(shape)}
 
 
-def step(model, opt, seed):
+def train_step(model, opt, seed):
     rng = np.random.default_rng(seed)
     if model.kind == "sae":
         ba.forward(model.graph, source, wanted=("loss", "bin_loss"), training=True, rng=rng)
@@ -53,13 +55,18 @@ def step(model, opt, seed):
     ba.optimizer_step(opt, model.params, grads)
 
 
+def infer_step(model, opt, seed):
+    ba.forward(model.graph, {"x": source["x"]}, wanted=("prob_map",))
+
+
 report = {"patch": patch, "batch": batch}
-for kind in ("sae", "bindann"):
-    if kind == "sae":
-        model = ba.build_sae(sae, np.random.default_rng(0))
-    else:
+for kind in ("sae", "bindann", "infer"):
+    if kind == "bindann":
         model = ba.build_bindann(sae, np.random.default_rng(0))
         model.set_grl(cfg.lambda0)
+    else:
+        model = ba.build_sae(sae, np.random.default_rng(0))
+    step = infer_step if kind == "infer" else train_step
     opt = ba.adam(cfg.lr)
     step(model, opt, 0)
     times = []
@@ -102,7 +109,7 @@ def main(argv=None) -> int:
     if args.patch < 1 or args.batch < 1 or args.steps < 1:
         parser.error("--patch, --batch and --steps must be >= 1")
     report = measure(args.tree, args.patch, args.batch, args.steps)
-    for kind in ("sae", "bindann"):
+    for kind in ("sae", "bindann", "infer"):
         row = report[kind]
         print(f"{kind}: traced peak {row['peak_bytes'] / 2**20:.2f} MiB, "
               f"median step {row['step_s'] * 1e3:.2f} ms over {args.steps} steps")
