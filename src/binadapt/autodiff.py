@@ -14,13 +14,15 @@ Who owns which array:
 * ``Graph.params`` maps names to C-contiguous arrays that the graph owns and
   ``optimizer_step`` updates in place, as it does Adam's moments.
 * Ops allocate their results with plain numpy. Each op's forward returns its
-  value and what its backward reads (``register_op``). A forward's record
-  holds those, the parameters and the registered outputs; every other value
-  goes after its last forward consumer. The record lasts until the next
-  forward on the graph or until a backward consumes it, so it serves one
-  backward; a fit or a prediction drops the last one when it returns. The C
-  heap keeps what a step frees for the next step (see the heap thresholds
-  below).
+  value and what its backward reads (``register_op``), a relu only the sign
+  of its input. A forward's record holds those, the parameters and the
+  registered outputs; every other value goes after its last forward
+  consumer. The record lasts until the next forward on the graph or until a
+  backward consumes it, so it serves one backward; a fit drops the last one
+  when it returns. A forward with ``record=False``, as prediction runs it,
+  keeps no record at all, so it holds only the values still to be consumed.
+  The C heap keeps what a step frees for the next step (see the heap
+  thresholds below).
 * The caller owns what the engine hands out: ``forward`` returns copies and
   ``backward`` the gradients themselves, and neither aliases a parameter.
 """
@@ -141,6 +143,7 @@ class Graph:
         self.param_ids: dict[str, int] = {}
         self.outputs: dict[str, int] = {}
         self._run: _Run | None = None
+        self._recorded = True  # whether the last forward was asked to keep a record
         self._plans: dict = {}  # target ids -> plan(); cleared when a node is added
 
     def add_node(self, kind, inputs=(), name=None, **attrs) -> int:
@@ -235,18 +238,20 @@ def forward(
     wanted=None,
     training: bool = False,
     rng: np.random.Generator | None = None,
+    record: bool = True,
 ) -> dict:
     """Evaluate the graph and return copies of the requested named outputs.
 
     Only the ancestor subgraph of ``wanted`` (default: all registered outputs)
     is computed, so inputs outside that subgraph need not be bound. Dropout
-    nodes draw boolean keep-masks from ``rng`` when training. The execution
-    record is cached on the graph for a subsequent ``backward``; the previous
-    record is released first, so a forward that raises leaves nothing to
-    differentiate. The record keeps what each op's backward reads, the
-    parameters and the registered outputs.
+    nodes draw boolean keep-masks from ``rng`` when training. With ``record``
+    the execution record is cached on the graph for a subsequent
+    ``backward``; it keeps what each op's backward reads, the parameters and
+    the registered outputs. Without it nothing is kept, and a backward raises.
+    The previous record is released first, so a forward that raises leaves
+    nothing to differentiate.
     """
-    graph._run = None
+    graph._run, graph._recorded = None, record
     bindings = bindings or {}
     if wanted is None:
         wanted = tuple(graph.outputs)
@@ -273,7 +278,10 @@ def forward(
                 fwd = _OPS[node.kind][0]
                 xs = [run.values[i] for i in node.inputs]
                 try:
-                    run.values[nid], run.saved[nid] = fwd(node, xs, run)
+                    if record:
+                        run.values[nid], run.saved[nid] = fwd(node, xs, run)
+                    else:
+                        run.values[nid] = fwd(node, xs, run)[0]
                 except GraphError:
                     raise
                 except Exception as exc:  # re-raise with the node named
@@ -281,7 +289,8 @@ def forward(
             for i in drops.get(nid, ()):
                 del run.values[i]
 
-    graph._run = run
+    if record:
+        graph._run = run
     out = {}
     for w, nid in zip(wanted, targets):
         val = run.values[nid]
@@ -306,7 +315,9 @@ def backward(graph: Graph, loss) -> dict:
     """
     run = graph._run
     if run is None:
-        raise GraphError("backward called before forward; each forward serves one backward")
+        raise GraphError("backward called before forward; each forward serves one backward"
+                         if graph._recorded else
+                         "backward after a forward with record=False, which keeps no record")
     lid = _output_id(graph, loss)
     if lid not in run.values:
         raise GraphError(f"loss node {lid} was not computed by the last forward")

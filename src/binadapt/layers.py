@@ -16,8 +16,10 @@ with it the transposed convolution, runs as stride-1 convolutions of the
 output gradient, one per stride phase of the input, all on one such copy. The
 layout of each copy is planned once per shape. Each op's forward returns,
 beside its value, all that its backward reads: a convolution its copy of its
-input, the input's size and its weights, so the record keeps no value that
-only convolutions consume, nor a relu's or a dropout's output.
+input, the input's size and its weights, a relu the boolean sign of its
+input, a dropout its boolean keep-mask. So the record keeps no value that
+only convolutions consume, nor a relu's input or output, nor a dropout's
+output.
 """
 
 from __future__ import annotations
@@ -339,11 +341,15 @@ def _bwd_tconv(node, g, saved, needs):
 
 
 def _fwd_relu(node, xs, run):
-    return np.maximum(xs[0], 0.0), xs[0]
+    return np.maximum(xs[0], 0.0), xs[0] > 0  # backward reads the sign: a byte per value, not 8
 
 
-def _bwd_relu(node, g, x, needs):
-    return [g * (x > 0)]
+def _bwd_relu(node, g, pos, needs):
+    # pos has x's layout, so g * pos is laid out as g * (x > 0). That matters:
+    # the conv below sums its bias gradient g.sum(axis=(0, 2, 3)) in memory
+    # order, and a product in another layout (pos.astype(float) multiplied
+    # into in place) adds the same values in another order and rounds otherwise
+    return [g * pos]
 
 
 _SIGMOID_LO = np.nextafter(0.0, 1.0)

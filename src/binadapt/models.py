@@ -222,7 +222,7 @@ def _predict_batches(model, arr, tiles, first, last):
         k = np.arange(start, min(start + _PREDICT_BATCH, rows * cols))
         r, c = k // cols, k % cols
         x = unit_floats(arr[ys[r], xs[c]])[:, None]  # [n, 1, h, w]
-        out = autodiff.forward(model.graph, {"x": x}, wanted=("prob_map",))
+        out = autodiff.forward(model.graph, {"x": x}, wanted=("prob_map",), record=False)
         tiles[r, c] = out["prob_map"][:, 0]
 
 
@@ -261,10 +261,11 @@ def predict_prob_map(model: Model, page) -> np.ndarray:
     whose child did not exit 0, so an error is raised as one process raises
     it, and a child that was killed or failed for a reason of its own does not
     fail the prediction. Every batch computes the same bytes wherever it runs,
-    so the map is the same whatever the CPU count. Beyond the page, each
-    process holds one batch's working set, and all of them share the one map.
-    Every child is reaped before the call returns or raises, and the model
-    keeps no forward record once it does.
+    so the map is the same whatever the CPU count. Every forward runs with
+    ``record=False``, so it leaves no record on the model, and beyond the
+    page each process holds only the values a batch's forward has still to
+    consume; all of them share the one map. Every child is reaped before the
+    call returns or raises.
     """
     arr = np.asarray(page)
     if arr.ndim != 2:
@@ -282,20 +283,17 @@ def predict_prob_map(model: Model, page) -> np.ndarray:
     bounds = [batches * i // workers for i in range(workers + 1)]
     children = []  # (pid, first, last)
     try:
-        try:
-            for first, last in zip(bounds[1:-1], bounds[2:]):
-                children.append((_fork_share(model, arr, tiles, first, last), first, last))
-            _predict_batches(model, arr, tiles, 0, bounds[1])
-        except BaseException:
-            for pid, _, _ in children:  # their shares are of no use now
-                os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            unfinished = [(first, last) for pid, first, last in children if os.waitpid(pid, 0)[1]]
-        for first, last in unfinished:
-            _predict_batches(model, arr, tiles, first, last)
+        for first, last in zip(bounds[1:-1], bounds[2:]):
+            children.append((_fork_share(model, arr, tiles, first, last), first, last))
+        _predict_batches(model, arr, tiles, 0, bounds[1])
+    except BaseException:
+        for pid, _, _ in children:  # their shares are of no use now
+            os.kill(pid, signal.SIGKILL)
+        raise
     finally:
-        model.graph._run = None
+        unfinished = [(first, last) for pid, first, last in children if os.waitpid(pid, 0)[1]]
+    for first, last in unfinished:
+        _predict_batches(model, arr, tiles, first, last)
     return canvas[: arr.shape[0], : arr.shape[1]]
 
 

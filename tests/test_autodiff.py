@@ -382,14 +382,15 @@ _RECORDS = [(kind, training) for kind in ("sae", "bindann") for training in (Tru
 
 def _forward(kind, training, wanted=None):
     """A model's graph after one forward on a batch of 2 patches, and that
-    forward as a callable."""
+    forward as a callable returning its outputs."""
     graph = (ba.build_sae(SAE, np.random.default_rng(0)) if kind == "sae" else bindann()).graph
     source, _ = _dann_batches(2, 0)
     if kind == "sae":
         del source["domain_gt"]
 
-    def run():
-        ba.forward(graph, source, wanted=wanted, training=training, rng=np.random.default_rng(1))
+    def run(record=True):
+        return ba.forward(graph, source, wanted=wanted, training=training,
+                          rng=np.random.default_rng(1), record=record)
 
     run()
     return graph, run
@@ -415,9 +416,22 @@ def test_a_backward_consumes_its_record():
                 ba.backward(graph, loss)
 
 
+def test_a_record_free_forward_keeps_nothing_and_a_backward_after_it_says_so():
+    for kind, training in _RECORDS:
+        graph, forward = _forward(kind, training)
+        recorded = forward()
+        free = forward(record=False)  # also releases the record before it
+        assert graph._run is None
+        assert free.keys() == recorded.keys()
+        assert all(free[k].tobytes() == recorded[k].tobytes() for k in free)
+        with pytest.raises(GraphError, match="record=False"):
+            ba.backward(graph, "loss")
+
+
 def test_a_bindann_step_s_traced_peak_stays_under_its_bound():
     # keeping every value, one step at 64x64 and batch 4 peaked at 14.2 MiB;
-    # keeping what backward reads, at 8.7 MiB
+    # keeping what backward reads, at 8.7 MiB; with a relu's sign in place of
+    # its input, at 6.4 MiB
     graph = bindann(sae_cfg(patch=(64, 64))).graph
     source, target = _dann_batches(4, 0, side=64)
 
@@ -437,7 +451,26 @@ def test_a_bindann_step_s_traced_peak_stays_under_its_bound():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 11 * 2**20, peak / 2**20
+    assert peak < 7.5 * 2**20, peak / 2**20
+
+
+def test_an_inference_forward_s_traced_peak_stays_under_its_bound():
+    # one SAE forward of a batch of 16 default patches, as prediction runs
+    # it: 5.0 MiB while it kept a record, 2.5 MiB without one
+    graph = ba.build_sae(SAE, np.random.default_rng(0)).graph
+    x = np.random.default_rng(1).random((16, 1, *SAE.patch))
+
+    def infer():
+        ba.forward(graph, {"x": x}, wanted=("prob_map",), record=False)
+
+    infer()  # plans and memos
+    tracemalloc.start()
+    try:
+        infer()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 2**20, peak / 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -484,6 +484,20 @@ def test_relu_definition():
     assert _op(relu_node, [-1.0, 0.0, 2.0]).tolist() == [0.0, 0.0, 2.0]
 
 
+def test_relu_gradient_is_g_times_the_sign_bit_for_bit_and_stride_for_stride():
+    # a conv's output, and so a relu's input, is laid out channel-major, as
+    # is a conv's input gradient; a dropout's gradient is C-contiguous
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(3, 2, 5, 4)).transpose(1, 0, 2, 3)
+    x[0, 0, 0, :2] = 0.0, -0.0
+    _, pos = layers._fwd_relu(None, [x], None)
+    for g in (rng.normal(size=(3, 2, 5, 4)).transpose(1, 0, 2, 3), rng.normal(size=x.shape)):
+        (got,) = layers._bwd_relu(None, g, pos, (True,))
+        want = g * (x > 0)
+        assert got.strides == want.strides
+        assert got.tobytes() == want.tobytes()
+
+
 def test_sigmoid_matches_the_two_branch_formula_bitwise():
     # 1/(1+exp(-x)) at x >= 0 and exp(x)/(1+exp(x)) below, clipped into (0, 1)
     x = np.concatenate([[0.0, -0.0, 800.0, -800.0, 37.0, -37.0, 709.8, -745.2, 1e-300, -1e-300],

@@ -133,6 +133,8 @@ def test_prediction_leaves_no_record_or_buffers_on_the_model():
     model = ba.build_sae(SAE, np.random.default_rng(3))
     ba.predict_prob_map(model, np.random.default_rng(4).random((50, 70)))
     assert model.graph._run is None
+    with pytest.raises(GraphError, match="record=False"):
+        ba.backward(model.graph, "loss")
 
 
 def test_prediction_is_pure():

@@ -11,10 +11,11 @@ of B patches, as ``binadapt`` training steps: the SAE's forward and backward
 on ``loss``; for Bin-DANN that source pass plus the target pass on
 ``domain_loss``, the two passes' gradients summed; then one Adam update.
 The ``infer`` step is the SAE's inference forward on ``prob_map`` alone, as
-page prediction runs it, on a batch of the same size. After one warm-up step
-it times ``--steps`` steps, then runs one more under ``tracemalloc``, whose
-peak is the most memory the step's own allocations held at once. It prints
-each step's traced peak and median time, the last line as JSON.
+page prediction runs it, on a batch of the same size: record-free where the
+tree's ``forward`` takes ``record``. After one warm-up step it times
+``--steps`` steps, then runs one more under ``tracemalloc``, whose peak is
+the most memory the step's own allocations held at once. It prints each
+step's traced peak and median time, the last line as JSON.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import sys
 from pathlib import Path
 
 _STEPS = """
-import dataclasses, json, statistics, sys, time, tracemalloc
+import dataclasses, inspect, json, statistics, sys, time, tracemalloc
 import numpy as np
 import binadapt as ba
 
@@ -55,8 +56,12 @@ def train_step(model, opt, seed):
     ba.optimizer_step(opt, model.params, grads)
 
 
+# trees older than record-free forwards keep a record on every forward
+unrecorded = {"record": False} if "record" in inspect.signature(ba.forward).parameters else {}
+
+
 def infer_step(model, opt, seed):
-    ba.forward(model.graph, {"x": source["x"]}, wanted=("prob_map",))
+    ba.forward(model.graph, {"x": source["x"]}, wanted=("prob_map",), **unrecorded)
 
 
 report = {"patch": patch, "batch": batch}
