@@ -29,7 +29,7 @@ from .data import (
     write_pgm,
     write_synthetic_dirs,
 )
-from .metrics import confusion, f1, precision, recall
+from .metrics import Confusion, confusion, f1, precision, recall
 from .models import predict_prob_map
 from .similarity import autobindann, gate, histogram_csv
 from .training import (
@@ -133,17 +133,11 @@ def _require(cfg, *keys):
 
 
 def _evaluation_rows(masks, eval_masks):
-    rows = []
-    total = None
-    for stem in sorted(masks):
-        if stem not in eval_masks:
-            continue
-        c = confusion(masks[stem], eval_masks[stem])
-        rows.append((stem, f1(c), precision(c), recall(c)))
-        total = c if total is None else total + c
-    if total is not None:
-        rows.append(("overall", f1(total), precision(total), recall(total)))
-    return rows
+    """(stem, F1, precision, recall) per page with a label, then "overall" pooled."""
+    counts = [(s, confusion(masks[s], eval_masks[s])) for s in sorted(set(masks) & set(eval_masks))]
+    if counts:
+        counts.append(("overall", sum((c for _, c in counts), Confusion())))
+    return [(stem, f1(c), precision(c), recall(c)) for stem, c in counts]
 
 
 def _summary_csv(rows) -> str:
@@ -285,9 +279,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: config: {exc}", file=sys.stderr)
-        return 2
     except (PgmError, CheckpointError, OSError) as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return 3

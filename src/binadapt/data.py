@@ -1,26 +1,27 @@
 """Image I/O, dataset directory ingestion, patch tiling, and synthetic fixtures.
 
-Pages are 8-bit PGM files (P5 binary or P2 ASCII, maxval 255). A loaded page
-stays an array of ``uint8`` levels until a batch is gathered from it, and
-``unit_floats`` then scales the batch to float64 in [0, 1]: ``level / 255.0``,
-the division ``Page.pixels`` makes of a whole page, so a loaded page and its
-float copy give the same bytes. Dataset directories look like::
+Pages are 8-bit PGM files (P5 binary or P2 ASCII, maxval 255). Every page the
+library makes or accepts is a 2-D array of ``uint8`` levels until a batch is
+gathered from it, and ``unit_floats`` then scales the batch to float64 in
+[0, 1]: ``level / 255.0``, as ``Page.pixels`` scales a page. Dataset
+directories look like::
 
     <root>/images/*.pgm          pages
     <root>/gt/*.pgm              ground truth, matching stems (source role only;
                                  pixel >= 128 marks foreground ink)
 
-Pages and patch stacks are plain ``np.ndarray``s: ``uint8`` levels when
-loaded, float64 in [0, 1] when generated, and ground-truth labels are 2-D
-boolean masks. Patch tiling pads pages by edge replication up to multiples of
-the patch size and cuts the padded page into one ``[rows * cols, h, w]``
+Pages and patch stacks are plain ``np.ndarray``s, and ground-truth labels are
+2-D boolean masks. Patch tiling pads pages by edge replication up to multiples
+of the patch size and cuts the padded page into one ``[rows * cols, h, w]``
 array of the page's dtype by a reshape, so
 ``assemble(split_patches(page, h, w), page.shape)`` is a bit-exact inverse.
-The synthetic generator builds three small domains: a source domain of dark
-strokes on light background with exact masks, a nearby target whose paper is
-a little darker, its ink a little lighter and its noise twice as strong, and
-a far target whose contrast collapses (ink at 0.15 on mid-gray paper at 0.45)
-under heavy mirrored bleed-through ghosts.
+The synthetic generator quantizes its pages as ``write_pgm`` quantizes float
+pixels, so they are the levels ``binadapt synth`` writes. It builds three
+small domains: a source domain of dark strokes on light background with
+exact masks, a nearby target whose paper is a little darker, its ink a
+little lighter and its noise twice as strong, and a far target whose
+contrast collapses (ink at 0.15 on mid-gray paper at 0.45) under heavy
+mirrored bleed-through ghosts.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ _SEED_SPLIT = 101
 _SEED_SYNTH = 102
 
 GT_INK_THRESHOLD = 128  # 8-bit level at or above which a gt pixel counts as ink
+VALIDATION_FRACTION = 0.2  # share of validation pages: ExperimentConfig's default
 # Values per block where a page-sized float array would otherwise be made at
 # once: the generator's noise and write_pgm's quantization run row block by
 # row block, each of about this many values (512 KiB of float64).
@@ -81,21 +83,32 @@ class Page:
 
 def unit_floats(batch) -> np.ndarray:
     """A gathered batch of ``uint8`` levels scaled to float64 by ``/ 255.0``,
-    as ``Page.pixels`` scales a page; float pixels pass as they are."""
-    return batch / 255.0 if batch.dtype == np.uint8 else batch
+    as ``Page.pixels`` scales a page."""
+    return batch / 255.0
+
+
+def check_levels(page, who) -> np.ndarray:
+    """``page`` as an array of 2-D ``uint8`` levels, or a ``ValueError`` naming its dtype."""
+    arr = np.asarray(page)
+    if arr.ndim != 2 or arr.dtype != np.uint8:
+        raise ValueError(f"{who}: expected a 2-D page of uint8 levels, "
+                         f"got {arr.dtype} of shape {arr.shape}")
+    return arr
 
 
 @dataclass
 class PageRecord:
+    """One page of a dataset: its levels, its mask (sources only) and its split."""
+
     stem: str
-    page: np.ndarray  # (h, w) uint8 levels when loaded, float64 in [0, 1] when generated
+    page: np.ndarray  # (h, w) uint8 levels
     gt: np.ndarray | None  # (h, w) boolean mask, True marks foreground ink
     split: str  # "train" | "validation"
 
 
 @dataclass
 class Dataset:
-    """A source (labeled) or target (unlabeled) page collection."""
+    """A source (labeled) or target (unlabeled) collection of ``uint8`` pages."""
 
     role: str  # "source" | "target"
     records: list = field(default_factory=list)
@@ -104,6 +117,7 @@ class Dataset:
         if self.role not in ("source", "target"):
             raise ValueError(f"unknown dataset role {self.role!r}")
         for rec in self.records:
+            check_levels(rec.page, f"{self.role} page {rec.stem!r}")
             if self.role == "source" and rec.gt is None:
                 raise ValueError(f"source page {rec.stem!r} has no ground truth")
             if self.role == "target" and rec.gt is not None:
@@ -209,17 +223,23 @@ def write_pgm(page) -> bytes:
         raw = arr.view(np.uint8) * np.uint8(255)
     elif arr.dtype.kind in "iu":
         raise PgmError(f"write_pgm writes uint8 levels, not {arr.dtype} integers")
-    else:  # one float block at a time, rounded and clipped in place
-        raw = np.empty(arr.shape, dtype=np.uint8)
-        for rows in _row_blocks(arr.shape):
-            t = np.multiply(arr[rows], 255.0, dtype=np.float64)
-            if np.isnan(t).any():
-                raise PgmError(f"write_pgm got NaN pixels in rows {rows.start}-{rows.stop - 1}")
-            np.round(t, out=t)
-            np.clip(t, 0, 255, out=t)
-            raw[rows] = t
+    else:
+        raw = _quantize(arr)
     header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")
     return header + raw.tobytes()
+
+
+def _quantize(arr) -> np.ndarray:
+    """Float pixels as ``uint8`` levels ``round(255 * p)`` clipped to [0, 255], by row blocks."""
+    raw = np.empty(arr.shape, dtype=np.uint8)
+    for rows in _row_blocks(arr.shape):
+        t = np.multiply(arr[rows], 255.0, dtype=np.float64)
+        if np.isnan(t).any():
+            raise PgmError(f"write_pgm got NaN pixels in rows {rows.start}-{rows.stop - 1}")
+        np.round(t, out=t)
+        np.clip(t, 0, 255, out=t)
+        raw[rows] = t
+    return raw
 
 
 # ---------------------------------------------------------------------------
@@ -262,16 +282,6 @@ def check_validation_fraction(fraction):
         raise ValueError(f"validation fraction {fraction} outside [0, 1]")
 
 
-def _assign_splits(stems, validation_fraction, seed):
-    check_validation_fraction(validation_fraction)
-    order = list(stems)
-    rng = np.random.default_rng(np.random.SeedSequence([_SEED_SPLIT, seed]))
-    rng.shuffle(order)
-    n_val = int(round(len(order) * validation_fraction))
-    val = set(order[:n_val])
-    return {stem: ("validation" if stem in val else "train") for stem in stems}
-
-
 def _read_gt(path) -> np.ndarray:
     return read_pgm(path.read_bytes()).levels >= GT_INK_THRESHOLD
 
@@ -279,6 +289,18 @@ def _read_gt(path) -> np.ndarray:
 def _check_gt_size(stem, gt, page):
     if gt.shape != page.shape:
         raise DataError(f"page {stem!r}: gt size {gt.shape} != image size {page.shape}")
+
+
+def _dataset(role, pages, validation_fraction, seed) -> Dataset:
+    """The dataset of (stem, page, mask) triples, the first ``round(n * validation_fraction)``
+    stems of a seeded shuffle in validation; a target drops its masks."""
+    check_validation_fraction(validation_fraction)
+    order = [stem for stem, _, _ in pages]
+    np.random.default_rng(np.random.SeedSequence([_SEED_SPLIT, seed])).shuffle(order)
+    val = set(order[: int(round(len(order) * validation_fraction))])
+    return Dataset(role, [PageRecord(stem, page, gt if role == "source" else None,
+                                     "validation" if stem in val else "train")
+                          for stem, page, gt in pages])
 
 
 def load_dataset(directory, role, validation_fraction, seed) -> Dataset:
@@ -291,25 +313,18 @@ def load_dataset(directory, role, validation_fraction, seed) -> Dataset:
     image_paths = sorted((root / "images").glob("*.pgm"))
     if not image_paths:
         raise FileNotFoundError(f"no PGM pages under {root / 'images'}")
-    stems = [p.stem for p in image_paths]
-    splits = _assign_splits(stems, validation_fraction, seed)
-
-    records = []
-    missing = []
+    if role == "source":
+        missing = [path.stem for path in image_paths if not (root / "gt" / path.name).exists()]
+        if missing:
+            raise FileNotFoundError(f"source pages without ground truth: {', '.join(missing)}")
+    pages = []
     for path in image_paths:
         page = read_pgm(path.read_bytes()).levels
-        gt = None
-        if role == "source":
-            gt_path = root / "gt" / path.name
-            if not gt_path.exists():
-                missing.append(path.stem)
-                continue
-            gt = _read_gt(gt_path)
+        gt = _read_gt(root / "gt" / path.name) if role == "source" else None
+        if gt is not None:
             _check_gt_size(path.stem, gt, page)
-        records.append(PageRecord(path.stem, page, gt, splits[path.stem]))
-    if missing:
-        raise FileNotFoundError(f"source pages without ground truth: {', '.join(missing)}")
-    return Dataset(role=role, records=records)
+        pages.append((path.stem, page, gt))
+    return _dataset(role, pages, validation_fraction, seed)
 
 
 def load_eval_masks(directory, records=()) -> dict:
@@ -385,7 +400,7 @@ def _grow_rows(a, half, out):
 
 
 def _synthetic_page(rng, shape, kind):
-    """One (page, mask) pair for the given domain kind.
+    """One (``uint8`` page, mask) pair for the given domain kind, quantized as ``write_pgm`` does.
 
     The far target keeps ink darker than paper but collapses the contrast
     (mid-gray background) and adds heavy mirrored bleed-through ghosts, so a
@@ -403,7 +418,7 @@ def _synthetic_page(rng, shape, kind):
             page[rows][ghost[rows]] = ghost_level + z[ghost[rows]]
     for rows, z in _noise_blocks(rng, noise, shape):
         page[rows][mask[rows]] = ink + z[mask[rows]]
-    return np.clip(page, 0.0, 1.0, out=page), mask
+    return _quantize(page), mask
 
 
 def _noise_blocks(rng, noise, shape):
@@ -426,34 +441,27 @@ def _check_pages(n_pages, page_size):
 
 
 def synthetic_domain_pairs(seed, kind, n_pages=8, page_size=(128, 128)):
-    """Deterministic (stem, page array, boolean mask) triplets for one domain."""
+    """Deterministic (stem, ``uint8`` page, boolean mask) triplets for one domain."""
     if kind not in _KINDS:
         raise ValueError(f"unknown synthetic kind {kind!r}; known kinds: {', '.join(SYNTHETIC_KINDS)}")
     _check_pages(n_pages, page_size)
     kind_idx = SYNTHETIC_KINDS.index(kind)
-    out = []
-    for i in range(n_pages):
-        rng = np.random.default_rng(np.random.SeedSequence([_SEED_SYNTH, seed, kind_idx, i]))
-        page, mask = _synthetic_page(rng, page_size, kind)
-        out.append((f"page{i:02d}", page, mask))
-    return out
+    rngs = (np.random.default_rng(np.random.SeedSequence([_SEED_SYNTH, seed, kind_idx, i]))
+            for i in range(n_pages))
+    return [(f"page{i:02d}", *_synthetic_page(rng, page_size, kind)) for i, rng in enumerate(rngs)]
 
 
-def make_synthetic_domains(seed, n_pages=8, page_size=(128, 128), validation_fraction=0.25):
-    """Build the (source, target-near, target-far) fixture datasets.
+def make_synthetic_domains(seed, n_pages=8, page_size=(128, 128), validation_fraction=VALIDATION_FRACTION):
+    """Build the (source, target-near, target-far) fixture datasets, the pages
+    and split that ``load_dataset`` reads from ``write_synthetic_dirs``' output.
 
     The source carries exact masks; the targets drop theirs (use
     ``synthetic_domain_pairs`` to regenerate masks for post-hoc evaluation).
     """
-    datasets = []
-    for kind in SYNTHETIC_KINDS:
-        pairs = synthetic_domain_pairs(seed, kind, n_pages, page_size)
-        role = "source" if kind == "source" else "target"
-        splits = _assign_splits([stem for stem, _, _ in pairs], validation_fraction, seed)
-        records = [PageRecord(stem, page, mask if role == "source" else None, splits[stem])
-                   for stem, page, mask in pairs]
-        datasets.append(Dataset(role=role, records=records))
-    return tuple(datasets)
+    return tuple(_dataset("source" if kind == "source" else "target",
+                          synthetic_domain_pairs(seed, kind, n_pages, page_size),
+                          validation_fraction, seed)
+                 for kind in SYNTHETIC_KINDS)
 
 
 def write_synthetic_dirs(seed, out_dir, n_pages=8, page_size=(128, 128)):

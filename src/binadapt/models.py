@@ -31,7 +31,7 @@ import numpy as np
 
 from . import autodiff
 from .autodiff import CheckpointError, Graph, GraphError, read_checkpoint, write_checkpoint
-from .data import unit_floats
+from .data import check_levels, unit_floats
 from .layers import (
     ConvSpec,
     bce_node,
@@ -245,11 +245,11 @@ def predict_prob_map(model: Model, page) -> np.ndarray:
 
     The page is tiled into model-sized patches, edge-replicated up to full
     multiples, and every patch runs in inference mode (dropout off) in batches
-    of ``_PREDICT_BATCH`` in row-major order. A batch gathers its patches from
-    the page, ``uint8`` levels or float pixels in [0, 1], scales them as
-    ``data.unit_floats`` does, and writes its maps straight into one map,
-    which is cropped back to page size. Levels ``v`` and the pixels
-    ``v / 255.0`` give the same map.
+    of ``_PREDICT_BATCH`` in row-major order. The page must be 2-D ``uint8``
+    levels; anything else is a ``ValueError`` naming its dtype. A batch
+    gathers its patches from the page, scales them as ``data.unit_floats``
+    does, and writes its maps straight into one map, which is cropped back to
+    page size.
 
     The batches are split into contiguous shares, one per worker process:
     ``min(usable CPUs, batches // _FORK_BATCHES)`` of them, at least one, and
@@ -267,9 +267,7 @@ def predict_prob_map(model: Model, page) -> np.ndarray:
     consume; all of them share the one map. Every child is reaped before the
     call returns or raises.
     """
-    arr = np.asarray(page)
-    if arr.ndim != 2:
-        raise ValueError(f"predict_prob_map expects a 2-D page, got shape {arr.shape}")
+    arr = check_levels(page, "predict_prob_map")
     h, w = model.config.patch
     rows, cols = math.ceil(arr.shape[0] / h), math.ceil(arr.shape[1] / w)
     batches = math.ceil(rows * cols / _PREDICT_BATCH)

@@ -196,10 +196,12 @@ def gate(sae: TrainedBinarizer, source: Dataset, target: Dataset,
     The source histogram pools the binarizer's maps of the source validation
     pages, predicted one at a time. The target histogram pools every target
     page, whose masks at ``th_s`` are taken in the same pass. Target ground
-    truth is never touched.
+    truth is never touched. A domain with no page to pool is a ``DataError``.
     """
     if not source.validation():
         raise DataError("source has no validation page to pool into its histogram")
+    if not target.records:
+        raise DataError("target dataset is empty")
     hist_source = domain_histogram((predict_prob_map(sae.model, rec.page)
                                     for rec in source.validation()), cfg.h_prec)
     masks = {}

@@ -19,7 +19,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .autodiff import CheckpointError, adam, backward, forward, optimizer_step
-from .data import DataError, Dataset, check_validation_fraction, split_patches, unit_floats
+from .data import (VALIDATION_FRACTION, DataError, Dataset, check_validation_fraction,
+                   split_patches, unit_floats)
 from .layers import grl_lambda_at
 from .metrics import Confusion, confusion, f1
 from .models import (
@@ -78,7 +79,7 @@ class ExperimentConfig:
     h_prec: float = 0.1
     rho_th: float = 0.25
     sweep_step: float = 0.05
-    validation_fraction: float = 0.2
+    validation_fraction: float = VALIDATION_FRACTION
 
     def __post_init__(self):
         for f in fields(self):
@@ -192,7 +193,7 @@ def sweep_threshold(prob_maps, validation, sweep_step):
 
 def _patch_pool(pages, patch):
     """Every patch of the given pages, stacked as one [k, 1, h, w] array of
-    the pages' dtype: ``uint8`` levels or float pixels, or boolean labels."""
+    the pages' dtype: ``uint8`` levels, or boolean labels."""
     return np.concatenate([split_patches(page, *patch) for page in pages])[:, None]
 
 

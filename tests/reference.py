@@ -142,7 +142,8 @@ def loop_paint_strokes(rng, shape, n_strokes, thickness_range):
 
 def whole_page_synthetic_page(rng, shape, kind):
     """One synthetic (page, mask) pair with every noise field drawn as one
-    page-sized array, painted by ``loop_paint_strokes``."""
+    page-sized array, painted by ``loop_paint_strokes``, the page clipped to
+    [0, 1] and quantized to the 8-bit levels ``round(255 * p)``."""
     from binadapt.data import _KINDS
 
     bg, ink, noise, ghost_level = _KINDS[kind]
@@ -152,4 +153,4 @@ def whole_page_synthetic_page(rng, shape, kind):
         ghost = loop_paint_strokes(rng, shape, int(rng.integers(6, 12)), (1, 3))[:, ::-1]
         page[ghost] = ghost_level + rng.normal(0, noise, shape)[ghost]
     page[mask] = ink + rng.normal(0, noise, shape)[mask]
-    return np.clip(page, 0.0, 1.0), mask
+    return np.round(255 * np.clip(page, 0.0, 1.0)).astype(np.uint8), mask

@@ -304,6 +304,30 @@ def test_run_command_emits_all_artifacts(tiny_dirs, tmp_path):
     assert (sim_manifest["decision"], sim_manifest["rho"]) == (manifest["decision"], manifest["rho"])
 
 
+def test_the_library_on_generated_domains_reproduces_run_on_the_written_ones(tmp_path):
+    # make_synthetic_domains holds the levels write_synthetic_dirs writes, in
+    # the split load_dataset gives them at the default validation fraction
+    data = tmp_path / "data"
+    write_synthetic_dirs(2, data, 4, (64, 64))
+    source, near, far = ba.make_synthetic_domains(2, 4, (64, 64))
+    decisions = []
+    for name, target in (("target_near", near), ("target_far", far)):
+        conf = tmp_path / f"{name}.cfg"
+        conf.write_text(f"source_dir = {data / 'source'}\ntarget_dir = {data / name}\n"
+                        "epochs = 2\nbatch = 8\nseed = 2\nlr = 0.01\n")
+        out = tmp_path / name
+        assert main(["run", "--config", str(conf), "--out", str(out)]) == 0
+        result = similarity.autobindann(source, target, parse_config(conf.read_text()))
+        assert (out / "report.json").read_text() == result.report.to_json() + "\n"
+        masks = {path.stem: ba.read_pgm(path.read_bytes()).levels == 255
+                 for path in (out / "binarized").glob("*.pgm")}
+        assert masks.keys() == result.masks.keys()
+        for stem, mask in result.masks.items():
+            np.testing.assert_array_equal(masks[stem], mask, err_msg=f"{name} {stem}")
+        decisions.append(result.report.decision)
+    assert decisions == ["UseSAE", "UseDA"]  # both of the driver's paths
+
+
 @pytest.mark.parametrize("command", ["train-sae", "run"])
 def test_collapsed_model_is_flagged(command, tiny_dirs, tmp_path, capsys):
     # lr = 1e6 drives every validation map to one class: best F1 is 0

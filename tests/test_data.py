@@ -342,7 +342,7 @@ def test_synthetic_mean_intensity_contrast():
     far = synthetic_domain_pairs(0, "target_far")
     src_mean = np.mean([p.mean() for _, p, _ in src])
     far_mean = np.mean([p.mean() for _, p, _ in far])
-    assert abs(src_mean - far_mean) > 0.3
+    assert abs(src_mean - far_mean) > 0.3 * 255
 
 
 def test_make_synthetic_domains_roles_and_sizes():
@@ -426,7 +426,9 @@ def test_write_synthetic_dirs_loadable(tmp_path, page_size):
     assert all(r.page.shape == r.gt.shape == page_size for r in src.records)
     masks = load_eval_masks(tmp_path / "target_far")
     assert set(masks) == {"page00", "page01", "page02"}
-    # round-tripped gt equals the generator's mask
+    # round-tripped gt equals the generator's mask, and a written page its levels
     pairs = synthetic_domain_pairs(0, "target_far", n_pages=3, page_size=page_size)
-    for stem, _, mask in pairs:
+    for stem, page, mask in pairs:
         np.testing.assert_array_equal(masks[stem], mask)
+        written = ba.read_pgm((tmp_path / "target_far" / "images" / f"{stem}.pgm").read_bytes())
+        assert page.dtype == np.uint8 and written.levels.tobytes() == page.tobytes()

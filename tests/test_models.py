@@ -1,6 +1,7 @@
 """Model assembly: shape restoration, branch balance, tap wiring, checkpoints."""
 
 import os
+import re
 import signal
 import struct
 import threading
@@ -11,13 +12,18 @@ import pytest
 
 import binadapt as ba
 from binadapt import autodiff, models
-from binadapt.autodiff import GraphError
+from binadapt.autodiff import GraphError, NumericError
 
 from defaults import SAE, bindann, sae_cfg
 
 
 def _forward_map(model, x):
     return ba.forward(model.graph, {"x": x}, wanted=("prob_map",))["prob_map"]
+
+
+def _levels(shape, seed=None):
+    """A page of random 8-bit levels, seeded by its shape unless told otherwise."""
+    return np.random.default_rng(shape if seed is None else seed).integers(0, 256, shape, dtype=np.uint8)
 
 
 def test_depth1_restores_shape():
@@ -123,15 +129,15 @@ def test_bindann_is_built_at_a_zero_reversal_coefficient():
 
 def test_single_patch_page_equals_single_forward():
     model = ba.build_sae(SAE, np.random.default_rng(3))
-    page = np.random.default_rng(4).random((32, 32))
+    page = _levels((32, 32), 4)
     got = ba.predict_prob_map(model, page)
-    direct = _forward_map(model, page[None, None])[0, 0]
+    direct = _forward_map(model, page[None, None] / 255.0)[0, 0]
     assert got.tobytes() == direct.tobytes()
 
 
 def test_prediction_leaves_no_record_or_buffers_on_the_model():
     model = ba.build_sae(SAE, np.random.default_rng(3))
-    ba.predict_prob_map(model, np.random.default_rng(4).random((50, 70)))
+    ba.predict_prob_map(model, _levels((50, 70), 4))
     assert model.graph._run is None
     with pytest.raises(GraphError, match="record=False"):
         ba.backward(model.graph, "loss")
@@ -139,7 +145,7 @@ def test_prediction_leaves_no_record_or_buffers_on_the_model():
 
 def test_prediction_is_pure():
     model = ba.build_sae(SAE, np.random.default_rng(3))
-    page = np.random.default_rng(4).random((50, 70))
+    page = _levels((50, 70), 4)
     a = ba.predict_prob_map(model, page)
     b = ba.predict_prob_map(model, page)
     assert a.tobytes() == b.tobytes()
@@ -150,7 +156,7 @@ def test_constant_page_interior_is_constant():
     # no conv zero-padding; they must agree exactly by translation invariance
     cfg = sae_cfg(depth=1, filters=4, patch=(16, 16))
     model = ba.build_sae(cfg, np.random.default_rng(5))
-    out = ba.predict_prob_map(model, np.full((16, 16), 0.6))
+    out = ba.predict_prob_map(model, np.full((16, 16), 153, dtype=np.uint8))
     interior = out[6:10, 6:10]
     assert np.ptp(interior) < 1e-12
 
@@ -158,7 +164,7 @@ def test_constant_page_interior_is_constant():
 def test_constant_multi_patch_page_is_periodic():
     cfg = sae_cfg(depth=1, filters=4, patch=(16, 16))
     model = ba.build_sae(cfg, np.random.default_rng(5))
-    out = ba.predict_prob_map(model, np.full((32, 32), 0.6))
+    out = ba.predict_prob_map(model, np.full((32, 32), 153, dtype=np.uint8))
     assert out[:16, :16].tobytes() == out[16:, 16:].tobytes()
 
 
@@ -171,7 +177,7 @@ def test_channel_mismatch_rejected():
 def _whole_page_prob_map(model, page):
     """Reference tiler: every patch cut at once, maps of batches of 16
     concatenated, then reassembled."""
-    x = ba.split_patches(page, *model.config.patch)[:, None]
+    x = ba.split_patches(page, *model.config.patch)[:, None] / 255.0
     maps = [_forward_map(model, x[i : i + 16])[:, 0] for i in range(0, len(x), 16)]
     return ba.assemble(np.concatenate(maps), page.shape)
 
@@ -197,21 +203,19 @@ def test_streamed_prediction_matches_whole_page_tiling(cfg, workers, monkeypatch
     model = ba.build_sae(cfg, np.random.default_rng(6))
     _force_workers(monkeypatch, workers)
     for shape in _PAGE_SHAPES:
-        page = np.random.default_rng(shape).random(shape)
+        page = _levels(shape)
         got = ba.predict_prob_map(model, page)
         assert got.shape == shape
         assert got.tobytes() == _whole_page_prob_map(model, page).tobytes(), shape
 
 
-# 256x1000 is 16 batches of default patches, predicted here by two processes
-@pytest.mark.parametrize("shape, workers", [((256, 1000), 2), ((45, 300), 1)],
-                         ids=["forked", "one-process"])
-def test_levels_predict_as_their_pixels(shape, workers, monkeypatch):
+def test_prediction_refuses_a_page_that_is_not_levels():
     model = ba.build_sae(SAE, np.random.default_rng(6))
-    _force_workers(monkeypatch, workers)
-    levels = np.random.default_rng(shape).integers(0, 256, shape, dtype=np.uint8)
-    got = ba.predict_prob_map(model, levels)
-    assert got.tobytes() == ba.predict_prob_map(model, levels / 255.0).tobytes()
+    levels = _levels((45, 300))
+    for page in (levels / 255.0, levels.astype(np.float32), levels.astype(np.int64)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"predict_prob_map: expected a 2-D page of uint8 levels, got {page.dtype} of shape (45, 300)")):
+            ba.predict_prob_map(model, page)
 
 
 def test_worker_count_rule(monkeypatch):
@@ -228,18 +232,33 @@ def test_worker_count_rule(monkeypatch):
     assert not other.is_alive()
 
 
-def _two_row_page(nan_at=None):
+def _two_row_page(mark_at=None):
     """64x1024: two patch rows of 32 default patches, 4 batches; with two
-    workers the caller predicts patch row 0 and the child patch row 1."""
-    page = np.random.default_rng(0).random((64, 1024))
-    if nan_at is not None:
-        page[nan_at] = np.nan
+    workers the caller predicts patch row 0 and the child patch row 1. Its
+    levels are 1-255, but for the level 0 that marks the pixel ``mark_at``."""
+    page = np.random.default_rng(0).integers(1, 256, (64, 1024), dtype=np.uint8)
+    if mark_at is not None:
+        page[mark_at] = 0
     return page
+
+
+def _fail_on_marked_batches(monkeypatch):
+    """A forward on a batch that holds the marker level raises ``NumericError``
+    naming where in the batch the marker is, in the caller or a forked child."""
+    forward = autodiff.forward
+
+    def failing(graph, bindings, **kwargs):
+        if not bindings["x"].all():
+            raise NumericError(f"marked batch at {np.argwhere(bindings['x'] == 0)[0].tolist()}")
+        return forward(graph, bindings, **kwargs)
+
+    monkeypatch.setattr(autodiff, "forward", failing)
 
 
 def test_an_error_in_a_childs_share_is_the_one_process_error(monkeypatch):
     model = ba.build_sae(SAE, np.random.default_rng(6))
-    page = _two_row_page(nan_at=(40, 3))
+    _fail_on_marked_batches(monkeypatch)
+    page = _two_row_page(mark_at=(40, 3))
     ba.predict_prob_map(model, page[:32])  # the caller's share is clean
     errors = []
     for workers in (1, 2):
@@ -248,19 +267,20 @@ def test_an_error_in_a_childs_share_is_the_one_process_error(monkeypatch):
             ba.predict_prob_map(model, page)
         errors.append((type(info.value), str(info.value)))
     assert errors[0] == errors[1]
-    assert "non-finite" in errors[0][1]
+    assert errors[0] == (NumericError, "marked batch at [0, 0, 8, 3]")
 
 
-@pytest.mark.parametrize("nan_at", [None, (5, 3), (40, 3)],
+@pytest.mark.parametrize("mark_at", [None, (5, 3), (40, 3)],
                          ids=["success", "caller_error", "child_error"])
-def test_prediction_leaves_no_child_process(monkeypatch, nan_at):
+def test_prediction_leaves_no_child_process(monkeypatch, mark_at):
     model = ba.build_sae(SAE, np.random.default_rng(6))
+    _fail_on_marked_batches(monkeypatch)
     _force_workers(monkeypatch, 2)
-    if nan_at is None:
+    if mark_at is None:
         ba.predict_prob_map(model, _two_row_page())
     else:
-        with pytest.raises(GraphError, match="non-finite"):
-            ba.predict_prob_map(model, _two_row_page(nan_at))
+        with pytest.raises(NumericError, match="marked batch"):
+            ba.predict_prob_map(model, _two_row_page(mark_at))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)  # no child and no zombie
 
@@ -308,7 +328,7 @@ def test_prediction_memory_is_about_one_page(monkeypatch):
     tracemalloc sees, so the test pins one worker."""
     _force_workers(monkeypatch, 1)
     model = ba.build_sae(SAE, np.random.default_rng(6))
-    page = np.random.default_rng(0).random((1024, 1024))
+    page = _levels((1024, 1024), 0)
     ba.predict_prob_map(model, page[:64, :64])  # conv plans are memoized on first use
     tracemalloc.start()
     try:
@@ -316,7 +336,7 @@ def test_prediction_memory_is_about_one_page(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * page.nbytes + 8 * 2**20
+    assert peak < 1.5 * 8 * page.size + 8 * 2**20  # 1.5 float64 maps and 8 MiB
 
 
 # ---------------------------------------------------------------------------

@@ -329,3 +329,22 @@ def test_gate_predicts_a_loaded_binarizers_source_validation_pages(tmp_path):
     no_val = ba.Dataset("source", src.train())
     with pytest.raises(ba.DataError, match="^source has no validation page to pool into its histogram$"):
         gate(loaded, no_val, far, cfg)
+
+
+def test_gate_refuses_an_empty_target_before_any_prediction(monkeypatch):
+    src, _, _ = ba.make_synthetic_domains(1, n_pages=4, page_size=(64, 64), validation_fraction=0.25)
+    cfg = ba.ExperimentConfig(epochs=1, batch=16, seed=1)
+    sae = ba.TrainedBinarizer(ba.build_sae(cfg.sae_config(), np.random.default_rng(0)), 0.5, [])
+    empty = ba.Dataset("target", [])
+    predicted = []
+
+    def predict(model, page):
+        predicted.append(page)
+        return ba.predict_prob_map(model, page)
+
+    monkeypatch.setattr(similarity, "predict_prob_map", predict)
+    with pytest.raises(ba.DataError, match="^target dataset is empty$"):
+        gate(sae, src, empty, cfg)
+    assert not predicted
+    with pytest.raises(ba.DataError, match="^target dataset is empty$"):  # as Bin-DANN says it
+        ba.train_bindann(src, empty, cfg)

@@ -10,7 +10,7 @@ import pytest
 
 import binadapt as ba
 from binadapt import training
-from binadapt.data import Dataset, PageRecord, write_synthetic_dirs
+from binadapt.data import Dataset, PageRecord
 from binadapt.training import history_csv
 
 
@@ -161,25 +161,16 @@ def test_no_validation_map_outlives_its_sweep(monkeypatch):
     assert all(ref() is None for ref in maps)
 
 
-def _as_pixels(ds):
-    return Dataset(ds.role, [replace(r, page=r.page / 255.0) for r in ds.records])
-
-
-@pytest.mark.parametrize("adversarial", [False, True], ids=["sae", "bindann"])
-def test_training_on_levels_matches_training_on_their_pixels(tmp_path, adversarial):
-    write_synthetic_dirs(0, tmp_path, n_pages=4, page_size=(64, 64))
-    src = ba.load_dataset(tmp_path / "source", "source", 0.25, 0)
-    far = ba.load_dataset(tmp_path / "target_far", "target", 0.25, 0)
-    assert src.records[0].page.dtype == far.records[0].page.dtype == np.uint8
-    cfg = _tiny_cfg(seed=3)
-    if adversarial:
-        runs = [ba.train_bindann(src, far, cfg), ba.train_bindann(_as_pixels(src), _as_pixels(far), cfg)]
-    else:
-        runs = [ba.train_sae(src, cfg), ba.train_sae(_as_pixels(src), cfg)]
-    levels, pixels = runs
-    assert history_csv(levels.history) == history_csv(pixels.history)
-    for name in levels.model.params:
-        assert levels.model.params[name].tobytes() == pixels.model.params[name].tobytes()
+@pytest.mark.parametrize("role", ["source", "target"])
+def test_a_dataset_refuses_a_page_that_is_not_levels(role):
+    src, _, far = _tiny_domains()
+    rec = (src if role == "source" else far).records[0]
+    assert rec.page.dtype == np.uint8
+    for page in (rec.page / 255.0, rec.page.astype(np.float32), rec.page[None]):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{role} page 'page00': expected a 2-D page of uint8 levels, "
+                f"got {page.dtype} of shape {page.shape}")):
+            Dataset(role, [replace(rec, page=page)])
 
 
 def test_zero_coupling_reproduces_plain_trainer_bitwise():
