@@ -209,6 +209,19 @@ def test_streamed_prediction_matches_whole_page_tiling(cfg, workers, monkeypatch
         assert got.tobytes() == _whole_page_prob_map(model, page).tobytes(), shape
 
 
+# 256x1000 is 16 batches of default patches, predicted here by two processes
+@pytest.mark.parametrize("shape, workers", [((256, 1000), 2), ((45, 300), 1)],
+                         ids=["forked", "one-process"])
+def test_levels_predict_as_their_pixels(shape, workers, monkeypatch):
+    model = ba.build_sae(SAE, np.random.default_rng(6))
+    _force_workers(monkeypatch, workers)
+    levels = _levels(shape)
+    pixels = ba.split_patches(levels / 255.0, *model.config.patch)[:, None]
+    maps = [_forward_map(model, pixels[i : i + 16])[:, 0] for i in range(0, len(pixels), 16)]
+    want = ba.assemble(np.concatenate(maps), shape)
+    assert ba.predict_prob_map(model, levels).tobytes() == want.tobytes()
+
+
 def test_prediction_refuses_a_page_that_is_not_levels():
     model = ba.build_sae(SAE, np.random.default_rng(6))
     levels = _levels((45, 300))
