@@ -25,7 +25,7 @@ out = Path("demo_out")
 out.mkdir(exist_ok=True)
 (out / "page.pgm").write_bytes(ba.write_pgm(page))
 (out / "probability.pgm").write_bytes(ba.write_pgm(prob))
-(out / "binarized.pgm").write_bytes(ba.write_pgm(mask.astype(float)))
+(out / "binarized.pgm").write_bytes(ba.write_pgm(mask))
 print(f"wrote {out}/page.pgm, probability.pgm, binarized.pgm")
 
 gt = source.validation()[0].gt

@@ -11,10 +11,10 @@ directories look like::
                                  pixel >= 128 marks foreground ink)
 
 Pages and patch stacks are plain ``np.ndarray``s, and ground-truth labels are
-2-D boolean masks. Patch tiling pads pages by edge replication up to multiples
-of the patch size and cuts the padded page into one ``[rows * cols, h, w]``
-array of the page's dtype by a reshape, so
-``assemble(split_patches(page, h, w), page.shape)`` is a bit-exact inverse.
+2-D boolean masks. ``gather_patches`` tiles a page for training, prediction
+and ``split_patches`` alike: it cuts patches of the page's row-major grid of
+h x w patches with indices clipped to the last pixel, which replicates edges,
+so ``assemble(split_patches(page, h, w), page.shape)`` is a bit-exact inverse.
 The synthetic generator quantizes its pages as ``write_pgm`` quantizes float
 pixels, so they are the levels ``binadapt synth`` writes. It builds three
 small domains: a source domain of dark strokes on light background with
@@ -27,7 +27,7 @@ mirrored bleed-through ghosts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -96,7 +96,7 @@ def check_levels(page, who) -> np.ndarray:
     return arr
 
 
-@dataclass
+@dataclass(frozen=True)
 class PageRecord:
     """One page of a dataset: its levels, its mask (sources only) and its split."""
 
@@ -106,14 +106,16 @@ class PageRecord:
     split: str  # "train" | "validation"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
-    """A source (labeled) or target (unlabeled) collection of ``uint8`` pages."""
+    """A source (labeled) or target (unlabeled) collection of ``uint8`` pages, frozen,
+    its records a tuple of frozen records, so the checks construction makes hold for its life."""
 
     role: str  # "source" | "target"
-    records: list = field(default_factory=list)
+    records: tuple = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "records", tuple(self.records))
         if self.role not in ("source", "target"):
             raise ValueError(f"unknown dataset role {self.role!r}")
         for rec in self.records:
@@ -245,18 +247,28 @@ def _quantize(arr) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # tiling
 
+def gather_patches(page, h, w, ks) -> np.ndarray:
+    """Patches ``ks``, row-major numbers in the page's grid of h x w patches, as
+    one ``[len(ks), h, w]`` array of the page's dtype; row and column indices
+    past the page are clipped to its last pixel, which replicates its edges."""
+    cols, ys, xs = math.ceil(page.shape[1] / w), np.arange(h), np.arange(w)
+    out = np.empty((len(ks), h, w), page.dtype)
+    for patch, k in zip(out, ks):
+        r, c = divmod(int(k), cols)
+        block = page[r * h : r * h + h, c * w : c * w + w]
+        block.take(ys, 0, mode="clip").take(xs, 1, out=patch, mode="clip")
+    return out
+
+
 def split_patches(page, h, w) -> np.ndarray:
-    """Tile a page into its ``[rows * cols, h, w]`` stack of h x w patches in
-    row-major order, edge-replicating up to full multiples; the stack keeps
-    the page's dtype."""
+    """Every patch of a 2-D page, as ``gather_patches`` cuts them, in one
+    ``[rows * cols, h, w]`` stack of the page's dtype."""
     if h < 1 or w < 1:
         raise ValueError("patch dimensions must be >= 1")
     arr = np.asarray(page)
     if arr.ndim != 2:
         raise ValueError(f"split_patches expects a 2-D page, got shape {arr.shape}")
-    rows, cols = math.ceil(arr.shape[0] / h), math.ceil(arr.shape[1] / w)
-    padded = np.pad(arr, ((0, rows * h - arr.shape[0]), (0, cols * w - arr.shape[1])), mode="edge")
-    return padded.reshape(rows, h, cols, w).transpose(0, 2, 1, 3).reshape(rows * cols, h, w)
+    return gather_patches(arr, h, w, range(math.ceil(arr.shape[0] / h) * math.ceil(arr.shape[1] / w)))
 
 
 def assemble(patches, shape) -> np.ndarray:

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import autodiff
 from .autodiff import CheckpointError, Graph, GraphError, read_checkpoint, write_checkpoint
-from .data import check_levels, unit_floats
+from .data import check_levels, gather_patches, unit_floats
 from .layers import (
     ConvSpec,
     bce_node,
@@ -211,19 +211,14 @@ def _workers(batches):
 
 
 def _predict_batches(model, arr, tiles, first, last):
-    """Write the maps of batches ``first`` up to ``last`` into ``tiles``, a
-    ``[rows, cols, h, w]`` view of the map. A batch gathers its patches
-    straight from the page through row and column indices clipped to the
-    last pixel, which replicates the edges as ``split_patches`` pads them."""
+    """Write the maps of batches ``first`` up to ``last``, their patches cut by
+    ``data.gather_patches``, into ``tiles``, a ``[rows, cols, h, w]`` view of the map."""
     rows, cols, h, w = tiles.shape
-    ys = np.minimum(np.arange(rows * h), arr.shape[0] - 1).reshape(rows, h, 1)
-    xs = np.minimum(np.arange(cols * w), arr.shape[1] - 1).reshape(cols, 1, w)
     for start in range(first * _PREDICT_BATCH, min(last * _PREDICT_BATCH, rows * cols), _PREDICT_BATCH):
         k = np.arange(start, min(start + _PREDICT_BATCH, rows * cols))
-        r, c = k // cols, k % cols
-        x = unit_floats(arr[ys[r], xs[c]])[:, None]  # [n, 1, h, w]
+        x = unit_floats(gather_patches(arr, h, w, k))[:, None]  # [n, 1, h, w]
         out = autodiff.forward(model.graph, {"x": x}, wanted=("prob_map",), record=False)
-        tiles[r, c] = out["prob_map"][:, 0]
+        tiles[k // cols, k % cols] = out["prob_map"][:, 0]
 
 
 def _fork_share(model, arr, tiles, first, last):
@@ -243,13 +238,12 @@ def _fork_share(model, arr, tiles, first, last):
 def predict_prob_map(model: Model, page) -> np.ndarray:
     """Foreground-probability map for a whole page.
 
-    The page is tiled into model-sized patches, edge-replicated up to full
-    multiples, and every patch runs in inference mode (dropout off) in batches
-    of ``_PREDICT_BATCH`` in row-major order. The page must be 2-D ``uint8``
-    levels; anything else is a ``ValueError`` naming its dtype. A batch
-    gathers its patches from the page, scales them as ``data.unit_floats``
-    does, and writes its maps straight into one map, which is cropped back to
-    page size.
+    Every patch of the page's grid of model-sized patches runs in inference
+    mode (dropout off) in batches of ``_PREDICT_BATCH`` in row-major order. The
+    page must be 2-D ``uint8`` levels; anything else is a ``ValueError`` naming
+    its dtype. A batch cuts its patches with ``data.gather_patches``, which
+    replicates the page's edges, scales them as ``data.unit_floats`` does, and
+    writes its maps straight into one map, which is cropped back to page size.
 
     The batches are split into contiguous shares, one per worker process:
     ``min(usable CPUs, batches // _FORK_BATCHES)`` of them, at least one, and

@@ -20,7 +20,7 @@ import numpy as np
 
 from .autodiff import CheckpointError, adam, backward, forward, optimizer_step
 from .data import (VALIDATION_FRACTION, DataError, Dataset, check_validation_fraction,
-                   split_patches, unit_floats)
+                   gather_patches, unit_floats)
 from .layers import grl_lambda_at
 from .metrics import Confusion, confusion, f1
 from .models import (
@@ -191,10 +191,17 @@ def sweep_threshold(prob_maps, validation, sweep_step):
     return grid[best], scores[best]
 
 
-def _patch_pool(pages, patch):
-    """Every patch of the given pages, stacked as one [k, 1, h, w] array of
-    the pages' dtype: ``uint8`` levels, or boolean labels."""
-    return np.concatenate([split_patches(page, *patch) for page in pages])[:, None]
+def _addresses(pages, patch):
+    """The (page, patch) numbers of every patch of ``pages``, page by page: what the sampler draws."""
+    return np.array([(p, k) for p, page in enumerate(pages) for k in
+                     range(math.ceil(page.shape[0] / patch[0]) * math.ceil(page.shape[1] / patch[1]))])
+
+
+def _cut(collections, at, patch):
+    """One [n, 1, h, w] batch per collection of the patches ``at`` names, each (page, patch)
+    row naming the same page of every collection, as the lists of levels and of labels do."""
+    return [np.concatenate([gather_patches(pages[p], *patch, [k]) for p, k in at.tolist()])[:, None]
+            for pages in collections]
 
 
 def _stream(*key):
@@ -227,15 +234,16 @@ def _fit(source: Dataset, target: Dataset | None, cfg: ExperimentConfig) -> Trai
     else:
         model = build_bindann(sae, init)
         wanted = ("loss", "bin_loss", "domain_loss")
-        t_pool = _patch_pool([r.page for r in target.records], sae.patch)
+        t_pages = [r.page for r in target.records]
+        t_at = _addresses(t_pages, sae.patch)
         t_sampler = _stream(_SEED_TGT, cfg.seed)
         src_domain = np.zeros((cfg.batch, 1, *sae.patch))
         tgt_domain = np.ones_like(src_domain)
     opt = adam(cfg.lr)
-    x_pool = _patch_pool([r.page for r in train], sae.patch)
-    y_pool = _patch_pool([r.gt for r in train], sae.patch)
+    pages = ([r.page for r in train], [r.gt for r in train])  # levels and labels
+    at = _addresses(pages[0], sae.patch)
     sampler = _stream(_SEED_SRC, cfg.seed)
-    steps = math.ceil(len(x_pool) / cfg.batch)
+    steps = math.ceil(len(at) / cfg.batch)
 
     history, best = [], None
     try:
@@ -248,8 +256,8 @@ def _fit(source: Dataset, target: Dataset | None, cfg: ExperimentConfig) -> Trai
             for step in range(steps):
                 # dropout draws per (epoch, step, pass): the target pass never
                 # shifts the source pass's masks
-                idx = sampler.integers(0, len(x_pool), size=cfg.batch)
-                bindings = {"x": unit_floats(x_pool[idx]), "gt": y_pool[idx]}
+                x, gt = _cut(pages, at[sampler.integers(0, len(at), size=cfg.batch)], sae.patch)
+                bindings = {"x": unit_floats(x), "gt": gt}
                 if target is not None:
                     bindings["domain_gt"] = src_domain
                 out = forward(model.graph, bindings, wanted=wanted, training=True,
@@ -258,8 +266,8 @@ def _fit(source: Dataset, target: Dataset | None, cfg: ExperimentConfig) -> Trai
                 bin_losses.append(float(out["bin_loss"][0]))
 
                 if target is not None:
-                    idx_t = t_sampler.integers(0, len(t_pool), size=cfg.batch)
-                    out_t = forward(model.graph, {"x": unit_floats(t_pool[idx_t]), "domain_gt": tgt_domain},
+                    [x_t] = _cut([t_pages], t_at[t_sampler.integers(0, len(t_at), size=cfg.batch)], sae.patch)
+                    out_t = forward(model.graph, {"x": unit_floats(x_t), "domain_gt": tgt_domain},
                                     wanted=("domain_loss",), training=True,
                                     rng=_stream(_SEED_DROP, cfg.seed, epoch, step, 1))
                     for name, g in backward(model.graph, "domain_loss").items():

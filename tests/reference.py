@@ -154,3 +154,12 @@ def whole_page_synthetic_page(rng, shape, kind):
         page[ghost] = ghost_level + rng.normal(0, noise, shape)[ghost]
     page[mask] = ink + rng.normal(0, noise, shape)[mask]
     return np.round(255 * np.clip(page, 0.0, 1.0)).astype(np.uint8), mask
+
+
+def padded_split_patches(page, h, w):
+    """Every h x w patch of a 2-D page in row-major order, as one
+    ``[rows * cols, h, w]`` stack of its dtype: the page padded by edge
+    replication up to whole patches, then cut by a reshape."""
+    rows, cols = -(-page.shape[0] // h), -(-page.shape[1] // w)
+    padded = np.pad(page, ((0, rows * h - page.shape[0]), (0, cols * w - page.shape[1])), mode="edge")
+    return padded.reshape(rows, h, cols, w).transpose(0, 2, 1, 3).reshape(rows * cols, h, w)

@@ -14,6 +14,7 @@ from binadapt.data import (
     PgmError,
     _paint_strokes,
     _synthetic_page,
+    gather_patches,
     load_dataset,
     load_eval_masks,
     synthetic_domain_pairs,
@@ -21,7 +22,7 @@ from binadapt.data import (
 )
 
 from defaults import DEFAULTS
-from reference import loop_paint_strokes, whole_page_synthetic_page
+from reference import loop_paint_strokes, padded_split_patches, whole_page_synthetic_page
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +220,29 @@ def test_assemble_inverts_split_bitwise():
         h = int(rng.integers(1, 90))
         w = int(rng.integers(1, 90))
         page = rng.random((h, w))
-        patches = ba.split_patches(page, int(rng.integers(1, 40)), int(rng.integers(1, 40)))
+        ph, pw = int(rng.integers(1, 40)), int(rng.integers(1, 40))
+        patches = ba.split_patches(page, ph, pw)
+        assert patches.tobytes() == padded_split_patches(page, ph, pw).tobytes()
         back = ba.assemble(patches, page.shape)
         assert back.tobytes() == page.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, bool])
+@pytest.mark.parametrize("shape", [(100, 75), (45, 70), (64, 96), (1, 33), (5, 2)])
+@pytest.mark.parametrize("patch", [(32, 32), (16, 8), (128, 96), (1, 1)])
+def test_split_and_gather_match_the_padded_oracle(dtype, shape, patch):
+    # ragged pages, pages of whole patches, and patches larger than the page
+    rng = np.random.default_rng([shape[0], shape[1], *patch])
+    page = rng.random(shape) < 0.3 if dtype is bool else rng.integers(0, 256, shape, dtype=np.uint8)
+    want = padded_split_patches(page, *patch)
+    patches = ba.split_patches(page, *patch)
+    assert patches.dtype == page.dtype and patches.shape == want.shape
+    assert patches.tobytes() == want.tobytes()
+    ks = rng.integers(0, len(want), 2 * len(want) + 3)  # any order, repeats included
+    gathered = gather_patches(page, *patch, ks)
+    assert gathered.dtype == page.dtype and gathered.shape == (len(ks), *patch)
+    assert gathered.tobytes() == want[ks].tobytes()
+    assert ba.assemble(patches, shape).tobytes() == page.tobytes()
 
 
 def test_assemble_single_patch_grid():

@@ -76,6 +76,11 @@ def test_write_data_adds_ragged_pages(tmp_path):
     ragged = sorted((tmp_path / "data" / "ragged").glob("*.pgm"))
     shapes = sorted(ba.read_pgm(p.read_bytes()).pixels.shape for p in ragged)
     assert shapes == sorted(tool.RAGGED)
+    for domain in ("source", "target"):
+        for sub in ("images", "gt"):
+            pages = sorted((tmp_path / "data" / "ragged_run" / domain / sub).glob("*.pgm"))
+            shapes = sorted(ba.read_pgm(p.read_bytes()).levels.shape for p in pages)
+            assert shapes == sorted(tool.RAGGED_RUN)
 
 
 def test_compare_data_reports_a_generator_wrong_only_on_non_square_pages(tmp_path):
@@ -90,8 +95,10 @@ def test_compare_data_reports_a_generator_wrong_only_on_non_square_pages(tmp_pat
     data_py.write_text(text.replace(walk, "steps = int(rng.integers(w // 3, w))"))
     data, differing = tool.compare_data(TOOL.parents[1], change, 0, tmp_path / "work")
     assert data == tmp_path / "work" / "parent" / "data0"
-    # the 128x128 domains match; both ragged pages are non-square
-    assert differing == sorted(Path("ragged") / f"page{h}x{w}.pgm" for h, w in tool.RAGGED)
+    # the 128x128 domains match; every ragged page is non-square
+    ragged_run = [Path("ragged_run", domain, sub, f"page{h}x{w}.pgm") for domain in ("source", "target")
+                  for sub in ("images", "gt") for h, w in tool.RAGGED_RUN]
+    assert differing == sorted([Path("ragged") / f"page{h}x{w}.pgm" for h, w in tool.RAGGED] + ragged_run)
     _, differing = tool.compare_data(TOOL.parents[1], TOOL.parents[1], 0, tmp_path / "same")
     assert differing == []
 
@@ -110,6 +117,9 @@ def test_run_tree_writes_similarity_train_sae_and_synth(tmp_path):
     tool.write_configs(0, data)
     tool.run_tree(TOOL.parents[1], 0, data, out)
     assert (out / "similarity" / "report.json").is_file()
+    # the ragged run always adapts, so Bin-DANN trains on the ragged target
+    assert json.loads((out / "ragged_run" / "report.json").read_text())["decision"] == "UseDA"
+    assert (out / "ragged_run" / "bindann.ckpt").is_file()
     assert (out / "train_sae" / "sae.ckpt").is_file()
     for kind in ("source", "target_near", "target_far"):
         assert len(list((out / "synth" / kind / "images").glob("*.pgm"))) == 8

@@ -2,8 +2,9 @@
 
 import math
 import re
+import tracemalloc
 import weakref
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ import binadapt as ba
 from binadapt import training
 from binadapt.data import Dataset, PageRecord
 from binadapt.training import history_csv
+
+from reference import padded_split_patches
 
 
 def _tiny_domains(seed=0):
@@ -171,6 +174,81 @@ def test_a_dataset_refuses_a_page_that_is_not_levels(role):
                 f"{role} page 'page00': expected a 2-D page of uint8 levels, "
                 f"got {page.dtype} of shape {page.shape}")):
             Dataset(role, [replace(rec, page=page)])
+
+
+def test_a_dataset_keeps_the_pages_it_checked():
+    # a float page added after construction would train as levels in [0, 0.004]
+    src, _, _ = _tiny_domains()
+    rec = src.records[0]
+    assert isinstance(src.records, tuple)
+    with pytest.raises(AttributeError):
+        src.records.append(replace(rec, page=rec.page / 255.0))
+    with pytest.raises(FrozenInstanceError):
+        src.records = [replace(rec, page=rec.page / 255.0)]
+    with pytest.raises(FrozenInstanceError):
+        rec.page = rec.page / 255.0
+    assert ba.Dataset("target", []).records == ()
+
+
+def _ragged_record(rng, stem, shape, split, labeled=True):
+    page = rng.integers(0, 256, shape, dtype=np.uint8)
+    return PageRecord(stem, page, page >= 128 if labeled else None, split)
+
+
+def test_training_batches_over_ragged_pages_are_the_padded_pools_at_the_sampler_s_draws(monkeypatch):
+    # pages of several shapes, none a whole number of patches: every batch a
+    # step binds is what indexing pools of every padded patch would give
+    rng = np.random.default_rng(8)
+    source = Dataset("source", [_ragged_record(rng, "a", (100, 75), "train"),
+                                _ragged_record(rng, "b", (45, 70), "train"),
+                                _ragged_record(rng, "c", (20, 100), "train"),
+                                _ragged_record(rng, "v", (40, 40), "validation")])
+    target = Dataset("target", [_ragged_record(rng, "t", (50, 33), "train", labeled=False),
+                                _ragged_record(rng, "u", (70, 45), "train", labeled=False)])
+    cfg = ba.ExperimentConfig(patch_h=32, patch_w=16, epochs=2, batch=5, seed=3)
+    bound = []
+
+    def forward(graph, bindings, **kw):
+        bound.append(bindings)
+        return ba.forward(graph, bindings, **kw)
+
+    monkeypatch.setattr(training, "forward", forward)
+    training.train_bindann(source, target, cfg)
+
+    def pool(pages):
+        return np.concatenate([padded_split_patches(page, 32, 16) for page in pages])[:, None]
+
+    train = source.train()
+    x_pool, y_pool = pool([r.page for r in train]), pool([r.gt for r in train])
+    t_pool = pool([r.page for r in target.records])
+    sampler = training._stream(training._SEED_SRC, cfg.seed)
+    t_sampler = training._stream(training._SEED_TGT, cfg.seed)
+    steps = math.ceil(len(x_pool) / cfg.batch)
+    assert len(bound) == 2 * cfg.epochs * steps
+    for src_bindings, tgt_bindings in zip(bound[::2], bound[1::2]):
+        idx = sampler.integers(0, len(x_pool), size=cfg.batch)
+        assert src_bindings["x"].tobytes() == (x_pool[idx] / 255.0).tobytes()
+        assert src_bindings["gt"].dtype == bool
+        assert src_bindings["gt"].tobytes() == y_pool[idx].tobytes()
+        idx_t = t_sampler.integers(0, len(t_pool), size=cfg.batch)
+        assert tgt_bindings["x"].tobytes() == (t_pool[idx_t] / 255.0).tobytes()
+
+
+def test_training_memory_is_set_by_the_batch_not_the_pages():
+    # three 768x761 pages hold 216 batches of 8 patches; pools of their
+    # padded patches and labels would take 2 bytes per padded pixel
+    rng = np.random.default_rng(9)
+    records = [_ragged_record(rng, f"p{i}", (768, 761), "train") for i in range(3)]
+    source = Dataset("source", [*records, _ragged_record(rng, "v", (40, 40), "validation")])
+    cfg = ba.ExperimentConfig(depth=1, filters=1, dropout=0.0, epochs=1, batch=8)
+    pools = 2 * sum(padded_split_patches(r.page, 32, 32).size for r in records)
+    tracemalloc.start()
+    try:
+        ba.train_sae(source, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < pools
 
 
 def test_zero_coupling_reproduces_plain_trainer_bitwise():

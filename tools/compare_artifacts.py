@@ -3,15 +3,21 @@
 Usage: python3 tools/compare_artifacts.py PARENT_TREE CHANGE_TREE [--seeds 0-3]
 
 Each tree is a checkout holding ``src/binadapt``. Per seed, each tree writes
-the synthetic data: 4 pages of 128x128 per domain with their ``gt`` masks,
-and two ragged far-target pages, 1000x750 and 45x300, under ``ragged/``.
-Every generated file whose bytes differ between the two data trees is
-listed, under ``seedN/data/``, so a generator that is wrong only on
-non-square pages shows here. Both trees then run on the first tree's data,
-each command in its own process with BLAS at one thread, at the benchmark's
-``adapt`` settings (10 epochs, batch 8, lr 0.01, validation fraction 0.2):
+the synthetic data: 4 pages of 128x128 per domain with their ``gt`` masks;
+two ragged far-target pages, 1000x750 and 45x300, under ``ragged/``; and a
+ragged source and far target of three pages each, 100x75, 45x70 and 75x100,
+with their ``gt`` masks, under ``ragged_run/``. Every generated file whose
+bytes differ between the two data trees is listed, under ``seedN/data/``, so
+a generator that is wrong only on non-square pages shows here. Both trees
+then run on the first tree's data, each command in its own process with BLAS
+at one thread, at the benchmark's ``adapt`` settings (10 epochs, batch 8, lr
+0.01, validation fraction 0.2):
 
 * ``binadapt run`` from the source to the far and to the near target;
+* ``binadapt run`` from the ragged source to the ragged target, with the
+  gate's threshold at 1.0 so that it always adapts. No side of these pages
+  is a multiple of the patch, so the SAE's and Bin-DANN's training batches
+  and every prediction replicate page edges;
 * ``binadapt predict`` on every far-target page with the far run's
   ``bindann.ckpt``;
 * ``binadapt predict`` with the same checkpoint on the two ragged pages,
@@ -51,6 +57,7 @@ PAGES, SIDE = 4, 128
 ADAPT = {"epochs": 10, "batch": 8, "lr": 0.01, "validation_fraction": 0.2}
 TARGETS = ("target_far", "target_near")
 RAGGED = ((1000, 750), (45, 300))
+RAGGED_RUN = ((100, 75), (45, 70), (75, 100))
 
 _WRITE_DATA = f"""
 import sys
@@ -62,6 +69,13 @@ write_synthetic_dirs(seed, data, {PAGES}, ({SIDE}, {SIDE}))
 for h, w in {RAGGED}:
     [(_, page, _)] = synthetic_domain_pairs(seed, "target_far", 1, (h, w))
     (data / "ragged" / f"page{{h}}x{{w}}.pgm").write_bytes(write_pgm(page))
+for kind, domain in (("source", "source"), ("target_far", "target")):
+    for sub in ("images", "gt"):
+        (data / "ragged_run" / domain / sub).mkdir(parents=True)
+    for h, w in {RAGGED_RUN}:
+        [(_, page, mask)] = synthetic_domain_pairs(seed, kind, 1, (h, w))
+        (data / "ragged_run" / domain / "images" / f"page{{h}}x{{w}}.pgm").write_bytes(write_pgm(page))
+        (data / "ragged_run" / domain / "gt" / f"page{{h}}x{{w}}.pgm").write_bytes(write_pgm(mask))
 """
 
 
@@ -135,17 +149,20 @@ def compare_data(parent: Path, change: Path, seed, work: Path):
 
 
 def write_configs(seed, data: Path):
-    """One config per target, at the benchmark's ``adapt`` settings, next to ``data``'s domains."""
-    for target in TARGETS:
-        keys = dict(source_dir=data / "source", target_dir=data / target, seed=seed, **ADAPT)
-        (data / f"{target}.cfg").write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+    """One config per target and one for the ragged run, at the benchmark's
+    ``adapt`` settings, next to ``data``'s domains."""
+    runs = {target: dict(source_dir=data / "source", target_dir=data / target) for target in TARGETS}
+    runs["ragged_run"] = dict(source_dir=data / "ragged_run" / "source",
+                              target_dir=data / "ragged_run" / "target", rho_th=1.0)
+    for name, keys in runs.items():
+        keys = dict(keys, seed=seed, **ADAPT)
+        (data / f"{name}.cfg").write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
 
 
 def run_tree(tree: Path, seed, data: Path, out: Path):
     """Every artifact one tree writes for one seed, under ``out``."""
-    for target in TARGETS:
-        cfg = data / f"{target}.cfg"
-        _binadapt(tree, "run", "--config", str(cfg), "--out", str(out / target))
+    for name in (*TARGETS, "ragged_run"):
+        _binadapt(tree, "run", "--config", str(data / f"{name}.cfg"), "--out", str(out / name))
     for pages, name in ((data / "target_far" / "images", "predict"), (data / "ragged", "predict_ragged")):
         for page in sorted(pages.glob("*.pgm")):
             _binadapt(tree, "predict", "--checkpoint", str(out / "target_far" / "bindann.ckpt"),
