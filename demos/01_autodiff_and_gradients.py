@@ -24,7 +24,9 @@ bindings = {
     "target": (rng.random((1, 1, 6, 6)) > 0.5).astype(float),
 }
 
-out = ba.forward(g, bindings)
+# a training forward keeps the record its backward reads; an inference forward
+# (training=False, the default) keeps none and cannot be differentiated
+out = ba.forward(g, bindings, training=True)
 print(f"initial loss: {out['loss'][0]:.4f}")
 
 grads = ba.backward(g, "loss")
@@ -39,7 +41,7 @@ for name in ("w", "b"):
 # a few Adam steps drive the toy loss down
 opt = ba.adam(lr=0.05)
 for step in range(20):
-    loss = ba.forward(g, bindings, wanted=("loss",))["loss"][0]
+    loss = ba.forward(g, bindings, wanted=("loss",), training=True)["loss"][0]
     ba.optimizer_step(opt, g.params, ba.backward(g, "loss"))
 print(f"loss after 20 Adam steps: {loss:.4f}")
 
@@ -48,5 +50,5 @@ print(f"loss after 20 Adam steps: {loss:.4f}")
 g2 = ba.Graph()
 p = g2.param("p", np.array([1.0, 2.0, 3.0]))
 g2.set_output("loss", g2.sum(grl_node(g2, p, lam=0.5)))
-ba.forward(g2)
+ba.forward(g2, training=True)
 print("reversal-layer gradient of sum(x):", ba.backward(g2, "loss")["p"], "(plain sum would give +1)")

@@ -2,10 +2,10 @@
 
 Graphs are built explicitly, node by node, and stored in topological order.
 ``forward`` evaluates the subgraph needed for the requested outputs, planned
-once per output set (``Graph.plan``), and records what each op's backward
-reads; ``backward`` walks that record in reverse and accumulates
-gradients by the chain rule, including the sign-flipped path used by the
-gradient-reversal layer. Parameters, outputs and gradients are plain float64
+once per output set (``Graph.plan``). A training forward records what each
+op's backward reads; ``backward`` walks that record in reverse and
+accumulates gradients by the chain rule, including the sign-flipped path of
+the gradient-reversal layer. Parameters, outputs and gradients are plain float64
 ``np.ndarray``s. Outputs are addressed by the names given to
 ``Graph.set_output``. Everything is bit-deterministic for a fixed seed.
 
@@ -17,12 +17,11 @@ Who owns which array:
   value and what its backward reads (``register_op``), a relu only the sign
   of its input. A forward's record holds those, the parameters and the
   registered outputs; every other value goes after its last forward
-  consumer. The record lasts until the next forward on the graph or until a
-  backward consumes it, so it serves one backward; a fit drops the last one
-  when it returns. A forward with ``record=False``, as prediction runs it,
-  keeps no record at all, so it holds only the values still to be consumed.
-  The C heap keeps what a step frees for the next step (see the heap
-  thresholds below).
+  consumer. Only a training forward keeps its record, once its outputs pass
+  the finiteness check, until a backward consumes it or the next forward
+  starts. An inference forward, as prediction runs it, keeps none, so it
+  holds only the values still to be consumed. The C heap keeps what a step
+  frees for the next step (see the heap thresholds below).
 * The caller owns what the engine hands out: ``forward`` returns copies and
   ``backward`` the gradients themselves, and neither aliases a parameter.
 """
@@ -142,8 +141,7 @@ class Graph:
         self.input_ids: dict[str, int] = {}
         self.param_ids: dict[str, int] = {}
         self.outputs: dict[str, int] = {}
-        self._run: _Run | None = None
-        self._recorded = True  # whether the last forward was asked to keep a record
+        self._run: _Run | None = None  # the last training forward's record, until a backward
         self._plans: dict = {}  # target ids -> plan(); cleared when a node is added
 
     def add_node(self, kind, inputs=(), name=None, **attrs) -> int:
@@ -238,20 +236,19 @@ def forward(
     wanted=None,
     training: bool = False,
     rng: np.random.Generator | None = None,
-    record: bool = True,
 ) -> dict:
     """Evaluate the graph and return copies of the requested named outputs.
 
     Only the ancestor subgraph of ``wanted`` (default: all registered outputs)
-    is computed, so inputs outside that subgraph need not be bound. Dropout
-    nodes draw boolean keep-masks from ``rng`` when training. With ``record``
-    the execution record is cached on the graph for a subsequent
-    ``backward``; it keeps what each op's backward reads, the parameters and
-    the registered outputs. Without it nothing is kept, and a backward raises.
-    The previous record is released first, so a forward that raises leaves
-    nothing to differentiate.
+    is computed, so inputs outside that subgraph need not be bound. A training
+    forward draws the dropout nodes' boolean keep-masks from ``rng`` and, once
+    its outputs are checked finite, leaves its record on the graph for one
+    ``backward``: what each op's backward reads, the parameters and the
+    registered outputs. An inference forward keeps no record, and a backward
+    after it raises. The previous record is released first, so a forward that
+    raises leaves nothing to differentiate.
     """
-    graph._run, graph._recorded = None, record
+    graph._run = None
     bindings = bindings or {}
     if wanted is None:
         wanted = tuple(graph.outputs)
@@ -278,33 +275,33 @@ def forward(
                 fwd = _OPS[node.kind][0]
                 xs = [run.values[i] for i in node.inputs]
                 try:
-                    if record:
+                    if training:
                         run.values[nid], run.saved[nid] = fwd(node, xs, run)
                     else:
                         run.values[nid] = fwd(node, xs, run)[0]
-                except GraphError:
+                except (GraphError, MemoryError):  # a MemoryError keeps its exit code
                     raise
                 except Exception as exc:  # re-raise with the node named
                     raise GraphError(f"node {nid} ({node.name}): {exc}") from exc
             for i in drops.get(nid, ()):
                 del run.values[i]
 
-    if record:
-        graph._run = run
     out = {}
     for w, nid in zip(wanted, targets):
         val = run.values[nid]
         if not np.all(np.isfinite(val)):
             raise NumericError(f"output {w!r} (node {nid}) contains non-finite values")
         out[w] = val.copy()
+    if training:
+        graph._run = run
     return out
 
 
 def backward(graph: Graph, loss) -> dict:
     """Accumulate gradients of a scalar loss and return them per parameter name.
 
-    Requires a prior ``forward`` whose computed subgraph contains the loss
-    node. Gradients flow in reverse topological order; a parameter feeding
+    Requires a prior training ``forward`` whose computed subgraph contains the
+    loss node. Gradients flow in reverse topological order; a parameter feeding
     several consumers receives the sum of all path gradients. Nodes that no
     parameter feeds, such as the data inputs, receive no gradient. A node's
     gradient is dropped once it has been passed to the node's inputs. The
@@ -315,9 +312,7 @@ def backward(graph: Graph, loss) -> dict:
     """
     run = graph._run
     if run is None:
-        raise GraphError("backward called before forward; each forward serves one backward"
-                         if graph._recorded else
-                         "backward after a forward with record=False, which keeps no record")
+        raise GraphError("backward called before a training forward; each serves one backward")
     lid = _output_id(graph, loss)
     if lid not in run.values:
         raise GraphError(f"loss node {lid} was not computed by the last forward")
@@ -350,15 +345,15 @@ def grad_check(
     parameter: str,
     epsilon: float = 1e-5,
     *,
-    training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     The error per element is |analytic - numeric| / max(|analytic|, |numeric|,
-    1e-8). Every evaluation draws its dropout masks from a copy of ``rng`` as
-    it stood before the first forward, so each draws the same masks and the
-    loss stays a fixed differentiable function of the parameter.
+    1e-8). Every evaluation is a training forward drawing its dropout masks
+    from a copy of ``rng`` as it stood before the first one, so each draws the
+    same masks and the loss stays a fixed differentiable function of the
+    parameter.
     """
     if not (0.0 < epsilon <= 1e-3):
         raise GraphError(f"epsilon {epsilon} outside (0, 1e-3]")
@@ -366,11 +361,11 @@ def grad_check(
         raise GraphError(f"unknown parameter {parameter!r}")
 
     start = copy.deepcopy(rng)
-    forward(graph, bindings, wanted=(loss,), training=training, rng=rng)
+    forward(graph, bindings, wanted=(loss,), training=True, rng=rng)
     analytic = backward(graph, loss)[parameter].ravel()
 
     def eval_loss():
-        out = forward(graph, bindings, wanted=(loss,), training=training, rng=copy.deepcopy(start))
+        out = forward(graph, bindings, wanted=(loss,), training=True, rng=copy.deepcopy(start))
         return float(out[loss][0])
 
     flat = graph.params[parameter].reshape(-1)

@@ -78,19 +78,15 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def _load_config(args) -> ExperimentConfig:
     """The config file's settings with ``--seed``/``--out`` applied, all of
-    them checked before any command reads data."""
+    them checked, an output directory among them, before any command reads
+    data. No command creates that directory until its results exist, so a
+    command that fails leaves none behind."""
     cfg = parse_config(Path(args.config).read_text()) if args.config else ExperimentConfig()
     cfg = replace(cfg, seed=cfg.seed if args.seed is None else args.seed,
                   out_dir=args.out or cfg.out_dir)
-    return cfg
-
-
-def _out_dir(cfg) -> Path:
-    """The output directory, checked but not created: each command creates it
-    only once its results exist, so a command that fails leaves none behind."""
     if not cfg.out_dir:
         raise ConfigError("no output directory (set out_dir or pass --out)")
-    return Path(cfg.out_dir)
+    return cfg
 
 
 def _write_manifest(out: Path, command, cfg, extra=None):
@@ -154,7 +150,7 @@ def cmd_train_sae(args) -> int:
     cfg = _load_config(args)
     _require(cfg, "source_dir")
     source = load_dataset(cfg.source_dir, "source", cfg.validation_fraction, cfg.seed)
-    out = _out_dir(cfg)
+    out = Path(cfg.out_dir)
     tb = train_sae(source, cfg)
     out.mkdir(parents=True, exist_ok=True)
     save_binarizer(out / "sae.ckpt", tb)
@@ -171,7 +167,7 @@ def cmd_predict(args) -> int:
     cfg = _load_config(args)
     tb = load_binarizer(args.checkpoint)
     page = read_pgm(Path(args.input).read_bytes()).levels
-    out = _out_dir(cfg)
+    out = Path(cfg.out_dir)
     prob = predict_prob_map(tb.model, page)
     stem = Path(args.input).stem
     out.mkdir(parents=True, exist_ok=True)
@@ -189,7 +185,7 @@ def cmd_similarity(args) -> int:
     source = load_dataset(cfg.source_dir, "source", cfg.validation_fraction, cfg.seed)
     target = load_dataset(cfg.target_dir, "target", cfg.validation_fraction, cfg.seed)
     result = gate(tb, source, target, cfg)
-    out = _out_dir(cfg)
+    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_gate(out, "similarity", cfg, result)
     print(f"rho={result.report.rho:.4f} decision={result.report.decision}")
@@ -205,7 +201,7 @@ def cmd_run(args) -> int:
     # feed back into training or the gate; they are read up front so a bad
     # one fails the run before it trains
     eval_masks = load_eval_masks(cfg.target_dir, target.records)
-    out = _out_dir(cfg)
+    out = Path(cfg.out_dir)
 
     result = autobindann(source, target, cfg)
 
@@ -232,7 +228,7 @@ def cmd_run(args) -> int:
 
 def cmd_synth(args) -> int:
     cfg = _load_config(args)
-    out = _out_dir(cfg)
+    out = Path(cfg.out_dir)
     dirs = write_synthetic_dirs(cfg.seed, out)
     _write_manifest(out, "synth", cfg, {"datasets": [d.name for d in dirs]})
     print("wrote " + ", ".join(str(d) for d in dirs))

@@ -217,7 +217,7 @@ def _predict_batches(model, arr, tiles, first, last):
     for start in range(first * _PREDICT_BATCH, min(last * _PREDICT_BATCH, rows * cols), _PREDICT_BATCH):
         k = np.arange(start, min(start + _PREDICT_BATCH, rows * cols))
         x = unit_floats(gather_patches(arr, h, w, k))[:, None]  # [n, 1, h, w]
-        out = autodiff.forward(model.graph, {"x": x}, wanted=("prob_map",), record=False)
+        out = autodiff.forward(model.graph, {"x": x}, wanted=("prob_map",))
         tiles[k // cols, k % cols] = out["prob_map"][:, 0]
 
 
@@ -255,8 +255,8 @@ def predict_prob_map(model: Model, page) -> np.ndarray:
     whose child did not exit 0, so an error is raised as one process raises
     it, and a child that was killed or failed for a reason of its own does not
     fail the prediction. Every batch computes the same bytes wherever it runs,
-    so the map is the same whatever the CPU count. Every forward runs with
-    ``record=False``, so it leaves no record on the model, and beyond the
+    so the map is the same whatever the CPU count. Every forward is an
+    inference forward, which leaves no record on the model, so beyond the
     page each process holds only the values a batch's forward has still to
     consume; all of them share the one map. Every child is reaped before the
     call returns or raises.

@@ -199,9 +199,17 @@ def _addresses(pages, patch):
 
 def _cut(collections, at, patch):
     """One [n, 1, h, w] batch per collection of the patches ``at`` names, each (page, patch)
-    row naming the same page of every collection, as the lists of levels and of labels do."""
-    return [np.concatenate([gather_patches(pages[p], *patch, [k]) for p, k in at.tolist()])[:, None]
-            for pages in collections]
+    row naming the same page of every collection, as the lists of levels and of labels do.
+    Each page's rows are cut with one gather per collection, grouped by a set: ``np.unique``
+    would import ``numpy.ma``. A batch takes the dtype its pages' patches concatenate to."""
+    used = set(at[:, 0].tolist())
+    batches = [np.empty((len(at), 1, *patch), np.result_type(*(pages[p] for p in used)))
+               for pages in collections]
+    for p in used:
+        rows = np.flatnonzero(at[:, 0] == p)
+        for batch, pages in zip(batches, collections):
+            batch[rows, 0] = gather_patches(pages[p], *patch, at[rows, 1])
+    return batches
 
 
 def _stream(*key):
@@ -217,8 +225,8 @@ def _fit(source: Dataset, target: Dataset | None, cfg: ExperimentConfig) -> Trai
     gains the domain branch and every step adds a target forward/backward pass
     on ``domain_loss``, whose gradients are summed with the source pass's
     before the one optimizer step. The domain BCE targets all-zero maps for
-    source and all-one maps for target patches. The model keeps no forward
-    record once the fit returns or raises.
+    source and all-one maps for target patches. Each training forward's record
+    goes to its backward, so the model keeps none once the fit returns or raises.
     """
     train, val = source.train(), source.validation()
     if not train or not val:
@@ -246,42 +254,39 @@ def _fit(source: Dataset, target: Dataset | None, cfg: ExperimentConfig) -> Trai
     steps = math.ceil(len(at) / cfg.batch)
 
     history, best = [], None
-    try:
-        for epoch in range(cfg.epochs):
-            lam = None
+    for epoch in range(cfg.epochs):
+        lam = None
+        if target is not None:
+            lam = grl_lambda_at(epoch, cfg.lambda0, cfg.lambda_inc)
+            model.set_grl(lam)
+        bin_losses, dom_losses = [], []
+        for step in range(steps):
+            # dropout draws per (epoch, step, pass): the target pass never
+            # shifts the source pass's masks
+            x, gt = _cut(pages, at[sampler.integers(0, len(at), size=cfg.batch)], sae.patch)
+            bindings = {"x": unit_floats(x), "gt": gt}
             if target is not None:
-                lam = grl_lambda_at(epoch, cfg.lambda0, cfg.lambda_inc)
-                model.set_grl(lam)
-            bin_losses, dom_losses = [], []
-            for step in range(steps):
-                # dropout draws per (epoch, step, pass): the target pass never
-                # shifts the source pass's masks
-                x, gt = _cut(pages, at[sampler.integers(0, len(at), size=cfg.batch)], sae.patch)
-                bindings = {"x": unit_floats(x), "gt": gt}
-                if target is not None:
-                    bindings["domain_gt"] = src_domain
-                out = forward(model.graph, bindings, wanted=wanted, training=True,
-                              rng=_stream(_SEED_DROP, cfg.seed, epoch, step, 0))
-                grads = backward(model.graph, "loss")
-                bin_losses.append(float(out["bin_loss"][0]))
+                bindings["domain_gt"] = src_domain
+            out = forward(model.graph, bindings, wanted=wanted, training=True,
+                          rng=_stream(_SEED_DROP, cfg.seed, epoch, step, 0))
+            grads = backward(model.graph, "loss")
+            bin_losses.append(float(out["bin_loss"][0]))
 
-                if target is not None:
-                    [x_t] = _cut([t_pages], t_at[t_sampler.integers(0, len(t_at), size=cfg.batch)], sae.patch)
-                    out_t = forward(model.graph, {"x": unit_floats(x_t), "domain_gt": tgt_domain},
-                                    wanted=("domain_loss",), training=True,
-                                    rng=_stream(_SEED_DROP, cfg.seed, epoch, step, 1))
-                    for name, g in backward(model.graph, "domain_loss").items():
-                        grads[name] = grads[name] + g if name in grads else g
-                    dom_losses.append(0.5 * float(out["domain_loss"][0] + out_t["domain_loss"][0]))
-                optimizer_step(opt, model.params, grads)
-            th, score = sweep_threshold((predict_prob_map(model, rec.page) for rec in val),
-                                        val, cfg.sweep_step)
-            dom_loss = float(np.mean(dom_losses)) if target is not None else None
-            history.append(EpochStats(epoch, float(np.mean(bin_losses)), dom_loss, lam, score, th))
-            if best is None or score > best[0]:
-                best = (score, th, {name: p.copy() for name, p in model.params.items()})
-    finally:
-        model.graph._run = None
+            if target is not None:
+                [x_t] = _cut([t_pages], t_at[t_sampler.integers(0, len(t_at), size=cfg.batch)], sae.patch)
+                out_t = forward(model.graph, {"x": unit_floats(x_t), "domain_gt": tgt_domain},
+                                wanted=("domain_loss",), training=True,
+                                rng=_stream(_SEED_DROP, cfg.seed, epoch, step, 1))
+                for name, g in backward(model.graph, "domain_loss").items():
+                    grads[name] = grads[name] + g if name in grads else g
+                dom_losses.append(0.5 * float(out["domain_loss"][0] + out_t["domain_loss"][0]))
+            optimizer_step(opt, model.params, grads)
+        th, score = sweep_threshold((predict_prob_map(model, rec.page) for rec in val),
+                                    val, cfg.sweep_step)
+        dom_loss = float(np.mean(dom_losses)) if target is not None else None
+        history.append(EpochStats(epoch, float(np.mean(bin_losses)), dom_loss, lam, score, th))
+        if best is None or score > best[0]:
+            best = (score, th, {name: p.copy() for name, p in model.params.items()})
 
     model.params.update(best[2])
     return TrainedBinarizer(model=model, th_s=best[1], history=history)

@@ -107,7 +107,7 @@ def _layer_checks():
     g = ba.Graph()
     p = g.param("p", rng.normal(size=(5, 5)))
     g.set_output("loss", g.sum(sigmoid_node(g, dropout_node(g, p, 0.3))))
-    worst = max(worst, ba.grad_check(g, "loss", {}, "p", training=True, rng=np.random.default_rng(2)))
+    worst = max(worst, ba.grad_check(g, "loss", {}, "p", rng=np.random.default_rng(2)))
 
     g = ba.Graph()
     p = g.param("p", rng.normal(size=(4, 4)))
@@ -121,7 +121,7 @@ def _layer_checks():
     g = ba.Graph()
     p = g.param("p", rng.normal(size=(4, 4)))
     g.set_output("loss", g.sum(sigmoid_node(g, grl_node(g, p, lam))))
-    ba.forward(g)
+    ba.forward(g, training=True)
     analytic = ba.backward(g, "loss")["p"]
     numeric = -lam * fd_loss_gradient(
         lambda: float(ba.forward(g, {})["loss"][0]), g.params["p"]
@@ -138,8 +138,7 @@ def _full_sae_check():
     for name in model.params:
         worst = max(
             worst,
-            ba.grad_check(model.graph, "loss", bind, name, training=True,
-                          rng=np.random.default_rng(16)),
+            ba.grad_check(model.graph, "loss", bind, name, rng=np.random.default_rng(16)),
         )
     return worst
 
@@ -197,7 +196,7 @@ def test_criterion_2_reversal_contract():
             g = ba.Graph()
             p = g.param("p", x0)
             g.set_output("loss", g.sum(sigmoid_node(g, mid(g, p))))
-            ba.forward(g)
+            ba.forward(g, training=True)
             return ba.backward(g, "loss")["p"]
 
         rev = trunk_grad(lambda g, p: grl_node(g, p, lam))

@@ -9,7 +9,7 @@ import pytest
 
 import binadapt as ba
 from binadapt import layers
-from binadapt.autodiff import CHECKPOINT_MAGIC, GraphError
+from binadapt.autodiff import CHECKPOINT_MAGIC, GraphError, NumericError
 from binadapt.layers import bce_node, conv_node, grl_node, relu_node, sigmoid_node
 
 from defaults import SAE, bindann, sae_cfg
@@ -45,7 +45,7 @@ def test_backward_sum_gives_ones():
     g = ba.Graph()
     p = g.param("p", [4.0, -1.0, 2.0])
     g.set_output("loss", g.sum(p))
-    ba.forward(g)
+    ba.forward(g, training=True)
     grads = ba.backward(g, "loss")
     assert list(grads) == ["p"]
     assert np.array_equal(grads["p"], [1.0, 1.0, 1.0])
@@ -55,7 +55,7 @@ def test_backward_through_reversal_flips_and_scales():
     g = ba.Graph()
     p = g.param("p", [3.0, 7.0])
     g.set_output("loss", g.sum(grl_node(g, p, 0.1)))
-    ba.forward(g)
+    ba.forward(g, training=True)
     assert np.array_equal(ba.backward(g, "loss")["p"], [-0.1, -0.1])
 
 
@@ -71,7 +71,7 @@ def test_backward_bce_sigmoid_conv_matches_finite_differences():
     g.set_output("loss", bce_node(g, pred, tn))
 
     bind = {"x": rng.normal(size=(1, 1, 4, 4)), "t": (rng.random((1, 1, 4, 4)) > 0.5).astype(float)}
-    ba.forward(g, bind)
+    ba.forward(g, bind, training=True)
     analytic = ba.backward(g, "loss")["w"]
 
     def eval_loss():
@@ -109,7 +109,7 @@ def test_gradient_accumulation_sums_both_paths():
     p = g.param("p", p0)
     two_path = g.add(sigmoid_node(g, p), relu_node(g, p))
     g.set_output("loss", g.sum(two_path))
-    ba.forward(g)
+    ba.forward(g, training=True)
     got = ba.backward(g, "loss")["p"]
     sig = 1.0 / (1.0 + np.exp(-p0))
     want = sig * (1.0 - sig) + (p0 > 0)
@@ -166,9 +166,9 @@ def test_backward_errors():
     g = ba.Graph()
     p = g.param("p", [1.0, 2.0])
     g.set_output("v", p)
-    with pytest.raises(GraphError, match="before forward"):
+    with pytest.raises(GraphError, match="before a training forward"):
         ba.backward(g, "v")
-    ba.forward(g)
+    ba.forward(g, training=True)
     with pytest.raises(GraphError, match="not scalar"):
         ba.backward(g, "v")
     with pytest.raises(GraphError, match="unknown output"):
@@ -191,7 +191,7 @@ def test_execution_plan_follows_the_graph_as_it_grows():
     runs = {}
     for run_between in (True, False):
         g = build(run_between)
-        out = ba.forward(g, bindings, wanted=("y", "s"))
+        out = ba.forward(g, bindings, wanted=("y", "s"), training=True)
         runs[run_between] = (out, g._run.order, g._run.input_needs, ba.backward(g, "s"))
     (out, order, needs, grads), (out0, order0, needs0, grads0) = runs[True], runs[False]
     assert out.keys() == out0.keys() and all(np.array_equal(out[k], out0[k]) for k in out)
@@ -204,11 +204,11 @@ def test_failed_forward_releases_the_previous_run():
     g = ba.Graph()
     p = g.param("p", [1.0, -2.0])
     g.set_output("loss", g.sum(g.add(g.input("x"), p)))
-    ba.forward(g, {"x": [3.0, 4.0]})
+    ba.forward(g, {"x": [3.0, 4.0]}, training=True)
     assert set(ba.backward(g, "loss")) == {"p"}
     with pytest.raises(GraphError, match="not bound"):
-        ba.forward(g, {})
-    with pytest.raises(GraphError, match="backward called before forward"):
+        ba.forward(g, {}, training=True)
+    with pytest.raises(GraphError, match="backward called before a training forward"):
         ba.backward(g, "loss")
 
 
@@ -218,7 +218,7 @@ def test_outputs_and_gradients_do_not_alias_params():
     g.set_output("y", grl_node(g, p, 1.0))
     g.set_output("loss", g.sum(grl_node(g, p, 1.0)))
     param = g.params["p"]
-    out = ba.forward(g)
+    out = ba.forward(g, training=True)
     grads = ba.backward(g, "loss")
     assert not np.shares_memory(out["y"], param)
     assert not np.shares_memory(grads["p"], param)
@@ -340,8 +340,7 @@ def test_grad_check_draws_the_first_forward_s_masks_for_every_evaluation():
     model = ba.build_sae(SAE, np.random.default_rng(0))
     source, _ = _dann_batches(4, 0)
     del source["domain_gt"]
-    assert ba.grad_check(model.graph, "loss", source, "out.b", training=True,
-                         rng=np.random.default_rng(1)) < 1e-4
+    assert ba.grad_check(model.graph, "loss", source, "out.b", rng=np.random.default_rng(1)) < 1e-4
 
 
 def test_a_replaced_record_dies_at_once_and_leaves_no_cycle():
@@ -377,55 +376,68 @@ def test_a_replaced_record_dies_at_once_and_leaves_no_cycle():
 # ---------------------------------------------------------------------------
 # what a record keeps
 
-_RECORDS = [(kind, training) for kind in ("sae", "bindann") for training in (True, False)]
+_KINDS = ("sae", "bindann")
 
 
-def _forward(kind, training, wanted=None):
-    """A model's graph after one forward on a batch of 2 patches, and that
-    forward as a callable returning its outputs."""
+def _forward(kind, wanted=None):
+    """A model's graph and a forward on it of a batch of 2 patches, a callable
+    taking ``training`` and returning the outputs."""
     graph = (ba.build_sae(SAE, np.random.default_rng(0)) if kind == "sae" else bindann()).graph
     source, _ = _dann_batches(2, 0)
     if kind == "sae":
         del source["domain_gt"]
 
-    def run(record=True):
+    def run(training=True):
         return ba.forward(graph, source, wanted=wanted, training=training,
-                          rng=np.random.default_rng(1), record=record)
+                          rng=np.random.default_rng(1))
 
-    run()
     return graph, run
 
 
 def test_a_record_holds_the_values_of_only_the_parameters_and_the_outputs():
-    for (kind, training), wanted in [(r, w) for r in _RECORDS for w in (None, ("prob_map",))]:
-        graph, _ = _forward(kind, training, wanted)
+    for kind, wanted in [(k, w) for k in _KINDS for w in (None, ("prob_map",))]:
+        graph, forward = _forward(kind, wanted)
+        forward()
         run = graph._run
         kept = set(graph.param_ids.values()) | set(graph.outputs.values())
-        assert run.values.keys() == kept & set(run.order), (kind, training, wanted)
+        assert run.values.keys() == kept & set(run.order), (kind, wanted)
         assert run.saved.keys() == {nid for nid in run.order if graph.nodes[nid].inputs}
 
 
 def test_a_backward_consumes_its_record():
-    for kind, training in _RECORDS:
-        graph, forward = _forward(kind, training)
+    for kind in _KINDS:
+        graph, forward = _forward(kind)
         for loss in ("bin_loss", "loss"):  # through part of the record, and through all of it
             forward()
             assert set(ba.backward(graph, loss))
             assert graph._run is None
-            with pytest.raises(GraphError, match="each forward serves one backward"):
+            with pytest.raises(GraphError, match="each serves one backward"):
                 ba.backward(graph, loss)
 
 
 def test_a_record_free_forward_keeps_nothing_and_a_backward_after_it_says_so():
-    for kind, training in _RECORDS:
-        graph, forward = _forward(kind, training)
-        recorded = forward()
-        free = forward(record=False)  # also releases the record before it
+    for kind in _KINDS:
+        graph, forward = _forward(kind)
+        first = forward(training=False)
         assert graph._run is None
-        assert free.keys() == recorded.keys()
-        assert all(free[k].tobytes() == recorded[k].tobytes() for k in free)
-        with pytest.raises(GraphError, match="record=False"):
+        forward()
+        after = forward(training=False)  # also releases the training forward's record
+        assert graph._run is None
+        assert after.keys() == first.keys()
+        assert all(after[k].tobytes() == first[k].tobytes() for k in after)
+        with pytest.raises(GraphError, match="before a training forward"):
             ba.backward(graph, "loss")
+
+
+def test_a_forward_whose_outputs_are_not_finite_keeps_no_record():
+    g = ba.Graph()
+    p = g.param("p", [1e308])
+    g.set_output("loss", g.sum(g.add(g.input("x"), p)))  # 2e308 overflows to inf
+    with pytest.raises(NumericError, match="non-finite"):
+        ba.forward(g, {"x": [1e308]}, training=True)
+    assert g._run is None
+    with pytest.raises(GraphError, match="before a training forward"):
+        ba.backward(g, "loss")
 
 
 def test_a_bindann_step_s_traced_peak_stays_under_its_bound():
@@ -461,7 +473,7 @@ def test_an_inference_forward_s_traced_peak_stays_under_its_bound():
     x = np.random.default_rng(1).random((16, 1, *SAE.patch))
 
     def infer():
-        ba.forward(graph, {"x": x}, wanted=("prob_map",), record=False)
+        ba.forward(graph, {"x": x}, wanted=("prob_map",))
 
     infer()  # plans and memos
     tracemalloc.start()

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import binadapt as ba
-from binadapt import cli, similarity
+from binadapt import cli, layers, similarity
 from binadapt.autodiff import CHECKPOINT_MAGIC
 from binadapt.cli import ConfigError, main, parse_config
 from binadapt.data import synthetic_domain_pairs, write_pgm, write_synthetic_dirs
@@ -195,6 +195,36 @@ def test_exit_3_on_malformed_checkpoint(case, tmp_path, capsys):
     assert code == 3
     assert "error: io:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_exit_6_on_an_op_that_runs_out_of_memory(tmp_path, monkeypatch, capsys):
+    # raised inside a conv's forward, it keeps its category instead of
+    # becoming a graph error, which would exit 2
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 8.00 TiB for the grid")
+
+    monkeypatch.setattr(layers, "_grid", out_of_memory)
+    (tmp_path / "ok.ckpt").write_bytes(_checkpoint(_header()))
+    (tmp_path / "page.pgm").write_bytes(ba.write_pgm(np.full((6, 5), 0.5)))
+    code = main(["predict", "--checkpoint", str(tmp_path / "ok.ckpt"),
+                 "--input", str(tmp_path / "page.pgm"), "--out", str(tmp_path / "out")])
+    assert code == 6
+    err = capsys.readouterr().err
+    assert err == "error: memory: Unable to allocate 8.00 TiB for the grid\n", err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train-sae", "predict", "similarity", "run", "synth"])
+def test_every_command_checks_its_output_directory_before_reading(command, tmp_path, capsys):
+    # nothing named exists: a command reading its inputs first would exit 3
+    missing = tmp_path / "nowhere"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"source_dir = {missing}\ntarget_dir = {missing}\n")
+    extra = {"predict": ["--checkpoint", str(missing), "--input", str(missing)],
+             "similarity": ["--checkpoint", str(missing)]}.get(command, [])
+    assert main([command, "--config", str(cfg), *extra]) == 2
+    assert capsys.readouterr().err == "error: config: no output directory (set out_dir or pass --out)\n"
+    assert os.listdir(tmp_path) == ["exp.cfg"]
 
 
 def test_exit_3_on_oversized_p2_header(tmp_path, capsys):

@@ -318,7 +318,7 @@ def test_real_shape_gradients_match_finite_differences(name):
     node = conv_node if kind == "conv2d" else tconv_node
     y = node(g, g.param("x", x), g.param("w", w), g.param("b", b), spec)
     g.set_output("loss", g.sum(sigmoid_node(g, y)))
-    ba.forward(g)
+    ba.forward(g, training=True)
     grads = ba.backward(g, "loss")
     for param in ("x", "w"):
         flat = g.params[param].reshape(-1)
@@ -420,13 +420,17 @@ def _tiny_bindann():
 def test_backward_reuses_the_grids_of_a_training_forward():
     model, bindings = _tiny_bindann()
     graph = model.graph
-    grads = {}
-    for training in (True, False):  # with dropout off the two passes compute the same
-        ba.forward(graph, bindings, training=training, rng=np.random.default_rng(2))
-        grads[training] = ba.backward(graph, "loss")
-    assert set(grads[True]) == set(graph.params)
+    outs, grads = [], []
+    for _ in range(2):  # an inference forward between two steps changes neither
+        outs.append(ba.forward(graph, bindings, training=True, rng=np.random.default_rng(2)))
+        grads.append(ba.backward(graph, "loss"))
+        # with dropout off it computes what the training forward did, keeping no grid
+        infer = ba.forward(graph, bindings)
+        assert graph._run is None
+        assert all(infer[k].tobytes() == outs[-1][k].tobytes() for k in infer)
+    assert set(grads[0]) == set(graph.params)
     for name in graph.params:
-        np.testing.assert_array_equal(grads[True][name], grads[False][name])
+        np.testing.assert_array_equal(grads[0][name], grads[1][name])
 
 
 def test_conv_weights_pass_grad_check_through_kept_grids():
@@ -438,8 +442,7 @@ def test_conv_weights_pass_grad_check_through_kept_grids():
         # the reversal flips the domain loss's gradient into the trunk, so each
         # weight is checked on the one loss it truly descends
         loss = "domain_loss" if name.startswith("dom_") else "bin_loss"
-        assert ba.grad_check(model.graph, loss, bindings, name, training=True,
-                             rng=np.random.default_rng(3)) < 1e-4
+        assert ba.grad_check(model.graph, loss, bindings, name, rng=np.random.default_rng(3)) < 1e-4
 
 
 def test_one_grid_per_operand_per_training_step(monkeypatch):
@@ -519,7 +522,7 @@ def test_sigmoid_gradient_at_zero_via_backward():
     g = ba.Graph()
     p = g.param("p", [0.0])
     g.set_output("loss", g.sum(sigmoid_node(g, p)))
-    ba.forward(g)
+    ba.forward(g, training=True)
     assert ba.backward(g, "loss")["p"][0] == pytest.approx(0.25, abs=1e-15)
 
 
@@ -580,7 +583,7 @@ def test_reversal_backward_definition():
     g = ba.Graph()
     p = g.param("p", [1.0, 1.0])
     g.set_output("loss", g.sum(grl_node(g, p, 0.5)))
-    ba.forward(g)
+    ba.forward(g, training=True)
     np.testing.assert_array_equal(ba.backward(g, "loss")["p"], [-0.5, -0.5])
 
 
@@ -600,7 +603,7 @@ def test_reversal_backward_equals_minus_lambda_times_identity_backward():
             g = ba.Graph()
             p = g.param("p", x0)
             g.set_output("loss", g.sum(sigmoid_node(g, build_mid(g, p))))
-            ba.forward(g)
+            ba.forward(g, training=True)
             return ba.backward(g, "loss")["p"]
 
         g_rev = grad_of(lambda g, p: grl_node(g, p, lam))
@@ -687,7 +690,7 @@ def test_dropout_gradient_with_frozen_mask():
         g = ba.Graph()
         p = g.param("p", rng.normal(size=(4, 4)))
         g.set_output("loss", g.sum(sigmoid_node(g, dropout_node(g, p, 0.4))))
-        err = ba.grad_check(g, "loss", {}, "p", training=True, rng=np.random.default_rng(7))
+        err = ba.grad_check(g, "loss", {}, "p", rng=np.random.default_rng(7))
         assert err < 1e-4
 
 
@@ -699,7 +702,7 @@ def test_reversal_gradient_against_scaled_finite_differences():
     g = ba.Graph()
     p = g.param("p", rng.normal(size=(3, 3)))
     g.set_output("loss", g.sum(sigmoid_node(g, grl_node(g, p, lam))))
-    ba.forward(g)
+    ba.forward(g, training=True)
     analytic = ba.backward(g, "loss")["p"]
 
     def eval_loss():

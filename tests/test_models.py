@@ -43,7 +43,8 @@ def test_desk_scale_restores_shape():
 def test_full_scale_shape_and_bottleneck():
     cfg = sae_cfg(depth=6, filters=64, patch=(256, 256))
     model = ba.build_sae(cfg, np.random.default_rng(0))
-    out = ba.forward(model.graph, {"x": np.zeros((1, 1, 256, 256))}, wanted=("prob_map",))
+    out = ba.forward(model.graph, {"x": np.zeros((1, 1, 256, 256))}, wanted=("prob_map",),
+                     training=True, rng=np.random.default_rng(1))
     assert out["prob_map"].shape == (1, 1, 256, 256)
     # bottleneck = output of the last encoder block, the input the first
     # decoder block saves: 256 / 2^6 = 4
@@ -139,7 +140,7 @@ def test_prediction_leaves_no_record_or_buffers_on_the_model():
     model = ba.build_sae(SAE, np.random.default_rng(3))
     ba.predict_prob_map(model, _levels((50, 70), 4))
     assert model.graph._run is None
-    with pytest.raises(GraphError, match="record=False"):
+    with pytest.raises(GraphError, match="before a training forward"):
         ba.backward(model.graph, "loss")
 
 

@@ -11,11 +11,13 @@ of B patches, as ``binadapt`` training steps: the SAE's forward and backward
 on ``loss``; for Bin-DANN that source pass plus the target pass on
 ``domain_loss``, the two passes' gradients summed; then one Adam update.
 The ``infer`` step is the SAE's inference forward on ``prob_map`` alone, as
-page prediction runs it, on a batch of the same size: record-free where the
-tree's ``forward`` takes ``record``. After one warm-up step it times
-``--steps`` steps, then runs one more under ``tracemalloc``, whose peak is
-the most memory the step's own allocations held at once. It prints each
-step's traced peak and median time, the last line as JSON.
+page prediction runs it, on a batch of the same size. Where the tree's
+``forward`` takes ``record`` it passes ``record=False``; on trees without
+it every inference forward is record-free, except on trees older than
+record-free forwards, where every forward keeps one. After one warm-up
+step it times ``--steps`` steps, then runs one more under ``tracemalloc``,
+whose peak is the most memory the step's own allocations held at once. It
+prints each step's traced peak and median time, the last line as JSON.
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ def train_step(model, opt, seed):
     ba.optimizer_step(opt, model.params, grads)
 
 
-# trees older than record-free forwards keep a record on every forward
+# a tree taking record keeps one unless told not to; on the others an
+# inference forward keeps what that tree's prediction kept
 unrecorded = {"record": False} if "record" in inspect.signature(ba.forward).parameters else {}
 
 
