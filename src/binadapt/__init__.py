@@ -8,7 +8,6 @@ that decides per target domain whether adaptation is worth applying.
 __version__ = "0.1.0"
 
 from .autodiff import (
-    CheckpointError,
     Graph,
     GraphError,
     NumericError,
@@ -17,8 +16,6 @@ from .autodiff import (
     forward,
     grad_check,
     optimizer_step,
-    read_checkpoint,
-    write_checkpoint,
 )
 from .data import (
     DataError,
@@ -35,13 +32,17 @@ from .data import (
 from .layers import ConvSpec, grl_lambda_at
 from .metrics import Confusion, confusion, f1, precision, recall
 from .models import (
+    CheckpointError,
     Model,
     SaeConfig,
+    TrainedBinarizer,
     build_bindann,
     build_sae,
-    load_model,
+    load_binarizer,
     predict_prob_map,
-    save_model,
+    read_checkpoint,
+    save_binarizer,
+    write_checkpoint,
 )
 from .similarity import (
     USE_DA,
@@ -60,10 +61,7 @@ from .similarity import (
 )
 from .training import (
     ExperimentConfig,
-    TrainedBinarizer,
     binarize,
-    load_binarizer,
-    save_binarizer,
     sweep_threshold,
     train_bindann,
     train_sae,

@@ -8,6 +8,7 @@ accumulates gradients by the chain rule, including the sign-flipped path of
 the gradient-reversal layer. Parameters, outputs and gradients are plain float64
 ``np.ndarray``s. Outputs are addressed by the names given to
 ``Graph.set_output``. Everything is bit-deterministic for a fixed seed.
+The module holds the engine and Adam only; ``models`` owns the checkpoint file.
 
 Who owns which array:
 
@@ -30,15 +31,12 @@ from __future__ import annotations
 
 import copy
 import ctypes
-import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
     "GraphError",
-    "CheckpointError",
     "NumericError",
     "Node",
     "Graph",
@@ -48,19 +46,12 @@ __all__ = [
     "OptimizerState",
     "adam",
     "optimizer_step",
-    "CHECKPOINT_MAGIC",
-    "write_checkpoint",
-    "read_checkpoint",
     "register_op",
 ]
 
 
 class GraphError(ValueError):
     """A graph was built or executed against its contracts."""
-
-
-class CheckpointError(GraphError):
-    """Checkpoint bytes that do not decode to the model they claim to hold."""
 
 
 class NumericError(GraphError):
@@ -453,62 +444,3 @@ def optimizer_step(state: OptimizerState, params: dict, grads: dict) -> dict:
         vhat = v / (1.0 - _BETA2 ** t)
         p -= state.lr * mhat / (np.sqrt(vhat) + _EPS)
     return params
-
-
-# ---------------------------------------------------------------------------
-# parameter checkpoints
-#
-# Layout: the magic string, then one record per parameter:
-#   u32 name length, UTF-8 name bytes, u32 rank, rank x u32 dims,
-#   prod(dims) x little-endian float64 values.
-
-CHECKPOINT_MAGIC = b"BINADAPT1"
-_MAX_RANK = 32  # the smallest ndarray rank limit across numpy 1.x and 2.x
-
-
-def write_checkpoint(params: dict) -> bytes:
-    chunks = [CHECKPOINT_MAGIC]
-    for name, value in params.items():
-        arr = _f64(value)
-        nb = name.encode("utf-8")
-        chunks.append(struct.pack("<I", len(nb)))
-        chunks.append(nb)
-        chunks.append(struct.pack("<I", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        chunks.append(arr.astype("<f8", copy=False).tobytes(order="C"))
-    return b"".join(chunks)
-
-
-def read_checkpoint(data: bytes) -> dict:
-    """Parse checkpoint bytes into an ordered name -> ndarray map (bit-exact);
-    a name may name one record only."""
-    if data[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise CheckpointError("bad checkpoint magic")
-    pos = len(CHECKPOINT_MAGIC)
-    out = {}
-
-    def take(n, what):
-        nonlocal pos
-        if pos + n > len(data):
-            raise CheckpointError(f"truncated checkpoint while reading {what} at byte {pos}")
-        piece = data[pos : pos + n]
-        pos += n
-        return piece
-
-    while pos < len(data):
-        (nlen,) = struct.unpack("<I", take(4, "name length"))
-        start = pos
-        try:
-            name = take(nlen, "name").decode("utf-8")
-        except UnicodeDecodeError:
-            raise CheckpointError(f"parameter name at byte {start} is not UTF-8") from None
-        if name in out:
-            raise CheckpointError(f"record {name!r} at byte {start - 4} repeats an earlier record")
-        (rank,) = struct.unpack("<I", take(4, "rank"))
-        if rank > _MAX_RANK:
-            raise CheckpointError(f"rank {rank} of {name!r} at byte {pos - 4} exceeds {_MAX_RANK}")
-        dims = struct.unpack(f"<{rank}I", take(4 * rank, "dims"))
-        # Python ints: a product of u32 dims must not wrap around
-        raw = take(8 * math.prod(dims), f"values of {name!r}")
-        out[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(dims)
-    return out

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .autodiff import CheckpointError, NumericError
+from .autodiff import NumericError
 from .data import (
     DataError,
     PgmError,
@@ -30,16 +30,9 @@ from .data import (
     write_synthetic_dirs,
 )
 from .metrics import Confusion, confusion, f1, precision, recall
-from .models import predict_prob_map
+from .models import CheckpointError, load_binarizer, predict_prob_map, save_binarizer
 from .similarity import autobindann, gate, histogram_csv
-from .training import (
-    ExperimentConfig,
-    binarize,
-    history_csv,
-    load_binarizer,
-    save_binarizer,
-    train_sae,
-)
+from .training import ExperimentConfig, binarize, history_csv, train_sae
 
 __all__ = ["ConfigError", "parse_config", "main"]
 
@@ -89,7 +82,7 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _write_manifest(out: Path, command, cfg, extra=None):
+def _write_manifest(out: Path, command, cfg, results):
     manifest = {
         "command": command,
         "config": cfg.as_dict(),
@@ -97,7 +90,7 @@ def _write_manifest(out: Path, command, cfg, extra=None):
         "seed": cfg.seed,
         "versions": {"binadapt": __version__, "numpy": np.__version__},
     }
-    manifest.update(extra or {})
+    manifest.update(results)
     (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 

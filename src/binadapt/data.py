@@ -109,7 +109,8 @@ class PageRecord:
 @dataclass(frozen=True)
 class Dataset:
     """A source (labeled) or target (unlabeled) collection of ``uint8`` pages, frozen,
-    its records a tuple of frozen records, so the checks construction makes hold for its life."""
+    its records a tuple of frozen records, so the checks construction makes hold for its life:
+    a source page's mask is boolean (else a ``ValueError``) and the page's size (a ``DataError``)."""
 
     role: str  # "source" | "target"
     records: tuple = ()
@@ -124,6 +125,11 @@ class Dataset:
                 raise ValueError(f"source page {rec.stem!r} has no ground truth")
             if self.role == "target" and rec.gt is not None:
                 raise ValueError(f"target page {rec.stem!r} carries ground truth")
+            if rec.gt is not None:  # a source's mask
+                gt = np.asarray(rec.gt)
+                if gt.dtype != bool:
+                    raise ValueError(f"source page {rec.stem!r}: expected a boolean mask, got {gt.dtype}")
+                _check_gt_size(rec.stem, gt, rec.page)
 
     def train(self):
         return [r for r in self.records if r.split == "train"]
@@ -333,8 +339,6 @@ def load_dataset(directory, role, validation_fraction, seed) -> Dataset:
     for path in image_paths:
         page = read_pgm(path.read_bytes()).levels
         gt = _read_gt(root / "gt" / path.name) if role == "source" else None
-        if gt is not None:
-            _check_gt_size(path.stem, gt, page)
         pages.append((path.stem, page, gt))
     return _dataset(role, pages, validation_fraction, seed)
 

@@ -14,6 +14,10 @@ trunk tail (last decoder block + output conv) with its own parameters, so
 both branches carry the same number of weights. Both models are described by
 one ``SaeConfig``; the reversal coefficient is not part of the model but set
 on it with ``Model.set_grl``, as training does from its schedule.
+
+A checkpoint is a trained binarizer, a model plus its threshold: this module
+alone knows the file, writing it with ``save_binarizer`` and reading and
+checking it with ``load_binarizer``.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import math
 import mmap
 import os
 import signal
+import struct
 import threading
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -30,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff
-from .autodiff import CheckpointError, Graph, GraphError, read_checkpoint, write_checkpoint
+from .autodiff import Graph, GraphError
 from .data import check_levels, gather_patches, unit_floats
 from .layers import (
     ConvSpec,
@@ -47,11 +52,16 @@ from .layers import (
 __all__ = [
     "SaeConfig",
     "Model",
+    "TrainedBinarizer",
+    "CheckpointError",
     "build_sae",
     "build_bindann",
     "predict_prob_map",
-    "save_model",
-    "load_model",
+    "CHECKPOINT_MAGIC",
+    "write_checkpoint",
+    "read_checkpoint",
+    "save_binarizer",
+    "load_binarizer",
 ]
 
 
@@ -59,6 +69,10 @@ __all__ = [
 # up to whole patches, so an unbounded side in a checkpoint header could ask
 # for any amount of memory before a single pixel is read.
 _MAX_PATCH_SIDE = 1024
+
+
+class CheckpointError(GraphError):
+    """Checkpoint bytes that do not decode to the binarizer they claim to hold."""
 
 
 @dataclass(frozen=True)
@@ -109,6 +123,15 @@ class Model:
         for node in self.graph.nodes:
             if node.kind == "grl":
                 node.attrs["lam"] = lam
+
+
+@dataclass
+class TrainedBinarizer:
+    """Best-epoch model plus its swept threshold and the training history."""
+
+    model: Model
+    th_s: float
+    history: list
 
 
 def _conv_params(g, name, shape, c_in, c_out, rng):
@@ -290,18 +313,67 @@ def predict_prob_map(model: Model, page) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: core format with a leading "__config__" record carrying the
-# build header as f64-encoded JSON bytes
+# checkpoints
+#
+# Layout: the magic string, then one record per parameter:
+#   u32 name length, UTF-8 name bytes, u32 rank, rank x u32 dims,
+#   prod(dims) x little-endian float64 values.
+# A binarizer's file leads with a "__config__" record carrying its header as
+# f64-encoded JSON bytes: the model kind, its config and the threshold.
 
+CHECKPOINT_MAGIC = b"BINADAPT1"
+_MAX_RANK = 32  # the smallest ndarray rank limit across numpy 1.x and 2.x
 _HEADER_KEY = "__config__"
 # header fields every SAE holds: grayscale pages, the blocks' kernel and stride
 _FIXED_FIELDS = {"channels": 1, "kernel": [3, 3], "stride": [2, 2]}
 
 
-def _config_dict(model: Model):
-    """The header's config: the SAE fields, nested under ``"sae"`` for a Bin-DANN."""
-    d = dict(asdict(model.config), **_FIXED_FIELDS)  # tuples serialize as JSON lists
-    return d if model.kind == "sae" else {"sae": d}
+def write_checkpoint(params: dict) -> bytes:
+    chunks = [CHECKPOINT_MAGIC]
+    for name, value in params.items():
+        arr = np.asarray(value, dtype="<f8")
+        nb = name.encode("utf-8")
+        chunks.append(struct.pack("<I", len(nb)))
+        chunks.append(nb)
+        chunks.append(struct.pack("<I", arr.ndim))
+        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
+        chunks.append(arr.tobytes())
+    return b"".join(chunks)
+
+
+def read_checkpoint(data: bytes) -> dict:
+    """Parse checkpoint bytes into an ordered name -> ndarray map (bit-exact);
+    a name may name one record only."""
+    if data[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+        raise CheckpointError("bad checkpoint magic")
+    pos = len(CHECKPOINT_MAGIC)
+    out = {}
+
+    def take(n, what):
+        nonlocal pos
+        if pos + n > len(data):
+            raise CheckpointError(f"truncated checkpoint while reading {what} at byte {pos}")
+        piece = data[pos : pos + n]
+        pos += n
+        return piece
+
+    while pos < len(data):
+        (nlen,) = struct.unpack("<I", take(4, "name length"))
+        start = pos
+        try:
+            name = take(nlen, "name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"parameter name at byte {start} is not UTF-8") from None
+        if name in out:
+            raise CheckpointError(f"record {name!r} at byte {start - 4} repeats an earlier record")
+        (rank,) = struct.unpack("<I", take(4, "rank"))
+        if rank > _MAX_RANK:
+            raise CheckpointError(f"rank {rank} of {name!r} at byte {pos - 4} exceeds {_MAX_RANK}")
+        dims = struct.unpack(f"<{rank}I", take(4 * rank, "dims"))
+        # Python ints: a product of u32 dims must not wrap around
+        raw = take(8 * math.prod(dims), f"values of {name!r}")
+        out[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(dims)
+    return out
 
 
 def _config_from_dict(kind, d, stored):
@@ -320,22 +392,23 @@ def _config_from_dict(kind, d, stored):
                      patch=tuple(sd["patch"]))
 
 
-def save_model(path, model: Model, extra=None):
-    """Write the parameter checkpoint with a header record holding the config
-    (plus any extra JSON-serializable fields, e.g. a decision threshold)."""
-    header = {"kind": model.kind, "config": _config_dict(model)}
-    header.update(extra or {})
+def save_binarizer(path, tb: TrainedBinarizer):
+    """Write the model's parameters after a header holding its kind, its config
+    (the SAE fields, nested under ``"sae"`` for a Bin-DANN) and the threshold."""
+    sae = dict(asdict(tb.model.config), **_FIXED_FIELDS)  # tuples serialize as JSON lists
+    header = {"config": sae if tb.model.kind == "sae" else {"sae": sae},
+              "kind": tb.model.kind, "th_s": tb.th_s}
     raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     records = {_HEADER_KEY: np.frombuffer(raw, dtype=np.uint8).astype(np.float64)}
-    records.update(model.params)
+    records.update(tb.model.params)
     Path(path).write_bytes(write_checkpoint(records))
 
 
-def load_model(path):
-    """Rebuild a model from a checkpoint; returns (model, extra header fields).
+def load_binarizer(path) -> TrainedBinarizer:
+    """Rebuild a trained binarizer, its history empty, from a checkpoint.
 
     A file that does not describe a buildable model holding exactly the stored
-    parameters raises ``CheckpointError``.
+    parameters and a float threshold in (0, 1) raises ``CheckpointError``.
     """
     records = read_checkpoint(Path(path).read_bytes())
     if _HEADER_KEY not in records:
@@ -349,10 +422,10 @@ def load_model(path):
         raise CheckpointError(f"checkpoint {path}: undecodable config header: {exc}") from None
     if not isinstance(header, dict) or header.get("kind") not in ("sae", "bindann"):
         raise CheckpointError(f"checkpoint {path}: config header names no known model kind")
-    kind = header.pop("kind")
+    kind = header["kind"]
     try:
         stored = sum(arr.size for arr in records.values())
-        config = _config_from_dict(kind, header.pop("config"), stored)
+        config = _config_from_dict(kind, header["config"], stored)
         builder = build_sae if kind == "sae" else build_bindann
         model = builder(config, np.random.default_rng(0))
     except KeyError as exc:
@@ -371,4 +444,7 @@ def load_model(path):
         if not np.all(np.isfinite(arr)):
             raise CheckpointError(f"parameter {name!r} has non-finite values")
         model.params[name] = arr
-    return model, header
+    th = header.get("th_s")
+    if not isinstance(th, float) or not 0.0 < th < 1.0:
+        raise CheckpointError(f"checkpoint {path} stores no threshold in (0, 1)")
+    return TrainedBinarizer(model=model, th_s=th, history=[])

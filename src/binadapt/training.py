@@ -18,19 +18,19 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .autodiff import CheckpointError, adam, backward, forward, optimizer_step
+from .autodiff import adam, backward, forward, optimizer_step
 from .data import (VALIDATION_FRACTION, DataError, Dataset, check_validation_fraction,
                    gather_patches, unit_floats)
 from .layers import grl_lambda_at
 from .metrics import Confusion, confusion, f1
 from .models import (
-    Model,
     SaeConfig,
+    TrainedBinarizer,
     build_bindann,
     build_sae,
-    load_model,
+    load_binarizer,
     predict_prob_map,
-    save_model,
+    save_binarizer,
 )
 
 __all__ = [
@@ -131,15 +131,6 @@ class EpochStats:
     lam: float | None
     val_f1: float
     th_s: float
-
-
-@dataclass
-class TrainedBinarizer:
-    """Best-epoch model plus its swept threshold and the training history."""
-
-    model: Model
-    th_s: float
-    history: list
 
 
 def binarize(prob_map, th) -> np.ndarray:
@@ -320,14 +311,3 @@ def history_csv(history) -> str:
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
-
-def save_binarizer(path, tb: TrainedBinarizer):
-    save_model(path, tb.model, extra={"th_s": tb.th_s})
-
-
-def load_binarizer(path) -> TrainedBinarizer:
-    model, extra = load_model(path)
-    th = extra.get("th_s")
-    if not isinstance(th, float) or not 0.0 < th < 1.0:
-        raise CheckpointError(f"checkpoint {path} stores no threshold in (0, 1)")
-    return TrainedBinarizer(model=model, th_s=th, history=[])

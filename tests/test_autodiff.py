@@ -1,4 +1,4 @@
-"""Engine-level contracts: forward/backward, grad_check, op arrays, optimizers, checkpoints."""
+"""Engine-level contracts: forward/backward, grad_check, op arrays, optimizers."""
 
 import gc
 import tracemalloc
@@ -9,7 +9,7 @@ import pytest
 
 import binadapt as ba
 from binadapt import layers
-from binadapt.autodiff import CHECKPOINT_MAGIC, GraphError, NumericError
+from binadapt.autodiff import GraphError, NumericError
 from binadapt.layers import bce_node, conv_node, grl_node, relu_node, sigmoid_node
 
 from defaults import SAE, bindann, sae_cfg
@@ -512,37 +512,3 @@ def test_optimizer_shape_mismatch_errors():
     with pytest.raises(GraphError, match="shape"):
         ba.optimizer_step(state, {"p": np.array([1.0])}, {"p": np.zeros(2)})
 
-
-# ---------------------------------------------------------------------------
-# checkpoints
-
-def test_checkpoint_roundtrip_is_bit_exact():
-    rng = np.random.default_rng(2)
-    params = {
-        "enc.w": rng.normal(size=(4, 3, 3, 3)),
-        "enc.b": rng.normal(size=(4,)),
-        "odd/name with spaces": rng.normal(size=(2, 5)),
-    }
-    blob = ba.write_checkpoint(params)
-    assert blob.startswith(b"BINADAPT1")
-    back = ba.read_checkpoint(blob)
-    assert list(back) == list(params)
-    for name in params:
-        assert back[name].tobytes() == params[name].tobytes()
-        assert back[name].shape == params[name].shape
-
-
-def test_checkpoint_bad_magic_and_truncation():
-    with pytest.raises(GraphError, match="magic"):
-        ba.read_checkpoint(b"NOTMAGIC!")
-    blob = ba.write_checkpoint({"p": np.ones(3)})
-    with pytest.raises(GraphError, match="truncated"):
-        ba.read_checkpoint(blob[:-4])
-
-
-def test_checkpoint_rejects_a_repeated_record():
-    # the second record would otherwise replace the first one's values
-    blob = ba.write_checkpoint({"p": np.ones(3), "q": np.zeros(2)})
-    again = ba.write_checkpoint({"p": np.full(3, 7.0)})[len(CHECKPOINT_MAGIC):]
-    with pytest.raises(ba.CheckpointError, match=rf"record 'p' at byte {len(blob)} repeats"):
-        ba.read_checkpoint(blob + again)

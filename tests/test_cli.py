@@ -12,9 +12,9 @@ import pytest
 
 import binadapt as ba
 from binadapt import cli, layers, similarity
-from binadapt.autodiff import CHECKPOINT_MAGIC
 from binadapt.cli import ConfigError, main, parse_config
 from binadapt.data import synthetic_domain_pairs, write_pgm, write_synthetic_dirs
+from binadapt.models import CHECKPOINT_MAGIC
 
 from defaults import SAE, sae_cfg
 
@@ -138,14 +138,14 @@ def _header(**fields):
 
 def _truncated_real_checkpoint(tmp_path):
     model = ba.build_sae(SAE, np.random.default_rng(0))
-    ba.save_model(tmp_path / "full.ckpt", model, extra={"th_s": 0.5})
+    ba.save_binarizer(tmp_path / "full.ckpt", ba.TrainedBinarizer(model, 0.5, []))
     return (tmp_path / "full.ckpt").read_bytes()[:200]
 
 
 def _repeated_record_checkpoint(tmp_path):
     """A saved SAE with a second ``out.b`` record appended after the trained one."""
     model = ba.build_sae(SAE, np.random.default_rng(0))
-    ba.save_model(tmp_path / "full.ckpt", model, extra={"th_s": 0.5})
+    ba.save_binarizer(tmp_path / "full.ckpt", ba.TrainedBinarizer(model, 0.5, []))
     again = ba.write_checkpoint({"out.b": np.ones(1)})[len(CHECKPOINT_MAGIC):]
     return (tmp_path / "full.ckpt").read_bytes() + again
 
@@ -174,6 +174,10 @@ _MALFORMED = {
     # allocates, and a bool depth would load as depth 1
     "patch_float": lambda tmp: _checkpoint(_header(config=dict(_SMALL_SAE, patch=[8.0, 8.0]))),
     "depth_bool": lambda tmp: _checkpoint(_header(config=dict(_SMALL_SAE, depth=True))),
+    # a binarizer is a model and its threshold: no command can use a file without one
+    "no_threshold": lambda tmp: _checkpoint(_header(th_s=None)),
+    "threshold_out_of_range": lambda tmp: _checkpoint(_header(th_s=1.5)),
+    "threshold_not_a_number": lambda tmp: _checkpoint(_header(th_s="0.5")),
 }
 
 

@@ -13,6 +13,7 @@ import pytest
 import binadapt as ba
 from binadapt import autodiff, models
 from binadapt.autodiff import GraphError, NumericError
+from binadapt.models import CHECKPOINT_MAGIC
 
 from defaults import SAE, bindann, sae_cfg
 
@@ -354,14 +355,49 @@ def test_prediction_memory_is_about_one_page(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# checkpoints with config header
+# checkpoints
+
+def test_checkpoint_roundtrip_is_bit_exact():
+    rng = np.random.default_rng(2)
+    params = {
+        "enc.w": rng.normal(size=(4, 3, 3, 3)),
+        "enc.b": rng.normal(size=(4,)),
+        "odd/name with spaces": rng.normal(size=(2, 5)),
+    }
+    blob = ba.write_checkpoint(params)
+    assert blob.startswith(b"BINADAPT1")
+    back = ba.read_checkpoint(blob)
+    assert list(back) == list(params)
+    for name in params:
+        assert back[name].tobytes() == params[name].tobytes()
+        assert back[name].shape == params[name].shape
+
+
+def test_checkpoint_bad_magic_and_truncation():
+    with pytest.raises(GraphError, match="magic"):
+        ba.read_checkpoint(b"NOTMAGIC!")
+    blob = ba.write_checkpoint({"p": np.ones(3)})
+    with pytest.raises(GraphError, match="truncated"):
+        ba.read_checkpoint(blob[:-4])
+
+
+def test_checkpoint_rejects_a_repeated_record():
+    # the second record would otherwise replace the first one's values
+    blob = ba.write_checkpoint({"p": np.ones(3), "q": np.zeros(2)})
+    again = ba.write_checkpoint({"p": np.full(3, 7.0)})[len(CHECKPOINT_MAGIC):]
+    with pytest.raises(ba.CheckpointError, match=rf"record 'p' at byte {len(blob)} repeats"):
+        ba.read_checkpoint(blob + again)
+
+
+# a binarizer's file: the parameters after a config header
 
 def test_model_checkpoint_roundtrip(tmp_path):
     model = ba.build_sae(sae_cfg(depth=2, filters=4, patch=(16, 16)), np.random.default_rng(9))
     path = tmp_path / "sae.ckpt"
-    ba.save_model(path, model, extra={"th_s": 0.35})
-    back, extra = ba.load_model(path)
-    assert extra == {"th_s": 0.35}
+    ba.save_binarizer(path, ba.TrainedBinarizer(model, 0.35, []))
+    tb = ba.load_binarizer(path)
+    back = tb.model
+    assert tb.th_s == 0.35 and tb.history == []
     assert back.kind == "sae"
     assert back.config == model.config
     for name, value in model.params.items():
@@ -372,11 +408,12 @@ def test_model_checkpoint_roundtrip_adversarial(tmp_path):
     cfg = sae_cfg(depth=2, filters=4, patch=(16, 16))
     model = bindann(cfg, seed=9, lam=0.3)
     path = tmp_path / "dann.ckpt"
-    ba.save_model(path, model)
-    back, extra = ba.load_model(path)
+    ba.save_binarizer(path, ba.TrainedBinarizer(model, 0.65, []))
+    tb = ba.load_binarizer(path)
+    back = tb.model
     assert back.kind == "bindann"
     assert back.config == cfg
-    assert extra == {}
+    assert tb.th_s == 0.65
     x = np.random.default_rng(1).random((1, 1, 16, 16))
     np.testing.assert_array_equal(_forward_map(back, x), _forward_map(model, x))
 
@@ -384,7 +421,7 @@ def test_model_checkpoint_roundtrip_adversarial(tmp_path):
 def test_model_checkpoint_starts_with_core_magic(tmp_path):
     model = ba.build_sae(sae_cfg(depth=1, filters=2, patch=(4, 4)), np.random.default_rng(0))
     path = tmp_path / "m.ckpt"
-    ba.save_model(path, model)
+    ba.save_binarizer(path, ba.TrainedBinarizer(model, 0.5, []))
     assert path.read_bytes().startswith(b"BINADAPT1")
     # plain core reader sees the header as a leading "__config__" record
     records = ba.read_checkpoint(path.read_bytes())
@@ -401,7 +438,7 @@ def test_checkpoint_header_bytes_are_pinned(tmp_path):
         (bindann(), f'{{"config":{{"sae":{sae}}},"kind":"bindann","th_s":0.5}}'),
     ]
     for model, expected in cases:
-        ba.save_model(tmp_path / "m.ckpt", model, extra={"th_s": 0.5})
+        ba.save_binarizer(tmp_path / "m.ckpt", ba.TrainedBinarizer(model, 0.5, []))
         codes = ba.read_checkpoint((tmp_path / "m.ckpt").read_bytes())["__config__"]
         assert bytes(codes.astype(np.uint8)).decode("utf-8") == expected
 
@@ -414,8 +451,9 @@ def test_bindann_header_with_a_reversal_schedule_still_loads(tmp_path):
            b'"kind":"bindann","th_s":0.5}')
     records = {"__config__": np.frombuffer(old, np.uint8).astype(np.float64), **model.params}
     (tmp_path / "old.ckpt").write_bytes(ba.write_checkpoint(records))
-    back, extra = ba.load_model(tmp_path / "old.ckpt")
-    assert back.kind == "bindann" and back.config == SAE and extra == {"th_s": 0.5}
+    tb = ba.load_binarizer(tmp_path / "old.ckpt")
+    back = tb.model
+    assert back.kind == "bindann" and back.config == SAE and tb.th_s == 0.5
     for name, value in model.params.items():
         assert back.params[name].tobytes() == value.tobytes()
 
@@ -424,7 +462,7 @@ def test_checkpoint_reader_fuzz_prefixes_and_byte_flips(tmp_path):
     # every failure of a damaged file must surface as CheckpointError; any
     # other exception (struct.error, KeyError, reshape ValueError, ...) escapes
     model = ba.build_sae(sae_cfg(depth=1, filters=2, patch=(4, 4)), np.random.default_rng(0))
-    ba.save_model(tmp_path / "ok.ckpt", model, extra={"th_s": 0.45})
+    ba.save_binarizer(tmp_path / "ok.ckpt", ba.TrainedBinarizer(model, 0.45, []))
     blob = (tmp_path / "ok.ckpt").read_bytes()
     probe = tmp_path / "probe.ckpt"
     for n in range(len(blob)):

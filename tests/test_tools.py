@@ -53,10 +53,10 @@ def test_checkpoints_that_differ_only_in_their_header_are_told_apart(tmp_path):
     a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
     for root in (a, b, c):
         root.mkdir()
-    ba.save_model(a / "m.ckpt", model, extra={"th_s": 0.25})
-    ba.save_model(b / "m.ckpt", model, extra={"th_s": 0.5})
+    ba.save_binarizer(a / "m.ckpt", ba.TrainedBinarizer(model, 0.25, []))
+    ba.save_binarizer(b / "m.ckpt", ba.TrainedBinarizer(model, 0.5, []))
     model.params["out.b"] = model.params["out.b"] + 1.0
-    ba.save_model(c / "m.ckpt", model, extra={"th_s": 0.25})
+    ba.save_binarizer(c / "m.ckpt", ba.TrainedBinarizer(model, 0.25, []))
     (c / "m.txt").write_bytes(b"x")
     (b / "m.txt").write_bytes(b"y")
     assert tool.checkpoint_difference(a / "m.ckpt", b / "m.ckpt") == "header only"

@@ -11,7 +11,7 @@ import pytest
 
 import binadapt as ba
 from binadapt import training
-from binadapt.data import Dataset, PageRecord
+from binadapt.data import DataError, Dataset, PageRecord
 from binadapt.training import history_csv
 
 from reference import padded_split_patches
@@ -174,6 +174,20 @@ def test_a_dataset_refuses_a_page_that_is_not_levels(role):
                 f"{role} page 'page00': expected a 2-D page of uint8 levels, "
                 f"got {page.dtype} of shape {page.shape}")):
             Dataset(role, [replace(rec, page=page)])
+
+
+def test_a_source_refuses_a_mask_of_another_size_or_dtype():
+    # a smaller mask once trained silently on labels cut from its replicated
+    # edge, or failed with a bare IndexError from the batch cutter
+    rng = np.random.default_rng(0)
+    rec = _ragged_record(rng, "p", (64, 64), "train")
+    for shape in ((40, 40), (10, 7)):
+        with pytest.raises(DataError, match=re.escape(
+                f"page 'p': gt size {shape} != image size (64, 64)")):
+            Dataset("source", [replace(rec, gt=np.zeros(shape, bool))])
+    with pytest.raises(ValueError, match="source page 'p': expected a boolean mask, got uint8"):
+        Dataset("source", [replace(rec, gt=rec.gt.astype(np.uint8))])
+    assert Dataset("source", [rec]).records == (rec,)
 
 
 def test_a_dataset_keeps_the_pages_it_checked():

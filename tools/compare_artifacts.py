@@ -51,7 +51,7 @@ import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-from binadapt.autodiff import CheckpointError, read_checkpoint  # noqa: E402  (this checkout's reader)
+from binadapt.models import CheckpointError, read_checkpoint  # noqa: E402  (this checkout's reader)
 
 PAGES, SIDE = 4, 128
 ADAPT = {"epochs": 10, "batch": 8, "lr": 0.01, "validation_fraction": 0.2}

@@ -11,10 +11,7 @@ of B patches, as ``binadapt`` training steps: the SAE's forward and backward
 on ``loss``; for Bin-DANN that source pass plus the target pass on
 ``domain_loss``, the two passes' gradients summed; then one Adam update.
 The ``infer`` step is the SAE's inference forward on ``prob_map`` alone, as
-page prediction runs it, on a batch of the same size. Where the tree's
-``forward`` takes ``record`` it passes ``record=False``; on trees without
-it every inference forward is record-free, except on trees older than
-record-free forwards, where every forward keeps one. After one warm-up
+page prediction runs it, on a batch of the same size. After one warm-up
 step it times ``--steps`` steps, then runs one more under ``tracemalloc``,
 whose peak is the most memory the step's own allocations held at once. It
 prints each step's traced peak and median time, the last line as JSON.
@@ -30,7 +27,7 @@ import sys
 from pathlib import Path
 
 _STEPS = """
-import dataclasses, inspect, json, statistics, sys, time, tracemalloc
+import dataclasses, json, statistics, sys, time, tracemalloc
 import numpy as np
 import binadapt as ba
 
@@ -58,13 +55,8 @@ def train_step(model, opt, seed):
     ba.optimizer_step(opt, model.params, grads)
 
 
-# a tree taking record keeps one unless told not to; on the others an
-# inference forward keeps what that tree's prediction kept
-unrecorded = {"record": False} if "record" in inspect.signature(ba.forward).parameters else {}
-
-
 def infer_step(model, opt, seed):
-    ba.forward(model.graph, {"x": source["x"]}, wanted=("prob_map",), **unrecorded)
+    ba.forward(model.graph, {"x": source["x"]}, wanted=("prob_map",))
 
 
 report = {"patch": patch, "batch": batch}
