@@ -1,10 +1,10 @@
 """Command-line front end: reproducible experiments from key=value configs.
 
 Subcommands: ``train-sae``, ``predict``, ``similarity``, ``run``, ``synth``.
-Every command writes its artifacts under the output directory together with a
-``manifest.json`` recording the resolved config, its hash, the seed, and
-library versions; nothing carries timestamps, so identical config + seed
-reproduce byte-identical outputs.
+Each writes its artifacts under the output directory with a ``manifest.json``
+of the resolved config, its hash, the seed and library versions, and no
+timestamps, so identical config + seed give byte-identical outputs. This module
+alone formats the CSV and JSON files; ``models`` writes checkpoints, ``data`` PGMs.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +31,8 @@ from .data import (
 )
 from .metrics import Confusion, confusion, f1, precision, recall
 from .models import CheckpointError, load_binarizer, predict_prob_map, save_binarizer
-from .similarity import autobindann, gate, histogram_csv
-from .training import ExperimentConfig, binarize, history_csv, train_sae
+from .similarity import autobindann, gate
+from .training import ExperimentConfig, binarize, train_sae
 
 __all__ = ["ConfigError", "parse_config", "main"]
 
@@ -82,6 +82,14 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
+def _write_csv(path: Path, header, rows):
+    """A header line, then one line per row: a ``str`` cell as it is, ``None``
+    as an empty cell, anything else as its ``repr``."""
+    lines = [header] + [",".join(c if isinstance(c, str) else "" if c is None else repr(c) for c in row)
+                        for row in rows]
+    path.write_text("\n".join(lines) + "\n")
+
+
 def _write_manifest(out: Path, command, cfg, results):
     manifest = {
         "command": command,
@@ -98,10 +106,19 @@ def _write_gate(out: Path, command, cfg, result, **extra):
     """The gate's artifacts: its report, the two domain histograms, and the
     manifest, which records the gate's decision and rho."""
     report = result.report
-    (out / "report.json").write_text(report.to_json() + "\n")
-    (out / "hist_source.csv").write_text(histogram_csv(result.hist_source, cfg.h_prec))
-    (out / "hist_target.csv").write_text(histogram_csv(result.hist_target, cfg.h_prec))
+    (out / "report.json").write_text(json.dumps(asdict(report), sort_keys=True) + "\n")
+    for name, hist in (("source", result.hist_source), ("target", result.hist_target)):
+        # float(): the masses are np.float64, whose repr is not the number alone
+        _write_csv(out / f"hist_{name}.csv", "bin_low,bin_high,mass",
+                   ((i * cfg.h_prec, (i + 1) * cfg.h_prec, float(m)) for i, m in enumerate(hist)))
     _write_manifest(out, command, cfg, {"decision": report.decision, "rho": report.rho, **extra})
+
+
+def _write_binarizer(out: Path, name, tb):
+    """A trained binarizer's checkpoint and its history, one row per epoch."""
+    save_binarizer(out / f"{name}.ckpt", tb)
+    _write_csv(out / f"history_{name}.csv", "epoch,bin_loss,domain_loss,lambda,val_f1,th_s",
+               map(astuple, tb.history))
 
 
 def _collapsed(**binarizers):
@@ -129,13 +146,6 @@ def _evaluation_rows(masks, eval_masks):
     return [(stem, f1(c), precision(c), recall(c)) for stem, c in counts]
 
 
-def _summary_csv(rows) -> str:
-    lines = ["page,f1,precision,recall"]
-    for stem, s_f1, s_p, s_r in rows:
-        lines.append(f"{stem},{repr(s_f1)},{repr(s_p)},{repr(s_r)}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -146,8 +156,7 @@ def cmd_train_sae(args) -> int:
     out = Path(cfg.out_dir)
     tb = train_sae(source, cfg)
     out.mkdir(parents=True, exist_ok=True)
-    save_binarizer(out / "sae.ckpt", tb)
-    (out / "history_sae.csv").write_text(history_csv(tb.history))
+    _write_binarizer(out, "sae", tb)
     best_f1 = max(h.val_f1 for h in tb.history)
     _write_manifest(out, "train-sae", cfg,
                     {"val_f1": best_f1, "th_s": tb.th_s, "collapsed": _collapsed(sae=tb)})
@@ -203,15 +212,13 @@ def cmd_run(args) -> int:
     for stem, mask in result.masks.items():
         (mask_dir / f"{stem}.pgm").write_bytes(write_pgm(mask))
 
-    (out / "history_sae.csv").write_text(history_csv(result.sae.history))
-    save_binarizer(out / "sae.ckpt", result.sae)
+    _write_binarizer(out, "sae", result.sae)
     if result.da is not None:
-        (out / "history_bindann.csv").write_text(history_csv(result.da.history))
-        save_binarizer(out / "bindann.ckpt", result.da)
+        _write_binarizer(out, "bindann", result.da)
 
     rows = _evaluation_rows(result.masks, eval_masks)
     if rows:
-        (out / "summary.csv").write_text(_summary_csv(rows))
+        _write_csv(out / "summary.csv", "page,f1,precision,recall", rows)
 
     _write_gate(out, "run", cfg, result, collapsed=_collapsed(sae=result.sae, bindann=result.da))
     print(f"rho={result.report.rho:.4f} decision={result.report.decision}; "

@@ -392,9 +392,17 @@ def _config_from_dict(kind, d, stored):
                      patch=tuple(sd["patch"]))
 
 
+def _is_threshold(th):
+    """Whether ``th`` is what a checkpoint may store as its threshold: a float in (0, 1)."""
+    return isinstance(th, float) and 0.0 < th < 1.0  # NaN fails the comparison
+
+
 def save_binarizer(path, tb: TrainedBinarizer):
     """Write the model's parameters after a header holding its kind, its config
-    (the SAE fields, nested under ``"sae"`` for a Bin-DANN) and the threshold."""
+    (the SAE fields, nested under ``"sae"`` for a Bin-DANN) and the threshold.
+    A threshold ``load_binarizer`` would refuse raises ``ValueError`` first."""
+    if not _is_threshold(tb.th_s):
+        raise ValueError(f"threshold {tb.th_s!r} is not a float in (0, 1)")
     sae = dict(asdict(tb.model.config), **_FIXED_FIELDS)  # tuples serialize as JSON lists
     header = {"config": sae if tb.model.kind == "sae" else {"sae": sae},
               "kind": tb.model.kind, "th_s": tb.th_s}
@@ -445,6 +453,6 @@ def load_binarizer(path) -> TrainedBinarizer:
             raise CheckpointError(f"parameter {name!r} has non-finite values")
         model.params[name] = arr
     th = header.get("th_s")
-    if not isinstance(th, float) or not 0.0 < th < 1.0:
+    if not _is_threshold(th):
         raise CheckpointError(f"checkpoint {path} stores no threshold in (0, 1)")
     return TrainedBinarizer(model=model, th_s=th, history=[])

@@ -12,9 +12,8 @@ both models, and ``binadapt similarity`` calls it with a loaded checkpoint.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +37,6 @@ __all__ = [
     "AutoRunResult",
     "gate",
     "autobindann",
-    "histogram_csv",
 ]
 
 USE_SAE = "UseSAE"
@@ -144,9 +142,6 @@ class SimilarityReport:
     decision: str
     degenerate_flag: bool = False
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
 
 def compare_histograms(hs, ht, rho_th) -> SimilarityReport:
     """Full metric suite plus the gate decision.
@@ -228,10 +223,3 @@ def autobindann(source: Dataset, target: Dataset, cfg: ExperimentConfig) -> Auto
             for rec in target.records
         }
     return result
-
-
-def histogram_csv(h, h_prec) -> str:
-    lines = ["bin_low,bin_high,mass"]
-    for i, mass in enumerate(h):
-        lines.append(f"{repr(i * h_prec)},{repr((i + 1) * h_prec)},{repr(float(mass))}")
-    return "\n".join(lines) + "\n"

@@ -41,7 +41,6 @@ __all__ = [
     "sweep_threshold",
     "train_sae",
     "train_bindann",
-    "history_csv",
     "save_binarizer",
     "load_binarizer",
 ]
@@ -151,12 +150,13 @@ def _bin_count(h_prec):
 
 
 def _sweep_grid(step):
+    """Every multiple ``i * step`` (i >= 1) below 1, up to a 1e-9 margin for rounding."""
     if not 0.0 < step < 1.0:
         raise ValueError(f"sweep step {step} outside (0, 1)")
-    n = round(1.0 / step)
-    if n < 2:
+    grid = [i * step for i in range(1, math.ceil(1.0 / step) + 1) if i * step < 1.0 - 1e-9]
+    if not grid:
         raise ValueError(f"sweep step {step} leaves no interior thresholds")
-    return [i * step for i in range(1, n)]
+    return grid
 
 
 def sweep_threshold(prob_maps, validation, sweep_step):
@@ -295,19 +295,3 @@ def train_bindann(source: Dataset, target: Dataset, cfg: ExperimentConfig) -> Tr
     computed on the source only, and the returned threshold comes from the
     source validation sweep."""
     return _fit(source, target, cfg)
-
-
-def history_csv(history) -> str:
-    lines = ["epoch,bin_loss,domain_loss,lambda,val_f1,th_s"]
-    for row in history:
-        cells = [
-            str(row.epoch),
-            repr(row.bin_loss),
-            "" if row.domain_loss is None else repr(row.domain_loss),
-            "" if row.lam is None else repr(row.lam),
-            repr(row.val_f1),
-            repr(row.th_s),
-        ]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -285,6 +286,8 @@ def test_train_predict_similarity_flow(tiny_dirs, tmp_path):
     assert ckpt.exists()
     history = (out / "history_sae.csv").read_text().strip().split("\n")
     assert history[0].startswith("epoch,") and len(history) == 3
+    cells = history[1].split(",")  # an SAE has no domain loss and no reversal coefficient
+    assert cells[0] == "0" and cells[2] == cells[3] == "" and float(cells[1]) > 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "train-sae"
     assert "config_hash" in manifest and manifest["versions"]["binadapt"]
@@ -307,6 +310,23 @@ def test_train_predict_similarity_flow(tiny_dirs, tmp_path):
     assert report["rho"] >= 0.9
     assert report["decision"] == "UseSAE"
     assert (sim_out / "hist_source.csv").read_text().startswith("bin_low,bin_high,mass")
+
+
+def test_the_csv_writer_formats_history_and_histogram_rows(tmp_path):
+    # a str cell as it is, None as an empty one, anything else as its repr
+    tb = ba.TrainedBinarizer(ba.build_sae(SAE, np.random.default_rng(0)), 0.35,
+                             [ba.training.EpochStats(0, 0.1 + 0.2, None, None, 0.75, 0.35)])
+    cli._write_binarizer(tmp_path, "sae", tb)
+    assert (tmp_path / "history_sae.csv").read_bytes() == (
+        b"epoch,bin_loss,domain_loss,lambda,val_f1,th_s\n0,0.30000000000000004,,,0.75,0.35\n")
+    assert ba.load_binarizer(tmp_path / "sae.ckpt").th_s == 0.35
+    h = similarity.domain_histogram([np.array([0.05, 0.95])], 0.5)  # float64 masses
+    report = similarity.compare_histograms(h, h, 0.25)
+    cli._write_gate(tmp_path, "similarity", ba.ExperimentConfig(h_prec=0.5),
+                    similarity.AutoRunResult(report, tb, None, {}, h, h))
+    for name in ("hist_source.csv", "hist_target.csv"):
+        assert (tmp_path / name).read_bytes() == b"bin_low,bin_high,mass\n0.0,0.5,0.5\n0.5,1.0,0.5\n"
+    assert json.loads((tmp_path / "report.json").read_text()) == asdict(report)
 
 
 def test_run_command_emits_all_artifacts(tiny_dirs, tmp_path):
@@ -352,7 +372,7 @@ def test_the_library_on_generated_domains_reproduces_run_on_the_written_ones(tmp
         out = tmp_path / name
         assert main(["run", "--config", str(conf), "--out", str(out)]) == 0
         result = similarity.autobindann(source, target, parse_config(conf.read_text()))
-        assert (out / "report.json").read_text() == result.report.to_json() + "\n"
+        assert json.loads((out / "report.json").read_text()) == asdict(result.report)
         masks = {path.stem: ba.read_pgm(path.read_bytes()).levels == 255
                  for path in (out / "binarized").glob("*.pgm")}
         assert masks.keys() == result.masks.keys()
@@ -406,7 +426,7 @@ def test_run_rejects_bad_gate_settings_before_training(key, value, tiny_dirs, tm
                                                  ("train-sae", "lr", 0),
                                                  ("train-sae", "lr", -0.01),
                                                  ("train-sae", "lr", "nan"),
-                                                 ("train-sae", "sweep_step", 0.7)])
+                                                 ("train-sae", "sweep_step", 1.0)])
 def test_commands_reject_bad_settings_before_writing(command, key, value, tiny_dirs, tmp_path,
                                                      monkeypatch, capsys):
     def no_training(*args, **kwargs):

@@ -428,6 +428,16 @@ def test_model_checkpoint_starts_with_core_magic(tmp_path):
     assert next(iter(records)) == "__config__"
 
 
+@pytest.mark.parametrize("th", [1.5, 0.0, "x", float("nan"), 1])
+def test_save_binarizer_refuses_what_load_binarizer_refuses(th, tmp_path):
+    # the file would fail to load: the writer refuses it before creating it
+    model = ba.build_sae(sae_cfg(depth=1, filters=2, patch=(4, 4)), np.random.default_rng(0))
+    path = tmp_path / "m.ckpt"
+    with pytest.raises(ValueError, match=r"is not a float in \(0, 1\)$"):
+        ba.save_binarizer(path, ba.TrainedBinarizer(model, th, []))
+    assert not path.exists()
+
+
 def test_checkpoint_header_bytes_are_pinned(tmp_path):
     # the fixed geometry fields stay in the header, so older files keep loading
     sae = ('{"channels":1,"depth":3,"dropout_rate":0.2,"filters":8,"kernel":[3,3],'

@@ -1,8 +1,8 @@
 """Domain histograms, the four comparison metrics, the gate, the driver."""
 
-import json
 import math
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -17,7 +17,6 @@ from binadapt.similarity import (
     compare_histograms,
     domain_histogram,
     gate,
-    histogram_csv,
 )
 
 from reference import direct_pearson
@@ -224,7 +223,7 @@ def test_report_json_fields():
     a, b = rng.random(10), rng.random(10)
     a, b = a / a.sum(), b / b.sum()
     report = compare_histograms(a, b, rho_th=0.25)
-    payload = json.loads(report.to_json())
+    payload = asdict(report)
     assert set(payload) == {
         "rho", "kl_st", "kl_ts", "js", "hist_intersection",
         "rho_th", "decision", "degenerate_flag",
@@ -239,14 +238,6 @@ def test_degenerate_report_keeps_plain_model():
     assert report.degenerate_flag is True
     assert report.decision == USE_SAE
     assert report.rho == 1.0
-
-
-def test_histogram_csv_layout():
-    h = domain_histogram([np.array([0.05, 0.95])], 0.5)
-    lines = histogram_csv(h, 0.5).strip().split("\n")
-    assert lines[0] == "bin_low,bin_high,mass"
-    assert lines[1].startswith("0.0,0.5,")
-    assert len(lines) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +288,7 @@ def test_one_trained_sae_gates_every_target_as_autobindann_does(monkeypatch):
     for name, target in (("near", near), ("far", far)):
         mine, whole = staged[name], autobindann(src, target, cfg)
         assert mine.da is None and mine.sae is sae
-        assert mine.report.to_json() == whole.report.to_json()
+        assert mine.report == whole.report
         assert mine.hist_source.tobytes() == whole.hist_source.tobytes()
         assert mine.hist_target.tobytes() == whole.hist_target.tobytes()
         _same_binarizer(mine.sae, whole.sae)
@@ -323,7 +314,7 @@ def test_gate_predicts_a_loaded_binarizers_source_validation_pages(tmp_path):
     ba.save_binarizer(tmp_path / "sae.ckpt", fresh)
     loaded = ba.load_binarizer(tmp_path / "sae.ckpt")
     a, b = gate(fresh, src, far, cfg), gate(loaded, src, far, cfg)
-    assert a.report.to_json() == b.report.to_json()
+    assert a.report == b.report
     assert a.hist_source.tobytes() == b.hist_source.tobytes()
     assert all(a.masks[s].tobytes() == b.masks[s].tobytes() for s in a.masks)
     no_val = ba.Dataset("source", src.train())

@@ -12,7 +12,6 @@ import pytest
 import binadapt as ba
 from binadapt import training
 from binadapt.data import DataError, Dataset, PageRecord
-from binadapt.training import history_csv
 
 from reference import padded_split_patches
 
@@ -91,6 +90,24 @@ def test_sweep_result_achieves_curve_maximum():
     curve = [ba.f1(ba.confusion(prob >= g, gt)) for g in grid]
     assert score == pytest.approx(max(curve), abs=0)
     assert grid.index(th) == int(np.argmax(curve))  # ties resolve to lowest
+
+
+def test_the_sweep_grid_keeps_every_interior_multiple_of_its_step():
+    # the grids of the steps that divide 1 stay what they were, to the last bit
+    assert training._sweep_grid(0.05) == [i * 0.05 for i in range(1, 20)]
+    assert training._sweep_grid(0.1) == [i * 0.1 for i in range(1, 10)]
+    # a step that does not divide 1 keeps its largest threshold below 1
+    assert training._sweep_grid(0.3) == [0.3, 0.6, 3 * 0.3]
+    assert training._sweep_grid(0.4) == [0.4, 0.8]
+    assert training._sweep_grid(0.09) == [i * 0.09 for i in range(1, 12)]
+    assert training._sweep_grid(0.7) == [0.7]
+    assert ba.ExperimentConfig(sweep_step=0.7).sweep_step == 0.7
+    gt = np.array([[1, 0], [0, 1]], dtype=np.uint8)
+    th, score = ba.sweep_threshold([np.where(gt == 1, 0.95, 0.85)], [_record(gt)], sweep_step=0.3)
+    assert (th, score) == (3 * 0.3, 1.0)
+    for step in (0.0, 1.0, 1.0 - 1e-10):
+        with pytest.raises(ValueError, match="^sweep step "):
+            training._sweep_grid(step)
 
 
 def test_sweep_needs_one_map_per_validation_page():
@@ -346,17 +363,6 @@ def test_an_int_float_setting_is_stored_as_a_float():
 def test_directories_that_are_not_strings_are_rejected_on_construction(name, value):
     with pytest.raises(ValueError, match=f"^{name} {re.escape(repr(value))} is not a string$"):
         ba.ExperimentConfig(**{name: value})
-
-
-def test_history_csv_layout():
-    src, _, _ = _tiny_domains()
-    tb = ba.train_sae(src, _tiny_cfg(epochs=1))
-    text = history_csv(tb.history)
-    lines = text.strip().split("\n")
-    assert lines[0] == "epoch,bin_loss,domain_loss,lambda,val_f1,th_s"
-    cells = lines[1].split(",")
-    assert cells[0] == "0" and cells[2] == "" and cells[3] == ""
-    assert float(cells[1]) > 0
 
 
 def test_binarizer_checkpoint_roundtrip(tmp_path):

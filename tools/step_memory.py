@@ -7,9 +7,10 @@ TREE is a checkout holding ``src/binadapt`` (default: the one this tool sits
 in). In a fresh process with BLAS at one thread, the tool builds the default
 SAE and Bin-DANN (``ExperimentConfig``'s model at a P x P patch, the reversal
 coefficient at its first scheduled value) and trains each on random batches
-of B patches, as ``binadapt`` training steps: the SAE's forward and backward
-on ``loss``; for Bin-DANN that source pass plus the target pass on
-``domain_loss``, the two passes' gradients summed; then one Adam update.
+of B patches with boolean labels, as ``binadapt`` training steps: the SAE's
+forward and backward on ``loss``; for Bin-DANN that source pass plus the
+target pass on ``domain_loss``, each pass drawing its dropout masks from a
+generator of its own, the two passes' gradients summed; then one Adam update.
 The ``infer`` step is the SAE's inference forward on ``prob_map`` alone, as
 page prediction runs it, on a batch of the same size. After one warm-up
 step it times ``--steps`` steps, then runs one more under ``tracemalloc``,
@@ -36,12 +37,12 @@ cfg = ba.ExperimentConfig()
 sae = dataclasses.replace(cfg.sae_config(), patch=(patch, patch))
 data = np.random.default_rng(0)
 shape = (batch, 1, patch, patch)
-source = {"x": data.random(shape), "gt": (data.random(shape) > 0.8) * 1.0}
+source = {"x": data.random(shape), "gt": data.random(shape) > 0.8}  # boolean, as training cuts labels
 target = {"x": data.random(shape), "domain_gt": np.ones(shape)}
 
 
 def train_step(model, opt, seed):
-    rng = np.random.default_rng(seed)
+    rng, rng_target = (np.random.default_rng([seed, p]) for p in (0, 1))
     if model.kind == "sae":
         ba.forward(model.graph, source, wanted=("loss", "bin_loss"), training=True, rng=rng)
         grads = ba.backward(model.graph, "loss")
@@ -49,7 +50,7 @@ def train_step(model, opt, seed):
         ba.forward(model.graph, {**source, "domain_gt": np.zeros(shape)},
                    wanted=("loss", "bin_loss", "domain_loss"), training=True, rng=rng)
         grads = ba.backward(model.graph, "loss")
-        ba.forward(model.graph, target, wanted=("domain_loss",), training=True, rng=rng)
+        ba.forward(model.graph, target, wanted=("domain_loss",), training=True, rng=rng_target)
         for name, g in ba.backward(model.graph, "domain_loss").items():
             grads[name] = grads[name] + g if name in grads else g
     ba.optimizer_step(opt, model.params, grads)
