@@ -286,8 +286,6 @@ def test_train_predict_similarity_flow(tiny_dirs, tmp_path):
     assert ckpt.exists()
     history = (out / "history_sae.csv").read_text().strip().split("\n")
     assert history[0].startswith("epoch,") and len(history) == 3
-    cells = history[1].split(",")  # an SAE has no domain loss and no reversal coefficient
-    assert cells[0] == "0" and cells[2] == cells[3] == "" and float(cells[1]) > 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "train-sae"
     assert "config_hash" in manifest and manifest["versions"]["binadapt"]

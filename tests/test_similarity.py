@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import binadapt as ba
-from binadapt import similarity
+from binadapt import cli, similarity
 from binadapt.similarity import (
     USE_DA,
     USE_SAE,
@@ -238,6 +238,19 @@ def test_degenerate_report_keeps_plain_model():
     assert report.degenerate_flag is True
     assert report.decision == USE_SAE
     assert report.rho == 1.0
+
+
+def test_histogram_csv_layout(tmp_path):
+    h = domain_histogram([np.array([0.05, 0.95])], 0.5)
+    report = similarity.compare_histograms(h, h, 0.25)
+    sae = ba.TrainedBinarizer(ba.build_sae(ba.SaeConfig(1, 2, 0.0, (8, 8)), np.random.default_rng(0)),
+                              0.5, [])
+    cli._write_gate(tmp_path, "similarity", ba.ExperimentConfig(h_prec=0.5),
+                    similarity.AutoRunResult(report, sae, None, {}, h, h))
+    lines = (tmp_path / "hist_source.csv").read_text().strip().split("\n")
+    assert lines[0] == "bin_low,bin_high,mass"
+    assert lines[1].startswith("0.0,0.5,")
+    assert len(lines) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import binadapt as ba
-from binadapt import training
+from binadapt import cli, training
 from binadapt.data import DataError, Dataset, PageRecord
 
 from reference import padded_split_patches
@@ -363,6 +363,17 @@ def test_an_int_float_setting_is_stored_as_a_float():
 def test_directories_that_are_not_strings_are_rejected_on_construction(name, value):
     with pytest.raises(ValueError, match=f"^{name} {re.escape(repr(value))} is not a string$"):
         ba.ExperimentConfig(**{name: value})
+
+
+def test_history_csv_layout(tmp_path):
+    src, _, _ = _tiny_domains()
+    tb = ba.train_sae(src, _tiny_cfg(epochs=1))
+    cli._write_binarizer(tmp_path, "sae", tb)
+    lines = (tmp_path / "history_sae.csv").read_text().strip().split("\n")
+    assert lines[0] == "epoch,bin_loss,domain_loss,lambda,val_f1,th_s"
+    cells = lines[1].split(",")  # an SAE has no domain loss and no reversal coefficient
+    assert cells[0] == "0" and cells[2] == "" and cells[3] == ""
+    assert float(cells[1]) > 0
 
 
 def test_binarizer_checkpoint_roundtrip(tmp_path):
